@@ -15,7 +15,6 @@ from .qstate import (
     PureState,
     RegisterLayout,
     apply_isometry,
-    eigendecompose_hermitian,
     mutual_information,
     partial_trace,
     purify_secret,
@@ -35,7 +34,6 @@ from .schemes import (
 from .structures import (
     HYPERSTAR_CATALOG,
     AccessStructure,
-    Hypergraph,
     PlayerSubset,
     adversary_partition,
     are_isomorphic,
@@ -45,7 +43,6 @@ from .structures import (
     is_hyperstar,
     is_quantum_admissible,
     load_structure,
-    monotone_closure_contains,
     perfect_feasibility,
     threshold_structure,
 )

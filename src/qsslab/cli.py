@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import protocols, schemes, structures, verifier
+from . import protocols, qstate, schemes, structures, verifier
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -27,7 +27,6 @@ class CliConfig:
     tolerance: float = 1e-9
     output_format: str = "text"
     seed: int = 42
-    max_qubits: int = 14
 
 
 class CliError(Exception):
@@ -147,7 +146,7 @@ def cmd_scheme_verify(args):
     except verifier.StructuralMismatchError as exc:
         print(f"structural mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except verifier.ResourceLimitError as exc:
+    except qstate.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (structures.StructureError, schemes.SchemeError) as exc:
@@ -185,6 +184,10 @@ def cmd_scheme_verify(args):
 
 
 def cmd_build(args):
+    needed = {"threshold34": (), "block": ("n", "b"), "star": ("n", "center")}[args.family]
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        raise CliError(f"build {args.family} needs {' and '.join(missing)}", EXIT_INPUT)
     try:
         if args.family == "threshold34":
             scheme = schemes.build_threshold34()
@@ -278,9 +281,10 @@ def cmd_reconstruct(args):
     cfg = _config(args)
     scheme = _load_scheme(args.scheme)
     acting = _parse_players(args.set)
+    if args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}", EXIT_INPUT)
     rng = np.random.default_rng(cfg.seed)
     fidelities = []
-    trace = None
     try:
         if args.protocol == "circuit":
             for _ in range(args.trials):
@@ -301,10 +305,8 @@ def cmd_reconstruct(args):
                 trace = outcome.trace
         else:
             state = schemes.distribute_purified(scheme)
-            regs = [f"p{p}" for p in scheme.particles_of(
-                structures.PlayerSubset.from_players(acting, scheme.num_players).bits
-            )]
-            result = protocols.decoupling_decoder(state, regs, ("R",))
+            bits = structures.PlayerSubset.from_players(acting, scheme.num_players).bits
+            result = protocols.decoupling_decoder(state, scheme.registers_of(bits), ("R",))
             fidelities.append(result.fidelity)
             trace = {
                 "protocol": "decoder",
@@ -317,7 +319,7 @@ def cmd_reconstruct(args):
     except protocols.DecouplingError as exc:
         print(f"decoding failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except protocols.ProtocolError as exc:
+    except (protocols.ProtocolError, structures.StructureError) as exc:
         raise CliError(str(exc), EXIT_INPUT) from None
     doc = {"fidelities": fidelities, "trace": trace}
     if args.protocol in ("circuit", "measure"):
@@ -460,7 +462,7 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except verifier.ResourceLimitError as exc:
+    except qstate.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

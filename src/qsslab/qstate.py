@@ -26,6 +26,10 @@ class QStateError(ValueError):
     """Malformed state, layout, or operator input."""
 
 
+class ResourceLimitError(QStateError):
+    """Qubit budget exceeded."""
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered one-qubit register names; order fixes tensor indices."""
@@ -40,7 +44,7 @@ class RegisterLayout:
         if len(set(labels)) != len(labels):
             raise QStateError(f"duplicate register labels in {labels}")
         if len(labels) > MAX_QUBITS:
-            raise QStateError(f"at most {MAX_QUBITS} qubits supported, got {len(labels)}")
+            raise ResourceLimitError(f"at most {MAX_QUBITS} qubits supported, got {len(labels)}")
 
     @property
     def num_qubits(self):
@@ -125,16 +129,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class EntropyRecord:
-    """Entropies of a register subset relative to the reference system."""
-
-    subset: tuple
-    s_a: float
-    s_ra: float
-    i_ra: float
-
-
 def purify_secret(probabilities):
     """Purification |RS> = sum_i sqrt(p_i) |i>_R |i>_S of a one-qubit mixture."""
     probs = [float(p) for p in probabilities]
@@ -211,15 +205,6 @@ def partial_trace(state, keep):
     return DensityMatrix(rho, labels=kept_labels)
 
 
-def eigendecompose_hermitian(dm):
-    """Eigenvalues (descending) and matching eigenvector columns."""
-    matrix = dm.matrix if isinstance(dm, DensityMatrix) else np.asarray(dm, dtype=np.complex128)
-    if np.max(np.abs(matrix - matrix.conj().T)) > HERMITIAN_TOL:
-        raise QStateError("eigendecomposition requires a Hermitian matrix")
-    values, vectors = np.linalg.eigh(matrix)
-    return values[::-1].copy(), vectors[:, ::-1].copy()
-
-
 def von_neumann_entropy(dm):
     """S(rho) = -sum lambda_i log2 lambda_i, in bits."""
     values = np.linalg.eigvalsh(dm.matrix)
@@ -227,7 +212,7 @@ def von_neumann_entropy(dm):
         raise QStateError(f"density matrix has eigenvalue {values.min()} below floor")
     lam = values[values > ZERO_EIGENVALUE_CUT]
     s = float(-(lam * np.log2(lam)).sum())
-    return min(max(s, 0.0), np.log2(dm.dim))
+    return min(max(s, 0.0), float(np.log2(dm.dim)))
 
 
 def subsystem_entropy(state, regs):
@@ -246,11 +231,3 @@ def mutual_information(state, ref_regs, a_regs):
     s_ra = subsystem_entropy(state, ref_regs + a_regs)
     return s_r + s_a - s_ra
 
-
-def entropy_record(state, ref_regs, a_regs):
-    """EntropyRecord for a subset; keeps the three entropies together."""
-    ref_regs, a_regs = tuple(ref_regs), tuple(a_regs)
-    s_a = subsystem_entropy(state, a_regs)
-    s_ra = subsystem_entropy(state, ref_regs + a_regs)
-    s_r = subsystem_entropy(state, ref_regs)
-    return EntropyRecord(a_regs, s_a, s_ra, s_r + s_a - s_ra)

@@ -16,8 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import ISOMETRY_TOL, PureState, RegisterLayout, apply_isometry, purify_secret
-from .structures import AccessStructure, PlayerSubset, _bit_positions
+from .qstate import (
+    ISOMETRY_TOL,
+    MAX_QUBITS,
+    PureState,
+    RegisterLayout,
+    ResourceLimitError,
+    apply_isometry,
+    purify_secret,
+)
+from .structures import (
+    AccessStructure,
+    PlayerSubset,
+    _bit_positions,
+    adversary_partition,
+    is_quantum_admissible,
+    subset_unions,
+)
 
 MAX_SEARCH_PARTICLES = 7
 DEALER = "DEALER"
@@ -221,18 +236,14 @@ def induce_structure(scheme, base_gamma):
         )
     n = scheme.num_players
     base_masks = base_gamma.masks()
-    player_masks = [scheme.particle_mask(f"P{i}") for i in range(1, n + 1)]
-    union = [0] * (1 << n)
-    authorized = [False] * (1 << n)
-    minimal = []
-    for bits in range(1, 1 << n):
-        low = bits & -bits
-        union[bits] = union[bits ^ low] | player_masks[low.bit_length() - 1]
-        authorized[bits] = any(union[bits] & bm == bm for bm in base_masks)
-        if authorized[bits] and not any(
-            authorized[bits ^ (1 << pos)] for pos in _bit_positions(bits)
-        ):
-            minimal.append(bits)
+    union = subset_unions(scheme.particle_mask(f"P{i}") for i in range(1, n + 1))
+    authorized = [any(u & bm == bm for bm in base_masks) for u in union]
+    minimal = [
+        bits
+        for bits in range(1, 1 << n)
+        if authorized[bits]
+        and not any(authorized[bits ^ (1 << pos)] for pos in _bit_positions(bits))
+    ]
     return AccessStructure.from_masks(n, minimal)
 
 
@@ -277,15 +288,12 @@ def _induced_match_indices(masks, base_masks, target):
     """Row indices whose induced player closure equals the target's."""
     n = target.n
     rows = masks.shape[0]
-    union = {0: np.zeros(rows, dtype=np.int32)}
+    union = subset_unions(masks[:, j] for j in range(n))
     ok = np.ones(rows, dtype=bool)
     for bits in range(1, 1 << n):
-        low = bits & -bits
-        u = union[bits ^ low] | masks[:, low.bit_length() - 1]
-        union[bits] = u
         authorized = np.zeros(rows, dtype=bool)
         for bm in base_masks:
-            authorized |= (u & bm) == bm
+            authorized |= (union[bits] & bm) == bm
         flag = target.contains(PlayerSubset(bits, n))
         ok &= authorized == flag
     return np.nonzero(ok)[0]
@@ -298,7 +306,8 @@ def search_assignment(base, target, allow_dealer, tolerance=1e-9):
     target's players P1..Pn, plus DEALER when allow_dealer is set, ordered
     P1 < ... < Pn < DEALER; assignments are scanned lexicographically by
     particle.  The first assignment whose induced structure equals the
-    target and whose scheme then passes the generalized verification is
+    target and whose scheme then passes the generalized entropy conditions
+    (the pass that verify runs, on one entropy table for all candidates) is
     returned as a holder->particles dict; None means the search exhausted.
     """
     scheme, base_gamma = base
@@ -316,12 +325,14 @@ def search_assignment(base, target, allow_dealer, tolerance=1e-9):
     grid = _assignment_grid(m, len(holders))
     masks = _holder_particle_masks(grid, len(holders))
     candidates = _induced_match_indices(masks[:, :n], base_gamma.masks(), target)
-    if candidates.size == 0:
+    # two disjoint authorized sets would clone the secret: no scheme passes
+    if candidates.size == 0 or not is_quantum_admissible(target):
         return None
-    checker = verifier.GeneralizedChecker(scheme, target, tolerance=tolerance)
+    table = verifier.SubsetEntropyTable(distribute_purified(scheme), m)
+    partition = adversary_partition(target)
     for idx in candidates:
         player_masks = [int(masks[idx, j]) for j in range(n)]
-        if checker.passes(player_masks):
+        if not verifier._evaluate(table, player_masks, partition, tolerance).failing:
             row = grid[idx]
             return {
                 holder: tuple(p + 1 for p in range(m) if row[p] == j)
@@ -365,6 +376,10 @@ def load_scheme(data, name=""):
         raw_assignment = data["assignment"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemeError(f"missing or bad field: {exc}") from exc
+    if m < 1:
+        raise SchemeError(f"num_particles must be at least 1, got {m}")
+    if m > MAX_QUBITS:
+        raise ResourceLimitError(f"{m} particles exceed {MAX_QUBITS} qubits")
     images = np.zeros((2, 1 << m), dtype=np.complex128)
     for b in (0, 1):
         entries = raw_images.get(str(b))

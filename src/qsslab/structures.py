@@ -12,6 +12,7 @@ from some authorized set) and A2 (unauthorized sets meeting every
 authorized set); A2 is exactly the obstruction to perfect schemes.
 """
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -22,17 +23,28 @@ MAX_ENUM_PLAYERS = 6
 
 
 class StructureError(ValueError):
-    """Malformed subset, structure, or hypergraph input."""
+    """Malformed subset or structure input."""
 
 
 def _bit_positions(mask):
     """0-based positions of set bits, ascending."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
     return out
+
+
+def subset_unions(masks):
+    """Table of unions: entry b is the OR of masks[i] over the set bits i of b.
+
+    Built by doubling, so it serves plain int masks and numpy columns of
+    per-row masks alike.  Entry 0 is the int 0.
+    """
+    union = [0]
+    for m in masks:
+        union += [u | m for u in union]
+    return union
 
 
 @dataclass(frozen=True, order=True)
@@ -147,31 +159,6 @@ class AdversaryPartition:
     a2: tuple
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    """Vertices 1..n with nonempty hyperedges given as PlayerSubsets."""
-
-    n: int
-    edges: tuple
-
-    def __post_init__(self):
-        if not self.edges:
-            raise StructureError("hypergraph needs at least one edge")
-        for e in self.edges:
-            if e.n != self.n or e.bits == 0:
-                raise StructureError(f"bad hyperedge {e}")
-
-
-def as_hypergraph(gamma):
-    """View an access structure's minimal sets as hyperedges."""
-    return Hypergraph(gamma.n, gamma.minimal_sets)
-
-
-def monotone_closure_contains(gamma, s):
-    """True iff s contains some minimal authorized set."""
-    return gamma.contains(s)
-
-
 def is_quantum_admissible(gamma):
     """True iff every pair of minimal authorized sets intersects."""
     return all(
@@ -180,12 +167,11 @@ def is_quantum_admissible(gamma):
     )
 
 
-def is_hyperstar(h):
-    """True iff all hyperedges share a common vertex."""
-    common = (1 << h.n) - 1
-    for e in h.edges:
-        common &= e.bits
-    return common != 0
+def is_hyperstar(gamma):
+    """True iff all minimal authorized sets share a common player."""
+    if not gamma.minimal_sets:
+        raise StructureError("hyperstar test needs at least one minimal set")
+    return functools.reduce(lambda a, b: a & b, gamma.masks()) != 0
 
 
 def adversary_partition(gamma):
@@ -416,12 +402,18 @@ HYPERSTAR_CATALOG = (
 )
 
 
+@functools.cache
+def _catalog_index():
+    """(player count, canonical key) -> catalog number."""
+    return {(e.structure.n, canonical_key(e.structure)): e.number for e in HYPERSTAR_CATALOG}
+
+
 def catalog_number(gamma):
     """Catalog number of the class isomorphic to gamma, or None if uncataloged."""
-    for entry in HYPERSTAR_CATALOG:
-        if entry.structure.n == gamma.n and are_isomorphic(gamma, entry.structure) is not None:
-            return entry.number
-    return None
+    # canonical keys cost n!-ish work, so they are only taken where the catalog has classes
+    if all(e.structure.n != gamma.n for e in HYPERSTAR_CATALOG):
+        return None
+    return _catalog_index().get((gamma.n, canonical_key(gamma)))
 
 
 def load_structure(data):

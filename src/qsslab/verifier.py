@@ -29,14 +29,15 @@ from .schemes import (
 from .structures import (
     HYPERSTAR_CATALOG,
     AccessStructure,
+    AdversaryPartition,
     PlayerSubset,
     StructureError,
     _bit_positions,
     adversary_partition,
     perfect_feasibility,
+    subset_unions,
 )
 
-MAX_TOTAL_QUBITS = 14
 DEFAULT_TOLERANCE = 1e-9
 
 
@@ -62,10 +63,6 @@ class StructuralMismatchError(VerificationError):
         )
 
 
-class ResourceLimitError(VerificationError):
-    """Qubit budget exceeded."""
-
-
 class SubsetEntropyTable:
     """Cache of S(A) and S(RA) keyed by particle bitmask.
 
@@ -75,8 +72,6 @@ class SubsetEntropyTable:
     """
 
     def __init__(self, state, num_particles, ref_label="R"):
-        if state.num_qubits > MAX_TOTAL_QUBITS:
-            raise ResourceLimitError(f"{state.num_qubits} qubits exceed {MAX_TOTAL_QUBITS}")
         self._state = state
         self._labels = particle_labels(num_particles)
         self._ref = ref_label
@@ -96,39 +91,6 @@ class SubsetEntropyTable:
         if mask not in self._sr:
             self._sr[mask] = subsystem_entropy(self._state, (self._ref,) + self._regs(mask))
         return self._sr[mask]
-
-    def i_ref(self, mask):
-        """I(R:A) for the particle set in the mask."""
-        return self.s_ref + self.s(mask) - self.s_with_ref(mask)
-
-
-class GeneralizedChecker:
-    """Fast generalized-model check for player groupings of one scheme state."""
-
-    def __init__(self, scheme, target, tolerance=DEFAULT_TOLERANCE):
-        self.table = SubsetEntropyTable(distribute_purified(scheme), scheme.num_particles)
-        self.n = target.n
-        self.closure = [
-            bits != 0 and target.contains(PlayerSubset(bits, target.n))
-            for bits in range(1 << target.n)
-        ]
-        self.tolerance = tolerance
-        self.s_s = self.table.s_ref
-        self.i_rs = 2.0 * self.table.s_ref
-
-    def passes(self, player_masks):
-        """player_masks[i] is the particle bitmask of player i+1."""
-        union = [0] * (1 << self.n)
-        for bits in range(1, 1 << self.n):
-            low = bits & -bits
-            union[bits] = union[bits ^ low] | player_masks[low.bit_length() - 1]
-            i_ra = self.table.i_ref(union[bits])
-            if self.closure[bits]:
-                if abs(i_ra - self.i_rs) > self.tolerance:
-                    return False
-            elif i_ra > self.s_s + self.tolerance:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -166,6 +128,84 @@ class VerificationReport:
         raise KeyError(players)
 
 
+@dataclass(frozen=True)
+class _Evaluation:
+    """One player grouping of a scheme state, judged subset by subset."""
+
+    s_s: float
+    records: list
+    failing: list
+    verdict: str  # "perfect" | "generalized" | "fail"
+    mismatch: SubsetRecord | None  # first unauthorized subset at full correlation
+    worst_balance: float
+    balance_witness: PlayerSubset | None  # first A2 member with the worst deviation
+
+
+def _evaluate(table, player_masks, partition, tolerance):
+    """The entropy-condition pass behind verify, the balance check, the profile and the search.
+
+    player_masks[i] is the particle bitmask of player i+1 and partition the
+    claimed structure's adversary partition.  Every nonempty player subset
+    gets a record with its generalized-model condition; the A2 entropy
+    balance S(A) = S(complement of A) is measured on the same table.
+    """
+    n = len(player_masks)
+    s_s = table.s_ref
+    i_rs = 2.0 * s_s
+    class_of = {s.bits: "A1" for s in partition.a1}
+    class_of.update({s.bits: "A2" for s in partition.a2})
+    union = subset_unions(player_masks)
+    records = []
+    for bits in range(1, 1 << n):
+        s_a = table.s(union[bits])
+        s_ra = table.s_with_ref(union[bits])
+        i_ra = s_s + s_a - s_ra
+        cls = class_of.get(bits, "authorized")
+        if cls == "authorized":
+            ok = abs(i_ra - i_rs) <= tolerance
+        else:
+            ok = i_ra <= s_s + tolerance
+        records.append(SubsetRecord(PlayerSubset(bits, n), cls, s_a, s_ra, i_ra, ok))
+
+    unauthorized = [r for r in records if r.classification != "authorized"]
+    mismatch = next((r for r in unauthorized if abs(r.i_ra - i_rs) <= tolerance), None)
+    failing = [r for r in records if not r.condition_pass]
+    if failing:
+        verdict = "fail"
+    elif all(r.i_ra <= tolerance for r in unauthorized):
+        verdict = "perfect"
+    else:
+        verdict = "generalized"
+
+    worst, witness = 0.0, None
+    for s in partition.a2:
+        dev = abs(table.s(union[s.bits]) - table.s(union[s.complement().bits]))
+        if dev > worst:
+            worst, witness = dev, s
+    return _Evaluation(s_s, records, failing, verdict, mismatch, worst, witness)
+
+
+def _player_masks(scheme):
+    return [scheme.particle_mask(f"P{i}") for i in range(1, scheme.num_players + 1)]
+
+
+def _evaluate_scheme(scheme, gamma, tolerance):
+    """Run the pass on a scheme as distributed, against a claimed structure."""
+    n = scheme.num_players
+    if gamma.n != n:
+        raise StructureError(f"structure is over {gamma.n} players but scheme has {n}")
+    table = SubsetEntropyTable(distribute_purified(scheme), scheme.num_particles)
+    partition = adversary_partition(gamma)
+    ev = _evaluate(table, _player_masks(scheme), partition, tolerance)
+    # a perfect verdict over a structure with nonempty A2 would contradict the
+    # feasibility theorem; reaching this means the numerics are inconsistent
+    if ev.verdict == "perfect" and partition.a2:
+        raise VerificationError(
+            "perfect verdict with nonempty A2 contradicts perfect-infeasibility"
+        )
+    return ev
+
+
 def verify(scheme, gamma, model="generalized", tolerance=DEFAULT_TOLERANCE):
     """Full verification of a scheme against a claimed access structure.
 
@@ -178,83 +218,32 @@ def verify(scheme, gamma, model="generalized", tolerance=DEFAULT_TOLERANCE):
     """
     if model not in ("perfect", "generalized"):
         raise ValueError(f"unknown model {model!r}")
-    n = scheme.num_players
-    if gamma.n != n:
-        raise StructureError(f"structure is over {gamma.n} players but scheme has {n}")
-    if scheme.num_particles + 1 > MAX_TOTAL_QUBITS:
-        raise ResourceLimitError(
-            f"{scheme.num_particles} particles + reference exceed {MAX_TOTAL_QUBITS} qubits"
-        )
-    table = SubsetEntropyTable(distribute_purified(scheme), scheme.num_particles)
-    s_s = table.s_ref
-    i_rs = 2.0 * s_s
-    partition = adversary_partition(gamma)
-    class_of = {s.bits: "A1" for s in partition.a1}
-    class_of.update({s.bits: "A2" for s in partition.a2})
-
-    player_masks = [scheme.particle_mask(f"P{i}") for i in range(1, n + 1)]
-    union = [0] * (1 << n)
-    records = []
-    for bits in range(1, 1 << n):
-        low = bits & -bits
-        union[bits] = union[bits ^ low] | player_masks[low.bit_length() - 1]
-        mask = union[bits]
-        s_a = table.s(mask)
-        s_ra = table.s_with_ref(mask)
-        i_ra = s_s + s_a - s_ra
-        cls = class_of.get(bits, "authorized")
-        if cls == "authorized":
-            ok = abs(i_ra - i_rs) <= tolerance
-        else:
-            ok = i_ra <= s_s + tolerance
-        records.append(SubsetRecord(PlayerSubset(bits, n), cls, s_a, s_ra, i_ra, ok))
-
-    for r in records:
-        if r.classification != "authorized" and abs(r.i_ra - i_rs) <= tolerance:
-            raise StructuralMismatchError(r.subset, r.i_ra, i_rs)
-
-    failing = [r for r in records if not r.condition_pass]
-    if failing:
-        verdict, witness = "fail", failing[0].subset
-    elif all(r.i_ra <= tolerance for r in records if r.classification != "authorized"):
-        verdict, witness = "perfect", None
-    else:
-        verdict, witness = "generalized", None
-
-    # a perfect verdict over a structure with nonempty A2 would contradict the
-    # feasibility theorem; reaching this means the numerics are inconsistent
-    if verdict == "perfect" and partition.a2:
-        raise VerificationError(
-            "perfect verdict with nonempty A2 contradicts perfect-infeasibility"
-        )
-
-    worst = 0.0
-    for s in partition.a2:
-        dev = abs(table.s(union[s.bits]) - table.s(union[s.complement().bits]))
-        worst = max(worst, dev)
+    ev = _evaluate_scheme(scheme, gamma, tolerance)
+    i_rs = 2.0 * ev.s_s
+    if ev.mismatch is not None:
+        raise StructuralMismatchError(ev.mismatch.subset, ev.mismatch.i_ra, i_rs)
 
     if model == "perfect":
         requested_fail = [
             r
-            for r in records
+            for r in ev.records
             if (r.classification == "authorized" and not r.condition_pass)
             or (r.classification != "authorized" and r.i_ra > tolerance)
         ]
     else:
-        requested_fail = failing
-    meets = not requested_fail
+        requested_fail = ev.failing
 
     return VerificationReport(
         scheme=scheme.name or "scheme",
         model=model,
         i_rs=i_rs,
-        s_s=s_s,
-        records=records,
-        verdict=verdict,
-        witness=witness,
-        entropy_balanced=worst <= tolerance,
-        worst_balance_deviation=worst,
-        meets_requested=meets,
+        s_s=ev.s_s,
+        records=ev.records,
+        verdict=ev.verdict,
+        witness=ev.failing[0].subset if ev.failing else None,
+        entropy_balanced=ev.worst_balance <= tolerance,
+        worst_balance_deviation=ev.worst_balance,
+        meets_requested=not requested_fail,
         requested_witness=requested_fail[0].subset if requested_fail else None,
     )
 
@@ -277,31 +266,10 @@ def check_entropy_balance(scheme, gamma, tolerance=DEFAULT_TOLERANCE):
     neither side and stay traced out.  For dealer-free schemes this
     balance is equivalent to the generalized verdict being attainable.
     """
-    n = scheme.num_players
-    if gamma.n != n:
-        raise StructureError(f"structure is over {gamma.n} players but scheme has {n}")
-    table = SubsetEntropyTable(distribute_purified(scheme), scheme.num_particles)
-    partition = adversary_partition(gamma)
-    player_masks = [scheme.particle_mask(f"P{i}") for i in range(1, n + 1)]
-
-    def mask_of(bits):
-        mask = 0
-        for pos in _bit_positions(bits):
-            mask |= player_masks[pos]
-        return mask
-
-    worst, witness = 0.0, None
-    for s in partition.a2:
-        dev = abs(table.s(mask_of(s.bits)) - table.s(mask_of(s.complement().bits)))
-        if dev > worst:
-            worst, witness = dev, s
-    balanced = worst <= tolerance
-    try:
-        report = verify(scheme, gamma, "generalized", tolerance)
-        generalized_ok = report.verdict in ("perfect", "generalized")
-    except StructuralMismatchError:
-        generalized_ok = False
-    return BalanceResult(balanced, worst, witness, generalized_ok, balanced == generalized_ok)
+    ev = _evaluate_scheme(scheme, gamma, tolerance)
+    balanced = ev.worst_balance <= tolerance
+    ok = ev.mismatch is None and ev.verdict != "fail"
+    return BalanceResult(balanced, ev.worst_balance, ev.balance_witness, ok, balanced == ok)
 
 
 def entropy_profile(scheme, probabilities=(0.5, 0.5)):
@@ -312,18 +280,9 @@ def entropy_profile(scheme, probabilities=(0.5, 0.5)):
     distributions is often worth inspecting.  Returns a list of
     (subset, s_a, s_ra, i_ra) tuples ordered by subset bitmask.
     """
-    n = scheme.num_players
     table = SubsetEntropyTable(distribute_purified(scheme, probabilities), scheme.num_particles)
-    player_masks = [scheme.particle_mask(f"P{i}") for i in range(1, n + 1)]
-    union = [0] * (1 << n)
-    profile = []
-    for bits in range(1, 1 << n):
-        low = bits & -bits
-        union[bits] = union[bits ^ low] | player_masks[low.bit_length() - 1]
-        mask = union[bits]
-        s_a, s_ra = table.s(mask), table.s_with_ref(mask)
-        profile.append((PlayerSubset(bits, n), s_a, s_ra, table.s_ref + s_a - s_ra))
-    return profile
+    ev = _evaluate(table, _player_masks(scheme), AdversaryPartition((), ()), DEFAULT_TOLERANCE)
+    return [(r.subset, r.s_a, r.s_ra, r.i_ra) for r in ev.records]
 
 
 def report_to_dict(report):
@@ -394,10 +353,6 @@ class MatrixRow:
 @dataclass
 class MatrixReport:
     rows: list
-
-    @property
-    def deviations(self):
-        return [note for row in self.rows for note in row.notes]
 
 
 def _search_bases(target_n):

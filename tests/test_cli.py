@@ -1,10 +1,20 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qsslab.cli import main
-from qsslab.schemes import build_threshold34, load_scheme, save_scheme
+from qsslab.schemes import (
+    SchemeSpec,
+    build_threshold34,
+    identity_assignment,
+    load_scheme,
+    save_scheme,
+)
 from qsslab.structures import structure_to_dict, threshold_structure
+
+GOLDEN_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "tables.json"
 
 
 @pytest.fixture()
@@ -14,6 +24,22 @@ def threshold34_files(tmp_path):
     gamma_path = tmp_path / "threshold34_structure.json"
     gamma_path.write_text(json.dumps(structure_to_dict(threshold_structure(3, 4))))
     return str(scheme_path), str(gamma_path)
+
+
+def write_over_budget_scheme(tmp_path):
+    """14 particles: with the reference qubit, one over the state engine's budget."""
+    doc = {
+        "num_particles": 14,
+        "secret_dim": 2,
+        "basis_images": {
+            "0": [{"ket": "0" * 14, "re": 1.0, "im": 0.0}],
+            "1": [{"ket": "0" * 13 + "1", "re": 1.0, "im": 0.0}],
+        },
+        "assignment": {f"P{i}": [i] for i in range(1, 15)},
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def write_structure(tmp_path, name, players, sets):
@@ -107,24 +133,45 @@ class TestSchemeVerify:
         assert main(["scheme", "verify", scheme, gamma, "--tolerance", "0.1"]) == 2
 
     def test_resource_limit_exit5(self, tmp_path, capsys):
-        # 14 particles plus the reference blow the qubit budget
-        doc = {
-            "num_particles": 14,
-            "secret_dim": 2,
-            "basis_images": {
-                "0": [{"ket": "0" * 14, "re": 1.0, "im": 0.0}],
-                "1": [{"ket": "0" * 13 + "1", "re": 1.0, "im": 0.0}],
-            },
-            "assignment": {f"P{i}": [i] for i in range(1, 15)},
-        }
-        scheme_path = tmp_path / "big.json"
-        scheme_path.write_text(json.dumps(doc))
+        scheme_path = write_over_budget_scheme(tmp_path)
         gamma_path = tmp_path / "big_gamma.json"
         gamma_path.write_text(
             json.dumps({"players": 14, "minimal_authorized": [list(range(1, 15))]})
         )
-        assert main(["scheme", "verify", str(scheme_path), str(gamma_path)]) == 5
+        assert main(["scheme", "verify", scheme_path, str(gamma_path)]) == 5
         assert "resource limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count, code", [(40, 5), (15, 5), (0, 2), (-3, 2)])
+    def test_particle_count_checked_before_allocation(
+        self, tmp_path, threshold34_files, monkeypatch, capsys, count, code
+    ):
+        _, gamma = threshold34_files
+        doc = save_scheme(build_threshold34())
+        doc["num_particles"] = count
+        scheme_path = tmp_path / "sized.json"
+        scheme_path.write_text(json.dumps(doc))
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("image table allocated before the size check")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        assert main(["scheme", "verify", str(scheme_path), gamma]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: " if code == 5 else "error: ")
+
+    def test_dense_isometry_json_exit4(self, tmp_path, capsys):
+        # with this seed S(R) evaluates just above one bit and is clamped
+        rng = np.random.default_rng(16)
+        q, _ = np.linalg.qr(rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2)))
+        scheme_path = tmp_path / "dense.json"
+        scheme_path.write_text(json.dumps(save_scheme(SchemeSpec(4, q.T, identity_assignment(4)))))
+        gamma_path = tmp_path / "dense_gamma.json"
+        gamma_path.write_text(json.dumps(structure_to_dict(threshold_structure(3, 4))))
+        code = main(["scheme", "verify", str(scheme_path), str(gamma_path), "--format", "json"])
+        assert code == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "fail"
+        assert all(isinstance(r["pass"], bool) for r in doc["records"])
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +316,11 @@ class TestReconstruct:
         ) == 4
         assert "decoding failure" in capsys.readouterr().err
 
+    def test_decoder_over_qubit_budget_exit5(self, tmp_path, capsys):
+        path = write_over_budget_scheme(tmp_path)
+        assert main(["reconstruct", path, "--set", "1,2", "--protocol", "decoder"]) == 5
+        assert capsys.readouterr().err.startswith("resource limit: ")
+
     def test_unauthorized_circuit_set(self, threshold34_files):
         scheme, _ = threshold34_files
         assert main(["reconstruct", scheme, "--set", "1,2", "--protocol", "circuit"]) == 2
@@ -279,6 +331,10 @@ class TestReconstruct:
 
 
 class TestTables:
+    def test_json_matches_golden_bytes(self, capsys):
+        assert main(["tables", "--format", "json"]) == 0
+        assert capsys.readouterr().out == GOLDEN_TABLES.read_text()
+
     def test_deterministic_artifacts(self, tmp_path):
         assert main(["tables", "--out-dir", str(tmp_path / "a")]) == 0
         assert main(["tables", "--out-dir", str(tmp_path / "b")]) == 0
@@ -299,3 +355,28 @@ class TestTables:
         assert len(csv_text.strip().splitlines()) == 17
         unknown = [row for row in doc["rows"] if row["gqss"] == "unknown"]
         assert sorted(row["no"] for row in unknown) == [9, 10]
+
+
+# ---------------------------------------------------------------------------
+# input errors end in exit 2 and one diagnostic line, never a traceback
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "block", "--n", "5"],
+        ["build", "star"],
+        ["build", "star", "--n", "4"],
+        ["reconstruct", "SCHEME", "--set", "1,3,4", "--trials", "0"],
+        ["reconstruct", "SCHEME", "--set", "1,3,4", "--trials", "-2"],
+        ["reconstruct", "SCHEME", "--set", "1,9", "--protocol", "decoder"],
+    ],
+)
+def test_input_error_exit2_one_line(threshold34_files, capsys, argv):
+    scheme, _ = threshold34_files
+    argv = [scheme if a == "SCHEME" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

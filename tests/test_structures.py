@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +9,10 @@ from hypothesis import strategies as st
 from qsslab.structures import (
     HYPERSTAR_CATALOG,
     AccessStructure,
-    Hypergraph,
     PlayerSubset,
     StructureError,
     adversary_partition,
     are_isomorphic,
-    as_hypergraph,
     canonical_key,
     catalog_number,
     check_complement_law,
@@ -21,9 +20,9 @@ from qsslab.structures import (
     is_hyperstar,
     is_quantum_admissible,
     load_structure,
-    monotone_closure_contains,
     perfect_feasibility,
     structure_to_dict,
+    subset_unions,
     threshold_structure,
 )
 
@@ -106,19 +105,19 @@ class TestAccessStructure:
 class TestClosure:
     def test_superset_of_minimal(self):
         g = gamma(3, [[1, 2]])
-        assert monotone_closure_contains(g, subset([1, 2, 3], 3))
+        assert g.contains(subset([1, 2, 3], 3))
 
     def test_pair_outside_closure(self):
         g = gamma(4, [[1, 2, 3], [1, 4]])  # catalog No.5
-        assert not monotone_closure_contains(g, subset([1, 2], 4))
+        assert not g.contains(subset([1, 2], 4))
 
     def test_threshold_triple(self):
         g = threshold_structure(3, 4)
-        assert monotone_closure_contains(g, subset([2, 3, 4], 4))
+        assert g.contains(subset([2, 3, 4], 4))
 
     def test_player_count_mismatch(self):
         with pytest.raises(StructureError, match="mismatch"):
-            monotone_closure_contains(gamma(3, [[1, 2]]), subset([1, 2], 4))
+            gamma(3, [[1, 2]]).contains(subset([1, 2], 4))
 
 
 class TestAdmissibility:
@@ -219,19 +218,17 @@ class TestThresholdStructure:
 
 class TestHyperstar:
     def test_star(self):
-        h = as_hypergraph(gamma(4, [[1, 2], [1, 3], [1, 4]]))
-        assert is_hyperstar(h)
+        assert is_hyperstar(gamma(4, [[1, 2], [1, 3], [1, 4]]))
 
     def test_threshold_not_star(self):
-        assert not is_hyperstar(as_hypergraph(threshold_structure(3, 4)))
+        assert not is_hyperstar(threshold_structure(3, 4))
 
     def test_single_full_edge(self):
-        h = Hypergraph(5, (subset([1, 2, 3, 4, 5], 5),))
-        assert is_hyperstar(h)
+        assert is_hyperstar(gamma(5, [[1, 2, 3, 4, 5]]))
 
     def test_needs_edges(self):
         with pytest.raises(StructureError):
-            Hypergraph(3, ())
+            is_hyperstar(AccessStructure(3, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +318,7 @@ class TestEnumeration:
         classes = enumerate_hyperstars(5)
         for n, g in classes:
             assert g.n == n
-            assert is_hyperstar(as_hypergraph(g))
+            assert is_hyperstar(g)
             assert is_quantum_admissible(g)
         per_n = {}
         for n, g in classes:
@@ -349,6 +346,19 @@ class TestEnumeration:
     def test_catalog_number_roundtrip(self):
         for entry in HYPERSTAR_CATALOG:
             assert catalog_number(entry.structure) == entry.number
+
+    @given(st.integers(0, len(HYPERSTAR_CATALOG) - 1), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_catalog_number_under_relabeling(self, idx, rnd):
+        entry = HYPERSTAR_CATALOG[idx]
+        perm = list(range(1, entry.structure.n + 1))
+        rnd.shuffle(perm)
+        assert catalog_number(apply_permutation(entry.structure, tuple(perm))) == entry.number
+
+    def test_catalog_number_beyond_catalog_sizes(self):
+        # twelve players: a canonical key would scan 10! relabelings, the lookup none
+        star = gamma(12, [[1, j] for j in range(2, 13)])
+        assert catalog_number(star) is None
 
 
 @st.composite
@@ -397,6 +407,36 @@ class TestCanonicalKey:
     @settings(max_examples=80, deadline=None)
     def test_matches_full_permutation_minimum(self, g):
         assert canonical_key(g) == brute_canonical(g)
+
+
+# ---------------------------------------------------------------------------
+# subset-union table against a direct OR over each subset's members
+
+
+def brute_union(masks, bits):
+    out = 0
+    for i, m in enumerate(masks):
+        if bits >> i & 1:
+            out = out | m
+    return out
+
+
+@given(st.lists(st.integers(0, (1 << 20) - 1), max_size=7))
+@settings(max_examples=80, deadline=None)
+def test_subset_unions_match_bruteforce_on_ints(masks):
+    assert subset_unions(masks) == [brute_union(masks, b) for b in range(1 << len(masks))]
+
+
+@given(st.integers(0, 6), st.integers(1, 9), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_subset_unions_match_bruteforce_on_columns(n, rows, seed):
+    grid = np.random.default_rng(seed).integers(0, 1 << 14, size=(rows, n), dtype=np.int32)
+    columns = [grid[:, j] for j in range(n)]
+    fast = subset_unions(columns)
+    assert len(fast) == 1 << n
+    for bits in range(1, 1 << n):
+        assert fast[bits].dtype == np.int32
+        assert np.array_equal(fast[bits], brute_union(columns, bits))
 
 
 # ---------------------------------------------------------------------------

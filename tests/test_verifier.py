@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 from qsslab.schemes import DEALER, SchemeSpec, build_block_scheme, identity_assignment
-from qsslab.structures import AccessStructure, StructureError, threshold_structure
+from qsslab.structures import (
+    AccessStructure,
+    StructureError,
+    adversary_partition,
+    threshold_structure,
+)
 from qsslab.verifier import (
-    GeneralizedChecker,
-    ResourceLimitError,
     StructuralMismatchError,
     SubsetEntropyTable,
+    _evaluate,
     check_entropy_balance,
+    entropy_profile,
     matrix_to_dict,
     report_hash,
     report_to_dict,
     verify,
 )
+from qsslab.qstate import ResourceLimitError
 from qsslab.schemes import distribute_purified
 
 
@@ -150,11 +156,35 @@ class TestEntropyBalance:
         assert not result.generalized_ok
         assert result.agrees_with_verify
 
+    def test_witness_is_first_worst_a2_member(self, corrupted_scheme, threshold34_gamma):
+        from qsslab.qstate import subsystem_entropy
+
+        state = distribute_purified(corrupted_scheme)
+
+        def s(subset):
+            return subsystem_entropy(state, [f"p{p}" for p in subset.players()])
+
+        a2 = adversary_partition(threshold34_gamma).a2
+        devs = [abs(s(a) - s(a.complement())) for a in a2]
+        result = check_entropy_balance(corrupted_scheme, threshold34_gamma)
+        assert result.worst_deviation == pytest.approx(max(devs), abs=1e-12)
+        assert result.witness == a2[devs.index(max(devs))]
+        report = verify(corrupted_scheme, threshold34_gamma)
+        assert report.worst_balance_deviation == result.worst_deviation
+
+    def test_mismatch_counts_as_not_generalized(self, threshold34_scheme):
+        claimed = AccessStructure.from_sets(4, [[1, 2, 3, 4]])
+        result = check_entropy_balance(threshold34_scheme, claimed)
+        assert not result.generalized_ok
+
 
 class TestEntropyProfile:
-    def test_biased_secret_scaling(self, threshold34_scheme, threshold34_gamma):
-        from qsslab.verifier import entropy_profile
+    def test_uniform_secret_matches_verify(self):
+        scheme, gamma = build_block_scheme(5, [1, 2])
+        records = verify(scheme, gamma).records
+        assert entropy_profile(scheme) == [(r.subset, r.s_a, r.s_ra, r.i_ra) for r in records]
 
+    def test_biased_secret_scaling(self, threshold34_scheme, threshold34_gamma):
         p = 0.3
         h = -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
         profile = entropy_profile(threshold34_scheme, (p, 1 - p))
@@ -181,17 +211,22 @@ class TestEntropyTable:
         assert table.s_with_ref(0b0011) == pytest.approx(
             subsystem_entropy(state, ("R", "p1", "p2")), abs=1e-12
         )
-        assert table.i_ref(0b0111) == pytest.approx(2.0, abs=1e-9)
+        i_ref = table.s_ref + table.s(0b0111) - table.s_with_ref(0b0111)
+        assert i_ref == pytest.approx(2.0, abs=1e-9)
 
     def test_generalized_checker_accepts_identity(self, threshold34_scheme, threshold34_gamma):
-        checker = GeneralizedChecker(threshold34_scheme, threshold34_gamma)
-        assert checker.passes([0b0001, 0b0010, 0b0100, 0b1000])
+        table = SubsetEntropyTable(distribute_purified(threshold34_scheme), 4)
+        partition = adversary_partition(threshold34_gamma)
+        result = _evaluate(table, [0b0001, 0b0010, 0b0100, 0b1000], partition, 1e-9)
+        assert not result.failing
+        assert result.verdict == "generalized" and result.mismatch is None
 
     def test_generalized_checker_rejects_bad_grouping(self, threshold34_scheme):
         # claiming the star while the state realizes the threshold
         star = AccessStructure.from_sets(4, [[1, 2], [1, 3], [1, 4]])
-        checker = GeneralizedChecker(threshold34_scheme, star)
-        assert not checker.passes([0b0001, 0b0010, 0b0100, 0b1000])
+        table = SubsetEntropyTable(distribute_purified(threshold34_scheme), 4)
+        result = _evaluate(table, [0b0001, 0b0010, 0b0100, 0b1000], adversary_partition(star), 1e-9)
+        assert result.failing and result.verdict == "fail"
 
 
 class TestReportSerialization:
