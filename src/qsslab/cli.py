@@ -8,7 +8,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +19,6 @@ EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 EXIT_VERIFICATION = 4
 EXIT_RESOURCE = 5
-
-
-@dataclass
-class CliConfig:
-    tolerance: float = 1e-9
-    output_format: str = "text"
-    seed: int = 42
 
 
 class CliError(Exception):
@@ -41,11 +33,15 @@ def _fmt(x):
 
 def _read_json(path, kind):
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise CliError(f"{kind} file not found: {path}", EXIT_INPUT) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"{kind} file {path} is not valid JSON: {exc}", EXIT_INPUT) from None
+    # the loaders would parse a top-level JSON string as a document of its own
+    if not isinstance(doc, dict):
+        raise CliError(f"bad {kind} {path}: {kind} document must be a JSON object", EXIT_INPUT)
+    return doc
 
 
 def _load_structure(path):
@@ -83,15 +79,10 @@ def _parse_players(raw):
     return values
 
 
-def _config(args):
-    cfg = CliConfig(
-        tolerance=getattr(args, "tolerance", 1e-9),
-        output_format=getattr(args, "format", "text"),
-        seed=getattr(args, "seed", 42),
-    )
-    if not 1e-12 <= cfg.tolerance <= 1e-6:
-        raise CliError(f"tolerance {cfg.tolerance} outside [1e-12, 1e-6]", EXIT_INPUT)
-    return cfg
+def _tolerance(args):
+    if not 1e-12 <= args.tolerance <= 1e-6:
+        raise CliError(f"tolerance {args.tolerance} outside [1e-12, 1e-6]", EXIT_INPUT)
+    return args.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +90,6 @@ def _config(args):
 
 
 def cmd_structure_check(args):
-    cfg = _config(args)
     gamma = _load_structure(args.path)
     if not structures.is_quantum_admissible(gamma):
         bad = next(
@@ -124,7 +114,7 @@ def cmd_structure_check(args):
         "perfect": "feasible" if feas.feasible else "infeasible",
         "perfect_witness": list(feas.witness.players()) if feas.witness else None,
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(_dump(doc))
     else:
         verdict = "feasible" if feas.feasible else "infeasible"
@@ -138,11 +128,11 @@ def cmd_structure_check(args):
 
 
 def cmd_scheme_verify(args):
-    cfg = _config(args)
+    tolerance = _tolerance(args)
     scheme = _load_scheme(args.scheme)
     gamma = _load_structure(args.structure)
     try:
-        report = verifier.verify(scheme, gamma, args.model, cfg.tolerance)
+        report = verifier.verify(scheme, gamma, args.model, tolerance)
     except verifier.StructuralMismatchError as exc:
         print(f"structural mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -151,9 +141,9 @@ def cmd_scheme_verify(args):
         return EXIT_RESOURCE
     except (structures.StructureError, schemes.SchemeError) as exc:
         raise CliError(str(exc), EXIT_INPUT) from None
-    if cfg.output_format == "json":
+    if args.format == "json":
         out = _dump(verifier.report_to_dict(report))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         lines = ["subset;class;s_a;s_ra;i_ra;pass"]
         for r in report.records:
             subset = " ".join(str(p) for p in r.subset.players())
@@ -175,7 +165,7 @@ def cmd_scheme_verify(args):
                 f"I(R:A)={_fmt(r.i_ra):14s} {'ok' if r.condition_pass else 'FAIL'}"
             )
         out = "\n".join(lines)
-    _emit(out, getattr(args, "out", None))
+    _emit(out, args.out)
     if not report.meets_requested:
         witness = report.requested_witness
         print(f"verification failure at subset {witness}", file=sys.stderr)
@@ -210,17 +200,19 @@ def cmd_assign_induce(args):
     base = _load_structure(args.base)
     try:
         induced = schemes.induce_structure(scheme, base)
-    except schemes.SchemeError as exc:
+    except (schemes.SchemeError, structures.StructureError) as exc:
         raise CliError(str(exc), EXIT_INPUT) from None
-    _emit(_dump(structures.structure_to_dict(induced)), getattr(args, "out", None))
+    _emit(_dump(structures.structure_to_dict(induced)), args.out)
     return EXIT_OK
 
 
 def cmd_assign_search(args):
-    cfg = _config(args)
+    tolerance = _tolerance(args)
     target = _load_structure(args.target)
     try:
         if args.scheme:
+            if args.base is None:
+                raise CliError("--scheme needs --base, its particles' structure", EXIT_INPUT)
             scheme = _load_scheme(args.scheme)
             base = _load_structure(args.base)
         else:
@@ -230,7 +222,7 @@ def cmd_assign_search(args):
                 )
             scheme, base = schemes.build_block_scheme(args.base_n, _parse_players(args.base_b))
         assignment = schemes.search_assignment(
-            (scheme, base), target, allow_dealer=args.allow_dealer, tolerance=cfg.tolerance
+            (scheme, base), target, allow_dealer=args.allow_dealer, tolerance=tolerance
         )
     except (schemes.SchemeError, structures.StructureError) as exc:
         raise CliError(str(exc), EXIT_INPUT) from None
@@ -239,12 +231,11 @@ def cmd_assign_search(args):
         "target": structures.structure_to_dict(target),
         "assignment": {h: list(ps) for h, ps in assignment.items()} if assignment else None,
     }
-    _emit(_dump(doc), getattr(args, "out", None))
+    _emit(_dump(doc), args.out)
     return EXIT_OK
 
 
 def cmd_enumerate(args):
-    cfg = _config(args)
     try:
         classes = structures.enumerate_hyperstars(args.max_n)
     except structures.StructureError as exc:
@@ -258,9 +249,9 @@ def cmd_enumerate(args):
                 "catalog_no": structures.catalog_number(gamma),
             }
         )
-    if cfg.output_format == "json":
+    if args.format == "json":
         out = _dump({"classes": rows})
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         lines = ["players;structure;catalog_no"]
         for row in rows:
             sets = " ".join("".join(map(str, s)) for s in row["minimal_authorized"])
@@ -273,17 +264,18 @@ def cmd_enumerate(args):
             tag = f"catalog No.{row['catalog_no']}" if row["catalog_no"] else "beyond catalog"
             lines.append(f"n={row['players']}  {sets}  [{tag}]")
         out = "\n".join(lines)
-    _emit(out, getattr(args, "out", None))
+    _emit(out, args.out)
     return EXIT_OK
 
 
 def cmd_reconstruct(args):
-    cfg = _config(args)
     scheme = _load_scheme(args.scheme)
     acting = _parse_players(args.set)
     if args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}", EXIT_INPUT)
-    rng = np.random.default_rng(cfg.seed)
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}", EXIT_INPUT)
+    rng = np.random.default_rng(args.seed)
     fidelities = []
     try:
         if args.protocol == "circuit":
@@ -319,25 +311,25 @@ def cmd_reconstruct(args):
     except protocols.DecouplingError as exc:
         print(f"decoding failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (protocols.ProtocolError, structures.StructureError) as exc:
+    except (protocols.ProtocolError, structures.StructureError, schemes.SchemeError) as exc:
         raise CliError(str(exc), EXIT_INPUT) from None
     doc = {"fidelities": fidelities, "trace": trace}
     if args.protocol in ("circuit", "measure"):
         doc["branch_probabilities"] = outcome.branch_probabilities
         doc["branch_fidelities"] = outcome.branch_fidelities
         doc["deviations"] = outcome.deviations
-    if cfg.output_format == "json":
-        _emit(_dump(doc), getattr(args, "out", None))
+    if args.format == "json":
+        out = _dump(doc)
     else:
-        for i, f in enumerate(fidelities, 1):
-            print(f"trial {i}: fidelity {_fmt(f)}")
-        print(f"min fidelity: {_fmt(min(fidelities))}")
+        lines = [f"trial {i}: fidelity {_fmt(f)}" for i, f in enumerate(fidelities, 1)]
+        lines.append(f"min fidelity: {_fmt(min(fidelities))}")
+        out = "\n".join(lines)
+    _emit(out, args.out)
     return EXIT_OK
 
 
 def cmd_tables(args):
-    cfg = _config(args)
-    matrix = verifier.feasibility_matrix(tolerance=cfg.tolerance)
+    matrix = verifier.feasibility_matrix(tolerance=_tolerance(args))
     doc = verifier.matrix_to_dict(matrix)
     csv_lines = ["no;players;structure;pqss;gqss;scheme;assignment;report_hash;notes"]
     for row in doc["rows"]:
@@ -363,7 +355,7 @@ def cmd_tables(args):
         (out_dir / "feasibility.json").write_text(_dump(doc) + "\n")
         (out_dir / "feasibility.csv").write_text(csv_text + "\n")
         print(f"wrote {out_dir / 'feasibility.json'} and {out_dir / 'feasibility.csv'}")
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print(csv_text)
     else:
         print(_dump(doc))
@@ -374,13 +366,12 @@ def cmd_tables(args):
 # parser
 
 
-def _add_common(parser, *, fmt=True, tolerance=False, seed=False, out=False):
-    if fmt:
-        parser.add_argument("--format", choices=["json", "csv", "text"], default="text")
+def _add_common(parser, formats=(), *, tolerance=False, out=False):
+    """Options shared by subcommands; formats are the --format values, default first."""
+    if formats:
+        parser.add_argument("--format", choices=formats, default=formats[0])
     if tolerance:
-        parser.add_argument("--tolerance", type=float, default=1e-9)
-    if seed:
-        parser.add_argument("--seed", type=int, default=42)
+        parser.add_argument("--tolerance", type=float, default=qstate.DEFAULT_TOLERANCE)
     if out:
         parser.add_argument("--out", default=None)
 
@@ -396,7 +387,7 @@ def build_parser():
     structure_sub = p_structure.add_subparsers(dest="action", required=True)
     p_check = structure_sub.add_parser("check", help="admissibility and adversary partition")
     p_check.add_argument("path")
-    _add_common(p_check)
+    _add_common(p_check, ("text", "json"))
     p_check.set_defaults(func=cmd_structure_check)
 
     p_scheme = sub.add_parser("scheme", help="scheme analyses")
@@ -405,7 +396,7 @@ def build_parser():
     p_verify.add_argument("scheme")
     p_verify.add_argument("structure")
     p_verify.add_argument("--model", choices=["perfect", "generalized"], default="generalized")
-    _add_common(p_verify, tolerance=True, out=True)
+    _add_common(p_verify, ("text", "json", "csv"), tolerance=True, out=True)
     p_verify.set_defaults(func=cmd_scheme_verify)
 
     p_build = sub.add_parser("build", help="construct a scheme family member")
@@ -435,7 +426,7 @@ def build_parser():
 
     p_enum = sub.add_parser("enumerate", help="hyperstar isomorphism classes")
     p_enum.add_argument("--max-n", type=int, default=5)
-    _add_common(p_enum, out=True)
+    _add_common(p_enum, ("text", "json", "csv"), out=True)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_rec = sub.add_parser("reconstruct", help="run a reconstruction protocol")
@@ -444,12 +435,13 @@ def build_parser():
     p_rec.add_argument("--protocol", choices=["circuit", "measure", "decoder"], default="circuit")
     p_rec.add_argument("--trials", type=int, default=20)
     p_rec.add_argument("--block", default=None, help="block players for the measure protocol")
-    _add_common(p_rec, tolerance=True, seed=True, out=True)
+    p_rec.add_argument("--seed", type=int, default=42)
+    _add_common(p_rec, ("text", "json"), out=True)
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_tables = sub.add_parser("tables", help="catalog feasibility matrix")
     p_tables.add_argument("--out-dir", default=None)
-    _add_common(p_tables, tolerance=True)
+    _add_common(p_tables, ("json", "csv"), tolerance=True)
     p_tables.set_defaults(func=cmd_tables)
     return parser
 
@@ -465,6 +457,9 @@ def main(argv=None):
     except qstate.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except OSError as exc:  # unreadable input or unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

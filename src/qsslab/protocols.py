@@ -85,10 +85,9 @@ class GateStep:
 
 @dataclass(frozen=True)
 class MeasureStep:
-    """Computational-basis measurement, outcome broadcast classically."""
+    """Computational-basis measurement, outcome announced classically."""
 
     register: str
-    broadcast: bool = True
 
 
 @dataclass(frozen=True)
@@ -317,7 +316,9 @@ def run_threshold34_circuit(secret, acting_set, scheme=None):
     if scheme is None:
         scheme = build_threshold34()
     reference = build_threshold34()
-    if not np.allclose(scheme.basis_images, reference.basis_images, atol=1e-12):
+    if scheme.num_particles != 4 or not np.allclose(
+        scheme.basis_images, reference.basis_images, atol=1e-12
+    ):
         raise ProtocolError("circuit wiring is specific to the four-share threshold scheme")
     if scheme.assignment != identity_assignment(4):
         raise ProtocolError("circuit wiring assumes each player holds his own particle")
@@ -368,7 +369,7 @@ def run_threshold34_circuit(secret, acting_set, scheme=None):
 def run_block_measure_protocol(scheme, block, acting_set, secret):
     """Measurement protocol for acting sets of the form block + one outsider.
 
-    The outsider measures his particle and broadcasts the bit; on outcome
+    The outsider measures their particle and announces the bit; on outcome
     1 every block particle is flipped; a flip chain from the first block
     particle then disentangles the rest, leaving the secret there.  Sets
     of the form co-block + one insider are authorized too but have no
@@ -478,7 +479,7 @@ class DecoderResult:
     decoded_state: PureState
 
 
-def decoupling_decoder(state, a_regs, r_regs, out_dim=2):
+def decoupling_decoder(state, a_regs, r_regs):
     """Decode the secret onto the acting registers via purification matching.
 
     Works whenever the complement E of R and A is uncorrelated with R
@@ -487,8 +488,6 @@ def decoupling_decoder(state, a_regs, r_regs, out_dim=2):
     Mapping that family onto (output qubit) x (junk) is a unitary on A
     that leaves R and the output in the purified-secret state.
     """
-    if out_dim != 2:
-        raise ProtocolError("only one-qubit secrets are decoded")
     a_regs, r_regs = tuple(a_regs), tuple(r_regs)
     if len(r_regs) != 1:
         raise ProtocolError("exactly one reference register expected")

@@ -18,6 +18,8 @@ HERMITIAN_TOL = 1e-10
 ISOMETRY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 ZERO_EIGENVALUE_CUT = 1e-12
+#: Default slack of the entropy conditions on I(R:A) (verifier, search, CLI).
+DEFAULT_TOLERANCE = 1e-9
 
 MAX_QUBITS = 14
 

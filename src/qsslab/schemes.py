@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import (
+    DEFAULT_TOLERANCE,
     ISOMETRY_TOL,
     MAX_QUBITS,
     PureState,
@@ -52,10 +53,7 @@ def _validate_assignment(assignment, num_particles):
     n = len(players)
     if n == 0:
         raise SchemeError("assignment needs at least one player")
-    indices = sorted(
-        int(h[1:]) for h in players if h.startswith("P") and h[1:].isdigit()
-    )
-    if indices != list(range(1, n + 1)):
+    if set(players) != {f"P{i}" for i in range(1, n + 1)}:
         raise SchemeError(f"players must be named P1..P{n} contiguously, got {sorted(players)}")
     seen = {}
     for holder, particles in holders.items():
@@ -87,7 +85,7 @@ class SchemeSpec:
                 f"basis images must have shape (2, {1 << self.num_particles}), got {images.shape}"
             )
         gram = images @ images.conj().T
-        if np.max(np.abs(gram - np.eye(2))) > ISOMETRY_TOL:
+        if not np.max(np.abs(gram - np.eye(2))) <= ISOMETRY_TOL:  # NaN fails too
             raise SchemeError("basis images are not orthonormal: not an isometry")
         self.basis_images = images
         self.assignment = _validate_assignment(self.assignment, self.num_particles)
@@ -95,10 +93,6 @@ class SchemeSpec:
     @property
     def num_players(self):
         return sum(1 for h in self.assignment if h != DEALER)
-
-    @property
-    def dealer_particles(self):
-        return self.assignment.get(DEALER, ())
 
     def particles_of(self, player_bits):
         """Sorted particle indices jointly held by the players in the bitmask."""
@@ -299,7 +293,7 @@ def _induced_match_indices(masks, base_masks, target):
     return np.nonzero(ok)[0]
 
 
-def search_assignment(base, target, allow_dealer, tolerance=1e-9):
+def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
     """Exhaustive particle-to-holder search realizing the target structure.
 
     base is a (scheme, structure-over-particles) pair.  Holders are the
@@ -374,30 +368,35 @@ def load_scheme(data, name=""):
             raise SchemeError("only secret_dim = 2 is supported")
         raw_images = data["basis_images"]
         raw_assignment = data["assignment"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemeError(f"missing or bad field: {exc}") from exc
     if m < 1:
         raise SchemeError(f"num_particles must be at least 1, got {m}")
     if m > MAX_QUBITS:
         raise ResourceLimitError(f"{m} particles exceed {MAX_QUBITS} qubits")
     images = np.zeros((2, 1 << m), dtype=np.complex128)
-    for b in (0, 1):
-        entries = raw_images.get(str(b))
-        if not entries:
-            raise SchemeError(f"no image entries for basis ket |{b}>")
-        for entry in entries:
-            ket = entry["ket"]
-            if len(ket) != m or set(ket) - {"0", "1"}:
-                raise SchemeError(f"bad ket {ket!r} for {m} particles")
-            images[b, int(ket, 2)] = complex(float(entry["re"]), float(entry["im"]))
-        norm = float(np.linalg.norm(images[b]))
-        if norm == 0.0:
-            raise SchemeError(f"image of |{b}> is the zero vector")
-        if abs(norm - 1.0) > 1e-6:
-            warnings.warn(
-                f"image of |{b}> had norm {norm:.6g}; normalized on load", stacklevel=2
-            )
-        if abs(norm - 1.0) > 1e-12:  # keep exact serializations bit-identical
-            images[b] /= norm
-    assignment = {h: tuple(int(p) for p in ps) for h, ps in raw_assignment.items()}
+    try:
+        for b in (0, 1):
+            entries = raw_images.get(str(b))
+            if not entries:
+                raise SchemeError(f"no image entries for basis ket |{b}>")
+            for entry in entries:
+                ket = entry["ket"]
+                if len(ket) != m or set(ket) - {"0", "1"}:
+                    raise SchemeError(f"bad ket {ket!r} for {m} particles")
+                images[b, int(ket, 2)] = complex(float(entry["re"]), float(entry["im"]))
+            norm = float(np.linalg.norm(images[b]))
+            if norm == 0.0:
+                raise SchemeError(f"image of |{b}> is the zero vector")
+            if abs(norm - 1.0) > 1e-6:
+                warnings.warn(
+                    f"image of |{b}> had norm {norm:.6g}; normalized on load", stacklevel=2
+                )
+            if abs(norm - 1.0) > 1e-12:  # keep exact serializations bit-identical
+                images[b] /= norm
+        assignment = {h: tuple(int(p) for p in ps) for h, ps in raw_assignment.items()}
+    except SchemeError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemeError(f"missing or bad field: {exc}") from exc
     return SchemeSpec(m, images, assignment, name=name)

@@ -76,26 +76,6 @@ class PlayerSubset:
     def complement(self):
         return PlayerSubset(((1 << self.n) - 1) ^ self.bits, self.n)
 
-    def union(self, other):
-        self._check_peer(other)
-        return PlayerSubset(self.bits | other.bits, self.n)
-
-    def intersection(self, other):
-        self._check_peer(other)
-        return PlayerSubset(self.bits & other.bits, self.n)
-
-    def issubset(self, other):
-        self._check_peer(other)
-        return self.bits & other.bits == self.bits
-
-    def isdisjoint(self, other):
-        self._check_peer(other)
-        return self.bits & other.bits == 0
-
-    def _check_peer(self, other):
-        if self.n != other.n:
-            raise StructureError(f"player-count mismatch: {self.n} vs {other.n}")
-
     def __len__(self):
         return self.bits.bit_count()
 
@@ -431,7 +411,7 @@ def load_structure(data):
     try:
         n = int(data["players"])
         raw_sets = data["minimal_authorized"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"missing or bad field: {exc}") from exc
     if not isinstance(raw_sets, list) or not raw_sets:
         raise StructureError("minimal_authorized must be a nonempty list of player lists")
@@ -439,7 +419,10 @@ def load_structure(data):
     for raw in raw_sets:
         if not isinstance(raw, list) or not raw:
             raise StructureError(f"minimal set {raw!r} is empty or not a list")
-        subsets.append(PlayerSubset.from_players(raw, n))
+        try:
+            subsets.append(PlayerSubset.from_players(raw, n))
+        except TypeError:
+            raise StructureError(f"minimal set {raw!r} holds a non-integer player") from None
     for a, b in itertools.combinations(subsets, 2):
         if a.bits & b.bits in (a.bits, b.bits):
             raise StructureError(

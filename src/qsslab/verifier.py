@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .qstate import subsystem_entropy
+from .qstate import DEFAULT_TOLERANCE, subsystem_entropy
 from .schemes import (
     SchemeSpec,
     build_block_scheme,
@@ -37,8 +37,6 @@ from .structures import (
     perfect_feasibility,
     subset_unions,
 )
-
-DEFAULT_TOLERANCE = 1e-9
 
 
 class VerificationError(Exception):
@@ -68,15 +66,15 @@ class SubsetEntropyTable:
 
     The global state is fixed; any player grouping only changes which
     particle unions are queried, so entropies are computed lazily per mask
-    and shared across assignments.
+    and shared across assignments.  The reference is register "R" of the
+    purified secret.
     """
 
-    def __init__(self, state, num_particles, ref_label="R"):
+    def __init__(self, state, num_particles):
         self._state = state
         self._labels = particle_labels(num_particles)
-        self._ref = ref_label
         self._s = {0: 0.0}
-        self._sr = {0: subsystem_entropy(state, [ref_label])}
+        self._sr = {0: subsystem_entropy(state, ["R"])}
         self.s_ref = self._sr[0]
 
     def _regs(self, mask):
@@ -89,7 +87,7 @@ class SubsetEntropyTable:
 
     def s_with_ref(self, mask):
         if mask not in self._sr:
-            self._sr[mask] = subsystem_entropy(self._state, (self._ref,) + self._regs(mask))
+            self._sr[mask] = subsystem_entropy(self._state, ("R",) + self._regs(mask))
         return self._sr[mask]
 
 
@@ -118,7 +116,6 @@ class VerificationReport:
     worst_balance_deviation: float
     meets_requested: bool
     requested_witness: PlayerSubset | None
-    deviations: list = field(default_factory=list)
 
     def record_for(self, players):
         bits = PlayerSubset.from_players(players, self.records[0].subset.n).bits
@@ -311,17 +308,13 @@ def report_to_dict(report):
             }
             for r in report.records
         ],
-        "deviations": list(report.deviations),
+        "deviations": [],
     }
 
 
 def report_hash(report):
     doc = json.dumps(report_to_dict(report), sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()[:12]
-
-
-def _with_assignment(scheme, assignment, name):
-    return SchemeSpec(scheme.num_particles, scheme.basis_images, assignment, name=name)
 
 
 #: Redistribution recipes documented alongside the catalog, re-validated here.
@@ -366,13 +359,14 @@ def _search_bases(target_n):
             yield m, tuple(range(1, k + 1))
 
 
-def _try_assignment(base_scheme, base_gamma, assignment, target, name):
-    candidate = _with_assignment(base_scheme, assignment, name)
+def _try_assignment(base_scheme, base_gamma, assignment, target, name, tolerance):
+    """Realization check of every matrix route: the target is induced and verified."""
+    candidate = SchemeSpec(base_scheme.num_particles, base_scheme.basis_images, assignment, name)
     induced = induce_structure(candidate, base_gamma)
     if induced.masks() != target.masks():
         return None, f"induces {induced} instead of {target}"
     try:
-        report = verify(candidate, target, "generalized")
+        report = verify(candidate, target, "generalized", tolerance)
     except StructuralMismatchError as exc:
         return None, f"induced structure matches but correlations do not: {exc}"
     if report.verdict not in ("perfect", "generalized"):
@@ -380,7 +374,7 @@ def _try_assignment(base_scheme, base_gamma, assignment, target, name):
     return (candidate, report), None
 
 
-def feasibility_matrix(max_n=5, tolerance=DEFAULT_TOLERANCE):
+def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
     """Reproduce the perfect/generalized feasibility verdicts for the catalog.
 
     Perfect feasibility comes from the A2 test; generalized feasibility is
@@ -393,8 +387,6 @@ def feasibility_matrix(max_n=5, tolerance=DEFAULT_TOLERANCE):
     rows = []
     for entry in HYPERSTAR_CATALOG:
         gamma = entry.structure
-        if gamma.n > max_n:
-            continue
         feas = perfect_feasibility(gamma)
         row = MatrixRow(
             number=entry.number,
@@ -410,19 +402,17 @@ def feasibility_matrix(max_n=5, tolerance=DEFAULT_TOLERANCE):
 
         result = None
         if entry.number in DIRECT_STARS:
-            n, center = DIRECT_STARS[entry.number]
-            scheme, built = build_star_scheme(n, center)
-            if built.masks() == gamma.masks():
-                report = verify(scheme, gamma, "generalized", tolerance)
-                if report.verdict in ("perfect", "generalized"):
-                    result = (scheme, report)
+            scheme, built = build_star_scheme(*DIRECT_STARS[entry.number])
+            result, _ = _try_assignment(
+                scheme, built, scheme.assignment, gamma, scheme.name, tolerance
+            )
 
         if result is None and entry.number in DOCUMENTED_ASSIGNMENTS:
             (m, block), assignment = DOCUMENTED_ASSIGNMENTS[entry.number]
             base_scheme, base_gamma = build_block_scheme(m, block)
             result, failure = _try_assignment(
                 base_scheme, base_gamma, assignment, gamma,
-                name=f"{base_scheme.name} via documented assignment",
+                f"{base_scheme.name} via documented assignment", tolerance,
             )
             if failure:
                 row.notes.append(
@@ -437,11 +427,10 @@ def feasibility_matrix(max_n=5, tolerance=DEFAULT_TOLERANCE):
                     (base_scheme, base_gamma), gamma, allow_dealer=True, tolerance=tolerance
                 )
                 if assignment is not None:
-                    candidate = _with_assignment(
-                        base_scheme, assignment, name=f"{base_scheme.name} via search"
+                    result, _ = _try_assignment(
+                        base_scheme, base_gamma, assignment, gamma,
+                        f"{base_scheme.name} via search", tolerance,
                     )
-                    report = verify(candidate, gamma, "generalized", tolerance)
-                    result = (candidate, report)
                     break
 
         if result is not None:

@@ -1,18 +1,25 @@
+import contextlib
+import copy
+import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qsslab.cli import main
 from qsslab.schemes import (
     SchemeSpec,
+    build_block_scheme,
     build_threshold34,
     identity_assignment,
     load_scheme,
     save_scheme,
 )
-from qsslab.structures import structure_to_dict, threshold_structure
+from qsslab.structures import HYPERSTAR_CATALOG, structure_to_dict, threshold_structure
 
 GOLDEN_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "tables.json"
 
@@ -38,6 +45,21 @@ def write_over_budget_scheme(tmp_path):
         "assignment": {f"P{i}": [i] for i in range(1, 15)},
     }
     path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def write_pair_scheme(tmp_path):
+    """A valid two-particle scheme, outside the circuit's and the block family's sizes."""
+    doc = {
+        "num_particles": 2,
+        "basis_images": {
+            "0": [{"ket": "00", "re": 1.0, "im": 0.0}],
+            "1": [{"ket": "11", "re": 1.0, "im": 0.0}],
+        },
+        "assignment": {"P1": [1], "P2": [2]},
+    }
+    path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -321,6 +343,16 @@ class TestReconstruct:
         assert main(["reconstruct", path, "--set", "1,2", "--protocol", "decoder"]) == 5
         assert capsys.readouterr().err.startswith("resource limit: ")
 
+    def test_text_out_writes_file(self, tmp_path, threshold34_files, capsys):
+        scheme, _ = threshold34_files
+        out = tmp_path / "fidelities.txt"
+        argv = ["reconstruct", scheme, "--set", "1,3,4", "--trials", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("trial 1: fidelity ")
+        assert lines[-1].startswith("min fidelity: ")
+
     def test_unauthorized_circuit_set(self, threshold34_files):
         scheme, _ = threshold34_files
         assert main(["reconstruct", scheme, "--set", "1,2", "--protocol", "circuit"]) == 2
@@ -333,6 +365,10 @@ class TestReconstruct:
 class TestTables:
     def test_json_matches_golden_bytes(self, capsys):
         assert main(["tables", "--format", "json"]) == 0
+        assert capsys.readouterr().out == GOLDEN_TABLES.read_text()
+
+    def test_default_format_is_json(self, capsys):
+        assert main(["tables"]) == 0
         assert capsys.readouterr().out == GOLDEN_TABLES.read_text()
 
     def test_deterministic_artifacts(self, tmp_path):
@@ -370,13 +406,184 @@ class TestTables:
         ["reconstruct", "SCHEME", "--set", "1,3,4", "--trials", "0"],
         ["reconstruct", "SCHEME", "--set", "1,3,4", "--trials", "-2"],
         ["reconstruct", "SCHEME", "--set", "1,9", "--protocol", "decoder"],
+        ["assign", "search", "--target", "GAMMA", "--scheme", "SCHEME"],
+        ["reconstruct", "PAIR", "--set", "1,2", "--protocol", "measure", "--block", "1"],
+        ["reconstruct", "PAIR", "--set", "1,2", "--protocol", "circuit"],
+        ["reconstruct", "SCHEME", "--set", "1,3,4", "--seed", "-1"],
+        ["scheme", "verify", "SCHEME", "GAMMA", "--out", "MISSING/report.txt"],
+        ["structure", "check", "MISSING"],
+        ["structure", "check", "DIR"],
     ],
 )
-def test_input_error_exit2_one_line(threshold34_files, capsys, argv):
-    scheme, _ = threshold34_files
-    argv = [scheme if a == "SCHEME" else a for a in argv]
+def test_input_error_exit2_one_line(tmp_path, threshold34_files, capsys, argv):
+    scheme, gamma = threshold34_files
+    paths = {
+        "SCHEME": scheme,
+        "GAMMA": gamma,
+        "PAIR": write_pair_scheme(tmp_path),
+        "DIR": str(tmp_path),
+    }
+    argv = [paths.get(a, a.replace("MISSING", str(tmp_path / "missing"))) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _scheme_doc(**changes):
+    doc = save_scheme(build_threshold34())
+    doc.update(changes)
+    return doc
+
+
+def _first_entry(**changes):
+    doc = save_scheme(build_threshold34())
+    entry = doc["basis_images"]["0"][0]
+    entry.update(changes)
+    for key in [k for k, v in changes.items() if v is None]:
+        del entry[key]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "kind, doc",
+    [
+        ("scheme", _scheme_doc(assignment={"P1": 1})),
+        ("scheme", _scheme_doc(assignment=[1, 2, 3, 4])),
+        ("scheme", _scheme_doc(assignment={"P01": [1, 2], "P2": [3, 4]})),
+        ("scheme", _scheme_doc(basis_images=[[1, 0], [0, 1]])),
+        ("scheme", _scheme_doc(num_particles=float("inf"))),
+        ("scheme", _first_entry(ket=None)),
+        ("scheme", _first_entry(ket=1111)),
+        ("scheme", _first_entry(re="x")),
+        ("scheme", _first_entry(re=float("nan"))),
+        ("structure", {"players": 4, "minimal_authorized": [["1", 2, 3], [1, 4]]}),
+        ("structure", {"players": 4, "minimal_authorized": [[1.0, 2, 3], [1, 4]]}),
+        ("structure", {"players": 4, "minimal_authorized": [[None, 2, 3], [1, 4]]}),
+        ("structure", {"players": float("inf"), "minimal_authorized": [[1, 2]]}),
+    ],
+)
+def test_malformed_document_exit2(tmp_path, threshold34_files, capsys, kind, doc):
+    scheme, gamma = threshold34_files
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["scheme", "verify", str(path), gamma] if kind == "scheme" else [
+        "structure", "check", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad {kind} {path}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["structure", "check", "GAMMA", "--format", "csv"],
+        ["reconstruct", "SCHEME", "--set", "1,3,4", "--format", "csv"],
+        ["reconstruct", "SCHEME", "--set", "1,3,4", "--tolerance", "1e-9"],
+        ["tables", "--format", "text"],
+        ["assign", "induce", "--scheme", "SCHEME", "--base", "GAMMA", "--format", "json"],
+        ["assign", "search", "--target", "GAMMA", "--base-n", "4", "--base-b", "1",
+         "--format", "json"],
+    ],
+)
+def test_removed_option_exit2(threshold34_files, argv):
+    scheme, gamma = threshold34_files
+    argv = [{"SCHEME": scheme, "GAMMA": gamma}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed documents and argv lists end in a documented exit code
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-1, 7), max_size=3),
+)
+# valid (scheme, structure) pairs of at most 6 particles, so that no case allocates a large array
+_VALID_PAIRS = [(build_threshold34(), threshold_structure(3, 4))] + [
+    build_block_scheme(m, [1, 2][: m - 2]) for m in (3, 4, 5, 6)
+]
+_VALID_STRUCTURES = [structure_to_dict(entry.structure) for entry in HYPERSTAR_CATALOG]
+
+
+@st.composite
+def _documents(draw):
+    """A scheme and a structure document: valid, redistributed or with one field corrupted."""
+    scheme, gamma = draw(st.sampled_from(_VALID_PAIRS))
+    doc = save_scheme(scheme)
+    m = doc["num_particles"]
+    if draw(st.booleans()):  # redistribute, DEALER holding the particles drawn as 0
+        players = draw(st.integers(1, m))
+        doc["assignment"] = {f"P{i}": [] for i in range(1, players + 1)}
+        for p, h in enumerate(draw(st.lists(st.integers(0, players), min_size=m, max_size=m)), 1):
+            doc["assignment"].setdefault(f"P{h}" if h else "DEALER", []).append(p)
+    if draw(st.booleans()):
+        structure = structure_to_dict(gamma)
+    else:
+        structure = copy.deepcopy(draw(st.sampled_from(_VALID_STRUCTURES)))
+    corrupt = draw(st.sampled_from(["", "scheme", "entry", "structure", "set"]))
+    if corrupt == "scheme":
+        doc[draw(st.sampled_from(["num_particles", "basis_images", "assignment"]))] = draw(_JUNK)
+    elif corrupt == "entry":
+        doc["basis_images"]["0"][0][draw(st.sampled_from(["ket", "re", "im"]))] = draw(_JUNK)
+    elif corrupt == "structure":
+        structure[draw(st.sampled_from(["players", "minimal_authorized"]))] = draw(_JUNK)
+    elif corrupt == "set":
+        structure["minimal_authorized"].append(
+            draw(st.lists(st.one_of(st.integers(0, 6), _JUNK), max_size=3))
+        )
+    return doc, structure
+
+
+_VALUE = st.sampled_from(["-1", "0", "1", "2", "3", "1,2", "1,3,4", "2,9", "x", "", "nan", "1e-9"])
+_FLAG = st.sampled_from([
+    "--format", "--tolerance", "--seed", "--trials", "--set", "--block", "--protocol",
+    "--model", "--max-n", "--base-n", "--base-b", "--n", "--b", "--center", "--allow-dealer",
+])
+_COMMAND = st.sampled_from([
+    ["structure", "check", "GAMMA"],
+    ["scheme", "verify", "SCHEME", "GAMMA"],
+    ["build", "block"],
+    ["build", "star"],
+    ["assign", "induce", "--scheme", "SCHEME", "--base", "GAMMA"],
+    ["assign", "search", "--target", "GAMMA", "--scheme", "SCHEME", "--base", "GAMMA"],
+    ["assign", "search", "--target", "GAMMA", "--base-n", "4"],
+    ["enumerate"],
+    ["reconstruct", "SCHEME", "--set", "1,2,3"],
+    ["reconstruct", "SCHEME", "--protocol", "decoder", "--set", "1,2"],
+    ["reconstruct", "SCHEME", "--protocol", "measure", "--block", "1", "--set", "1,3"],
+])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    docs=_documents(),
+    junk=st.sampled_from(["", "scheme", "structure"]),
+    junk_doc=_JUNK,
+    command=_COMMAND,
+    extra=st.one_of(
+        st.just(()),
+        st.lists(st.tuples(_FLAG, _VALUE), max_size=2).map(lambda pairs: sum(pairs, ())),
+        st.lists(st.one_of(_FLAG, _VALUE), max_size=3),
+    ),
+)
+def test_fuzz_exit_codes(tmp_path_factory, docs, junk, junk_doc, command, extra):
+    workdir = tmp_path_factory.getbasetemp() / "fuzz"
+    workdir.mkdir(exist_ok=True)
+    paths = {"SCHEME": workdir / "scheme.json", "GAMMA": workdir / "gamma.json"}
+    scheme_doc, structure_doc = docs
+    paths["SCHEME"].write_text(json.dumps(junk_doc if junk == "scheme" else scheme_doc))
+    paths["GAMMA"].write_text(json.dumps(junk_doc if junk == "structure" else structure_doc))
+    argv = [str(paths[a]) if a in paths else a for a in command] + list(extra)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+    assert code in {0, 2, 3, 4, 5}, argv

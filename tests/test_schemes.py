@@ -133,7 +133,6 @@ class TestSchemeSpec:
             {"P1": (2,), "P2": (3,), "P3": (4,), "P4": (5,), DEALER: (1,)},
         )
         assert redist.num_players == 4
-        assert redist.dealer_particles == (1,)
         assert redist.particles_of(0b1111) == (2, 3, 4, 5)
 
 

@@ -68,20 +68,9 @@ class TestPlayerSubset:
     def test_complement(self):
         assert subset([1, 2], 4).complement().players() == (3, 4)
 
-    def test_set_algebra(self):
-        a, b = subset([1, 2], 4), subset([2, 3], 4)
-        assert a.union(b).players() == (1, 2, 3)
-        assert a.intersection(b).players() == (2,)
-        assert subset([2], 4).issubset(b)
-        assert subset([4], 4).isdisjoint(a)
-
     def test_out_of_range_player(self):
         with pytest.raises(StructureError):
             subset([5], 4)
-
-    def test_peer_mismatch(self):
-        with pytest.raises(StructureError, match="mismatch"):
-            subset([1], 3).union(subset([1], 4))
 
 
 class TestAccessStructure:

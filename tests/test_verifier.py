@@ -301,6 +301,22 @@ class TestFeasibilityMatrix:
             report = verify(rebuilt, row.structure)
             assert report.verdict == "generalized", row.number
 
+    def test_tolerance_reaches_every_route(self, monkeypatch):
+        import qsslab.verifier as verifier
+
+        seen = []
+        real_verify = verifier.verify
+
+        def spy(scheme, gamma, model="generalized", tolerance=verifier.DEFAULT_TOLERANCE):
+            seen.append((scheme.name, tolerance))
+            return real_verify(scheme, gamma, model, tolerance)
+
+        monkeypatch.setattr(verifier, "verify", spy)
+        verifier.feasibility_matrix(tolerance=1e-7)
+        assert [tol for _, tol in seen] == [1e-7] * len(seen)
+        for route in ("star", "via documented assignment", "via search"):
+            assert any(route in name for name, _ in seen), route
+
     def test_matrix_document(self, feasibility_rows):
         doc = matrix_to_dict(feasibility_rows)
         assert len(doc["rows"]) == 16
