@@ -10,7 +10,10 @@ Particle p occupies register "p<p>"; particle 1 is the most significant
 bit of an image ket, matching the register layout convention.
 """
 
+import itertools
 import json
+import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +33,7 @@ from .structures import (
     AccessStructure,
     PlayerSubset,
     _bit_positions,
+    _json_int,
     adversary_partition,
     is_quantum_admissible,
     subset_unions,
@@ -37,6 +41,8 @@ from .structures import (
 
 MAX_SEARCH_PARTICLES = 7
 DEALER = "DEALER"
+
+_log = logging.getLogger("qsslab.search")
 
 
 class SchemeError(ValueError):
@@ -262,20 +268,62 @@ def permute_particles(scheme, perm):
     return SchemeSpec(m, images, assignment, name=f"{scheme.name}~perm")
 
 
-def _assignment_grid(num_particles, num_holders):
-    """All holder^particles assignments, rows in lexicographic particle order."""
-    grid = np.indices((num_holders,) * num_particles, dtype=np.int8)
-    return grid.reshape(num_particles, -1).T
+def _is_transposition_symmetric(scheme, base_masks, i, j):
+    """Whether swapping particles i and j (0-based) fixes the images and the base masks."""
+    m = scheme.num_particles
+    tensor = scheme.basis_images.reshape((2,) + (2,) * m)
+    if not np.array_equal(np.swapaxes(tensor, 1 + i, 1 + j), tensor):
+        return False
+    swap = (1 << i) | (1 << j)
+    swapped = {bm ^ swap if (bm >> i ^ bm >> j) & 1 else bm for bm in base_masks}
+    return swapped == set(base_masks)
 
 
-def _holder_particle_masks(grid, num_holders):
-    """Per-row particle bitmask of each holder."""
-    rows = grid.shape[0]
-    masks = np.zeros((rows, num_holders), dtype=np.int32)
-    arange = np.arange(rows)
-    for p in range(grid.shape[1]):
-        masks[arange, grid[:, p]] |= 1 << p
-    return masks
+def interchangeable_classes(scheme, base_gamma):
+    """Particles grouped into classes that any permutation within a class leaves exact.
+
+    Particles i and j are interchangeable when the transposition (i j)
+    leaves the image tensor and the set of base-structure masks exactly
+    unchanged.  These transpositions form a group, so the relation is an
+    equivalence and each class is checked against its first particle only.
+    Returns tuples of 1-based particles, ascending, ordered by first particle.
+    """
+    base_masks = base_gamma.masks()
+    classes = []
+    for p in range(scheme.num_particles):
+        for cls in classes:
+            if _is_transposition_symmetric(scheme, base_masks, cls[0], p):
+                cls.append(p)
+                break
+        else:
+            classes.append([p])
+    return tuple(tuple(p + 1 for p in cls) for cls in classes)
+
+
+def _profile_rows(classes, num_particles, num_holders):
+    """Holder masks and grid row index of each profile's least concrete assignment.
+
+    A profile says how many particles of each class every holder gets.
+    Its lexicographically least assignment gives the ascending particles
+    of a class to the holders in ascending order, which is exactly one
+    multiset of holders per class from combinations_with_replacement.
+    The grid row index of an assignment h is sum_p h(p) * H^(m - p).
+    """
+    masks = np.zeros((1, num_holders), dtype=np.int32)
+    index = np.zeros(1, dtype=np.int64)
+    for cls in classes:
+        choice = np.array(
+            list(itertools.combinations_with_replacement(range(num_holders), len(cls))),
+            dtype=np.int64,
+        )
+        cls_masks = np.zeros((len(choice), num_holders), dtype=np.int32)
+        rows = np.arange(len(choice))
+        for t, p in enumerate(cls):
+            cls_masks[rows, choice[:, t]] |= 1 << (p - 1)
+        weights = num_holders ** (num_particles - np.array(cls, dtype=np.int64))
+        masks = (masks[:, None, :] | cls_masks[None, :, :]).reshape(-1, num_holders)
+        index = (index[:, None] + (choice @ weights)[None, :]).reshape(-1)
+    return masks, index
 
 
 def _induced_match_indices(masks, base_masks, target):
@@ -294,15 +342,20 @@ def _induced_match_indices(masks, base_masks, target):
 
 
 def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
-    """Exhaustive particle-to-holder search realizing the target structure.
+    """Particle-to-holder search realizing the target structure.
 
     base is a (scheme, structure-over-particles) pair.  Holders are the
     target's players P1..Pn, plus DEALER when allow_dealer is set, ordered
-    P1 < ... < Pn < DEALER; assignments are scanned lexicographically by
-    particle.  The first assignment whose induced structure equals the
-    target and whose scheme then passes the generalized entropy conditions
+    P1 < ... < Pn < DEALER.  The search covers one assignment per holder
+    profile of interchangeable particles (see interchangeable_classes): the
+    lexicographically least one, since entropies and the induced structure
+    are the same on every assignment of a profile.  Profiles whose induced
+    structure equals the target are taken in the order of those assignments,
+    and the first whose scheme passes the generalized entropy conditions
     (the pass that verify runs, on one entropy table for all candidates) is
-    returned as a holder->particles dict; None means the search exhausted.
+    returned as a holder->particles dict.  It is the first hit of an
+    exhaustive scan of all holder^particles assignments in lexicographic
+    particle order.  None means no assignment passes.
     """
     scheme, base_gamma = base
     m = scheme.num_particles
@@ -316,23 +369,33 @@ def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
 
     n = target.n
     holders = [f"P{i}" for i in range(1, n + 1)] + ([DEALER] if allow_dealer else [])
-    grid = _assignment_grid(m, len(holders))
-    masks = _holder_particle_masks(grid, len(holders))
-    candidates = _induced_match_indices(masks[:, :n], base_gamma.masks(), target)
+    classes = interchangeable_classes(scheme, base_gamma)
+    masks, index = _profile_rows(classes, m, len(holders))
+    matches = _induced_match_indices(masks[:, :n], base_gamma.masks(), target)
+    matches = matches[np.argsort(index[matches])]
+    evaluated, hit = 0, None
     # two disjoint authorized sets would clone the secret: no scheme passes
-    if candidates.size == 0 or not is_quantum_admissible(target):
+    if matches.size and is_quantum_admissible(target):
+        table = verifier.SubsetEntropyTable(distribute_purified(scheme), m)
+        partition = adversary_partition(target)
+        for row in matches:
+            evaluated += 1
+            player_masks = [int(masks[row, j]) for j in range(n)]
+            if not verifier._evaluate(table, player_masks, partition, tolerance).failing:
+                hit = row
+                break
+    _log.debug(
+        "search %s for %s: classes %s, %d profile rows, %d induced matches, "
+        "%d candidates evaluated, %s",
+        scheme.name or "scheme", target, classes, len(masks), matches.size, evaluated,
+        "hit" if hit is not None else "no hit",
+    )
+    if hit is None:
         return None
-    table = verifier.SubsetEntropyTable(distribute_purified(scheme), m)
-    partition = adversary_partition(target)
-    for idx in candidates:
-        player_masks = [int(masks[idx, j]) for j in range(n)]
-        if not verifier._evaluate(table, player_masks, partition, tolerance).failing:
-            row = grid[idx]
-            return {
-                holder: tuple(p + 1 for p in range(m) if row[p] == j)
-                for j, holder in enumerate(holders)
-            }
-    return None
+    return {
+        holder: tuple(p + 1 for p in _bit_positions(int(masks[hit, j])))
+        for j, holder in enumerate(holders)
+    }
 
 
 def save_scheme(scheme):
@@ -363,8 +426,8 @@ def load_scheme(data, name=""):
     if not isinstance(data, dict):
         raise SchemeError("scheme document must be a JSON object")
     try:
-        m = int(data["num_particles"])
-        if int(data.get("secret_dim", 2)) != 2:
+        m = _json_int(data["num_particles"])
+        if _json_int(data.get("secret_dim", 2)) != 2:
             raise SchemeError("only secret_dim = 2 is supported")
         raw_images = data["basis_images"]
         raw_assignment = data["assignment"]
@@ -384,7 +447,10 @@ def load_scheme(data, name=""):
                 ket = entry["ket"]
                 if len(ket) != m or set(ket) - {"0", "1"}:
                     raise SchemeError(f"bad ket {ket!r} for {m} particles")
-                images[b, int(ket, 2)] = complex(float(entry["re"]), float(entry["im"]))
+                re, im = float(entry["re"]), float(entry["im"])
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise SchemeError(f"amplitude of ket {ket} is not finite")
+                images[b, int(ket, 2)] = complex(re, im)
             norm = float(np.linalg.norm(images[b]))
             if norm == 0.0:
                 raise SchemeError(f"image of |{b}> is the zero vector")
@@ -394,7 +460,7 @@ def load_scheme(data, name=""):
                 )
             if abs(norm - 1.0) > 1e-12:  # keep exact serializations bit-identical
                 images[b] /= norm
-        assignment = {h: tuple(int(p) for p in ps) for h, ps in raw_assignment.items()}
+        assignment = {h: tuple(_json_int(p) for p in ps) for h, ps in raw_assignment.items()}
     except SchemeError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -15,6 +15,7 @@ authorized set); A2 is exactly the obstruction to perfect schemes.
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 MAX_PLAYERS = 16
@@ -33,6 +34,13 @@ def _bit_positions(mask):
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
+
+
+def _json_int(value):
+    """An integer field of a JSON document; booleans, floats and strings raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 def subset_unions(masks):
@@ -409,7 +417,7 @@ def load_structure(data):
     if not isinstance(data, dict):
         raise StructureError("structure document must be a JSON object")
     try:
-        n = int(data["players"])
+        n = _json_int(data["players"])
         raw_sets = data["minimal_authorized"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"missing or bad field: {exc}") from exc
@@ -420,7 +428,7 @@ def load_structure(data):
         if not isinstance(raw, list) or not raw:
             raise StructureError(f"minimal set {raw!r} is empty or not a list")
         try:
-            subsets.append(PlayerSubset.from_players(raw, n))
+            subsets.append(PlayerSubset.from_players([_json_int(p) for p in raw], n))
         except TypeError:
             raise StructureError(f"minimal set {raw!r} holds a non-integer player") from None
     for a, b in itertools.combinations(subsets, 2):

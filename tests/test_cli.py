@@ -462,6 +462,9 @@ def _first_entry(**changes):
         ("structure", {"players": 4, "minimal_authorized": [[1.0, 2, 3], [1, 4]]}),
         ("structure", {"players": 4, "minimal_authorized": [[None, 2, 3], [1, 4]]}),
         ("structure", {"players": float("inf"), "minimal_authorized": [[1, 2]]}),
+        ("structure", {"players": 3, "minimal_authorized": [[True, 2], [2, 3]]}),
+        ("scheme", _scheme_doc(assignment={"P1": [1.5], "P2": [2], "P3": [3], "P4": [4]})),
+        ("scheme", _scheme_doc(assignment={"P1": [True], "P2": [2], "P3": [3], "P4": [4]})),
     ],
 )
 def test_malformed_document_exit2(tmp_path, threshold34_files, capsys, kind, doc):
@@ -472,6 +475,22 @@ def test_malformed_document_exit2(tmp_path, threshold34_files, capsys, kind, doc
         "structure", "check", str(path)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: bad {kind} {path}: ")
+
+
+@pytest.mark.parametrize(
+    "field, value", [("re", float("inf")), ("im", float("-inf")), ("re", float("nan"))]
+)
+def test_non_finite_amplitude_exit2_without_warning(
+    tmp_path, threshold34_files, capsys, field, value
+):
+    _, gamma = threshold34_files
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(_first_entry(**{field: value})))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["scheme", "verify", str(path), gamma]) == 2
+    assert caught == []
+    assert "not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -502,6 +521,8 @@ _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 9), st.floats(), st.text(max_size=3),
     st.lists(st.integers(-1, 7), max_size=3),
 )
+# numbers that may stand where a document holds an integer or a finite amplitude
+_NUMBER = st.one_of(st.booleans(), st.floats(), st.sampled_from([float("inf"), float("-inf")]))
 # valid (scheme, structure) pairs of at most 6 particles, so that no case allocates a large array
 _VALID_PAIRS = [(build_threshold34(), threshold_structure(3, 4))] + [
     build_block_scheme(m, [1, 2][: m - 2]) for m in (3, 4, 5, 6)
@@ -524,11 +545,19 @@ def _documents(draw):
         structure = structure_to_dict(gamma)
     else:
         structure = copy.deepcopy(draw(st.sampled_from(_VALID_STRUCTURES)))
-    corrupt = draw(st.sampled_from(["", "scheme", "entry", "structure", "set"]))
+    corrupt = draw(st.sampled_from(
+        ["", "scheme", "entry", "structure", "set", "particle", "player"]))
     if corrupt == "scheme":
         doc[draw(st.sampled_from(["num_particles", "basis_images", "assignment"]))] = draw(_JUNK)
     elif corrupt == "entry":
-        doc["basis_images"]["0"][0][draw(st.sampled_from(["ket", "re", "im"]))] = draw(_JUNK)
+        doc["basis_images"]["0"][0][draw(st.sampled_from(["ket", "re", "im"]))] = draw(
+            st.one_of(_JUNK, _NUMBER))
+    elif corrupt == "particle":
+        particles = draw(st.sampled_from([ps for ps in doc["assignment"].values() if ps]))
+        particles[draw(st.integers(0, len(particles) - 1))] = draw(_NUMBER)
+    elif corrupt == "player":
+        players = draw(st.sampled_from(structure["minimal_authorized"]))
+        players[draw(st.integers(0, len(players) - 1))] = draw(_NUMBER)
     elif corrupt == "structure":
         structure[draw(st.sampled_from(["players", "minimal_authorized"]))] = draw(_JUNK)
     elif corrupt == "set":

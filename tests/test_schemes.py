@@ -1,4 +1,6 @@
+import itertools
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from qsslab.schemes import (
     distribute_purified,
     identity_assignment,
     induce_structure,
+    interchangeable_classes,
     load_scheme,
     particle_labels,
     permute_particles,
@@ -271,36 +274,133 @@ class TestSearchAssignment:
         with pytest.raises(SchemeError, match="search"):
             search_assignment(base, target, allow_dealer=False)
 
-    @pytest.mark.parametrize(
-        "target_sets", [[[1, 2], [1, 3]], [[1, 2, 3]], [[1, 2], [1, 3], [2, 3]]]
+    def test_logs_one_debug_event(self, caplog):
+        base = build_block_scheme(6, [1, 2, 3])
+        target = AccessStructure.from_sets(4, [[1, 2, 3], [1, 4]])
+        with caplog.at_level(logging.DEBUG, logger="qsslab.search"):
+            search_assignment(base, target, allow_dealer=True)
+        (record,) = [r for r in caplog.records if r.name == "qsslab.search"]
+        message = record.getMessage()
+        # two classes of three particles over five holders: C(7, 3)^2 profiles
+        assert "classes ((1, 2, 3), (4, 5, 6))" in message
+        assert "1225 profile rows" in message
+        assert message.endswith(", hit")
+
+
+class TestInterchangeableClasses:
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_block_and_co_block(self, m):
+        for block in ([1], [2, m], list(range(1, m // 2 + 1))):
+            scheme, gamma = build_block_scheme(m, block)
+            co_block = [p for p in range(1, m + 1) if p not in block]
+            assert set(interchangeable_classes(scheme, gamma)) == {tuple(block), tuple(co_block)}
+
+    def test_dense_isometry_has_singletons(self):
+        scheme = _dense_scheme(5, seed=3)
+        gamma = AccessStructure.from_sets(5, [[1, 2, 3, 4, 5]])
+        assert interchangeable_classes(scheme, gamma) == ((1,), (2,), (3,), (4,), (5,))
+
+    def test_structure_breaks_image_symmetry(self):
+        # images symmetric in the block, but the base masks single out particle 1
+        scheme, _ = build_block_scheme(4, [1, 2])
+        gamma = AccessStructure.from_sets(4, [[1, 3], [1, 4]])
+        assert interchangeable_classes(scheme, gamma) == ((1,), (2,), (3, 4))
+
+
+def _dense_scheme(m, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(1 << m, 2)) + 1j * rng.normal(size=(1 << m, 2))
+    q, _ = np.linalg.qr(raw)
+    return SchemeSpec(m, q.T, identity_assignment(m))
+
+
+def _rotated_block(m, block, seed):
+    """A block scheme under random one-particle unitaries: dense images, the same entropies."""
+    scheme, gamma = build_block_scheme(m, block)
+    rng = np.random.default_rng(seed)
+    images = scheme.basis_images.reshape((2,) + (2,) * m)
+    for axis in range(1, m + 1):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        images = np.moveaxis(np.tensordot(u, images, axes=([1], [axis])), 0, axis)
+    return SchemeSpec(m, images.reshape(2, -1), scheme.assignment), gamma
+
+
+def _grid_oracle(base, target, allow_dealer):
+    """First holder^particles assignment, in lexicographic particle order, that realizes the target."""
+    from qsslab.verifier import StructuralMismatchError, verify
+
+    scheme, gamma = base
+    m = scheme.num_particles
+    holders = [f"P{i}" for i in range(1, target.n + 1)] + ([DEALER] if allow_dealer else [])
+    for row in itertools.product(range(len(holders)), repeat=m):
+        assignment = {
+            h: tuple(p + 1 for p in range(m) if row[p] == j) for j, h in enumerate(holders)
+        }
+        candidate = SchemeSpec(m, scheme.basis_images, assignment)
+        if induce_structure(candidate, gamma).masks() != target.masks():
+            continue
+        try:
+            if verify(candidate, target).verdict != "fail":
+                return assignment
+        except StructuralMismatchError:
+            continue
+    return None
+
+
+_ORACLE_TARGETS = [
+    AccessStructure.from_sets(max(max(s) for s in sets), sets)
+    for sets in (
+        [[1, 2]],
+        [[1, 2], [1, 3]],
+        [[1, 2, 3]],
+        [[1, 2], [1, 3], [2, 3]],
+        [[1, 2, 3], [1, 4]],
+        [[1, 2], [1, 3], [1, 4]],
+        [[1, 2, 3, 4]],
     )
-    def test_filter_matches_bruteforce_oracle(self, target_sets):
-        # the vectorized induced-structure filter must agree, index by
-        # index, with a direct scan over all assignments
-        import itertools
+]
 
-        from qsslab.schemes import (
-            _assignment_grid,
-            _holder_particle_masks,
-            _induced_match_indices,
+
+class TestSearchMatchesGridOracle:
+    """The profile search returns the grid scan's first hit."""
+
+    @pytest.mark.parametrize("allow_dealer", [False, True])
+    @pytest.mark.parametrize("m, block", [(3, [1]), (4, [1]), (4, [1, 2]), (5, [1]), (5, [1, 2])])
+    def test_block_bases(self, m, block, allow_dealer):
+        base = build_block_scheme(m, block)
+        for target in _ORACLE_TARGETS:
+            if target.n > m:
+                continue
+            expected = _grid_oracle(base, target, allow_dealer)
+            assert search_assignment(base, target, allow_dealer) == expected, str(target)
+
+    @pytest.mark.parametrize("allow_dealer", [False, True])
+    def test_relabeled_block_through_json(self, allow_dealer):
+        scheme, gamma = build_block_scheme(5, [1, 2])
+        perm = (4, 1, 5, 3, 2)
+        relabeled = permute_particles(scheme, perm)
+        loaded = load_scheme(json.dumps(save_scheme(relabeled)))
+        loaded_gamma = AccessStructure.from_sets(
+            5, [[perm[p - 1] for p in s.players()] for s in gamma.minimal_sets]
         )
+        base = (loaded, loaded_gamma)
+        assert set(interchangeable_classes(*base)) == {(1, 4), (2, 3, 5)}
+        for target in _ORACLE_TARGETS:
+            expected = _grid_oracle(base, target, allow_dealer)
+            assert search_assignment(base, target, allow_dealer) == expected, str(target)
 
-        base_scheme, base_gamma = build_block_scheme(4, [1])
-        target = AccessStructure.from_sets(3, target_sets)
-        holders = ["P1", "P2", "P3", DEALER]
-        grid = _assignment_grid(4, len(holders))
-        masks = _holder_particle_masks(grid, len(holders))
-        fast = set(_induced_match_indices(masks[:, :3], base_gamma.masks(), target).tolist())
-        slow = set()
-        for idx, row in enumerate(itertools.product(range(len(holders)), repeat=4)):
-            assignment = {
-                h: tuple(p + 1 for p in range(4) if row[p] == j)
-                for j, h in enumerate(holders)
-            }
-            scheme = SchemeSpec(4, base_scheme.basis_images, assignment)
-            if induce_structure(scheme, base_gamma).masks() == target.masks():
-                slow.add(idx)
-        assert fast == slow
+    @pytest.mark.parametrize("allow_dealer", [False, True])
+    def test_dense_rotated_block(self, allow_dealer):
+        # one-particle unitaries keep every entropy but break every transposition
+        base = _rotated_block(5, [1, 2], seed=7)
+        assert interchangeable_classes(*base) == ((1,), (2,), (3,), (4,), (5,))
+        assert np.count_nonzero(base[0].basis_images) == 2 * 32
+        hits = 0
+        for target in _ORACLE_TARGETS:
+            expected = _grid_oracle(base, target, allow_dealer)
+            assert search_assignment(base, target, allow_dealer) == expected, str(target)
+            hits += expected is not None
+        assert hits  # the comparison covers hits, not only exhausted searches
 
 
 # ---------------------------------------------------------------------------
