@@ -91,12 +91,9 @@ def _tolerance(args):
 
 def cmd_structure_check(args):
     gamma = _load_structure(args.path)
-    if not structures.is_quantum_admissible(gamma):
-        bad = next(
-            (a, b)
-            for a, b in itertools.combinations(gamma.minimal_sets, 2)
-            if a.bits & b.bits == 0
-        )
+    pairs = itertools.combinations(gamma.minimal_sets, 2)
+    bad = next(((a, b) for a, b in pairs if a.bits & b.bits == 0), None)
+    if bad:
         raise CliError(
             f"disjoint authorized sets {bad[0]} and {bad[1]}: not quantum-admissible",
             EXIT_INPUT,
@@ -131,16 +128,7 @@ def cmd_scheme_verify(args):
     tolerance = _tolerance(args)
     scheme = _load_scheme(args.scheme)
     gamma = _load_structure(args.structure)
-    try:
-        report = verifier.verify(scheme, gamma, args.model, tolerance)
-    except verifier.StructuralMismatchError as exc:
-        print(f"structural mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except qstate.ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (structures.StructureError, schemes.SchemeError) as exc:
-        raise CliError(str(exc), EXIT_INPUT) from None
+    report = verifier.verify(scheme, gamma, args.model, tolerance)
     if args.format == "json":
         out = _dump(verifier.report_to_dict(report))
     elif args.format == "csv":
@@ -178,16 +166,12 @@ def cmd_build(args):
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
         raise CliError(f"build {args.family} needs {' and '.join(missing)}", EXIT_INPUT)
-    try:
-        if args.family == "threshold34":
-            scheme = schemes.build_threshold34()
-        elif args.family == "block":
-            block = _parse_players(args.b)
-            scheme, gamma = schemes.build_block_scheme(args.n, block)
-        else:
-            scheme, gamma = schemes.build_star_scheme(args.n, args.center)
-    except (schemes.SchemeError, structures.StructureError) as exc:
-        raise CliError(str(exc), EXIT_INPUT) from None
+    if args.family == "threshold34":
+        scheme = schemes.build_threshold34()
+    elif args.family == "block":
+        scheme, gamma = schemes.build_block_scheme(args.n, _parse_players(args.b))
+    else:
+        scheme, gamma = schemes.build_star_scheme(args.n, args.center)
     doc = schemes.save_scheme(scheme)
     if args.family != "threshold34":
         doc["realizes"] = structures.structure_to_dict(gamma)
@@ -198,10 +182,7 @@ def cmd_build(args):
 def cmd_assign_induce(args):
     scheme = _load_scheme(args.scheme)
     base = _load_structure(args.base)
-    try:
-        induced = schemes.induce_structure(scheme, base)
-    except (schemes.SchemeError, structures.StructureError) as exc:
-        raise CliError(str(exc), EXIT_INPUT) from None
+    induced = schemes.induce_structure(scheme, base)
     _emit(_dump(structures.structure_to_dict(induced)), args.out)
     return EXIT_OK
 
@@ -209,23 +190,18 @@ def cmd_assign_induce(args):
 def cmd_assign_search(args):
     tolerance = _tolerance(args)
     target = _load_structure(args.target)
-    try:
-        if args.scheme:
-            if args.base is None:
-                raise CliError("--scheme needs --base, its particles' structure", EXIT_INPUT)
-            scheme = _load_scheme(args.scheme)
-            base = _load_structure(args.base)
-        else:
-            if args.base_n is None or args.base_b is None:
-                raise CliError(
-                    "provide --scheme/--base files or --base-n/--base-b", EXIT_INPUT
-                )
-            scheme, base = schemes.build_block_scheme(args.base_n, _parse_players(args.base_b))
-        assignment = schemes.search_assignment(
-            (scheme, base), target, allow_dealer=args.allow_dealer, tolerance=tolerance
-        )
-    except (schemes.SchemeError, structures.StructureError) as exc:
-        raise CliError(str(exc), EXIT_INPUT) from None
+    if args.scheme:
+        if args.base is None:
+            raise CliError("--scheme needs --base, its particles' structure", EXIT_INPUT)
+        scheme = _load_scheme(args.scheme)
+        base = _load_structure(args.base)
+    else:
+        if args.base_n is None or args.base_b is None:
+            raise CliError("provide --scheme/--base files or --base-n/--base-b", EXIT_INPUT)
+        scheme, base = schemes.build_block_scheme(args.base_n, _parse_players(args.base_b))
+    assignment = schemes.search_assignment(
+        (scheme, base), target, allow_dealer=args.allow_dealer, tolerance=tolerance
+    )
     doc = {
         "base": scheme.name or "scheme",
         "target": structures.structure_to_dict(target),
@@ -236,10 +212,7 @@ def cmd_assign_search(args):
 
 
 def cmd_enumerate(args):
-    try:
-        classes = structures.enumerate_hyperstars(args.max_n)
-    except structures.StructureError as exc:
-        raise CliError(str(exc), EXIT_INPUT) from None
+    classes = structures.enumerate_hyperstars(args.max_n)
     rows = []
     for n, gamma in classes:
         rows.append(
@@ -277,42 +250,34 @@ def cmd_reconstruct(args):
         raise CliError(f"--seed must be non-negative, got {args.seed}", EXIT_INPUT)
     rng = np.random.default_rng(args.seed)
     fidelities = []
-    try:
-        if args.protocol == "circuit":
-            for _ in range(args.trials):
-                outcome = protocols.run_threshold34_circuit(
-                    protocols.random_secret(rng), acting, scheme=scheme
-                )
-                fidelities.append(outcome.fidelity)
-                trace = outcome.trace
-        elif args.protocol == "measure":
-            if not args.block:
-                raise CliError("--block is required for the measure protocol", EXIT_INPUT)
-            block = _parse_players(args.block)
-            for _ in range(args.trials):
-                outcome = protocols.run_block_measure_protocol(
-                    scheme, block, acting, protocols.random_secret(rng)
-                )
-                fidelities.append(outcome.fidelity)
-                trace = outcome.trace
-        else:
-            state = schemes.distribute_purified(scheme)
-            bits = structures.PlayerSubset.from_players(acting, scheme.num_players).bits
-            result = protocols.decoupling_decoder(state, scheme.registers_of(bits), ("R",))
-            fidelities.append(result.fidelity)
-            trace = {
-                "protocol": "decoder",
-                "acting": acting,
-                "output_register": result.output_register,
-                "i_re": result.i_re,
-            }
-    except protocols.UnauthorizedSetError as exc:
-        raise CliError(str(exc), EXIT_INPUT) from None
-    except protocols.DecouplingError as exc:
-        print(f"decoding failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except (protocols.ProtocolError, structures.StructureError, schemes.SchemeError) as exc:
-        raise CliError(str(exc), EXIT_INPUT) from None
+    if args.protocol == "circuit":
+        for _ in range(args.trials):
+            outcome = protocols.run_threshold34_circuit(
+                protocols.random_secret(rng), acting, scheme=scheme
+            )
+            fidelities.append(outcome.fidelity)
+            trace = outcome.trace
+    elif args.protocol == "measure":
+        if not args.block:
+            raise CliError("--block is required for the measure protocol", EXIT_INPUT)
+        block = _parse_players(args.block)
+        for _ in range(args.trials):
+            outcome = protocols.run_block_measure_protocol(
+                scheme, block, acting, protocols.random_secret(rng)
+            )
+            fidelities.append(outcome.fidelity)
+            trace = outcome.trace
+    else:
+        state = schemes.distribute_purified(scheme)
+        bits = structures.PlayerSubset.from_players(acting, scheme.num_players).bits
+        result = protocols.decoupling_decoder(state, scheme.registers_of(bits), ("R",))
+        fidelities.append(result.fidelity)
+        trace = {
+            "protocol": "decoder",
+            "acting": acting,
+            "output_register": result.output_register,
+            "i_re": result.i_re,
+        }
     doc = {"fidelities": fidelities, "trace": trace}
     if args.protocol in ("circuit", "measure"):
         doc["branch_probabilities"] = outcome.branch_probabilities
@@ -454,10 +419,21 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except verifier.StructuralMismatchError as exc:
+        print(f"structural mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
+    except protocols.DecouplingError as exc:  # before ProtocolError, its base class
+        print(f"decoding failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except qstate.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except OSError as exc:  # unreadable input or unwritable output path
+    except (
+        structures.StructureError,
+        schemes.SchemeError,
+        protocols.ProtocolError,
+        OSError,  # unreadable input or unwritable output path
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -34,7 +34,6 @@ from .structures import (
     PlayerSubset,
     _bit_positions,
     _json_int,
-    adversary_partition,
     is_quantum_admissible,
     subset_unions,
 )
@@ -336,8 +335,7 @@ def _induced_match_indices(masks, base_masks, target):
         authorized = np.zeros(rows, dtype=bool)
         for bm in base_masks:
             authorized |= (union[bits] & bm) == bm
-        flag = target.contains(PlayerSubset(bits, n))
-        ok &= authorized == flag
+        ok &= authorized == (target.subset_classes[bits] == "authorized")
     return np.nonzero(ok)[0]
 
 
@@ -377,11 +375,11 @@ def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
     # two disjoint authorized sets would clone the secret: no scheme passes
     if matches.size and is_quantum_admissible(target):
         table = verifier.SubsetEntropyTable(distribute_purified(scheme), m)
-        partition = adversary_partition(target)
         for row in matches:
             evaluated += 1
             player_masks = [int(masks[row, j]) for j in range(n)]
-            if not verifier._evaluate(table, player_masks, partition, tolerance).failing:
+            ev = verifier._evaluate(table, player_masks, target.subset_classes, tolerance)
+            if not ev.failing:
                 hit = row
                 break
     _log.debug(

@@ -2,8 +2,8 @@
 
 Players are numbered 1..n; a subset of players is a bitmask with bit i-1
 standing for player Pi.  An access structure is stored as the antichain of
-its minimal authorized sets; monotone-closure membership is computed on
-demand instead of materializing the full 2^n family.
+its minimal authorized sets; each structure classifies its 2^n subsets
+once, on first use, in one table (AccessStructure.subset_classes).
 
 A structure is quantum-admissible when no two authorized sets are disjoint
 (two disjoint authorized sets could each reconstruct the secret, cloning
@@ -129,6 +129,21 @@ class AccessStructure:
     def masks(self):
         return tuple(s.bits for s in self.minimal_sets)
 
+    @functools.cached_property
+    def subset_classes(self):
+        """Class of each player subset, by bitmask: "authorized", "A1" or "A2".
+
+        Authorized sets contain a minimal set; of the others, A1 sets are
+        disjoint from one and A2 sets meet all of them.
+        """
+        masks = self.masks()
+        return tuple(
+            "authorized" if any(m & bits == m for m in masks)
+            else "A1" if any(m & bits == 0 for m in masks)
+            else "A2"
+            for bits in range(1 << self.n)
+        )
+
     def contains(self, s):
         """Monotone-closure membership: some minimal set is inside s."""
         if s.n != self.n:
@@ -163,7 +178,7 @@ def is_hyperstar(gamma):
 
 
 def adversary_partition(gamma):
-    """Classify every nonempty unauthorized subset into A1 or A2.
+    """Every nonempty unauthorized subset, split into A1 and A2 by gamma's class table.
 
     A in A1 iff A is disjoint from some minimal authorized set; A in A2 iff
     A intersects every minimal authorized set.  Requires an admissible
@@ -172,16 +187,11 @@ def adversary_partition(gamma):
     """
     if not is_quantum_admissible(gamma):
         raise StructureError("adversary partition requires a quantum-admissible structure")
-    a1, a2 = [], []
-    for bits in range(1, 1 << gamma.n):
-        s = PlayerSubset(bits, gamma.n)
-        if gamma.contains(s):
-            continue
-        if any(m.bits & bits == 0 for m in gamma.minimal_sets):
-            a1.append(s)
-        else:
-            a2.append(s)
-    return AdversaryPartition(tuple(a1), tuple(a2))
+    n, classes = gamma.n, gamma.subset_classes
+    return AdversaryPartition(*(
+        tuple(PlayerSubset(bits, n) for bits in range(1, 1 << n) if classes[bits] == cls)
+        for cls in ("A1", "A2")
+    ))
 
 
 @dataclass(frozen=True)
@@ -205,12 +215,11 @@ class ComplementLawResult:
 def check_complement_law(gamma):
     """Machine-check that complements of A1 members are authorized and A2 is closed under complement."""
     partition = adversary_partition(gamma)
-    a2_bits = {s.bits for s in partition.a2}
     for s in partition.a1:
-        if not gamma.contains(s.complement()):
+        if gamma.subset_classes[s.complement().bits] != "authorized":
             return ComplementLawResult(False, s, "a1")
     for s in partition.a2:
-        if s.complement().bits not in a2_bits:
+        if gamma.subset_classes[s.complement().bits] != "A2":
             return ComplementLawResult(False, s, "a2")
     return ComplementLawResult(True)
 

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .qstate import DEFAULT_TOLERANCE, subsystem_entropy
+from . import schemes
 from .schemes import (
     SchemeSpec,
     build_block_scheme,
@@ -29,7 +30,6 @@ from .schemes import (
 from .structures import (
     HYPERSTAR_CATALOG,
     AccessStructure,
-    AdversaryPartition,
     PlayerSubset,
     StructureError,
     _bit_positions,
@@ -138,26 +138,25 @@ class _Evaluation:
     balance_witness: PlayerSubset | None  # first A2 member with the worst deviation
 
 
-def _evaluate(table, player_masks, partition, tolerance):
+def _evaluate(table, player_masks, classes, tolerance):
     """The entropy-condition pass behind verify, the balance check, the profile and the search.
 
-    player_masks[i] is the particle bitmask of player i+1 and partition the
-    claimed structure's adversary partition.  Every nonempty player subset
-    gets a record with its generalized-model condition; the A2 entropy
-    balance S(A) = S(complement of A) is measured on the same table.
+    player_masks[i] is the particle bitmask of player i+1 and classes the
+    claimed structure's class table (AccessStructure.subset_classes).  Every
+    nonempty player subset gets a record with its generalized-model
+    condition; the A2 entropy balance S(A) = S(complement of A) is measured
+    on the same table.
     """
     n = len(player_masks)
     s_s = table.s_ref
     i_rs = 2.0 * s_s
-    class_of = {s.bits: "A1" for s in partition.a1}
-    class_of.update({s.bits: "A2" for s in partition.a2})
     union = subset_unions(player_masks)
     records = []
     for bits in range(1, 1 << n):
         s_a = table.s(union[bits])
         s_ra = table.s_with_ref(union[bits])
         i_ra = s_s + s_a - s_ra
-        cls = class_of.get(bits, "authorized")
+        cls = classes[bits]
         if cls == "authorized":
             ok = abs(i_ra - i_rs) <= tolerance
         else:
@@ -175,10 +174,11 @@ def _evaluate(table, player_masks, partition, tolerance):
         verdict = "generalized"
 
     worst, witness = 0.0, None
-    for s in partition.a2:
-        dev = abs(table.s(union[s.bits]) - table.s(union[s.complement().bits]))
-        if dev > worst:
-            worst, witness = dev, s
+    for r in records:
+        if r.classification == "A2":
+            dev = abs(r.s_a - table.s(union[r.subset.complement().bits]))
+            if dev > worst:
+                worst, witness = dev, r.subset
     return _Evaluation(s_s, records, failing, verdict, mismatch, worst, witness)
 
 
@@ -193,7 +193,7 @@ def _evaluate_scheme(scheme, gamma, tolerance):
         raise StructureError(f"structure is over {gamma.n} players but scheme has {n}")
     table = SubsetEntropyTable(distribute_purified(scheme), scheme.num_particles)
     partition = adversary_partition(gamma)
-    ev = _evaluate(table, _player_masks(scheme), partition, tolerance)
+    ev = _evaluate(table, _player_masks(scheme), gamma.subset_classes, tolerance)
     # a perfect verdict over a structure with nonempty A2 would contradict the
     # feasibility theorem; reaching this means the numerics are inconsistent
     if ev.verdict == "perfect" and partition.a2:
@@ -278,7 +278,8 @@ def entropy_profile(scheme, probabilities=(0.5, 0.5)):
     (subset, s_a, s_ra, i_ra) tuples ordered by subset bitmask.
     """
     table = SubsetEntropyTable(distribute_purified(scheme, probabilities), scheme.num_particles)
-    ev = _evaluate(table, _player_masks(scheme), AdversaryPartition((), ()), DEFAULT_TOLERANCE)
+    classes = ("authorized",) * (1 << scheme.num_players)
+    ev = _evaluate(table, _player_masks(scheme), classes, DEFAULT_TOLERANCE)
     return [(r.subset, r.s_a, r.s_ra, r.i_ra) for r in ev.records]
 
 
@@ -354,7 +355,7 @@ def _search_bases(target_n):
     Blocks and their complements generate identical schemes, so block
     sizes run only to half the particle count.
     """
-    for m in range(max(3, target_n), 8):
+    for m in range(max(3, target_n), schemes.MAX_SEARCH_PARTICLES + 1):
         for k in range(1, m // 2 + 1):
             yield m, tuple(range(1, k + 1))
 
@@ -382,7 +383,8 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
     is a star, documented redistribution recipes where available (re-checked,
     with failures flagged and corrected by search), and otherwise an
     exhaustive assignment search over block-scheme bases with at most
-    seven particles.  Absence of a construction is reported as "unknown".
+    schemes.MAX_SEARCH_PARTICLES particles, the search's own cap.  Absence
+    of a construction is reported as "unknown".
     """
     rows = []
     for entry in HYPERSTAR_CATALOG:

@@ -1,9 +1,10 @@
+import functools
 import itertools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsslab.structures import (
@@ -456,6 +457,51 @@ def test_complement_law_always_holds(g):
 @settings(max_examples=60, deadline=None)
 def test_feasible_iff_a2_empty(g):
     assert perfect_feasibility(g).feasible == (not adversary_partition(g).a2)
+
+
+# ---------------------------------------------------------------------------
+# class table
+
+
+@st.composite
+def antichains(draw):
+    """Random structures, admissible or not, possibly without minimal sets."""
+    n = draw(st.integers(2, 6))
+    masks = draw(st.sets(st.integers(1, (1 << n) - 1), max_size=6))
+    minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
+    return AccessStructure.from_masks(n, minimal)
+
+
+@given(antichains())
+@example(gamma(4, [[1, 2], [3, 4]]))
+@example(AccessStructure(3, ()))
+@settings(max_examples=150, deadline=None)
+def test_subset_classes_match_bruteforce(g):
+    expected = {}
+    for cls, sets in zip(("authorized", "A1", "A2"), brute_classification(g)):
+        expected.update({subset(s, g.n).bits: cls for s in sets})
+    classes = g.subset_classes
+    assert len(classes) == 1 << g.n
+    assert {bits: classes[bits] for bits in range(1, 1 << g.n)} == expected
+
+
+def test_structure_analyses_classify_once(monkeypatch):
+    table = AccessStructure.__dict__["subset_classes"]
+    calls = []
+
+    def spy(self):
+        calls.append(self)
+        return table.func(self)
+
+    spied = functools.cached_property(spy)
+    spied.__set_name__(AccessStructure, "subset_classes")
+    monkeypatch.setattr(AccessStructure, "subset_classes", spied)
+    monkeypatch.setattr(AccessStructure, "contains", lambda *_: pytest.fail("contains called"))
+    g = gamma(5, [[1, 2, 3], [1, 4, 5]])
+    part = adversary_partition(g)
+    assert check_complement_law(g).holds
+    assert perfect_feasibility(g).witness == part.a2[0]
+    assert calls == [g]
 
 
 # ---------------------------------------------------------------------------

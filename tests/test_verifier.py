@@ -216,8 +216,8 @@ class TestEntropyTable:
 
     def test_generalized_checker_accepts_identity(self, threshold34_scheme, threshold34_gamma):
         table = SubsetEntropyTable(distribute_purified(threshold34_scheme), 4)
-        partition = adversary_partition(threshold34_gamma)
-        result = _evaluate(table, [0b0001, 0b0010, 0b0100, 0b1000], partition, 1e-9)
+        classes = threshold34_gamma.subset_classes
+        result = _evaluate(table, [0b0001, 0b0010, 0b0100, 0b1000], classes, 1e-9)
         assert not result.failing
         assert result.verdict == "generalized" and result.mismatch is None
 
@@ -225,7 +225,7 @@ class TestEntropyTable:
         # claiming the star while the state realizes the threshold
         star = AccessStructure.from_sets(4, [[1, 2], [1, 3], [1, 4]])
         table = SubsetEntropyTable(distribute_purified(threshold34_scheme), 4)
-        result = _evaluate(table, [0b0001, 0b0010, 0b0100, 0b1000], adversary_partition(star), 1e-9)
+        result = _evaluate(table, [0b0001, 0b0010, 0b0100, 0b1000], star.subset_classes, 1e-9)
         assert result.failing and result.verdict == "fail"
 
 
@@ -316,6 +316,13 @@ class TestFeasibilityMatrix:
         assert [tol for _, tol in seen] == [1e-7] * len(seen)
         for route in ("star", "via documented assignment", "via search"):
             assert any(route in name for name, _ in seen), route
+
+    def test_search_bases_follow_the_search_cap(self, monkeypatch):
+        import qsslab.schemes as schemes
+        from qsslab.verifier import _search_bases
+
+        monkeypatch.setattr(schemes, "MAX_SEARCH_PARTICLES", 6)
+        assert max(m for m, _ in _search_bases(3)) == 6
 
     def test_matrix_document(self, feasibility_rows):
         doc = matrix_to_dict(feasibility_rows)
