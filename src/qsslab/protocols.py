@@ -25,6 +25,9 @@ from .schemes import (
 from .structures import PlayerSubset
 
 DECOUPLING_TOL = 1e-9
+#: Largest block scheme the measure protocol simulates: each trial steps the
+#: full state, both measurement branches, through every gate of the protocol.
+MAX_MEASURE_PARTICLES = 7
 
 
 class ProtocolError(ValueError):
@@ -376,6 +379,11 @@ def run_block_measure_protocol(scheme, block, acting_set, secret):
     wiring here and are routed to the decoupling decoder.
     """
     n = scheme.num_particles
+    if not 3 <= n <= MAX_MEASURE_PARTICLES:
+        raise ProtocolError(
+            f"the measure protocol is simulated for 3 <= n <= {MAX_MEASURE_PARTICLES} particles, "
+            f"got {n}"
+        )
     block = _normalize_acting(block, n)
     reference, gamma = build_block_scheme(n, block)
     if not np.allclose(scheme.basis_images, reference.basis_images, atol=1e-12):

@@ -3,12 +3,20 @@
 States live on an ordered register layout; the first label is the most
 significant bit of the amplitude index.  Everything is dense complex128:
 at the target scale (at most 14 qubits) exact linear algebra is cheap and
-beats sampling, so reduced states, spectra, and entropies are computed
-directly.
+beats sampling, so reduced states and spectra are computed directly.
+
+The entropy of a subsystem of a pure state depends only on the Schmidt
+spectrum of the cut between the subsystem and the rest, so
+subsystem_entropy never forms the reduced state: it splits the state's
+nonzero amplitudes into the kept and traced-out bits of their indices and
+takes the spectrum of the smaller Gram matrix of that small coefficient
+matrix.  A four-term state gives at most 4 x 4 Gram matrices; a dense
+state gives at most the smaller side of the cut.
 
 Entropy is base 2 throughout: a maximally mixed qubit has S = 1.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +99,12 @@ class PureState:
 
     def tensor(self):
         return self.amplitudes.reshape((2,) * self.num_qubits)
+
+    @functools.cached_property
+    def support(self):
+        """(indices, amplitudes) of the exactly nonzero components."""
+        indices = np.flatnonzero(self.amplitudes)
+        return indices, self.amplitudes[indices]
 
     def ket_terms(self, cut=1e-12):
         """(bitstring, amplitude) pairs of the significant components."""
@@ -207,19 +221,45 @@ def partial_trace(state, keep):
     return DensityMatrix(rho, labels=kept_labels)
 
 
-def von_neumann_entropy(dm):
-    """S(rho) = -sum lambda_i log2 lambda_i, in bits."""
-    values = np.linalg.eigvalsh(dm.matrix)
+def _spectrum_entropy(values, dim):
+    """-sum lambda log2 lambda of a density spectrum, clamped to [0, log2 dim]."""
     if values.min() < EIGENVALUE_FLOOR:
         raise QStateError(f"density matrix has eigenvalue {values.min()} below floor")
     lam = values[values > ZERO_EIGENVALUE_CUT]
     s = float(-(lam * np.log2(lam)).sum())
-    return min(max(s, 0.0), float(np.log2(dm.dim)))
+    return min(max(s, 0.0), float(np.log2(dim)))
+
+
+def von_neumann_entropy(dm):
+    """S(rho) = -sum lambda_i log2 lambda_i, in bits."""
+    return _spectrum_entropy(np.linalg.eigvalsh(dm.matrix), dm.dim)
 
 
 def subsystem_entropy(state, regs):
-    """Entropy of the reduced state on the given registers."""
-    return von_neumann_entropy(partial_trace(state, regs))
+    """Entropy of the reduced state on the given registers.
+
+    For a pure state, the nonzero amplitudes a_i at indices x_i are
+    scattered into M[kept bits of x_i, traced-out bits of x_i]; the nonzero
+    spectrum of the reduced state M M^dagger equals that of M^dagger M, so
+    the smaller of the two is diagonalized.
+    """
+    if not isinstance(state, PureState):
+        return von_neumann_entropy(partial_trace(state, regs))
+    regs = tuple(regs)
+    if not regs:
+        raise QStateError("keep at least one register")
+    n = state.num_qubits
+    keep_ax = state.layout.axes(regs)
+    if len(set(keep_ax)) != len(keep_ax):
+        raise QStateError(f"duplicate registers in {regs}")
+    keep_bits = sum(1 << (n - 1 - a) for a in keep_ax)
+    indices, amps = state.support
+    kept, row = np.unique(indices & keep_bits, return_inverse=True)
+    traced, col = np.unique(indices & ~keep_bits, return_inverse=True)
+    m = np.zeros((len(kept), len(traced)), dtype=np.complex128)
+    m[row, col] = amps
+    gram = m @ m.conj().T if len(kept) <= len(traced) else m.T @ m.conj()
+    return _spectrum_entropy(np.linalg.eigvalsh(gram), 1 << len(keep_ax))
 
 
 def mutual_information(state, ref_regs, a_regs):

@@ -192,8 +192,8 @@ def build_block_scheme(n, block):
     where x marks the block's particles.  Returns the scheme (identity
     assignment) together with its access structure.
     """
-    if not 3 <= n <= 7:
-        raise SchemeError(f"block schemes are built for 3 <= n <= 7, got {n}")
+    if not 3 <= n <= MAX_QUBITS - 1:
+        raise SchemeError(f"block schemes are built for 3 <= n <= {MAX_QUBITS - 1}, got {n}")
     block = _as_subset(block, n)
     if block.bits == 0 or block.bits == (1 << n) - 1:
         raise SchemeError("block must be a nonempty proper subset of the players")

@@ -177,6 +177,13 @@ def is_hyperstar(gamma):
     return functools.reduce(lambda a, b: a & b, gamma.masks()) != 0
 
 
+def _admissible_classes(gamma):
+    """gamma's class table, after checking that the A1/A2 split is meaningful for it."""
+    if not is_quantum_admissible(gamma):
+        raise StructureError("adversary partition requires a quantum-admissible structure")
+    return gamma.subset_classes
+
+
 def adversary_partition(gamma):
     """Every nonempty unauthorized subset, split into A1 and A2 by gamma's class table.
 
@@ -185,9 +192,7 @@ def adversary_partition(gamma):
     structure, otherwise the two predicates do not partition the adversary
     structure meaningfully.
     """
-    if not is_quantum_admissible(gamma):
-        raise StructureError("adversary partition requires a quantum-admissible structure")
-    n, classes = gamma.n, gamma.subset_classes
+    n, classes = gamma.n, _admissible_classes(gamma)
     return AdversaryPartition(*(
         tuple(PlayerSubset(bits, n) for bits in range(1, 1 << n) if classes[bits] == cls)
         for cls in ("A1", "A2")
@@ -214,13 +219,12 @@ class ComplementLawResult:
 
 def check_complement_law(gamma):
     """Machine-check that complements of A1 members are authorized and A2 is closed under complement."""
-    partition = adversary_partition(gamma)
-    for s in partition.a1:
-        if gamma.subset_classes[s.complement().bits] != "authorized":
-            return ComplementLawResult(False, s, "a1")
-    for s in partition.a2:
-        if gamma.subset_classes[s.complement().bits] != "A2":
-            return ComplementLawResult(False, s, "a2")
+    classes = _admissible_classes(gamma)
+    full = (1 << gamma.n) - 1
+    for clause, cls, complement_cls in (("a1", "A1", "authorized"), ("a2", "A2", "A2")):
+        for bits in range(1, full + 1):
+            if classes[bits] == cls and classes[full ^ bits] != complement_cls:
+                return ComplementLawResult(False, PlayerSubset(bits, gamma.n), clause)
     return ComplementLawResult(True)
 
 
@@ -237,9 +241,9 @@ class FeasibilityVerdict:
 
 def perfect_feasibility(gamma):
     """Perfect schemes exist iff A2 is empty; a witness from A2 is returned otherwise."""
-    partition = adversary_partition(gamma)
-    if partition.a2:
-        return FeasibilityVerdict(False, partition.a2[0])
+    classes = _admissible_classes(gamma)
+    if "A2" in classes[1:]:
+        return FeasibilityVerdict(False, PlayerSubset(classes.index("A2", 1), gamma.n))
     return FeasibilityVerdict(True)
 
 

@@ -32,8 +32,8 @@ from .structures import (
     AccessStructure,
     PlayerSubset,
     StructureError,
+    _admissible_classes,
     _bit_positions,
-    adversary_partition,
     perfect_feasibility,
     subset_unions,
 )
@@ -192,11 +192,11 @@ def _evaluate_scheme(scheme, gamma, tolerance):
     if gamma.n != n:
         raise StructureError(f"structure is over {gamma.n} players but scheme has {n}")
     table = SubsetEntropyTable(distribute_purified(scheme), scheme.num_particles)
-    partition = adversary_partition(gamma)
-    ev = _evaluate(table, _player_masks(scheme), gamma.subset_classes, tolerance)
+    classes = _admissible_classes(gamma)
+    ev = _evaluate(table, _player_masks(scheme), classes, tolerance)
     # a perfect verdict over a structure with nonempty A2 would contradict the
     # feasibility theorem; reaching this means the numerics are inconsistent
-    if ev.verdict == "perfect" and partition.a2:
+    if ev.verdict == "perfect" and "A2" in classes[1:]:
         raise VerificationError(
             "perfect verdict with nonempty A2 contradicts perfect-infeasibility"
         )

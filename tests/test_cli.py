@@ -221,7 +221,7 @@ class TestBuild:
         assert doc["realizes"]["minimal_authorized"] == [[1, 2], [1, 3], [1, 4]]
 
     def test_bad_parameters(self, capsys):
-        assert main(["build", "block", "--n", "9", "--b", "1"]) == 2
+        assert main(["build", "block", "--n", "14", "--b", "1"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +321,18 @@ class TestReconstruct:
         ) == 0
         doc = json.loads(capsys.readouterr().out)
         assert min(doc["fidelities"]) >= 1.0 - 1e-9
+
+    def test_measure_protocol_keeps_its_size_limit(self, tmp_path, capsys):
+        # block(8) builds and verifies, but the measure simulation stops at 7 particles
+        path = tmp_path / "block8.json"
+        path.write_text(json.dumps(save_scheme(build_block_scheme(8, [1])[0])))
+        assert main(
+            ["reconstruct", str(path), "--set", "1,2", "--protocol", "measure", "--block", "1"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_decoder(self, threshold34_files, capsys):
         scheme, _ = threshold34_files

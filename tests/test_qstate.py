@@ -326,3 +326,82 @@ def test_complementary_information(seed):
     i_rbc = mutual_information(state, ("R",), ("b", "c"))
     s_r = subsystem_entropy(state, ("R",))
     assert abs(i_ra + i_rbc - 2.0 * s_r) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# subsystem entropy from the support Gram matrix, against the dense reduced state
+
+
+def random_isometry_state(rng, m):
+    """A random secret distribution pushed through a random dense isometry onto m particles."""
+    raw = rng.normal(size=(1 << m, 2)) + 1j * rng.normal(size=(1 << m, 2))
+    images = np.linalg.qr(raw)[0].T
+    p = float(rng.uniform(0.05, 0.95))
+    labels = tuple(f"p{i}" for i in range(1, m + 1))
+    return apply_isometry(purify_secret((p, 1 - p)), "S", labels, images)
+
+
+def proper_cuts(labels):
+    """Every nonempty proper subset of the labels, as a register tuple."""
+    n = len(labels)
+    for bits in range(1, (1 << n) - 1):
+        yield tuple(labels[i] for i in range(n) if bits >> i & 1)
+
+
+class TestSupportEntropy:
+    def test_support_is_every_nonzero_amplitude(self):
+        amps = np.zeros(8, dtype=np.complex128)
+        amps[0], amps[5], amps[6] = np.sqrt(1 - 1e-300), 1e-150, 0.0
+        state = PureState(RegisterLayout(("a", "b", "c")), amps)
+        indices, values = state.support
+        assert indices.tolist() == [0, 5]
+        assert values.tolist() == [amps[0], amps[5]]
+        assert state.support is state.support
+
+    def test_random_dense_isometries_match_partial_trace(self):
+        rng = np.random.default_rng(11)
+        for m in range(1, 7):
+            state = random_isometry_state(rng, m)
+            for regs in proper_cuts(state.layout.labels):
+                dense = von_neumann_entropy(partial_trace(state, regs))
+                assert abs(subsystem_entropy(state, regs) - dense) <= 1e-12, (m, regs)
+
+    def test_register_order_does_not_matter(self):
+        state = random_isometry_state(np.random.default_rng(3), 4)
+        assert subsystem_entropy(state, ("p3", "R", "p1")) == subsystem_entropy(
+            state, ("R", "p1", "p3")
+        )
+
+    def test_rejects_empty_duplicate_and_unknown_registers(self):
+        state = distributed_state()
+        with pytest.raises(QStateError):
+            subsystem_entropy(state, ())
+        with pytest.raises(QStateError, match="duplicate"):
+            subsystem_entropy(state, ("p1", "p1"))
+        with pytest.raises(QStateError, match="unknown"):
+            subsystem_entropy(state, ("p9",))
+
+    def test_density_matrix_input_keeps_the_dense_path(self):
+        rho = partial_trace(distributed_state(), ("R", "p1", "p2"))
+        assert subsystem_entropy(rho, ("R", "p1")) == von_neumann_entropy(
+            partial_trace(rho, ("R", "p1"))
+        )
+
+
+@given(st.integers(0, 10_000), st.integers(2, 8))
+@settings(max_examples=60, deadline=None)
+def test_entropy_inequalities_on_random_isometries(seed, m):
+    rng = np.random.default_rng(seed)
+    state = random_isometry_state(rng, m)
+    particles = state.layout.labels[1:]
+    side = rng.integers(0, 3, size=m)  # 0: in A, 1: in B, 2: neither
+    side[0], side[1] = 0, 1
+    a = tuple(p for p, k in zip(particles, side) if k == 0)
+    b = tuple(p for p, k in zip(particles, side) if k == 1)
+    rest = tuple(p for p in particles if p not in a)
+    s_a, s_b = subsystem_entropy(state, a), subsystem_entropy(state, b)
+    s_ab = subsystem_entropy(state, a + b)
+    # purity: A and its complement R + (particles outside A) share one spectrum
+    assert abs(s_a - subsystem_entropy(state, ("R",) + rest)) <= 1e-9
+    assert s_ab <= s_a + s_b + 1e-9  # subadditivity
+    assert abs(s_a - s_b) <= s_ab + 1e-9  # Araki-Lieb

@@ -92,7 +92,7 @@ class TestBlockScheme:
         with pytest.raises(SchemeError, match="proper subset"):
             build_block_scheme(4, [1, 2, 3, 4])
         with pytest.raises(SchemeError):
-            build_block_scheme(8, [1])
+            build_block_scheme(14, [1])
 
 
 class TestStarScheme:

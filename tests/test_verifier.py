@@ -328,3 +328,59 @@ class TestFeasibilityMatrix:
         doc = matrix_to_dict(feasibility_rows)
         assert len(doc["rows"]) == 16
         json.dumps(doc)
+
+
+# ---------------------------------------------------------------------------
+# the entropy oracle against the dense reduced state, and the 13-particle ceiling
+
+
+def test_block_scheme_cuts_match_partial_trace():
+    from qsslab.qstate import partial_trace, subsystem_entropy, von_neumann_entropy
+
+    for m in range(3, 10):
+        scheme, _ = build_block_scheme(m, range(1, (m + 1) // 2 + 1))
+        state = distribute_purified(scheme)
+        labels = state.layout.labels
+        for bits in range(1, (1 << len(labels)) - 1):
+            regs = tuple(labels[i] for i in range(len(labels)) if bits >> i & 1)
+            dense = von_neumann_entropy(partial_trace(state, regs))
+            assert abs(subsystem_entropy(state, regs) - dense) <= 1e-12, (m, regs)
+
+
+def test_matrix_entropies_are_bit_equal_to_partial_trace(monkeypatch):
+    import qsslab.verifier as verifier
+    from qsslab.qstate import partial_trace, subsystem_entropy, von_neumann_entropy
+
+    seen = []
+
+    def recording(state, regs):
+        s = subsystem_entropy(state, regs)
+        seen.append((state, regs, s))
+        return s
+
+    monkeypatch.setattr(verifier, "subsystem_entropy", recording)
+    verifier.feasibility_matrix()
+    assert seen
+    for state, regs, s in seen:
+        assert s == von_neumann_entropy(partial_trace(state, regs)), regs
+
+
+def test_thirteen_particle_block_scheme_verifies(monkeypatch):
+    dims = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(matrix):
+        dims.append(matrix.shape[0])
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    scheme, gamma = build_block_scheme(13, [2, 5, 7, 11])
+    report = verify(scheme, gamma)
+    assert report.verdict == "generalized"
+    assert len(report.records) == (1 << 13) - 1
+    authorized = [r for r in report.records if r.classification == "authorized"]
+    assert authorized
+    for r in authorized:
+        assert r.i_ra == pytest.approx(2.0, abs=1e-9), str(r.subset)
+    # a four-term state: every spectrum comes from a Gram matrix of at most 4 x 4
+    assert max(dims) <= 4
