@@ -6,12 +6,15 @@ at the target scale (at most 14 qubits) exact linear algebra is cheap and
 beats sampling, so reduced states and spectra are computed directly.
 
 The entropy of a subsystem of a pure state depends only on the Schmidt
-spectrum of the cut between the subsystem and the rest, so
-subsystem_entropy never forms the reduced state: it splits the state's
-nonzero amplitudes into the kept and traced-out bits of their indices and
-takes the spectrum of the smaller Gram matrix of that small coefficient
-matrix.  A four-term state gives at most 4 x 4 Gram matrices; a dense
-state gives at most the smaller side of the cut.
+spectrum of the cut between the subsystem and the rest, so cut_entropies
+never forms a reduced state.  For a batch of cuts it splits the state's
+nonzero amplitudes into the kept and traced-out bits of their indices,
+scatters them into one stack of small coefficient matrices per number of
+kept registers, and diagonalizes the smaller Gram matrix of every cut in
+one stacked eigvalsh call, in batches of bounded size.  A four-term state
+gives at most 4 x 4 Gram matrices; a dense state gives at most the smaller
+side of the cut.  subsystem_entropy is the one-cut case; partial_trace
+and von_neumann_entropy are the dense reference path.
 
 Entropy is base 2 throughout: a maximally mixed qubit has S = 1.
 """
@@ -230,46 +233,132 @@ def _spectrum_entropy(values, dim):
     return min(max(s, 0.0), float(np.log2(dim)))
 
 
+def _spectrum_entropies(values, log2_dims):
+    """_spectrum_entropy of each row of a stack of spectra, row c of log2 dimension log2_dims[c].
+
+    Below 8 eigenvalues the sum runs in the same order and gives the same
+    bits; the clamp keeps Python's max/min semantics, so a pure cut stays -0.0.
+    """
+    low = values.min()
+    if low < EIGENVALUE_FLOOR:
+        raise QStateError(f"density matrix has eigenvalue {low} below floor")
+    nonzero = values > ZERO_EIGENVALUE_CUT
+    lam = np.where(nonzero, values, 1.0)
+    s = -np.where(nonzero, lam * np.log2(lam), 0.0).sum(axis=-1)
+    s = np.where(s < 0.0, 0.0, s)
+    return np.where(log2_dims < s, log2_dims, s)
+
+
 def von_neumann_entropy(dm):
     """S(rho) = -sum lambda_i log2 lambda_i, in bits."""
     return _spectrum_entropy(np.linalg.eigvalsh(dm.matrix), dm.dim)
 
 
-def subsystem_entropy(state, regs):
-    """Entropy of the reduced state on the given registers.
+def _dense_ranks(values):
+    """Rank of each entry among its row's distinct values, ascending, and each row's count."""
+    rows = np.arange(len(values))[:, None]
+    order = values.argsort(axis=1)
+    ordered = values[rows, order]
+    step = np.zeros(values.shape, dtype=np.int64)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=step[:, 1:])
+    step.cumsum(axis=1, out=step)
+    ranks = np.empty_like(step)
+    ranks[rows, order] = step
+    return ranks, step[:, -1] + 1
 
-    For a pure state, the nonzero amplitudes a_i at indices x_i are
-    scattered into M[kept bits of x_i, traced-out bits of x_i]; the nonzero
-    spectrum of the reduced state M M^dagger equals that of M^dagger M, so
-    the smaller of the two is diagonalized.
+
+def _cut_group_entropies(indices, amps, masks, rows, cols, log2_dims):
+    """Entropies of cuts whose coefficient matrices fit (rows, cols), in one eigvalsh call.
+
+    Each cut's M is scattered with the smaller side of the cut as its rows,
+    zero-padded to (rows, cols); the spectrum of M M^dagger is the nonzero
+    spectrum of the reduced state.
     """
-    if not isinstance(state, PureState):
-        return von_neumann_entropy(partial_trace(state, regs))
+    kept, n_kept = _dense_ranks(indices & masks[:, None])
+    traced, n_traced = _dense_ranks(indices & ~masks[:, None])
+    flip = (n_kept > n_traced)[:, None]
+    m = np.zeros((len(masks), rows, cols), dtype=np.complex128)
+    m[np.arange(len(masks))[:, None], np.where(flip, traced, kept),
+      np.where(flip, kept, traced)] = amps
+    gram = m @ m.conj().transpose(0, 2, 1)
+    return _spectrum_entropies(np.linalg.eigvalsh(gram), log2_dims)
+
+
+#: Most elements a temporary of cut_entropies may hold: a dense 14-qubit
+#: state is processed 2 cuts at a time, with temporaries of at most 512 KB.
+CUT_BATCH_ELEMENTS = 1 << 15
+
+
+def cut_entropies(state, keep_masks):
+    """Entropy of each kept register set of a pure state, as a float array.
+
+    keep_masks[c] selects the kept registers by amplitude-index bit: the
+    register on layout axis a is bit num_qubits - 1 - a.  A mask of 0
+    keeps nothing and gives the entropy of the whole (pure) state.  The
+    state's nonzero amplitudes a_i at indices x_i are scattered into
+    M[kept bits of x_i, traced-out bits of x_i], the kept and traced-out
+    bits relabelled by their ascending rank; the nonzero spectrum of the
+    reduced state M M^dagger equals that of M^dagger M, so the smaller of
+    the two is diagonalized.  Cuts with the same number of registers on
+    their smaller side share bounds on both sides of M; they are stacked
+    together and processed in batches of at most CUT_BATCH_ELEMENTS
+    elements per temporary.
+    """
+    masks = np.asarray(keep_masks, dtype=np.int64).reshape(-1)
+    n = state.num_qubits
+    if masks.size and not (0 <= masks.min() and masks.max() < 1 << n):
+        raise QStateError(f"keep masks must lie in [0, {1 << n}) for {n} registers")
+    indices, amps = state.support
+    size = len(indices)
+    counts = np.array([mask.bit_count() for mask in masks.tolist()], dtype=np.int64)
+    smaller = np.minimum(counts, n - counts)  # registers on the smaller side of each cut
+    out = np.empty(masks.shape, dtype=np.float64)
+    for j in sorted(set(smaller.tolist())):
+        group = np.flatnonzero(smaller == j)
+        rows, cols = min(1 << j, size), min(1 << (n - j), size)
+        batch = max(1, CUT_BATCH_ELEMENTS // (rows * cols))  # rows * cols >= size
+        for start in range(0, len(group), batch):
+            cuts = group[start : start + batch]
+            out[cuts] = _cut_group_entropies(
+                indices, amps, masks[cuts], rows, cols, counts[cuts].astype(np.float64)
+            )
+    return out
+
+
+def _keep_mask(layout, regs):
+    """cut_entropies mask of a nonempty register list without repeats."""
     regs = tuple(regs)
     if not regs:
         raise QStateError("keep at least one register")
-    n = state.num_qubits
-    keep_ax = state.layout.axes(regs)
+    keep_ax = layout.axes(regs)
     if len(set(keep_ax)) != len(keep_ax):
         raise QStateError(f"duplicate registers in {regs}")
-    keep_bits = sum(1 << (n - 1 - a) for a in keep_ax)
-    indices, amps = state.support
-    kept, row = np.unique(indices & keep_bits, return_inverse=True)
-    traced, col = np.unique(indices & ~keep_bits, return_inverse=True)
-    m = np.zeros((len(kept), len(traced)), dtype=np.complex128)
-    m[row, col] = amps
-    gram = m @ m.conj().T if len(kept) <= len(traced) else m.T @ m.conj()
-    return _spectrum_entropy(np.linalg.eigvalsh(gram), 1 << len(keep_ax))
+    return sum(1 << (layout.num_qubits - 1 - a) for a in keep_ax)
+
+
+def subsystem_entropy(state, regs):
+    """Entropy of the reduced state on the given registers.
+
+    A pure state goes through cut_entropies, which never forms the reduced
+    state; a density matrix through partial_trace.
+    """
+    if not isinstance(state, PureState):
+        return von_neumann_entropy(partial_trace(state, regs))
+    return float(cut_entropies(state, [_keep_mask(state.layout, regs)])[0])
 
 
 def mutual_information(state, ref_regs, a_regs):
-    """I(R:A) = S(R) + S(A) - S(RA) from three partial traces."""
+    """I(R:A) = S(R) + S(A) - S(RA); a pure state's three cuts take one cut_entropies call."""
     ref_regs, a_regs = tuple(ref_regs), tuple(a_regs)
     overlap = set(ref_regs) & set(a_regs)
     if overlap:
         raise QStateError(f"register lists overlap on {sorted(overlap)}")
-    s_r = subsystem_entropy(state, ref_regs)
-    s_a = subsystem_entropy(state, a_regs)
-    s_ra = subsystem_entropy(state, ref_regs + a_regs)
+    if isinstance(state, PureState):
+        masks = [_keep_mask(state.layout, regs) for regs in (ref_regs, a_regs, ref_regs + a_regs)]
+        s_r, s_a, s_ra = cut_entropies(state, masks).tolist()
+    else:
+        s_r = subsystem_entropy(state, ref_regs)
+        s_a = subsystem_entropy(state, a_regs)
+        s_ra = subsystem_entropy(state, ref_regs + a_regs)
     return s_r + s_a - s_ra
 

@@ -7,16 +7,21 @@ sets must reach full correlation I(R:A) = I(R:S); unauthorized sets are
 held to the generalized bound I(R:A) <= S(S), or to I(R:A) = 0 under the
 perfect model.
 
-A subset-entropy table caches entropies per particle bitmask, so that
-re-grouping particles under different player assignments (the
-redistribution search) costs table lookups only.
+A subset-entropy table holds one entropy per particle bitmask, filled in
+bulk by qstate.cut_entropies; since the global state is pure, S(RA) is
+read as the entropy of the particles outside A.  Re-grouping particles
+under different player assignments (the redistribution search) costs
+table reads only.
 """
 
 import hashlib
 import json
+import logging
 from dataclasses import dataclass, field
 
-from .qstate import DEFAULT_TOLERANCE, subsystem_entropy
+import numpy as np
+
+from .qstate import DEFAULT_TOLERANCE, cut_entropies
 from . import schemes
 from .schemes import (
     SchemeSpec,
@@ -33,10 +38,12 @@ from .structures import (
     PlayerSubset,
     StructureError,
     _admissible_classes,
-    _bit_positions,
     perfect_feasibility,
     subset_unions,
 )
+
+
+_log = logging.getLogger("qsslab.matrix")
 
 
 class VerificationError(Exception):
@@ -62,33 +69,49 @@ class StructuralMismatchError(VerificationError):
 
 
 class SubsetEntropyTable:
-    """Cache of S(A) and S(RA) keyed by particle bitmask.
+    """Subsystem entropies of the purified scheme state, one float per particle bitmask.
 
-    The global state is fixed; any player grouping only changes which
-    particle unions are queried, so entropies are computed lazily per mask
-    and shared across assignments.  The reference is register "R" of the
-    purified secret.
+    The global state over (R, particles) is pure, so S(RA) is the entropy
+    of the particles outside A and one array over particle masks holds
+    both S(A) and S(RA); NaN marks an entry not yet computed.  Any player
+    grouping only changes which unions are read, so entries are shared
+    across assignments.  The reference is register "R" of the purified
+    secret.
     """
 
     def __init__(self, state, num_particles):
         self._state = state
-        self._labels = particle_labels(num_particles)
-        self._s = {0: 0.0}
-        self._sr = {0: subsystem_entropy(state, ["R"])}
-        self.s_ref = self._sr[0]
+        self._full = (1 << num_particles) - 1
+        self._s = np.full(1 << num_particles, np.nan)
+        n = state.num_qubits
+        self._bits = [
+            1 << (n - 1 - state.layout.axis(label)) for label in particle_labels(num_particles)
+        ]
+        self.s_ref = self.read([0])[1][0]
 
-    def _regs(self, mask):
-        return tuple(self._labels[pos] for pos in _bit_positions(mask))
+    def read(self, masks):
+        """(S(A), S(RA)) of each particle mask A as two float lists; S of no particles is 0.0.
+
+        Missing entries of A and of its complement are computed in one
+        cut_entropies call.
+        """
+        masks = np.asarray(masks, dtype=np.int64)
+        others = self._full ^ masks
+        wanted = np.zeros(self._s.shape, dtype=bool)
+        wanted[masks] = wanted[others] = True
+        missing = np.flatnonzero(wanted & np.isnan(self._s))
+        if missing.size:
+            keep = np.zeros(missing.shape, dtype=np.int64)
+            for i, bit in enumerate(self._bits):
+                keep |= (missing >> i & 1) * bit
+            self._s[missing] = cut_entropies(self._state, keep)
+        return np.where(masks == 0, 0.0, self._s[masks]).tolist(), self._s[others].tolist()
 
     def s(self, mask):
-        if mask not in self._s:
-            self._s[mask] = subsystem_entropy(self._state, self._regs(mask))
-        return self._s[mask]
+        return self.read([mask])[0][0]
 
     def s_with_ref(self, mask):
-        if mask not in self._sr:
-            self._sr[mask] = subsystem_entropy(self._state, ("R",) + self._regs(mask))
-        return self._sr[mask]
+        return self.read([mask])[1][0]
 
 
 @dataclass(frozen=True)
@@ -151,10 +174,10 @@ def _evaluate(table, player_masks, classes, tolerance):
     s_s = table.s_ref
     i_rs = 2.0 * s_s
     union = subset_unions(player_masks)
+    s_a_of, s_ra_of = table.read(union)
     records = []
     for bits in range(1, 1 << n):
-        s_a = table.s(union[bits])
-        s_ra = table.s_with_ref(union[bits])
+        s_a, s_ra = s_a_of[bits], s_ra_of[bits]
         i_ra = s_s + s_a - s_ra
         cls = classes[bits]
         if cls == "authorized":
@@ -173,10 +196,10 @@ def _evaluate(table, player_masks, classes, tolerance):
     else:
         verdict = "generalized"
 
-    worst, witness = 0.0, None
+    worst, witness, full = 0.0, None, (1 << n) - 1
     for r in records:
         if r.classification == "A2":
-            dev = abs(r.s_a - table.s(union[r.subset.complement().bits]))
+            dev = abs(r.s_a - s_a_of[full ^ r.subset.bits])
             if dev > worst:
                 worst, witness = dev, r.subset
     return _Evaluation(s_s, records, failing, verdict, mismatch, worst, witness)
@@ -402,9 +425,10 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
             report_hash=None,
         )
 
-        result = None
+        result, tried = None, []
         if entry.number in DIRECT_STARS:
             scheme, built = build_star_scheme(*DIRECT_STARS[entry.number])
+            tried.append(f"direct star {scheme.name}")
             result, _ = _try_assignment(
                 scheme, built, scheme.assignment, gamma, scheme.name, tolerance
             )
@@ -412,6 +436,7 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
         if result is None and entry.number in DOCUMENTED_ASSIGNMENTS:
             (m, block), assignment = DOCUMENTED_ASSIGNMENTS[entry.number]
             base_scheme, base_gamma = build_block_scheme(m, block)
+            tried.append(f"documented recipe over {base_scheme.name}")
             result, failure = _try_assignment(
                 base_scheme, base_gamma, assignment, gamma,
                 f"{base_scheme.name} via documented assignment", tolerance,
@@ -424,6 +449,7 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
 
         if result is None:
             for m, block in _search_bases(gamma.n):
+                tried.append(f"search base (m={m}, k={len(block)})")
                 base_scheme, base_gamma = build_block_scheme(m, block)
                 assignment = search_assignment(
                     (base_scheme, base_gamma), gamma, allow_dealer=True, tolerance=tolerance
@@ -435,6 +461,8 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
                     )
                     break
 
+        route = tried[-1] if result else f"none of {len(tried)} routes: {'; '.join(tried)}"
+        _log.debug("row %d %s: %s", entry.number, gamma, route)
         if result is not None:
             scheme, report = result
             row.gqss = "verified"

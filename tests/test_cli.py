@@ -377,7 +377,9 @@ class TestReconstruct:
 class TestTables:
     def test_json_matches_golden_bytes(self, capsys):
         assert main(["tables", "--format", "json"]) == 0
-        assert capsys.readouterr().out == GOLDEN_TABLES.read_text()
+        out, err = capsys.readouterr()
+        assert out == GOLDEN_TABLES.read_text()
+        assert err == ""  # each row's route is a debug event, off by default
 
     def test_default_format_is_json(self, capsys):
         assert main(["tables"]) == 0

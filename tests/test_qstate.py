@@ -9,6 +9,7 @@ from qsslab.qstate import (
     QStateError,
     RegisterLayout,
     apply_isometry,
+    cut_entropies,
     mutual_information,
     partial_trace,
     purify_secret,
@@ -386,6 +387,45 @@ class TestSupportEntropy:
         assert subsystem_entropy(rho, ("R", "p1")) == von_neumann_entropy(
             partial_trace(rho, ("R", "p1"))
         )
+
+
+class TestCutEntropies:
+    @pytest.mark.parametrize("which", ["block9", "dense10"])
+    def test_chunking_is_bit_identical(self, which, monkeypatch):
+        import qsslab.qstate as qstate
+        from qsslab.schemes import build_block_scheme, distribute_purified
+
+        if which == "block9":
+            state = distribute_purified(build_block_scheme(9, [2, 5, 7])[0])
+        else:
+            state = random_isometry_state(np.random.default_rng(5), 10)
+        masks = np.arange(1 << state.num_qubits)
+        whole = cut_entropies(state, masks)
+        monkeypatch.setattr(qstate, "CUT_BATCH_ELEMENTS", 3)
+        chunked = cut_entropies(state, masks[::-1])[::-1]
+        assert np.array_equal(chunked, whole)
+        assert np.array_equal(np.signbit(chunked), np.signbit(whole))
+
+    def test_matches_subsystem_entropy_per_cut(self):
+        state = random_isometry_state(np.random.default_rng(8), 5)
+        labels = state.layout.labels
+        masks = list(range(1, 1 << len(labels)))
+        n = len(labels)
+        for mask, s in zip(masks, cut_entropies(state, masks).tolist()):
+            regs = tuple(labels[a] for a in range(n) if mask >> (n - 1 - a) & 1)
+            assert s == subsystem_entropy(state, regs)
+
+    def test_keeping_nothing_is_the_cut_of_keeping_everything(self):
+        state = distributed_state()
+        dense = von_neumann_entropy(partial_trace(state, state.layout.labels))
+        for s in cut_entropies(state, [0, 0b11111]).tolist():
+            assert s == dense == 0.0 and np.signbit(s) == np.signbit(dense)
+
+    def test_rejects_masks_outside_the_layout(self):
+        with pytest.raises(QStateError, match="keep masks"):
+            cut_entropies(bell_state(), [4])
+        with pytest.raises(QStateError, match="keep masks"):
+            cut_entropies(bell_state(), [-1])
 
 
 @given(st.integers(0, 10_000), st.integers(2, 8))

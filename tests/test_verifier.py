@@ -349,20 +349,26 @@ def test_block_scheme_cuts_match_partial_trace():
 
 def test_matrix_entropies_are_bit_equal_to_partial_trace(monkeypatch):
     import qsslab.verifier as verifier
-    from qsslab.qstate import partial_trace, subsystem_entropy, von_neumann_entropy
+    from qsslab.qstate import cut_entropies, partial_trace, von_neumann_entropy
 
     seen = []
 
-    def recording(state, regs):
-        s = subsystem_entropy(state, regs)
-        seen.append((state, regs, s))
-        return s
+    def recording(state, keep_masks):
+        values = cut_entropies(state, keep_masks)
+        seen.append((state, list(keep_masks), values))
+        return values
 
-    monkeypatch.setattr(verifier, "subsystem_entropy", recording)
+    monkeypatch.setattr(verifier, "cut_entropies", recording)
     verifier.feasibility_matrix()
     assert seen
-    for state, regs, s in seen:
-        assert s == von_neumann_entropy(partial_trace(state, regs)), regs
+    for state, keep_masks, values in seen:
+        labels = state.layout.labels
+        n = len(labels)
+        for mask, s in zip(keep_masks, values.tolist()):
+            # keeping nothing is the same cut as keeping everything
+            regs = tuple(labels[a] for a in range(n) if (mask or -1) >> (n - 1 - a) & 1)
+            dense = von_neumann_entropy(partial_trace(state, regs))
+            assert s == dense and np.signbit(s) == np.signbit(dense), regs
 
 
 def test_thirteen_particle_block_scheme_verifies(monkeypatch):
@@ -370,7 +376,7 @@ def test_thirteen_particle_block_scheme_verifies(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
 
     def recording(matrix):
-        dims.append(matrix.shape[0])
+        dims.append(matrix.shape[-1])
         return eigvalsh(matrix)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
@@ -384,3 +390,77 @@ def test_thirteen_particle_block_scheme_verifies(monkeypatch):
         assert r.i_ra == pytest.approx(2.0, abs=1e-9), str(r.subset)
     # a four-term state: every spectrum comes from a Gram matrix of at most 4 x 4
     assert max(dims) <= 4
+    # the 2^13 cut entropies come from a few stacked calls, not one call per cut
+    assert len(dims) <= 30, len(dims)
+
+
+def _dense_entropy(state, regs):
+    from qsslab.qstate import partial_trace, von_neumann_entropy
+
+    return von_neumann_entropy(partial_trace(state, regs))
+
+
+def test_record_entropies_keep_the_dense_path_bits_and_signs():
+    # S(RA) is read as S(particles outside A); the dense path computes S(RA)
+    # itself.  A dealer-free scheme has S(R P1..Pm) = -0.0 on the full set,
+    # and report hashes depend on that sign.
+    signed_zeros = 0
+    for m in range(3, 8):
+        for k in range(1, m // 2 + 1):
+            scheme, gamma = build_block_scheme(m, range(1, k + 1))
+            state = distribute_purified(scheme)
+            for r in verify(scheme, gamma).records:
+                regs = scheme.registers_of(r.subset.bits)
+                for value, dense in ((r.s_a, _dense_entropy(state, regs)),
+                                     (r.s_ra, _dense_entropy(state, ("R",) + regs))):
+                    assert value == dense, (scheme.name, r.subset)
+                    assert np.signbit(value) == np.signbit(dense), (scheme.name, r.subset)
+                signed_zeros += np.signbit(r.s_ra)
+    assert signed_zeros == sum(m // 2 for m in range(3, 8))
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_s_with_ref_is_the_entropy_of_the_other_particles(m):
+    from qsslab.qstate import subsystem_entropy
+
+    assignments = [identity_assignment(m)]
+    # the dealer keeps the last particle, or the last two
+    for kept in range(1, min(2, m - 2) + 1):
+        held = {f"P{i}": (i,) for i in range(1, m - kept + 1)}
+        assignments.append({**held, DEALER: tuple(range(m - kept + 1, m + 1))})
+    base, _ = build_block_scheme(m, range(1, (m + 1) // 2 + 1))
+    for assignment in assignments:
+        scheme = SchemeSpec(m, base.basis_images, assignment)
+        state = distribute_purified(scheme)
+        table = SubsetEntropyTable(state, m)
+        for subset, _, s_ra, _ in entropy_profile(scheme):
+            mask = sum(1 << (p - 1) for p in scheme.particles_of(subset.bits))
+            regs = scheme.registers_of(subset.bits)
+            others = tuple(f"p{p}" for p in range(1, m + 1) if not mask >> (p - 1) & 1)
+            assert s_ra == table.s_with_ref(mask)
+            assert s_ra == subsystem_entropy(state, ("R",) + regs), (assignment, subset)
+            if others:
+                assert s_ra == subsystem_entropy(state, others), (assignment, subset)
+
+
+def test_matrix_logs_the_route_of_every_row(caplog, feasibility_rows):
+    import logging
+
+    import qsslab.verifier as verifier
+
+    with caplog.at_level(logging.DEBUG, logger="qsslab.matrix"):
+        verifier.feasibility_matrix()
+    events = [r.getMessage() for r in caplog.records if r.name == "qsslab.matrix"]
+    assert len(events) == len(feasibility_rows.rows)
+    for message, row in zip(events, feasibility_rows.rows):
+        assert message.startswith(f"row {row.number} ")
+        route = message.split(": ", 1)[1]
+        if row.gqss == "unknown":
+            assert route.startswith("none of 8 routes: ") and "search base (m=7, k=3)" in route
+        elif "via search" in row.scheme_name:
+            m = row.scheme_name.split("n=")[1].split(",")[0]
+            assert route.startswith(f"search base (m={m}, k=")
+        elif "via documented" in row.scheme_name:
+            assert route == f"documented recipe over {row.scheme_name.split(' via')[0]}"
+        else:
+            assert route == f"direct star {row.scheme_name}"
