@@ -244,15 +244,15 @@ class ProtocolOutcome:
 
 
 def _secret_fidelity(state, register, alpha, beta):
+    """Fidelity of the register with the secret, and whether the rest factorizes off it.
+
+    The state is pure, so the other registers have the same purity as the
+    register's 2 x 2 reduced state: the rest is pure exactly when that is.
+    """
     rho = partial_trace(state, [register]).matrix
     psi = np.array([alpha, beta], dtype=np.complex128)
-    return float(np.real(psi.conj() @ rho @ psi))
-
-
-def _residual_purity(state, output_register):
-    rest = [lbl for lbl in state.layout.labels if lbl != output_register]
-    rho = partial_trace(state, rest).matrix
-    return float(np.real(np.trace(rho @ rho)))
+    purity = float(np.real(np.trace(rho @ rho)))
+    return float(np.real(psi.conj() @ rho @ psi)), purity >= 1.0 - 1e-9
 
 
 def _residual_ket(state, output_register, alpha, beta):
@@ -341,8 +341,7 @@ def run_threshold34_circuit(secret, acting_set, scheme=None):
     branches, log = simulate_protocol(protocol, state, owner)
     final = branches[0].state
     out_reg = f"p{output}"
-    fidelity = _secret_fidelity(final, out_reg, alpha, beta)
-    purity = _residual_purity(final, out_reg)
+    fidelity, factorized = _secret_fidelity(final, out_reg, alpha, beta)
     residual = _residual_ket(final, out_reg, alpha, beta)
 
     deviations = []
@@ -357,7 +356,7 @@ def run_threshold34_circuit(secret, acting_set, scheme=None):
     return ProtocolOutcome(
         output_register=out_reg,
         fidelity=fidelity,
-        residual_factorized=purity >= 1.0 - 1e-9,
+        residual_factorized=factorized,
         branch_probabilities={"": 1.0},
         branch_fidelities={"": fidelity},
         deviations=deviations,
@@ -432,10 +431,10 @@ def run_block_measure_protocol(scheme, block, acting_set, secret):
         probabilities[key] = br.probability
         if br.state is None:
             continue
-        f = _secret_fidelity(br.state, out_reg, alpha, beta)
+        f, branch_factorized = _secret_fidelity(br.state, out_reg, alpha, beta)
         fidelities[key] = f
         worst_fidelity = min(worst_fidelity, f)
-        factorized = factorized and _residual_purity(br.state, out_reg) >= 1.0 - 1e-9
+        factorized = factorized and branch_factorized
     trace = {
         "protocol": "measure",
         "acting": list(acting.players()),

@@ -30,10 +30,10 @@ from .qstate import (
     purify_secret,
 )
 from .structures import (
-    AccessStructure,
     PlayerSubset,
     _bit_positions,
     _json_int,
+    antichain_reduce,
     is_quantum_admissible,
     subset_unions,
 )
@@ -147,16 +147,6 @@ def distribute_purified(scheme, probabilities=(0.5, 0.5)):
     return apply_isometry(state, "S", particle_labels(scheme.num_particles), scheme.basis_images)
 
 
-def antichain_reduce(n, masks):
-    """Minimal elements of a family of subset bitmasks."""
-    unique = sorted(set(masks))
-    keep = []
-    for m in unique:
-        if not any(o != m and o & m == o for o in unique):
-            keep.append(m)
-    return AccessStructure.from_masks(n, keep)
-
-
 def block_structure(n, block):
     """Authorized sets: the block plus one outsider, or the co-block plus one insider."""
     block = _as_subset(block, n)
@@ -224,9 +214,9 @@ def build_threshold34():
 def induce_structure(scheme, base_gamma):
     """Access structure on players induced by the particle assignment.
 
-    A player subset is authorized iff the particles it jointly holds
-    contain some minimal authorized particle set of the base structure;
-    dealer particles are out of reach.  Result is reduced to its minimal
+    A player subset is authorized iff the particles it jointly holds are
+    authorized in the base structure (base_gamma.authorized); dealer
+    particles are out of reach.  Result is reduced to its minimal
     antichain and may be empty if no player subset qualifies.
     """
     if base_gamma.n != scheme.num_particles:
@@ -234,16 +224,8 @@ def induce_structure(scheme, base_gamma):
             f"base structure is over {base_gamma.n} particles, scheme has {scheme.num_particles}"
         )
     n = scheme.num_players
-    base_masks = base_gamma.masks()
     union = subset_unions(scheme.particle_mask(f"P{i}") for i in range(1, n + 1))
-    authorized = [any(u & bm == bm for bm in base_masks) for u in union]
-    minimal = [
-        bits
-        for bits in range(1, 1 << n)
-        if authorized[bits]
-        and not any(authorized[bits ^ (1 << pos)] for pos in _bit_positions(bits))
-    ]
-    return AccessStructure.from_masks(n, minimal)
+    return antichain_reduce(n, np.flatnonzero(base_gamma.authorized[union]).tolist())
 
 
 def permute_particles(scheme, perm):
@@ -325,17 +307,12 @@ def _profile_rows(classes, num_particles, num_holders):
     return masks, index
 
 
-def _induced_match_indices(masks, base_masks, target):
+def _induced_match_indices(masks, base_authorized, target):
     """Row indices whose induced player closure equals the target's."""
-    n = target.n
-    rows = masks.shape[0]
-    union = subset_unions(masks[:, j] for j in range(n))
-    ok = np.ones(rows, dtype=bool)
-    for bits in range(1, 1 << n):
-        authorized = np.zeros(rows, dtype=bool)
-        for bm in base_masks:
-            authorized |= (union[bits] & bm) == bm
-        ok &= authorized == (target.subset_classes[bits] == "authorized")
+    union = subset_unions(masks[:, j] for j in range(target.n))
+    ok = np.ones(masks.shape[0], dtype=bool)
+    for bits in range(1, 1 << target.n):
+        ok &= base_authorized[union[bits]] == target.authorized[bits]
     return np.nonzero(ok)[0]
 
 
@@ -369,7 +346,7 @@ def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
     holders = [f"P{i}" for i in range(1, n + 1)] + ([DEALER] if allow_dealer else [])
     classes = interchangeable_classes(scheme, base_gamma)
     masks, index = _profile_rows(classes, m, len(holders))
-    matches = _induced_match_indices(masks[:, :n], base_gamma.masks(), target)
+    matches = _induced_match_indices(masks[:, :n], base_gamma.authorized, target)
     matches = matches[np.argsort(index[matches])]
     evaluated, hit = 0, None
     # two disjoint authorized sets would clone the secret: no scheme passes

@@ -2,8 +2,10 @@
 
 Players are numbered 1..n; a subset of players is a bitmask with bit i-1
 standing for player Pi.  An access structure is stored as the antichain of
-its minimal authorized sets; each structure classifies its 2^n subsets
-once, on first use, in one table (AccessStructure.subset_classes).
+its minimal authorized sets.  Whether a subset is authorized is decided in
+one place, a bool table over the 2^n subsets (AccessStructure.authorized,
+the up-closure of the minimal sets); membership, admissibility, the A1/A2
+classes and the minimal sets of derived structures all read such a table.
 
 A structure is quantum-admissible when no two authorized sets are disjoint
 (two disjoint authorized sets could each reconstruct the secret, cloning
@@ -17,6 +19,8 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 MAX_PLAYERS = 16
 MAX_ISO_PLAYERS = 8
@@ -53,6 +57,30 @@ def subset_unions(masks):
     for m in masks:
         union += [u | m for u in union]
     return union
+
+
+def _up_closure(n, masks):
+    """Bool table over the 2^n subsets: True where the subset contains one of the masks."""
+    # pass i ORs each subset without player i+1 into the same subset with it
+    table = np.zeros(1 << n, dtype=bool)
+    table[list(masks)] = True
+    for i in range(n):
+        pairs = table.reshape(-1, 2, 1 << i)
+        pairs[:, 1] |= pairs[:, 0]
+    return table
+
+
+def antichain_reduce(n, masks):
+    """Structure whose minimal sets are the minimal elements of a family of subset bitmasks.
+
+    A subset is minimal when it lies in the family's up-closure and no
+    subset one player smaller does.
+    """
+    closed = _up_closure(n, masks)
+    minimal = closed.copy()
+    for i in range(n):
+        minimal.reshape(-1, 2, 1 << i)[:, 1] &= ~closed.reshape(-1, 2, 1 << i)[:, 0]
+    return AccessStructure.from_masks(n, np.flatnonzero(minimal).tolist())
 
 
 @dataclass(frozen=True, order=True)
@@ -130,25 +158,28 @@ class AccessStructure:
         return tuple(s.bits for s in self.minimal_sets)
 
     @functools.cached_property
+    def authorized(self):
+        """Read-only bool table by bitmask: True where the subset contains a minimal set."""
+        table = _up_closure(self.n, self.masks())
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
     def subset_classes(self):
         """Class of each player subset, by bitmask: "authorized", "A1" or "A2".
 
-        Authorized sets contain a minimal set; of the others, A1 sets are
-        disjoint from one and A2 sets meet all of them.
+        Of the unauthorized sets, A1 sets are disjoint from a minimal set,
+        that is, their complement is authorized; A2 sets meet all of them.
+        The complement of bitmask b is entry b of the reversed table.
         """
-        masks = self.masks()
-        return tuple(
-            "authorized" if any(m & bits == m for m in masks)
-            else "A1" if any(m & bits == 0 for m in masks)
-            else "A2"
-            for bits in range(1 << self.n)
-        )
+        table = self.authorized
+        return tuple(np.where(table, "authorized", np.where(table[::-1], "A1", "A2")).tolist())
 
     def contains(self, s):
         """Monotone-closure membership: some minimal set is inside s."""
         if s.n != self.n:
             raise StructureError(f"player-count mismatch: {s.n} vs {self.n}")
-        return any(m.bits & s.bits == m.bits for m in self.minimal_sets)
+        return bool(self.authorized[s.bits])
 
     def __str__(self):
         return "{" + ", ".join(str(s) for s in self.minimal_sets) + "}"
@@ -163,11 +194,8 @@ class AdversaryPartition:
 
 
 def is_quantum_admissible(gamma):
-    """True iff every pair of minimal authorized sets intersects."""
-    return all(
-        a.bits & b.bits != 0
-        for a, b in itertools.combinations(gamma.minimal_sets, 2)
-    )
+    """True iff no two authorized sets are disjoint: no authorized set has an authorized complement."""
+    return not (gamma.authorized & gamma.authorized[::-1]).any()
 
 
 def is_hyperstar(gamma):
@@ -253,7 +281,7 @@ def threshold_structure(k, n):
         raise StructureError(f"need 1 <= k <= n, got k={k}, n={n}")
     if n >= 2 * k:
         raise StructureError(
-            f"((({k},{n}))) is not quantum-admissible: two disjoint {k}-subsets exist"
+            f"(({k},{n})) is not quantum-admissible: two disjoint {k}-subsets exist"
         )
     sets = [
         PlayerSubset.from_players(c, n) for c in itertools.combinations(range(1, n + 1), k)

@@ -107,12 +107,6 @@ class SubsetEntropyTable:
             self._s[missing] = cut_entropies(self._state, keep)
         return np.where(masks == 0, 0.0, self._s[masks]).tolist(), self._s[others].tolist()
 
-    def s(self, mask):
-        return self.read([mask])[0][0]
-
-    def s_with_ref(self, mask):
-        return self.read([mask])[1][0]
-
 
 @dataclass(frozen=True)
 class SubsetRecord:

@@ -9,6 +9,7 @@ from qsslab.protocols import (
     ReconstructionProtocol,
     UnauthorizedSetError,
     UnsupportedActingSetError,
+    _secret_fidelity,
     apply_gate_step,
     attack_threshold34_pair12,
     attack_threshold34_pair23,
@@ -339,6 +340,25 @@ class TestPairAttacks:
     def test_pair_holds_exactly_one_bit(self):
         report = attack_threshold34_pair23((0.6, 0.8), 0.0)
         assert report.mixed_secret_mutual_info == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOutputRegister:
+    def test_factorized_output(self):
+        alpha, beta = 0.6, 0.8j
+        amps = np.kron([alpha, beta], [SQ2, 0.0, 0.0, SQ2])
+        state = PureState(RegisterLayout(("p1", "p2", "p3")), amps)
+        fidelity, factorized = _secret_fidelity(state, "p1", alpha, beta)
+        assert fidelity == pytest.approx(1.0, abs=1e-12)
+        assert factorized
+
+    def test_output_entangled_with_the_rest(self):
+        # Bell pair: p1 alone is maximally mixed, so the rest is not pure either
+        state = PureState(RegisterLayout(("p1", "p2")), np.array([SQ2, 0.0, 0.0, SQ2]))
+        fidelity, factorized = _secret_fidelity(state, "p1", 1.0, 0.0)
+        assert fidelity == pytest.approx(0.5, abs=1e-12)
+        assert not factorized
+        rest = partial_trace(state, ["p2"]).matrix
+        assert np.real(np.trace(rest @ rest)) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestRandomSecret:

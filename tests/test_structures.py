@@ -13,6 +13,7 @@ from qsslab.structures import (
     PlayerSubset,
     StructureError,
     adversary_partition,
+    antichain_reduce,
     are_isomorphic,
     canonical_key,
     catalog_number,
@@ -187,6 +188,11 @@ class TestThresholdStructure:
     def test_rejects_disjoint_capacity(self):
         with pytest.raises(StructureError, match="admissible"):
             threshold_structure(3, 6)
+
+    def test_disjoint_capacity_message(self):
+        with pytest.raises(StructureError) as info:
+            threshold_structure(3, 6)
+        assert str(info.value) == "((3,6)) is not quantum-admissible: two disjoint 3-subsets exist"
 
     def test_rejects_bad_k(self):
         with pytest.raises(StructureError):
@@ -483,6 +489,65 @@ def test_subset_classes_match_bruteforce(g):
     classes = g.subset_classes
     assert len(classes) == 1 << g.n
     assert {bits: classes[bits] for bits in range(1, 1 << g.n)} == expected
+
+
+@st.composite
+def families(draw):
+    """Random families of nonempty subset bitmasks on 2-10 players, nested members allowed."""
+    n = draw(st.integers(2, 10))
+    return n, draw(st.lists(st.integers(1, (1 << n) - 1), max_size=8))
+
+
+@given(families(), st.randoms(use_true_random=False))
+@example((4, [0b0011, 0b1100]), None)
+@example((3, []), None)
+@example((5, [0b00011, 0b00111, 0b11111, 0b00011]), None)
+@settings(max_examples=120, deadline=None)
+def test_authorized_table_matches_bruteforce(family, rnd):
+    from qsslab.schemes import SchemeSpec, induce_structure
+
+    n, masks = family
+    minimal = sorted({m for m in masks if not any(o != m and o & m == o for o in masks)})
+    g = antichain_reduce(n, masks)
+    assert g.masks() == tuple(minimal)
+    for bits in range(1 << n):
+        expected = any(m & bits == m for m in masks)
+        assert g.authorized[bits] == expected, bits
+        assert g.contains(PlayerSubset(bits, n)) == expected, bits
+    assert is_quantum_admissible(g) == all(a & b for a, b in itertools.combinations(minimal, 2))
+    with pytest.raises(ValueError):
+        g.authorized[0] = True
+    if rnd is None:
+        return
+    # the family as a structure over n particles, handed to k players and maybe the dealer
+    k = rnd.randint(2, n)
+    holders = [f"P{i}" for i in range(1, k + 1)] + (["DEALER"] if rnd.random() < 0.5 else [])
+    assignment = {h: [] for h in holders}
+    for i, h in enumerate(holders[:k]):
+        assignment[h].append(i + 1)
+    for p in range(k + 1, n + 1):
+        assignment[rnd.choice(holders)].append(p)
+    images = np.zeros((2, 1 << n))
+    images[0, 0] = images[1, 1] = 1.0
+    scheme = SchemeSpec(n, images, assignment)
+    held = [sum(1 << (p - 1) for p in assignment[f"P{i}"]) for i in range(1, k + 1)]
+    authorized = [
+        bits for bits in range(1, 1 << k)
+        if any(m & brute_union(held, bits) == m for m in minimal)
+    ]
+    expected = sorted(
+        a for a in authorized if not any(o != a and o & a == o for o in authorized)
+    )
+    assert induce_structure(scheme, g).masks() == tuple(expected)
+
+
+def test_threshold_7_12_class_counts():
+    classes = threshold_structure(7, 12).subset_classes
+    sizes = {cls: set() for cls in ("authorized", "A1", "A2")}
+    for bits in range(1, 1 << 12):
+        sizes[classes[bits]].add(bits.bit_count())
+    assert [classes[1:].count(cls) for cls in sizes] == [1586, 1585, 924]
+    assert sizes == {"authorized": set(range(7, 13)), "A1": set(range(1, 6)), "A2": {6}}
 
 
 def test_structure_analyses_classify_once(monkeypatch):

@@ -205,14 +205,11 @@ class TestEntropyTable:
 
         state = distribute_purified(threshold34_scheme)
         table = SubsetEntropyTable(state, 4)
-        assert table.s(0b0011) == pytest.approx(
-            subsystem_entropy(state, ("p1", "p2")), abs=1e-12
-        )
-        assert table.s_with_ref(0b0011) == pytest.approx(
-            subsystem_entropy(state, ("R", "p1", "p2")), abs=1e-12
-        )
-        i_ref = table.s_ref + table.s(0b0111) - table.s_with_ref(0b0111)
-        assert i_ref == pytest.approx(2.0, abs=1e-9)
+        (s_a,), (s_ra,) = table.read([0b0011])
+        assert s_a == pytest.approx(subsystem_entropy(state, ("p1", "p2")), abs=1e-12)
+        assert s_ra == pytest.approx(subsystem_entropy(state, ("R", "p1", "p2")), abs=1e-12)
+        (s_a,), (s_ra,) = table.read([0b0111])
+        assert table.s_ref + s_a - s_ra == pytest.approx(2.0, abs=1e-9)
 
     def test_generalized_checker_accepts_identity(self, threshold34_scheme, threshold34_gamma):
         table = SubsetEntropyTable(distribute_purified(threshold34_scheme), 4)
@@ -437,7 +434,7 @@ def test_s_with_ref_is_the_entropy_of_the_other_particles(m):
             mask = sum(1 << (p - 1) for p in scheme.particles_of(subset.bits))
             regs = scheme.registers_of(subset.bits)
             others = tuple(f"p{p}" for p in range(1, m + 1) if not mask >> (p - 1) & 1)
-            assert s_ra == table.s_with_ref(mask)
+            assert s_ra == table.read([mask])[1][0]
             assert s_ra == subsystem_entropy(state, ("R",) + regs), (assignment, subset)
             if others:
                 assert s_ra == subsystem_entropy(state, others), (assignment, subset)
