@@ -458,32 +458,13 @@ def run_block_measure_protocol(scheme, block, acting_set, secret):
 # generic decoupling decoder
 
 
-def apply_block_unitary(state, regs, matrix):
-    """Apply a unitary to the joint space of the given registers.
-
-    The block is ordered by layout position, most significant first, so a
-    matrix built for (r1, r2, ...) in layout order acts as expected.
-    """
-    layout = state.layout
-    axes = layout.axes(regs)
-    dim = 1 << len(axes)
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (dim, dim):
-        raise ProtocolError(f"matrix shape {matrix.shape} does not fit a {dim}-dim block")
-    other = tuple(ax for ax in range(layout.num_qubits) if ax not in axes)
-    perm = other + axes
-    block = state.tensor().transpose(perm).reshape(-1, dim)
-    out = (block @ matrix.T).reshape((2,) * layout.num_qubits)
-    return PureState(layout, out.transpose(np.argsort(perm)).reshape(-1))
-
-
 @dataclass
 class DecoderResult:
     isometry: np.ndarray
+    targets: tuple
     fidelity: float
     output_register: str
     i_re: float
-    decoded_state: PureState
 
 
 def decoupling_decoder(state, a_regs, r_regs):
@@ -491,9 +472,17 @@ def decoupling_decoder(state, a_regs, r_regs):
 
     Works whenever the complement E of R and A is uncorrelated with R
     (I(R:E) = 0): the global state is then a purification of a product
-    rho_R x rho_E, whose relative states on A form an orthonormal family.
-    Mapping that family onto (output qubit) x (junk) is a unitary on A
-    that leaves R and the output in the purified-secret state.
+    rho_R x rho_E, whose relative states on A, one per eigenvector k of
+    rho_E and reference value i, form an orthonormal family.  The decoder
+    is the partial isometry V on their span: row j of ``isometry`` is the
+    conjugate of the j-th relative state, and it maps that state to the
+    acting-block index ``targets[j] = i * 2^(|A|-1) + k``, i.e. output qubit
+    (the first acting register) i and junk k.  V has at most
+    2 * rank(rho_E) rows, so nothing of size 2^|A| x 2^|A| is built: the
+    fidelity of (R, output) with the purified secret is read off the
+    coefficients of the state on those rows.  What remains of size
+    2^|E| is the eigendecomposition of rho_E, so the decoder reaches the
+    13-particle ceiling when E is small.
     """
     a_regs, r_regs = tuple(a_regs), tuple(r_regs)
     if len(r_regs) != 1:
@@ -546,34 +535,24 @@ def decoupling_decoder(state, a_regs, r_regs):
             targets.append(i * junk + k)
     if len(kept) > dim_a:
         raise ProtocolError("more relative states than the acting space can hold")
+    if max(targets) >= dim_a or len(set(targets)) < len(targets):
+        raise ProtocolError("relative states do not fit (output qubit) x (junk) on the acting set")
 
-    unused = [x for x in range(dim_a) if x not in set(targets)]
-    basis = list(kept)
-    for j in range(dim_a):
-        if len(basis) == dim_a:
-            break
-        vec = np.zeros(dim_a, dtype=np.complex128)
-        vec[j] = 1.0
-        for prev in basis:
-            vec = vec - (prev.conj() @ vec) * prev
-        norm = np.linalg.norm(vec)
-        if norm > 1e-6:
-            basis.append(vec / norm)
-            targets.append(unused.pop(0))
-    isometry = np.zeros((dim_a, dim_a), dtype=np.complex128)
-    for vec, tgt in zip(basis, targets):
-        isometry[tgt, :] = vec.conj()
-    if np.max(np.abs(isometry @ isometry.conj().T - np.eye(dim_a))) > 1e-8:
-        raise ProtocolError("decoder matrix failed the unitarity check")
+    isometry = np.array(kept).conj()
+    if np.max(np.abs(isometry @ isometry.conj().T - np.eye(len(kept)))) > 1e-8:
+        raise ProtocolError("decoder matrix failed the partial-isometry check")
 
-    decoded = apply_block_unitary(state, a_regs, isometry)
-    out_reg = layout.labels[a_axes[0]]
-    rho = partial_trace(decoded, (r_regs[0], out_reg)).matrix
+    # the decoded state on (R, E, output, junk), then rho(R, output) = M M^dagger
+    decoded = np.zeros_like(t)
+    decoded[:, :, targets] = t @ isometry.T
+    m = decoded.reshape(2, len(e_vals), 2, junk).transpose(0, 2, 1, 3).reshape(4, -1)
+    rho = m @ m.conj().T
     phi = np.zeros(4, dtype=np.complex128)
     phi[0b00] = np.sqrt(p[0])
     phi[0b11] = np.sqrt(p[1])
     fidelity = float(np.real(phi.conj() @ rho @ phi))
-    return DecoderResult(isometry, fidelity, out_reg, i_re, decoded)
+    out_reg = layout.labels[a_axes[0]]
+    return DecoderResult(isometry, tuple(targets), fidelity, out_reg, i_re)
 
 
 # ---------------------------------------------------------------------------

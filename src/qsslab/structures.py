@@ -130,20 +130,20 @@ class AccessStructure:
     minimal_sets: tuple
 
     def __post_init__(self):
-        sets = tuple(sorted(self.minimal_sets, key=lambda s: s.bits))
-        object.__setattr__(self, "minimal_sets", sets)
-        seen = set()
+        sets = tuple(self.minimal_sets)
         for s in sets:
             if s.n != self.n:
                 raise StructureError(f"set {s} has player count {s.n}, expected {self.n}")
             if s.bits == 0:
                 raise StructureError("minimal authorized set must be nonempty")
-            if s.bits in seen:
-                raise StructureError(f"duplicate minimal set {s}")
-            seen.add(s.bits)
-        for a, b in itertools.combinations(sets, 2):
-            if a.bits & b.bits == a.bits or a.bits & b.bits == b.bits:
-                raise StructureError(f"not an antichain: {a} and {b} are nested")
+        # pairs in the order given, so the message names the first offending pair
+        for a, b in itertools.combinations([s.bits for s in sets], 2):
+            if a & b in (a, b):
+                raise StructureError(
+                    f"not an antichain: {list(PlayerSubset(a, self.n).players())} and "
+                    f"{list(PlayerSubset(b, self.n).players())} are nested or equal"
+                )
+        object.__setattr__(self, "minimal_sets", tuple(sorted(sets, key=lambda s: s.bits)))
 
     @classmethod
     def from_sets(cls, n, sets):
@@ -472,11 +472,6 @@ def load_structure(data):
             subsets.append(PlayerSubset.from_players([_json_int(p) for p in raw], n))
         except TypeError:
             raise StructureError(f"minimal set {raw!r} holds a non-integer player") from None
-    for a, b in itertools.combinations(subsets, 2):
-        if a.bits & b.bits in (a.bits, b.bits):
-            raise StructureError(
-                f"not an antichain: {sorted(a.players())} and {sorted(b.players())} are nested or equal"
-            )
     return AccessStructure(n, tuple(subsets))
 
 

@@ -343,6 +343,19 @@ class TestReconstruct:
         doc = json.loads(capsys.readouterr().out)
         assert doc["fidelities"][0] >= 1.0 - 1e-6
 
+    @pytest.mark.parametrize("players", [12, 13])
+    def test_decoder_at_thirteen_particles(self, tmp_path, capsys, players):
+        # the decoder acts on at most 2 * rank(rho_E) vectors, never on all of 2^|A|
+        path = tmp_path / "block13.json"
+        path.write_text(json.dumps(save_scheme(build_block_scheme(13, [1, 2])[0])))
+        acting = ",".join(str(p) for p in range(1, players + 1))
+        assert main(
+            ["reconstruct", str(path), "--set", acting, "--protocol", "decoder",
+             "--format", "json"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["fidelities"][0] >= 1.0 - 1e-9
+
     def test_decoder_refuses_pair(self, threshold34_files, capsys):
         scheme, _ = threshold34_files
         assert main(

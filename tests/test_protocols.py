@@ -21,8 +21,13 @@ from qsslab.protocols import (
     simulate_protocol,
 )
 from qsslab.qstate import PureState, RegisterLayout, mutual_information, partial_trace
-from qsslab.schemes import apply_to_secret, build_block_scheme, distribute_purified
-from qsslab.structures import PlayerSubset
+from qsslab.schemes import (
+    apply_to_secret,
+    build_block_scheme,
+    build_threshold34,
+    distribute_purified,
+)
+from qsslab.structures import PlayerSubset, threshold_structure
 
 SQ2 = 2**-0.5
 TRIPLES = ((1, 3, 4), (2, 3, 4), (1, 2, 3), (1, 2, 4))
@@ -255,10 +260,21 @@ class TestDecouplingDecoder:
     def test_isometry_is_unitary(self, threshold34_scheme):
         state = distribute_purified(threshold34_scheme)
         result = decoupling_decoder(state, ("p1", "p2", "p3"), ("R",))
-        dim = result.isometry.shape[0]
+        rows = result.isometry.shape[0]
+        assert result.isometry.shape == (rows, 8)
         np.testing.assert_allclose(
-            result.isometry @ result.isometry.conj().T, np.eye(dim), atol=1e-10
+            result.isometry @ result.isometry.conj().T, np.eye(rows), atol=1e-10
         )
+        assert len(result.targets) == rows
+        assert len(set(result.targets)) == rows
+        assert all(0 <= t < 8 for t in result.targets)
+
+    def test_rejects_target_outside_acting_block(self, threshold34_scheme):
+        # a pure reference decouples from anything, but p1's two relative
+        # states for secret 1 would need indices 1 and 2 of a 2-dim block
+        state = distribute_purified(threshold34_scheme, (0.0, 1.0))
+        with pytest.raises(ProtocolError, match="do not fit"):
+            decoupling_decoder(state, ("p1",), ("R",))
 
     def test_biased_secret_purification(self, threshold34_scheme):
         state = distribute_purified(threshold34_scheme, (0.3, 0.7))
@@ -268,13 +284,11 @@ class TestDecouplingDecoder:
     def test_decoder_recovers_concrete_secrets(self, threshold34_scheme):
         # the isometry is built once from the purification, then decodes
         # any actual secret pushed through the scheme
-        from qsslab.protocols import apply_block_unitary
-
         a_regs = ("p1", "p2", "p3")
         result = decoupling_decoder(distribute_purified(threshold34_scheme), a_regs, ("R",))
         for alpha, beta in ((0.6, 0.8j), (1.0, 0.0), (SQ2, -SQ2)):
             state = apply_to_secret(threshold34_scheme, alpha, beta)
-            decoded = apply_block_unitary(state, a_regs, result.isometry)
+            decoded = apply_on_acting(state, a_regs, result.isometry, result.targets)
             rho = partial_trace(decoded, (result.output_register,)).matrix
             psi = np.array([alpha, beta])
             fidelity = float(np.real(psi.conj() @ rho @ psi))
@@ -296,6 +310,113 @@ class TestDecouplingDecoder:
             i_ra = mutual_information(state, ("R",), a_regs)
             i_re = mutual_information(state, ("R",), e_regs) if e_regs else 0.0
             assert (i_re <= 1e-9) == (abs(i_ra - i_rs) <= 1e-9)
+
+
+def apply_on_acting(state, a_regs, matrix, targets):
+    """Apply matrix (rows = targets in the acting block) to the acting registers.
+
+    Row j maps onto index targets[j] of the acting block, ordered by layout
+    position, most significant first; indices no row maps onto get amplitude 0.
+    """
+    a_axes = state.layout.axes(a_regs)
+    k = len(a_axes)
+    coeffs = np.tensordot(
+        state.tensor(), matrix.reshape((-1,) + (2,) * k), axes=(a_axes, tuple(range(1, k + 1)))
+    )
+    block = np.zeros(coeffs.shape[:-1] + (1 << k,), dtype=np.complex128)
+    block[..., list(targets)] = coeffs
+    block = block.reshape(coeffs.shape[:-1] + (2,) * k)
+    n = state.num_qubits
+    return PureState(state.layout, np.moveaxis(block, range(n - k, n), a_axes).reshape(-1))
+
+
+def dense_decoder_reference(state, a_regs):
+    """The decoder as a full 2^|A| x 2^|A| unitary: (fidelity, rho(R, output)).
+
+    The relative states of A are orthonormalized as in decoupling_decoder,
+    then completed to a basis of the acting space by Gram-Schmidt over the
+    standard basis, the leftover vectors taking the unused indices in order.
+    """
+    layout = state.layout
+    a_axes = layout.axes(a_regs)
+    r_axis = layout.axis("R")
+    e_axes = tuple(ax for ax in range(layout.num_qubits) if ax not in a_axes and ax != r_axis)
+    p = np.real(np.diag(partial_trace(state, ("R",)).matrix))
+    if e_axes:
+        rho_e = partial_trace(state, [layout.labels[ax] for ax in e_axes]).matrix
+        e_vals, e_vecs = np.linalg.eigh(rho_e)
+        e_vals, e_vecs = e_vals[::-1], e_vecs[:, ::-1]
+    else:
+        e_vals, e_vecs = np.array([1.0]), np.array([[1.0 + 0.0j]])
+    dim_a = 1 << len(a_axes)
+    t = state.tensor().transpose((r_axis,) + e_axes + a_axes).reshape(2, len(e_vals), dim_a)
+    basis, targets = [], []
+    for i in (0, 1):
+        for k in range(len(e_vals)):
+            weight = p[i] * max(float(e_vals[k]), 0.0)
+            if weight > 1e-12:
+                basis.append(e_vecs[:, k].conj() @ t[i] / np.sqrt(weight))
+                targets.append(i * dim_a // 2 + k)
+    for j in range(dim_a):
+        basis.append(np.eye(dim_a, dtype=np.complex128)[j])
+    kept, unused = [], [x for x in range(dim_a) if x not in targets]
+    for n, vec in enumerate(basis):
+        for prev in kept:
+            vec = vec - (prev.conj() @ vec) * prev
+        norm = np.linalg.norm(vec)
+        if n < len(targets):
+            assert norm > 0.5
+        elif norm <= 1e-6 or len(kept) == dim_a:
+            continue
+        kept.append(vec / norm)
+    targets += unused
+    unitary = np.zeros((dim_a, dim_a), dtype=np.complex128)
+    for vec, tgt in zip(kept, targets):
+        unitary[tgt] = vec.conj()
+    np.testing.assert_allclose(unitary @ unitary.conj().T, np.eye(dim_a), atol=1e-8)
+    decoded = apply_on_acting(state, a_regs, unitary, range(dim_a))
+    rho = partial_trace(decoded, ("R", layout.labels[a_axes[0]])).matrix
+    phi = np.array([np.sqrt(p[0]), 0.0, 0.0, np.sqrt(p[1])])
+    return float(np.real(phi.conj() @ rho @ phi)), rho
+
+
+def _authorized_cases():
+    cases = [(build_threshold34(), threshold_structure(3, 4), "all")]
+    for m in range(3, 7):
+        # b and its complement give the same scheme, so b leaves out player m
+        cases += [
+            (*build_block_scheme(m, PlayerSubset(b, m)), "all") for b in range(1, 1 << (m - 1))
+        ]
+    for m in (7, 8):
+        cases += [(*build_block_scheme(m, range(1, k + 1)), "minimal") for k in range(1, m)]
+    for scheme, gamma, which in cases:
+        if which == "all":
+            masks = np.flatnonzero(gamma.authorized).tolist()
+        else:
+            masks = gamma.masks()
+        for bits in masks:
+            yield pytest.param(scheme, bits, id=f"{scheme.name}-{which}-{bits:b}")
+
+
+class TestDecoderAgainstDenseReference:
+    @pytest.mark.parametrize(("scheme", "bits"), _authorized_cases())
+    def test_authorized_set(self, scheme, bits):
+        self.check(distribute_purified(scheme), scheme.registers_of(bits))
+
+    def test_biased_purification(self, threshold34_scheme):
+        state = distribute_purified(threshold34_scheme, (0.3, 0.7))
+        for a_regs in (("p1", "p2", "p3"), ("p2", "p3", "p4"), ("p1", "p2", "p3", "p4")):
+            self.check(state, a_regs)
+
+    @staticmethod
+    def check(state, a_regs):
+        result = decoupling_decoder(state, a_regs, ("R",))
+        fidelity, rho = dense_decoder_reference(state, a_regs)
+        assert result.fidelity == pytest.approx(fidelity, abs=1e-12)
+        decoded = apply_on_acting(state, a_regs, result.isometry, result.targets)
+        np.testing.assert_allclose(
+            partial_trace(decoded, ("R", result.output_register)).matrix, rho, rtol=0, atol=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------

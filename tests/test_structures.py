@@ -80,6 +80,10 @@ class TestAccessStructure:
         with pytest.raises(StructureError, match="antichain"):
             gamma(4, [[1, 2], [1, 2, 3]])
 
+    def test_rejects_equal_sets(self):
+        with pytest.raises(StructureError, match=r"\[1, 2\] and \[1, 2\] are nested or equal"):
+            gamma(3, [[1, 2], [2, 3], [1, 2]])
+
     def test_rejects_empty_member(self):
         with pytest.raises(StructureError, match="nonempty"):
             AccessStructure(3, (PlayerSubset(0, 3),))
@@ -589,6 +593,10 @@ class TestStructureJson:
     def test_rejects_nested_sets_naming_pair(self):
         with pytest.raises(StructureError, match=r"\[1, 2\].*\[1, 2, 3\]"):
             load_structure({"players": 3, "minimal_authorized": [[1, 2], [1, 2, 3]]})
+
+    def test_names_first_nested_pair_in_given_order(self):
+        with pytest.raises(StructureError, match=r"^not an antichain: \[1, 3\] and \[1, 2, 3\]"):
+            load_structure({"players": 3, "minimal_authorized": [[1, 3], [2, 3], [1, 2, 3], [1]]})
 
     def test_rejects_out_of_range(self):
         with pytest.raises(StructureError, match="out of range"):
