@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 input error, 3 structural mismatch,
 """
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -248,41 +249,37 @@ def cmd_reconstruct(args):
         raise CliError(f"--trials must be at least 1, got {args.trials}", EXIT_INPUT)
     if args.seed < 0:
         raise CliError(f"--seed must be non-negative, got {args.seed}", EXIT_INPUT)
-    rng = np.random.default_rng(args.seed)
-    fidelities = []
-    if args.protocol == "circuit":
-        for _ in range(args.trials):
-            outcome = protocols.run_threshold34_circuit(
-                protocols.random_secret(rng), acting, scheme=scheme
-            )
-            fidelities.append(outcome.fidelity)
-            trace = outcome.trace
-    elif args.protocol == "measure":
+    if args.protocol == "measure":
         if not args.block:
             raise CliError("--block is required for the measure protocol", EXIT_INPUT)
         block = _parse_players(args.block)
-        for _ in range(args.trials):
-            outcome = protocols.run_block_measure_protocol(
-                scheme, block, acting, protocols.random_secret(rng)
-            )
-            fidelities.append(outcome.fidelity)
-            trace = outcome.trace
-    else:
+    if args.protocol == "decoder":
         state = schemes.distribute_purified(scheme)
         bits = structures.PlayerSubset.from_players(acting, scheme.num_players).bits
         result = protocols.decoupling_decoder(state, scheme.registers_of(bits), ("R",))
-        fidelities.append(result.fidelity)
         trace = {
             "protocol": "decoder",
             "acting": acting,
             "output_register": result.output_register,
             "i_re": result.i_re,
         }
-    doc = {"fidelities": fidelities, "trace": trace}
-    if args.protocol in ("circuit", "measure"):
-        doc["branch_probabilities"] = outcome.branch_probabilities
-        doc["branch_fidelities"] = outcome.branch_fidelities
-        doc["deviations"] = outcome.deviations
+        doc = {"fidelities": [result.fidelity], "trace": trace}
+    else:
+        rng = np.random.default_rng(args.seed)
+        # drawn as the protocol reads them, after it has checked its inputs
+        secrets = (protocols.random_secret(rng) for _ in range(args.trials))
+        if args.protocol == "circuit":
+            outcome = protocols.run_threshold34_circuit(secrets, acting, scheme=scheme)
+        else:
+            outcome = protocols.run_block_measure_protocol(scheme, block, acting, secrets)
+        doc = {
+            "fidelities": outcome.fidelities,
+            "trace": outcome.trace,
+            "branch_probabilities": outcome.branch_probabilities,
+            "branch_fidelities": outcome.branch_fidelities,
+            "deviations": outcome.deviations,
+        }
+    fidelities = doc["fidelities"]
     if args.format == "json":
         out = _dump(doc)
     else:
@@ -411,9 +408,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -5,29 +5,40 @@ applies U_i to the target for control value i, a control pair applies
 U_k with k = 2 - (i XOR j); the tables are fixed to U0 = U2 = identity
 and U1 = bit flip, so both cases reduce to conditional flips.
 
-Measurements are projective in the computational basis and both branches
-are enumerated exactly with their probabilities; nothing is sampled.
-Protocol steps may only touch particles owned by the acting players.
+A conditional flip whose controls are disjoint from its targets permutes
+the basis indices, so compile_protocol turns a protocol, once per call,
+into one gather index per measurement branch.  simulate_protocol runs a
+stacked (T, 2^n) block of amplitude vectors, one row per secret, through
+those gathers; the protocols feed it their batch of secrets in chunks of
+at most qstate.CUT_BATCH_ELEMENTS amplitudes, and nothing is stepped per
+secret.  Measurements are projective in the computational basis and both
+branches are enumerated exactly with their probabilities; nothing is
+sampled.  Protocol steps may only touch particles owned by the acting
+players.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import PureState, RegisterLayout, mutual_information, partial_trace
+from . import qstate
+from .qstate import PureState, RegisterLayout, check_norms, mutual_information, partial_trace
 from .schemes import (
     apply_to_secret,
     build_block_scheme,
     build_threshold34,
     distribute_purified,
     identity_assignment,
+    particle_labels,
 )
 from .structures import PlayerSubset
 
 DECOUPLING_TOL = 1e-9
-#: Largest block scheme the measure protocol simulates: each trial steps the
-#: full state, both measurement branches, through every gate of the protocol.
-MAX_MEASURE_PARTICLES = 7
+#: Largest block scheme the measure protocol simulates: the build_block_scheme
+#: bound.  A batch holds at most qstate.CUT_BATCH_ELEMENTS amplitudes at a
+#: time, so 13 particles run 4 secrets per chunk.
+MAX_MEASURE_PARTICLES = 13
 
 
 class ProtocolError(ValueError):
@@ -113,70 +124,65 @@ class ReconstructionProtocol:
     steps: tuple
 
 
-def _conditional_flip(state, target, condition):
-    """Flip the target bit on indices where the condition holds.
+def _bit_vector(layout, register):
+    shift = layout.num_qubits - 1 - layout.axis(register)
+    return (np.arange(layout.dim) >> shift) & 1
 
-    The condition must not depend on the target bit; all gates here keep
-    controls and targets disjoint, which makes every step an involution.
+
+def _gate_gather(layout, step):
+    """Gather index of a gate: the gated amplitudes are amplitudes[..., index].
+
+    The gate flips its targets where its condition holds; the condition
+    reads only the controls, which the flip leaves alone, so the index is
+    an involution.
     """
-    layout = state.layout
-    n = layout.num_qubits
-    tbit = 1 << (n - 1 - layout.axis(target))
-    idx = np.arange(layout.dim)
-    src = np.where(condition, idx ^ tbit, idx)
-    return PureState(layout, state.amplitudes[src])
-
-
-def _bit_vector(state, register):
-    n = state.num_qubits
-    shift = n - 1 - state.layout.axis(register)
-    return (np.arange(state.layout.dim) >> shift) & 1
-
-
-def apply_gate_step(state, step):
     if step.kind == "pauli_x":
-        return _conditional_flip(state, step.targets[0], np.True_)
-    if step.kind in ("cnot", "single_controlled"):
-        cond = _bit_vector(state, step.controls[0]) == 1
-        for target in step.targets:
-            state = _conditional_flip(state, target, cond)
-        return state
-    # double control: U_{2 - i XOR j}, which flips exactly when the bits differ
-    cond = _bit_vector(state, step.controls[0]) != _bit_vector(state, step.controls[1])
-    return _conditional_flip(state, step.targets[0], cond)
+        cond = np.True_
+    elif step.kind in ("cnot", "single_controlled"):
+        cond = _bit_vector(layout, step.controls[0]) == 1
+    else:  # double control: U_{2 - i XOR j}, which flips exactly when the bits differ
+        cond = _bit_vector(layout, step.controls[0]) != _bit_vector(layout, step.controls[1])
+    n = layout.num_qubits
+    flip = sum(1 << (n - 1 - layout.axis(t)) for t in step.targets)
+    idx = np.arange(layout.dim)
+    return np.where(cond, idx ^ flip, idx)
 
 
-def measure_z(state, register):
-    """Both projective branches as (outcome, probability, collapsed-state) triples.
+def _then(gather, step_gather):
+    """Gather of step_gather applied after gather (None: no gate yet)."""
+    return step_gather if gather is None else gather[step_gather]
 
-    A zero-probability branch is reported with state None rather than
-    dropped, so vacuous outcomes stay visible in traces.
+
+@dataclass(frozen=True)
+class _Path:
+    """One measurement branch of a compiled protocol.
+
+    Per measurement: the gather of the gates before it and the mask and
+    indices of its outcome; then the gather of the gates after the last one.
     """
-    bits = _bit_vector(state, register)
-    probs = [float(np.sum(np.abs(state.amplitudes[bits == b]) ** 2)) for b in (0, 1)]
-    branches = []
-    for b in (0, 1):
-        if probs[b] <= 1e-300:
-            branches.append((b, 0.0, None))
-            continue
-        amps = np.where(bits == b, state.amplitudes, 0.0) / np.sqrt(probs[b])
-        branches.append((b, probs[b], PureState(state.layout, amps)))
-    return branches
 
-
-@dataclass
-class Branch:
     outcomes: dict
-    probability: float
-    state: PureState | None
+    measurements: tuple  # ((gather or None, outcome mask, outcome indices), ...)
+    gather: np.ndarray | None
 
 
-def simulate_protocol(protocol, state, register_owner):
-    """Run the steps over all measurement branches.
+@dataclass(frozen=True)
+class CompiledProtocol:
+    """A protocol checked against its register owners and reduced to gathers."""
+
+    layout: RegisterLayout
+    paths: tuple
+    log: list
+
+
+def compile_protocol(protocol, layout, register_owner):
+    """Ownership checks, step log and one gather index per measurement branch.
 
     register_owner maps each particle register to its holder; every gate
     and measurement register must belong to an acting player, never the
-    dealer or an outsider.
+    dealer or an outsider.  Every measurement splits every branch, so a
+    branch that a secret cannot reach stays in the plan and is reported
+    as vacuous for that secret.
     """
     acting = {f"P{p}" for p in protocol.acting_players.players()}
 
@@ -188,39 +194,80 @@ def simulate_protocol(protocol, state, register_owner):
                     f"register {reg} belongs to {owner}, outside the acting set {sorted(acting)}"
                 )
 
-    branches = [Branch({}, 1.0, state)]
+    paths = [({}, (), None)]
     log = []
     for step in protocol.steps:
         if isinstance(step, GateStep):
             check_ownership(step.registers)
-            for br in branches:
-                if br.state is not None:
-                    br.state = apply_gate_step(br.state, step)
+            gather = _gate_gather(layout, step)
+            paths = [(outcomes, meas, _then(g, gather)) for outcomes, meas, g in paths]
             log.append({"step": step.kind, "controls": step.controls, "targets": step.targets})
         elif isinstance(step, MeasureStep):
             check_ownership((step.register,))
-            new_branches = []
-            for br in branches:
-                if br.state is None:
-                    new_branches.append(br)
-                    continue
-                for outcome, prob, collapsed in measure_z(br.state, step.register):
-                    outcomes = dict(br.outcomes)
-                    outcomes[step.register] = outcome
-                    new_branches.append(Branch(outcomes, br.probability * prob, collapsed))
-            branches = new_branches
+            bits = _bit_vector(layout, step.register)
+            split = []
+            for outcomes, meas, g in paths:
+                for b in (0, 1):
+                    mask = bits == b
+                    split.append(({**outcomes, step.register: b},
+                                  meas + ((g, mask, np.flatnonzero(mask)),), None))
+            paths = split
             log.append({"step": "measure_z", "register": step.register})
         elif isinstance(step, CorrectionStep):
             check_ownership(step.registers)
-            for br in branches:
-                if br.state is None:
-                    continue
-                for gate in step.on_outcome.get(br.outcomes.get(step.register), ()):
-                    br.state = apply_gate_step(br.state, gate)
+            corrected = []
+            for outcomes, meas, g in paths:
+                for gate in step.on_outcome.get(outcomes.get(step.register), ()):
+                    g = _then(g, _gate_gather(layout, gate))
+                corrected.append((outcomes, meas, g))
+            paths = corrected
             log.append({"step": "correction", "register": step.register})
         else:
             raise ProtocolError(f"unknown step {step!r}")
-    return branches, log
+    return CompiledProtocol(layout, tuple(_Path(*p) for p in paths), log)
+
+
+@dataclass
+class Branch:
+    """One measurement branch over a batch; entry t belongs to row t of the input.
+
+    A branch is vacuous for a row when one of its outcomes has probability
+    at most 1e-300 there: its probability is 0 and its amplitudes are
+    meaningless for that row.
+    """
+
+    outcomes: dict
+    probabilities: np.ndarray
+    amplitudes: np.ndarray
+    vacuous: np.ndarray
+
+
+def simulate_protocol(compiled, amplitudes):
+    """Run a (T, 2^n) block of normalized amplitude vectors over all branches.
+
+    Gathers are taken with np.take, which keeps rows contiguous, so each
+    row's outcome probability is summed in the same order as for a single
+    vector.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    branches = []
+    for path in compiled.paths:
+        amps = amplitudes
+        prob = np.ones(len(amps))
+        vacuous = np.zeros(len(amps), dtype=bool)
+        for gather, mask, indices in path.measurements:
+            if gather is not None:
+                amps = np.take(amps, gather, axis=1)
+            p = np.sum(np.abs(np.take(amps, indices, axis=1)) ** 2, axis=1)
+            zero = p <= 1e-300
+            amps = np.where(mask, amps, 0.0) / np.sqrt(np.where(zero, 1.0, p))[:, None]
+            check_norms(np.linalg.norm(amps, axis=1)[~zero])
+            prob = prob * np.where(zero, 0.0, p)
+            vacuous |= zero
+        if path.gather is not None:
+            amps = np.take(amps, path.gather, axis=1)
+        branches.append(Branch(path.outcomes, prob, amps, vacuous))
+    return branches
 
 
 # ---------------------------------------------------------------------------
@@ -229,30 +276,129 @@ def simulate_protocol(protocol, state, register_owner):
 
 @dataclass
 class ProtocolOutcome:
+    """Result of a protocol over a batch of secrets.
+
+    fidelities has one entry per secret and fidelity is their minimum;
+    residual_factorized holds for the whole batch.  The branch fields, the
+    deviations and the trace describe the last secret.
+    """
+
     output_register: str
     fidelity: float
+    fidelities: list
     residual_factorized: bool
     branch_probabilities: dict
     branch_fidelities: dict
     deviations: list = field(default_factory=list)
     trace: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        total = sum(self.branch_probabilities.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ProtocolError(f"branch probabilities sum to {total}, not 1")
 
+def _secret_rows(secrets):
+    """The first secret, checked, and an iterator over the others.
 
-def _secret_fidelity(state, register, alpha, beta):
-    """Fidelity of the register with the secret, and whether the rest factorizes off it.
-
-    The state is pure, so the other registers have the same purity as the
-    register's 2 x 2 reduced state: the rest is pure exactly when that is.
+    secrets is one (alpha, beta) pair or an iterable of them, read lazily:
+    the first is checked before the protocol's own checks and the others
+    as they are simulated, the order in which a loop over the secrets
+    would meet them.
     """
-    rho = partial_trace(state, [register]).matrix
-    psi = np.array([alpha, beta], dtype=np.complex128)
-    purity = float(np.real(np.trace(rho @ rho)))
-    return float(np.real(psi.conj() @ rho @ psi)), purity >= 1.0 - 1e-9
+    rows = iter([secrets] if np.ndim(secrets) == 1 else secrets)
+    first = next(rows, None)
+    if first is None:
+        raise ProtocolError("no secrets given")
+    _secret_chunk([first])
+    return first, rows
+
+
+def _secret_chunk(rows):
+    """(T, 2) complex array of (alpha, beta) rows, each normalized within 1e-9."""
+    chunk = np.asarray(rows, dtype=np.complex128)
+    if chunk.ndim != 2 or chunk.shape[1] != 2:
+        raise ProtocolError("a secret is one (alpha, beta) pair of amplitudes")
+    if np.any(np.abs(np.abs(chunk[:, 0]) ** 2 + np.abs(chunk[:, 1]) ** 2 - 1.0) > 1e-9):
+        raise ProtocolError("secret amplitudes are not normalized")
+    return chunk
+
+
+def _chunks(first, rest, size):
+    """Checked chunks of at most size secrets: first, then the rest in order."""
+    rows = [first]
+    while rows:
+        rows += itertools.islice(rest, size - len(rows))
+        yield _secret_chunk(rows)
+        rows = list(itertools.islice(rest, size))
+
+
+def _secret_fidelities(amplitudes, layout, register, secrets):
+    """Fidelity of the register with each row's secret, and whether the rest factorizes off it.
+
+    Each row is a pure state, so the other registers have the same purity
+    as the register's 2 x 2 reduced state: the rest is pure exactly when
+    that is.  rho and psi^dagger rho psi are stacked matmuls in the order
+    of the single-state computation, which keeps them bit-equal to it.
+    """
+    n = layout.num_qubits
+    ax = layout.axis(register)
+    order = (0, ax + 1) + tuple(a + 1 for a in range(n) if a != ax)
+    t = amplitudes.reshape((-1,) + (2,) * n).transpose(order).reshape(len(amplitudes), 2, -1)
+    rho = t @ t.conj().transpose(0, 2, 1)
+    purity = np.real(np.trace(rho @ rho, axis1=1, axis2=2))
+    fidelity = np.real((secrets.conj()[:, None, :] @ rho) @ secrets[:, :, None])[:, 0, 0]
+    return fidelity, purity >= 1.0 - 1e-9
+
+
+@dataclass
+class _BatchRun:
+    """Per branch (rows) and secret (columns): probability, fidelity, vacuous flag."""
+
+    outcomes: list
+    probabilities: np.ndarray
+    fidelities: np.ndarray
+    vacuous: np.ndarray
+    factorized: bool
+    last_secret: np.ndarray
+    last_states: list  # the last secret's state per branch, None where vacuous
+
+
+def _run_batch(compiled, images, first, rest, out_reg):
+    """Push the secrets through the compiled protocol, one bounded chunk at a time.
+
+    A chunk holds at most qstate.CUT_BATCH_ELEMENTS amplitudes.  Per
+    secret: the state norm of the encoded secret, the branch probabilities
+    (checked to sum to 1 within 1e-9), and each branch's fidelity and
+    purity flag.
+    """
+    layout = compiled.layout
+    size = max(1, qstate.CUT_BATCH_ELEMENTS // layout.dim)
+    probabilities, fidelities, vacuous = [], [], []
+    factorized = True
+    for chunk in _chunks(first, rest, size):
+        amps = chunk[:, 0:1] * images[0] + chunk[:, 1:2] * images[1]
+        check_norms(np.linalg.norm(amps, axis=1))
+        branches = simulate_protocol(compiled, amps)
+        probs = np.array([br.probabilities for br in branches])
+        totals = probs.sum(axis=0)
+        bad = np.flatnonzero(np.abs(totals - 1.0) > 1e-9)
+        if bad.size:
+            raise ProtocolError(f"branch probabilities sum to {totals[bad[0]]}, not 1")
+        fids = []
+        for br in branches:
+            fid, pure = _secret_fidelities(br.amplitudes, layout, out_reg, chunk)
+            fids.append(fid)
+            factorized = factorized and bool(np.all(pure | br.vacuous))
+        probabilities.append(probs)
+        fidelities.append(np.array(fids))
+        vacuous.append(np.array([br.vacuous for br in branches]))
+    last_states = [None if br.vacuous[-1] else PureState(layout, br.amplitudes[-1])
+                   for br in branches]
+    return _BatchRun(
+        [br.outcomes for br in branches],
+        np.concatenate(probabilities, axis=1),
+        np.concatenate(fidelities, axis=1),
+        np.concatenate(vacuous, axis=1),
+        factorized,
+        chunk[-1],
+        last_states,
+    )
 
 
 def _residual_ket(state, output_register, alpha, beta):
@@ -305,17 +451,17 @@ _DOCUMENTED_RESIDUAL_NOTE = (
 )
 
 
-def run_threshold34_circuit(secret, acting_set, scheme=None):
+def run_threshold34_circuit(secrets, acting_set, scheme=None):
     """Controlled-flip reconstruction circuit for an authorized triple.
 
     Stage one: the designated controller conditions flips on both other
     acting particles.  Stage two: those two particles jointly control a
     parity flip back onto the controller.  The secret ends on the output
-    particle with fidelity 1 and the residual factorizes.
+    particle with fidelity 1 and the residual factorizes.  secrets is one
+    (alpha, beta) pair or a batch of them; the circuit is one gather,
+    applied to all of them at once.
     """
-    alpha, beta = complex(secret[0]), complex(secret[1])
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise ProtocolError("secret amplitudes are not normalized")
+    first_secret, rest = _secret_rows(secrets)
     if scheme is None:
         scheme = build_threshold34()
     reference = build_threshold34()
@@ -337,12 +483,11 @@ def run_threshold34_circuit(secret, acting_set, scheme=None):
     )
     protocol = ReconstructionProtocol(acting, steps)
     owner = {f"p{i}": f"P{i}" for i in range(1, 5)}
-    state = apply_to_secret(scheme, alpha, beta)
-    branches, log = simulate_protocol(protocol, state, owner)
-    final = branches[0].state
+    compiled = compile_protocol(protocol, RegisterLayout(particle_labels(4)), owner)
     out_reg = f"p{output}"
-    fidelity, factorized = _secret_fidelity(final, out_reg, alpha, beta)
-    residual = _residual_ket(final, out_reg, alpha, beta)
+    run = _run_batch(compiled, scheme.basis_images, first_secret, rest, out_reg)
+    fidelities = run.fidelities[0].tolist()
+    residual = _residual_ket(run.last_states[0], out_reg, *run.last_secret)
 
     deviations = []
     if key == frozenset({1, 3, 4}):
@@ -350,15 +495,16 @@ def run_threshold34_circuit(secret, acting_set, scheme=None):
     trace = {
         "protocol": "circuit",
         "acting": list(acting.players()),
-        "steps": log,
+        "steps": compiled.log,
         "residual": _ket_doc(residual),
     }
     return ProtocolOutcome(
         output_register=out_reg,
-        fidelity=fidelity,
-        residual_factorized=factorized,
+        fidelity=min(fidelities),
+        fidelities=fidelities,
+        residual_factorized=run.factorized,
         branch_probabilities={"": 1.0},
-        branch_fidelities={"": fidelity},
+        branch_fidelities={"": fidelities[-1]},
         deviations=deviations,
         trace=trace,
     )
@@ -368,14 +514,16 @@ def run_threshold34_circuit(secret, acting_set, scheme=None):
 # measure-and-correct reconstruction for block schemes
 
 
-def run_block_measure_protocol(scheme, block, acting_set, secret):
+def run_block_measure_protocol(scheme, block, acting_set, secrets):
     """Measurement protocol for acting sets of the form block + one outsider.
 
     The outsider measures their particle and announces the bit; on outcome
     1 every block particle is flipped; a flip chain from the first block
     particle then disentangles the rest, leaving the secret there.  Sets
     of the form co-block + one insider are authorized too but have no
-    wiring here and are routed to the decoupling decoder.
+    wiring here and are routed to the decoupling decoder.  secrets is one
+    (alpha, beta) pair or a batch of them; each secret's fidelity is that
+    of its worst reachable branch, capped at 1.
     """
     n = scheme.num_particles
     if not 3 <= n <= MAX_MEASURE_PARTICLES:
@@ -389,9 +537,7 @@ def run_block_measure_protocol(scheme, block, acting_set, secret):
         raise ProtocolError("scheme images do not match the block construction for this block")
     if scheme.assignment != identity_assignment(n):
         raise ProtocolError("measure protocol assumes each player holds his own particle")
-    alpha, beta = complex(secret[0]), complex(secret[1])
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise ProtocolError("secret amplitudes are not normalized")
+    first_secret, rest = _secret_rows(secrets)
 
     acting = _normalize_acting(acting_set, n)
     outsiders = acting.bits & ~block.bits
@@ -420,36 +566,34 @@ def run_block_measure_protocol(scheme, block, acting_set, secret):
     ) + chain
     protocol = ReconstructionProtocol(acting, steps)
     owner = {f"p{i}": f"P{i}" for i in range(1, n + 1)}
-    state = apply_to_secret(scheme, alpha, beta)
-    branches, log = simulate_protocol(protocol, state, owner)
-
+    compiled = compile_protocol(protocol, RegisterLayout(particle_labels(n)), owner)
     out_reg = f"p{first}"
-    probabilities, fidelities = {}, {}
-    worst_fidelity, factorized = 1.0, True
-    for br in branches:
-        key = str(br.outcomes[f"p{measurer}"])
-        probabilities[key] = br.probability
-        if br.state is None:
-            continue
-        f, branch_factorized = _secret_fidelity(br.state, out_reg, alpha, beta)
-        fidelities[key] = f
-        worst_fidelity = min(worst_fidelity, f)
-        factorized = factorized and branch_factorized
+    run = _run_batch(compiled, scheme.basis_images, first_secret, rest, out_reg)
+    # fmin folds like min(worst, f) from worst = 1: a NaN fidelity leaves it alone
+    worst = np.fmin.reduce(np.where(run.vacuous, 1.0, run.fidelities), axis=0, initial=1.0)
+    fidelities = worst.tolist()
+
+    keys = [str(outcomes[f"p{measurer}"]) for outcomes in run.outcomes]
+    probabilities = {key: float(p) for key, p in zip(keys, run.probabilities[:, -1])}
+    branch_fidelities = {
+        key: float(f)
+        for key, f, vacuous in zip(keys, run.fidelities[:, -1], run.vacuous[:, -1])
+        if not vacuous
+    }
     trace = {
         "protocol": "measure",
         "acting": list(acting.players()),
         "measurer": measurer,
-        "steps": log,
-        "branches": {
-            str(br.outcomes[f"p{measurer}"]): _ket_doc(br.state) for br in branches
-        },
+        "steps": compiled.log,
+        "branches": {key: _ket_doc(state) for key, state in zip(keys, run.last_states)},
     }
     return ProtocolOutcome(
         output_register=out_reg,
-        fidelity=worst_fidelity,
-        residual_factorized=factorized,
+        fidelity=min(fidelities),
+        fidelities=fidelities,
+        residual_factorized=run.factorized,
         branch_probabilities=probabilities,
-        branch_fidelities=fidelities,
+        branch_fidelities=branch_fidelities,
         trace=trace,
     )
 
@@ -575,16 +719,19 @@ def attack_threshold34_pair12(secret):
     secret amplitudes, so the pair learns nothing it can isolate.
     """
     alpha, beta = complex(secret[0]), complex(secret[1])
-    scheme = build_threshold34()
-    state = apply_to_secret(scheme, alpha, beta)
-    state = apply_gate_step(state, GateStep("cnot", ("p1",), ("p2",)))
-    branches = measure_z(state, "p2")
-    probs = {str(b): p for b, p, _ in branches}
-    outcome0 = branches[0][2]
+    state = apply_to_secret(build_threshold34(), alpha, beta)
+    protocol = ReconstructionProtocol(
+        PlayerSubset.from_players([1, 2], 4),
+        (GateStep("cnot", ("p1",), ("p2",)), MeasureStep("p2")),
+    )
+    owner = {f"p{i}": f"P{i}" for i in range(1, 5)}
+    compiled = compile_protocol(protocol, state.layout, owner)
+    branches = simulate_protocol(compiled, state.amplitudes[None])
+    probs = {str(br.outcomes["p2"]): float(br.probabilities[0]) for br in branches}
     residual = None
-    if outcome0 is not None:
+    if not branches[0].vacuous[0]:
         # p2 collapsed to |0>: slice it out to expose the (p1,p3,p4) factor
-        t = outcome0.tensor()
+        t = branches[0].amplitudes[0].reshape((2,) * 4)
         residual = PureState(RegisterLayout(("p1", "p3", "p4")), t[:, 0, :, :].reshape(-1))
     notes = []
     if probs["1"] <= 1e-12:

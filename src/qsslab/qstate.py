@@ -78,6 +78,15 @@ class RegisterLayout:
         return tuple(sorted(self.axis(lbl) for lbl in labels))
 
 
+def check_norms(norms):
+    """Raise on the first state norm that deviates from 1 beyond NORM_TOL."""
+    norms = np.asarray(norms, dtype=np.float64)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+    if bad.size:
+        norm = float(norms[bad[0]])
+        raise QStateError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+
+
 class PureState:
     """Normalized amplitude vector over a register layout."""
 
@@ -89,9 +98,7 @@ class PureState:
             raise QStateError(
                 f"amplitude vector has shape {amplitudes.shape}, expected ({layout.dim},)"
             )
-        norm = float(np.linalg.norm(amplitudes))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise QStateError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+        check_norms([float(np.linalg.norm(amplitudes))])
         self.layout = layout
         self.amplitudes = amplitudes.copy()
         self.amplitudes.flags.writeable = False
@@ -267,15 +274,44 @@ def _dense_ranks(values):
     return ranks, step[:, -1] + 1
 
 
-def _cut_group_entropies(indices, amps, masks, rows, cols, log2_dims):
+def _packed_bits(masks, k):
+    """pext(x, mask) of every k-bit x, one row per mask, and each mask's popcount."""
+    x = np.arange(1 << k)
+    table = np.zeros((len(masks), 1 << k), dtype=np.int64)
+    packed = np.zeros(len(masks), dtype=np.int64)  # mask bits below the current bit
+    for bit in range(k):
+        selected = (masks >> bit) & 1
+        table |= (((x >> bit) & 1)[None, :] * selected[:, None]) << packed[:, None]
+        packed += selected
+    return table, packed
+
+
+def _subset_ranks(indices, masks, n):
+    """_dense_ranks of indices & mask for each mask, over n-bit indices.
+
+    When the indices are all 2^n of them, the distinct values of x & mask
+    are the submasks of mask, so the rank of x & mask is pext(x, mask), its
+    masked bits packed in order, and a row has 2^popcount(mask) values: no
+    sort.  pext is read off two half-width tables, x = hi * 2^low + lo.
+    """
+    if len(indices) != 1 << n:
+        return _dense_ranks(indices & masks[:, None])
+    low = n // 2
+    hi, hi_bits = _packed_bits(masks >> low, n - low)
+    lo, lo_bits = _packed_bits(masks & ((1 << low) - 1), low)
+    ranks = (hi << lo_bits[:, None])[:, :, None] | lo[:, None, :]
+    return ranks.reshape(len(masks), 1 << n), np.int64(1) << (hi_bits + lo_bits)
+
+
+def _cut_group_entropies(indices, amps, masks, n, rows, cols, log2_dims):
     """Entropies of cuts whose coefficient matrices fit (rows, cols), in one eigvalsh call.
 
     Each cut's M is scattered with the smaller side of the cut as its rows,
     zero-padded to (rows, cols); the spectrum of M M^dagger is the nonzero
     spectrum of the reduced state.
     """
-    kept, n_kept = _dense_ranks(indices & masks[:, None])
-    traced, n_traced = _dense_ranks(indices & ~masks[:, None])
+    kept, n_kept = _subset_ranks(indices, masks, n)
+    traced, n_traced = _subset_ranks(indices, ((1 << n) - 1) ^ masks, n)
     flip = (n_kept > n_traced)[:, None]
     m = np.zeros((len(masks), rows, cols), dtype=np.complex128)
     m[np.arange(len(masks))[:, None], np.where(flip, traced, kept),
@@ -320,7 +356,7 @@ def cut_entropies(state, keep_masks):
         for start in range(0, len(group), batch):
             cuts = group[start : start + batch]
             out[cuts] = _cut_group_entropies(
-                indices, amps, masks[cuts], rows, cols, counts[cuts].astype(np.float64)
+                indices, amps, masks[cuts], n, rows, cols, counts[cuts].astype(np.float64)
             )
     return out
 

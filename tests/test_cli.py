@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qsslab import cli
 from qsslab.cli import main
 from qsslab.schemes import (
     SchemeSpec,
@@ -323,16 +324,27 @@ class TestReconstruct:
         assert min(doc["fidelities"]) >= 1.0 - 1e-9
 
     def test_measure_protocol_keeps_its_size_limit(self, tmp_path, capsys):
-        # block(8) builds and verifies, but the measure simulation stops at 7 particles
-        path = tmp_path / "block8.json"
-        path.write_text(json.dumps(save_scheme(build_block_scheme(8, [1])[0])))
+        # 14 particles loads, but the measure simulation stops at the 13 of build_block_scheme
+        path = write_over_budget_scheme(tmp_path)
         assert main(
-            ["reconstruct", str(path), "--set", "1,2", "--protocol", "measure", "--block", "1"]
+            ["reconstruct", path, "--set", "1,2", "--protocol", "measure", "--block", "1"]
         ) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "3 <= n <= 13 particles, got 14" in lines[0]
+
+    def test_measure_protocol_at_thirteen_particles(self, tmp_path, capsys):
+        path = tmp_path / "block13.json"
+        path.write_text(json.dumps(save_scheme(build_block_scheme(13, [3, 4, 9])[0])))
+        assert main(
+            ["reconstruct", str(path), "--set", "3,4,9,12", "--protocol", "measure",
+             "--block", "3,4,9", "--trials", "64", "--format", "json"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["fidelities"]) == 64
+        assert min(doc["fidelities"]) >= 1.0 - 1e-9
 
     def test_decoder(self, threshold34_files, capsys):
         scheme, _ = threshold34_files
@@ -555,6 +567,25 @@ _VALID_PAIRS = [(build_threshold34(), threshold_structure(3, 4))] + [
     build_block_scheme(m, [1, 2][: m - 2]) for m in (3, 4, 5, 6)
 ]
 _VALID_STRUCTURES = [structure_to_dict(entry.structure) for entry in HYPERSTAR_CATALOG]
+
+
+def test_parser_is_built_once_and_stays_reusable(threshold34_files, capsys):
+    scheme, _ = threshold34_files
+    usage_error = ["reconstruct", scheme, "--protocol", "nope", "--set", "1,3,4"]
+    valid = ["reconstruct", scheme, "--set", "1,3,4", "--trials", "2"]
+    runs = []
+    for argv in (usage_error, valid, usage_error, valid):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[2] and runs[1] == runs[3]
+    assert runs[0][0] == 2 and runs[0][1] == "" and runs[1][0] == 0
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(usage_error)
+    assert capsys.readouterr().err == runs[0][2]
+    assert cli._parser() is cli._parser()
 
 
 @st.composite

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+import reference_protocols as ref
 
+from qsslab import qstate
 from qsslab.protocols import (
+    MAX_MEASURE_PARTICLES,
     DecouplingError,
     GateStep,
     MeasureStep,
@@ -9,12 +14,11 @@ from qsslab.protocols import (
     ReconstructionProtocol,
     UnauthorizedSetError,
     UnsupportedActingSetError,
-    _secret_fidelity,
-    apply_gate_step,
+    _secret_fidelities,
     attack_threshold34_pair12,
     attack_threshold34_pair23,
+    compile_protocol,
     decoupling_decoder,
-    measure_z,
     random_secret,
     run_block_measure_protocol,
     run_threshold34_circuit,
@@ -22,10 +26,12 @@ from qsslab.protocols import (
 )
 from qsslab.qstate import PureState, RegisterLayout, mutual_information, partial_trace
 from qsslab.schemes import (
+    SchemeSpec,
     apply_to_secret,
     build_block_scheme,
     build_threshold34,
     distribute_purified,
+    identity_assignment,
 )
 from qsslab.structures import PlayerSubset, threshold_structure
 
@@ -36,6 +42,19 @@ TRIPLES = ((1, 3, 4), (2, 3, 4), (1, 2, 3), (1, 2, 4))
 def seeded_secrets(count, seed=42):
     rng = np.random.default_rng(seed)
     return [random_secret(rng) for _ in range(count)]
+
+
+def run_steps(state, *steps):
+    """Branches of the steps on one state whose registers all belong to player 1."""
+    protocol = ReconstructionProtocol(PlayerSubset.from_players([1], 2), steps)
+    owner = {label: "P1" for label in state.layout.labels}
+    return simulate_protocol(compile_protocol(protocol, state.layout, owner),
+                             state.amplitudes[None])
+
+
+def apply_gates(state, *steps):
+    (branch,) = run_steps(state, *steps)
+    return PureState(state.layout, branch.amplitudes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -53,17 +72,17 @@ class TestGateSteps:
 
     def test_cnot_action(self):
         state = PureState(RegisterLayout(("a", "b")), [0, 0, 1, 0])  # |10>
-        out = apply_gate_step(state, GateStep("cnot", ("a",), ("b",)))
+        out = apply_gates(state, GateStep("cnot", ("a",), ("b",)))
         np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
 
     def test_double_control_flips_on_differing_bits(self):
         # |011>: controls a=0, b=1 differ, so the target c flips
         state = PureState(RegisterLayout(("a", "b", "c")), [0, 0, 0, 1, 0, 0, 0, 0])
-        out = apply_gate_step(state, GateStep("double_controlled", ("a", "b"), ("c",)))
+        out = apply_gates(state, GateStep("double_controlled", ("a", "b"), ("c",)))
         np.testing.assert_allclose(out.amplitudes, [0, 0, 1, 0, 0, 0, 0, 0], atol=1e-15)
         # |110>: controls equal, nothing happens
         state = PureState(RegisterLayout(("a", "b", "c")), [0, 0, 0, 0, 0, 0, 1, 0])
-        out = apply_gate_step(state, GateStep("double_controlled", ("a", "b"), ("c",)))
+        out = apply_gates(state, GateStep("double_controlled", ("a", "b"), ("c",)))
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_every_step_is_an_involution(self):
@@ -77,43 +96,84 @@ class TestGateSteps:
             GateStep("double_controlled", ("a", "d"), ("c",)),
         ]
         for step in steps:
-            twice = apply_gate_step(apply_gate_step(state, step), step)
-            np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
+            twice = apply_gates(state, step, step)
+            np.testing.assert_array_equal(twice.amplitudes, state.amplitudes)
+
+    def test_gates_match_the_per_state_reference(self):
+        rng = np.random.default_rng(29)
+        raw = rng.normal(size=16) + 1j * rng.normal(size=16)
+        state = PureState(RegisterLayout(("a", "b", "c", "d")), raw / np.linalg.norm(raw))
+        steps = [
+            GateStep("pauli_x", (), ("b",)),
+            GateStep("cnot", ("a",), ("c",)),
+            GateStep("single_controlled", ("d",), ("a", "b")),
+            GateStep("double_controlled", ("a", "d"), ("c",)),
+        ]
+        expected = state
+        for step in steps:
+            expected = ref.apply_gate_step(expected, step)
+        np.testing.assert_array_equal(apply_gates(state, *steps).amplitudes, expected.amplitudes)
 
     def test_gates_leave_other_marginals_alone(self):
         scheme, _ = build_block_scheme(5, [1, 2])
         state = apply_to_secret(scheme, 0.6, 0.8)
         before = partial_trace(state, ("p4", "p5")).matrix
-        stepped = apply_gate_step(state, GateStep("cnot", ("p1",), ("p2",)))
-        stepped = apply_gate_step(stepped, GateStep("pauli_x", (), ("p3",)))
+        stepped = apply_gates(
+            state, GateStep("cnot", ("p1",), ("p2",)), GateStep("pauli_x", (), ("p3",))
+        )
         after = partial_trace(stepped, ("p4", "p5")).matrix
         np.testing.assert_allclose(before, after, atol=1e-12)
 
 
-class TestMeasureZ:
+class TestMeasureStep:
     def test_branches_of_plus_state(self):
         state = PureState(RegisterLayout(("a",)), [SQ2, SQ2])
-        branches = measure_z(state, "a")
-        assert [b for b, _, _ in branches] == [0, 1]
-        assert [p for _, p, _ in branches] == pytest.approx([0.5, 0.5], abs=1e-12)
+        branches = run_steps(state, MeasureStep("a"))
+        assert [br.outcomes["a"] for br in branches] == [0, 1]
+        assert [br.probabilities[0] for br in branches] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_zero_probability_branch_reported(self):
         state = PureState(RegisterLayout(("a",)), [1.0, 0.0])
-        branches = measure_z(state, "a")
-        assert branches[1][1] == 0.0 and branches[1][2] is None
+        branches = run_steps(state, MeasureStep("a"))
+        assert branches[1].probabilities[0] == 0.0 and branches[1].vacuous[0]
+        assert not branches[0].vacuous[0]
 
     def test_collapse_of_distributed_block_state(self):
         # measuring p3 on the five-share block state collapses the shares
         # to (a|00>+b|11>)|000> or (a|11>+b|00>)|111>
         scheme, _ = build_block_scheme(5, [1, 2])
         state = apply_to_secret(scheme, 0.6, 0.8)
-        branches = measure_z(state, "p3")
-        kets0 = {b: a for b, a in branches[0][2].ket_terms()}
+        branches = run_steps(state, MeasureStep("p3"))
+        kets0 = dict(PureState(state.layout, branches[0].amplitudes[0]).ket_terms())
         assert kets0["00000"] == pytest.approx(0.6, abs=1e-12)
         assert kets0["11000"] == pytest.approx(0.8, abs=1e-12)
-        kets1 = {b: a for b, a in branches[1][2].ket_terms()}
+        kets1 = dict(PureState(state.layout, branches[1].amplitudes[0]).ket_terms())
         assert kets1["11111"] == pytest.approx(0.6, abs=1e-12)
         assert kets1["00111"] == pytest.approx(0.8, abs=1e-12)
+
+    def test_zero_probability_rows_are_masked_without_warnings(self):
+        # row 0 never yields a = 1, row 1 does half the time
+        layout = RegisterLayout(("a", "b"))
+        block = np.array([[SQ2, SQ2, 0, 0], [0.5, 0.5, 0.5, 0.5]], dtype=np.complex128)
+        steps = (MeasureStep("a"), GateStep("cnot", ("a",), ("b",)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            protocol = ReconstructionProtocol(PlayerSubset.from_players([1], 2), steps)
+            compiled = compile_protocol(protocol, layout, {"a": "P1", "b": "P1"})
+            branches = simulate_protocol(compiled, block)
+            fid, pure = _secret_fidelities(
+                branches[1].amplitudes, layout, "b", np.array([[1, 0], [1, 0]], dtype=complex)
+            )
+        assert branches[1].vacuous.tolist() == [True, False]
+        assert branches[1].probabilities.tolist() == [0.0, 0.5]
+        assert branches[0].probabilities.tolist() == pytest.approx([1.0, 0.5], abs=1e-15)
+        for row, state in enumerate(PureState(layout, amps) for amps in block):
+            branch_states = ref.simulate_protocol(protocol, state, {"a": "P1", "b": "P1"})[0]
+            for br, ref_br in zip(branches, branch_states):
+                assert br.probabilities[row] == ref_br.probability
+                if ref_br.state is not None:
+                    np.testing.assert_array_equal(br.amplitudes[row], ref_br.state.amplitudes)
+        assert fid[1] == pytest.approx(0.5, abs=1e-12) and pure[1]  # b is left in |+>
 
 
 class TestProtocolLocality:
@@ -126,7 +186,7 @@ class TestProtocolLocality:
         )
         owner = {f"p{i}": f"P{i}" for i in range(1, 6)}
         with pytest.raises(ProtocolError, match="outside the acting set"):
-            simulate_protocol(protocol, state, owner)
+            compile_protocol(protocol, state.layout, owner)
 
     def test_dealer_register_rejected(self):
         scheme, _ = build_block_scheme(5, [1, 2])
@@ -138,7 +198,7 @@ class TestProtocolLocality:
         owner = {f"p{i}": f"P{i}" for i in range(1, 5)}
         owner["p5"] = "DEALER"
         with pytest.raises(ProtocolError, match="outside the acting set"):
-            simulate_protocol(protocol, state, owner)
+            compile_protocol(protocol, state.layout, owner)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +286,150 @@ class TestBlockMeasureProtocol:
         out = run_block_measure_protocol(scheme, [1], [1, 3], (0.6, 0.8))
         assert out.fidelity >= 1.0 - 1e-9
         assert out.output_register == "p1"
+
+
+# ---------------------------------------------------------------------------
+# batched protocols against the per-secret reference (tests/reference_protocols.py)
+
+LAST_SECRET_FIELDS = (
+    "output_register", "branch_probabilities", "branch_fidelities", "deviations", "trace"
+)
+
+
+def assert_matches_reference(out, expected):
+    """A batch outcome against the reference outcomes of its secrets, bit for bit."""
+    assert out.fidelities == [e.fidelity for e in expected]
+    assert out.fidelity == min(e.fidelity for e in expected)
+    assert out.residual_factorized == all(e.residual_factorized for e in expected)
+    for name in LAST_SECRET_FIELDS:
+        assert getattr(out, name) == getattr(expected[-1], name), name
+
+
+def block_cases(n):
+    """Every block of n players, with one outsider each, as (scheme, block, acting)."""
+    for bits in range(1, (1 << n) - 1):
+        block = list(PlayerSubset(bits, n).players())
+        outsiders = [p for p in range(1, n + 1) if p not in block]
+        acting = sorted(block + [outsiders[bits % len(outsiders)]])
+        yield build_block_scheme(n, block)[0], block, acting
+
+
+def assert_same_error(call, reference_call):
+    with pytest.raises(ProtocolError) as got:
+        call()
+    with pytest.raises(ProtocolError) as want:
+        reference_call()
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+class TestBatchedAgainstReference:
+    @pytest.mark.parametrize("acting", TRIPLES)
+    def test_circuit_triple(self, acting):
+        secrets = seeded_secrets(256, seed=sum(acting))
+        out = run_threshold34_circuit(secrets, acting)
+        assert_matches_reference(out, [ref.threshold34_circuit(s, acting) for s in secrets])
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_measure_every_block(self, n):
+        for scheme, block, acting in block_cases(n):
+            secrets = seeded_secrets(8, seed=len(block) * n + acting[-1])
+            out = run_block_measure_protocol(scheme, block, acting, secrets)
+            expected = [ref.block_measure_protocol(scheme, block, acting, s) for s in secrets]
+            assert_matches_reference(out, expected)
+
+    def test_measure_at_thirteen_particles(self):
+        scheme, _ = build_block_scheme(13, [2, 5, 11])
+        secrets = seeded_secrets(6, seed=13)  # 4 secrets per chunk at 2^13 amplitudes
+        out = run_block_measure_protocol(scheme, [2, 5, 11], [2, 5, 7, 11], secrets)
+        expected = [ref.block_measure_protocol(scheme, [2, 5, 11], [2, 5, 7, 11], s)
+                    for s in secrets]
+        assert_matches_reference(out, expected)
+        assert out.fidelity >= 1.0 - 1e-9
+
+    def test_single_secret_is_a_batch_of_one(self):
+        scheme, _ = build_block_scheme(5, [1, 2])
+        for secret in seeded_secrets(3, seed=11):
+            assert run_threshold34_circuit(secret, (1, 3, 4)) == run_threshold34_circuit(
+                [secret], (1, 3, 4))
+            assert_matches_reference(run_threshold34_circuit(secret, (1, 3, 4)),
+                                     [ref.threshold34_circuit(secret, (1, 3, 4))])
+            single = run_block_measure_protocol(scheme, [1, 2], [1, 2, 4], secret)
+            assert single == run_block_measure_protocol(scheme, [1, 2], [1, 2, 4], [secret])
+            assert_matches_reference(
+                single, [ref.block_measure_protocol(scheme, [1, 2], [1, 2, 4], secret)])
+
+    def test_secrets_are_read_after_the_checks(self):
+        drawn = []
+
+        def secrets():
+            for secret in seeded_secrets(5):
+                drawn.append(secret)
+                yield secret
+
+        scheme, _ = build_block_scheme(5, [1, 2])
+        with pytest.raises(UnauthorizedSetError):
+            run_threshold34_circuit(secrets(), (1, 2))
+        with pytest.raises(UnauthorizedSetError):
+            run_block_measure_protocol(scheme, [1, 2], [3, 4, 5], secrets())
+        assert len(drawn) == 2  # the first secret of each call, checked before the set
+        out = run_block_measure_protocol(scheme, [1, 2], [1, 2, 5], secrets())
+        assert len(drawn) == 7
+        assert out == run_block_measure_protocol(scheme, [1, 2], [1, 2, 5], drawn[2:])
+        with pytest.raises(ProtocolError, match="no secrets"):
+            run_threshold34_circuit(iter(()), (1, 3, 4))
+
+    @pytest.mark.parametrize("budget_rows", (1, 3, 7))
+    def test_chunks_that_do_not_divide_the_batch(self, monkeypatch, budget_rows):
+        secrets = seeded_secrets(10, seed=budget_rows)
+        scheme, _ = build_block_scheme(5, [2, 4])
+        whole_circuit = run_threshold34_circuit(secrets, (1, 2, 4))
+        whole_measure = run_block_measure_protocol(scheme, [2, 4], [1, 2, 4], secrets)
+        monkeypatch.setattr(qstate, "CUT_BATCH_ELEMENTS", budget_rows * 16)
+        assert run_threshold34_circuit(secrets, (1, 2, 4)) == whole_circuit
+        monkeypatch.setattr(qstate, "CUT_BATCH_ELEMENTS", budget_rows * 32)
+        chunked = run_block_measure_protocol(scheme, [2, 4], [1, 2, 4], secrets)
+        assert chunked == whole_measure
+        assert_matches_reference(
+            chunked, [ref.block_measure_protocol(scheme, [2, 4], [1, 2, 4], s) for s in secrets])
+
+    def test_circuit_errors_match(self):
+        block_scheme, _ = build_block_scheme(4, [1])
+        cases = [
+            ((1.0, 0.0), (1, 2), None),
+            ((1.0, 1.0), (1, 3, 4), None),
+            ((1.0, 0.0), (1, 3, 4), block_scheme),
+            ((1.0, 1.0), (1, 2), block_scheme),
+        ]
+        for secret, acting, scheme in cases:
+            assert_same_error(lambda: run_threshold34_circuit(secret, acting, scheme=scheme),
+                              lambda: ref.threshold34_circuit(secret, acting, scheme=scheme))
+        with pytest.raises(ProtocolError, match="not normalized"):
+            run_threshold34_circuit([(1.0, 0.0), (0.6, 0.8), (0.6, 0.6)], (1, 3, 4))
+
+    def test_measure_errors_match(self):
+        scheme, _ = build_block_scheme(5, [1, 2])
+        cases = [
+            ([1, 2], [3, 4, 5], (1.0, 0.0)),  # unauthorized
+            ([1, 2], [1, 3, 4, 5], (1.0, 0.0)),  # co-block plus one insider
+            ([1, 2], [1, 2, 3, 4], (1.0, 0.0)),  # authorized, no wiring
+            ([1, 2], [1, 2, 3], (1.0, 1.0)),  # unnormalized
+            ([1, 3], [1, 2, 3], (1.0, 0.0)),  # scheme of another block
+            ([1, 3], [3, 4, 5], (1.0, 1.0)),
+        ]
+        for block, acting, secret in cases:
+            assert_same_error(
+                lambda: run_block_measure_protocol(scheme, block, acting, secret),
+                lambda: ref.block_measure_protocol(scheme, block, acting, secret),
+            )
+
+    def test_measure_size_limit_is_the_block_scheme_bound(self):
+        assert MAX_MEASURE_PARTICLES == 13
+        images = np.zeros((2, 1 << 14))
+        images[0, 0] = images[1, 1] = 1.0
+        scheme = SchemeSpec(14, images, identity_assignment(14))
+        with pytest.raises(ProtocolError, match=r"3 <= n <= 13 particles, got 14"):
+            run_block_measure_protocol(scheme, [1], [1, 2], (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +667,27 @@ class TestPairAttacks:
         assert report.mixed_secret_mutual_info == pytest.approx(1.0, abs=1e-9)
 
 
+def secret_fidelity(state, register, alpha, beta):
+    fid, pure = _secret_fidelities(
+        state.amplitudes[None], state.layout, register, np.array([[alpha, beta]], dtype=complex)
+    )
+    return float(fid[0]), bool(pure[0])
+
+
 class TestOutputRegister:
     def test_factorized_output(self):
         alpha, beta = 0.6, 0.8j
         amps = np.kron([alpha, beta], [SQ2, 0.0, 0.0, SQ2])
         state = PureState(RegisterLayout(("p1", "p2", "p3")), amps)
-        fidelity, factorized = _secret_fidelity(state, "p1", alpha, beta)
+        fidelity, factorized = secret_fidelity(state, "p1", alpha, beta)
         assert fidelity == pytest.approx(1.0, abs=1e-12)
         assert factorized
+        assert (fidelity, factorized) == ref.secret_fidelity(state, "p1", alpha, beta)
 
     def test_output_entangled_with_the_rest(self):
         # Bell pair: p1 alone is maximally mixed, so the rest is not pure either
         state = PureState(RegisterLayout(("p1", "p2")), np.array([SQ2, 0.0, 0.0, SQ2]))
-        fidelity, factorized = _secret_fidelity(state, "p1", 1.0, 0.0)
+        fidelity, factorized = secret_fidelity(state, "p1", 1.0, 0.0)
         assert fidelity == pytest.approx(0.5, abs=1e-12)
         assert not factorized
         rest = partial_trace(state, ["p2"]).matrix

@@ -16,6 +16,7 @@ from qsslab.qstate import (
     subsystem_entropy,
     von_neumann_entropy,
 )
+from qsslab.qstate import _dense_ranks, _subset_ranks
 
 SQ2 = 2**-0.5
 
@@ -405,6 +406,39 @@ class TestCutEntropies:
         chunked = cut_entropies(state, masks[::-1])[::-1]
         assert np.array_equal(chunked, whole)
         assert np.array_equal(np.signbit(chunked), np.signbit(whole))
+
+    @staticmethod
+    def assert_ranks_match_argsort(state):
+        indices, _ = state.support
+        n = state.num_qubits
+        masks = np.arange(1 << n)
+        for side in (masks, ((1 << n) - 1) ^ masks):
+            ranks, counts = _subset_ranks(indices, side, n)
+            want_ranks, want_counts = _dense_ranks(indices & side[:, None])
+            np.testing.assert_array_equal(ranks, want_ranks)
+            np.testing.assert_array_equal(counts, want_counts)
+
+    def test_dense_ranks_skip_the_sort_and_match_it(self):
+        rng = np.random.default_rng(17)
+        for m in range(1, 10):  # R plus m particles: up to 10 qubits
+            state = random_isometry_state(rng, m)
+            assert len(state.support[0]) == 1 << state.num_qubits
+            self.assert_ranks_match_argsort(state)
+
+    def test_sparse_ranks_keep_the_sort(self):
+        from qsslab.schemes import build_block_scheme, distribute_purified
+
+        sparse = distribute_purified(build_block_scheme(7, [2, 5])[0])
+        amps = random_isometry_state(np.random.default_rng(4), 5).amplitudes.copy()
+        amps[9] = 0.0  # one zero amplitude: the support is no longer every index
+        almost_dense = PureState(RegisterLayout(tuple("abcdef")), amps / np.linalg.norm(amps))
+        for state in (sparse, almost_dense):
+            assert len(state.support[0]) < 1 << state.num_qubits
+            self.assert_ranks_match_argsort(state)
+        labels = almost_dense.layout.labels
+        for regs in proper_cuts(labels):
+            dense = von_neumann_entropy(partial_trace(almost_dense, regs))
+            assert abs(subsystem_entropy(almost_dense, regs) - dense) <= 1e-12
 
     def test_matches_subsystem_entropy_per_cut(self):
         state = random_isometry_state(np.random.default_rng(8), 5)
