@@ -314,7 +314,7 @@ def _secret_chunk(rows):
     chunk = np.asarray(rows, dtype=np.complex128)
     if chunk.ndim != 2 or chunk.shape[1] != 2:
         raise ProtocolError("a secret is one (alpha, beta) pair of amplitudes")
-    if np.any(np.abs(np.abs(chunk[:, 0]) ** 2 + np.abs(chunk[:, 1]) ** 2 - 1.0) > 1e-9):
+    if not np.all(np.abs(np.abs(chunk[:, 0]) ** 2 + np.abs(chunk[:, 1]) ** 2 - 1.0) <= 1e-9):
         raise ProtocolError("secret amplitudes are not normalized")
     return chunk
 
@@ -415,14 +415,6 @@ def _residual_ket(state, output_register, alpha, beta):
     return PureState(RegisterLayout(rest_labels), vec / norm)
 
 
-def _normalize_acting(acting_set, n):
-    if isinstance(acting_set, PlayerSubset):
-        if acting_set.n != n:
-            raise ProtocolError(f"acting set is over {acting_set.n} players, expected {n}")
-        return acting_set
-    return PlayerSubset.from_players(acting_set, n)
-
-
 def _ket_doc(state):
     """JSON-ready ket expansion of a state."""
     if state is None:
@@ -471,7 +463,7 @@ def run_threshold34_circuit(secrets, acting_set, scheme=None):
         raise ProtocolError("circuit wiring is specific to the four-share threshold scheme")
     if scheme.assignment != identity_assignment(4):
         raise ProtocolError("circuit wiring assumes each player holds his own particle")
-    acting = _normalize_acting(acting_set, 4)
+    acting = PlayerSubset.coerce(acting_set, 4)
     key = frozenset(acting.players())
     if key not in _CIRCUIT_ROLES:
         raise UnauthorizedSetError(f"{acting} is not an authorized triple")
@@ -531,7 +523,7 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
             f"the measure protocol is simulated for 3 <= n <= {MAX_MEASURE_PARTICLES} particles, "
             f"got {n}"
         )
-    block = _normalize_acting(block, n)
+    block = PlayerSubset.coerce(block, n)
     reference, gamma = build_block_scheme(n, block)
     if not np.allclose(scheme.basis_images, reference.basis_images, atol=1e-12):
         raise ProtocolError("scheme images do not match the block construction for this block")
@@ -539,7 +531,7 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
         raise ProtocolError("measure protocol assumes each player holds his own particle")
     first_secret, rest = _secret_rows(secrets)
 
-    acting = _normalize_acting(acting_set, n)
+    acting = PlayerSubset.coerce(acting_set, n)
     outsiders = acting.bits & ~block.bits
     if acting.bits | block.bits == acting.bits and outsiders.bit_count() == 1:
         measurer = outsiders.bit_length()

@@ -81,7 +81,7 @@ class RegisterLayout:
 def check_norms(norms):
     """Raise on the first state norm that deviates from 1 beyond NORM_TOL."""
     norms = np.asarray(norms, dtype=np.float64)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # NaN fails too
     if bad.size:
         norm = float(norms[bad[0]])
         raise QStateError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")

@@ -131,7 +131,7 @@ def identity_assignment(n):
 
 def apply_to_secret(scheme, alpha, beta):
     """State over the particle registers for a known pure secret a|0>+b|1>."""
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9:  # NaN fails too
         raise SchemeError("secret amplitudes are not normalized")
     amps = alpha * scheme.basis_images[0] + beta * scheme.basis_images[1]
     return PureState(RegisterLayout(particle_labels(scheme.num_particles)), amps)
@@ -149,7 +149,7 @@ def distribute_purified(scheme, probabilities=(0.5, 0.5)):
 
 def block_structure(n, block):
     """Authorized sets: the block plus one outsider, or the co-block plus one insider."""
-    block = _as_subset(block, n)
+    block = PlayerSubset.coerce(block, n)
     masks = []
     comp = block.complement().bits
     for pos in _bit_positions(comp):
@@ -157,14 +157,6 @@ def block_structure(n, block):
     for pos in _bit_positions(block.bits):
         masks.append(comp | (1 << pos))
     return antichain_reduce(n, masks)
-
-
-def _as_subset(block, n):
-    if isinstance(block, PlayerSubset):
-        if block.n != n:
-            raise SchemeError(f"block is over {block.n} players, expected {n}")
-        return block
-    return PlayerSubset.from_players(block, n)
 
 
 def _pattern_index(block, n):
@@ -184,7 +176,7 @@ def build_block_scheme(n, block):
     """
     if not 3 <= n <= MAX_QUBITS - 1:
         raise SchemeError(f"block schemes are built for 3 <= n <= {MAX_QUBITS - 1}, got {n}")
-    block = _as_subset(block, n)
+    block = PlayerSubset.coerce(block, n)
     if block.bits == 0 or block.bits == (1 << n) - 1:
         raise SchemeError("block must be a nonempty proper subset of the players")
     dim = 1 << n

@@ -105,6 +105,15 @@ class PlayerSubset:
             bits |= 1 << (p - 1)
         return cls(bits, n)
 
+    @classmethod
+    def coerce(cls, players, n):
+        """A subset of n players, given as a PlayerSubset over n players or as 1-based players."""
+        if isinstance(players, PlayerSubset):
+            if players.n != n:
+                raise StructureError(f"subset {players} is over {players.n} players, expected {n}")
+            return players
+        return cls.from_players(players, n)
+
     def players(self):
         """1-based player indices, ascending."""
         return tuple(p + 1 for p in _bit_positions(self.bits))
@@ -289,65 +298,63 @@ def threshold_structure(k, n):
     return AccessStructure(n, tuple(sets))
 
 
-def _remap_mask(mask, image):
-    """Apply a 0-based position map to a bitmask."""
-    out = 0
-    for p in _bit_positions(mask):
-        out |= 1 << image[p]
-    return out
+@functools.cache
+def _relabelings(n):
+    """Every player relabeling as rows of 0-based images, and the bit each player lands on.
+
+    Row r of the read-only (n!, n) tables holds relabeling r in
+    itertools.permutations order: image[p] is the new position of position
+    p, and shift[p] is 1 << image[p].
+    """
+    images = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    shifts = np.left_shift(1, images)
+    images.flags.writeable = shifts.flags.writeable = False
+    return images, shifts
+
+
+def _canonical_form(n, masks):
+    """Least sorted mask tuple over all n! player relabelings, and a relabeling reaching it.
+
+    Every mask is remapped under every relabeling at once: one int64
+    matmul of the bit-shift table against the masks' bit matrix, a sort
+    within each row and a lexsort over the rows.  The relabeling is the
+    0-based image tuple of the first relabeling (in permutations order)
+    that gives the least tuple.
+    """
+    if n > MAX_ISO_PLAYERS:
+        raise StructureError(f"isomorphism search capped at n={MAX_ISO_PLAYERS}, got n={n}")
+    if not masks:
+        return (), tuple(range(n))
+    images, shifts = _relabelings(n)
+    bits = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    remapped = shifts @ bits.T
+    remapped.sort(axis=1)
+    best = np.lexsort(remapped.T[::-1])[0]
+    return tuple(remapped[best].tolist()), tuple(images[best].tolist())
 
 
 def are_isomorphic(g1, g2):
-    """Search for a player permutation mapping g1's minimal sets onto g2's.
+    """A player permutation mapping g1's minimal sets onto g2's, or None.
 
-    Returns the permutation as a tuple (image of P1, image of P2, ...) with
-    1-based entries, or None.  Brute force over all n! permutations, so n
-    is capped at 8.
+    The permutation is a tuple (image of P1, image of P2, ...) with 1-based
+    entries: g1's relabeling to the canonical form followed by the inverse
+    of g2's.  n is capped at MAX_ISO_PLAYERS.
     """
     if g1.n != g2.n:
         raise StructureError(f"player-count mismatch: {g1.n} vs {g2.n}")
-    n = g1.n
-    if n > MAX_ISO_PLAYERS:
-        raise StructureError(f"isomorphism search capped at n={MAX_ISO_PLAYERS}")
-    m1, m2 = g1.masks(), g2.masks()
-    if len(m1) != len(m2):
+    key1, image1 = _canonical_form(g1.n, g1.masks())
+    key2, image2 = _canonical_form(g2.n, g2.masks())
+    if key1 != key2:
         return None
-    if sorted(m.bit_count() for m in m1) != sorted(m.bit_count() for m in m2):
-        return None
-    target = tuple(sorted(m2))
-    for image in itertools.permutations(range(n)):
-        if tuple(sorted(_remap_mask(m, image) for m in m1)) == target:
-            return tuple(image[p] + 1 for p in range(n))
-    return None
+    return tuple(image2.index(t) + 1 for t in image1)
 
 
 def canonical_key(gamma):
-    """Lexicographically least sorted bitmask tuple over all player permutations.
+    """Lexicographically least sorted bitmask tuple over all player relabelings.
 
-    Only permutations that send some smallest minimal set onto {P1..Ps}
-    can realize the least first element, so the search is restricted to
-    those; the result equals the full n! minimum.
+    n is capped at MAX_ISO_PLAYERS.
     """
-    masks = gamma.masks()
-    if not masks:
-        return ()
-    n = gamma.n
-    smin = min(m.bit_count() for m in masks)
-    best = None
-    for edge in (m for m in masks if m.bit_count() == smin):
-        inside = _bit_positions(edge)
-        outside = [p for p in range(n) if not (edge >> p) & 1]
-        for head in itertools.permutations(range(smin)):
-            for tail in itertools.permutations(range(smin, n)):
-                image = [0] * n
-                for pos, t in zip(inside, head):
-                    image[pos] = t
-                for pos, t in zip(outside, tail):
-                    image[pos] = t
-                key = tuple(sorted(_remap_mask(m, image) for m in masks))
-                if best is None or key < best:
-                    best = key
-    return best
+    return _canonical_form(gamma.n, gamma.masks())[0]
 
 
 def _pinned_hyperstar_antichains(n):
@@ -388,13 +395,8 @@ def enumerate_hyperstars(max_n):
         raise StructureError(f"enumeration supported for 2 <= max_n <= {MAX_ENUM_PLAYERS}")
     out = []
     for n in range(2, max_n + 1):
-        classes = {}
-        for masks in _pinned_hyperstar_antichains(n):
-            gamma = AccessStructure.from_masks(n, masks)
-            key = canonical_key(gamma)
-            if key not in classes:
-                classes[key] = AccessStructure.from_masks(n, key)
-        out.extend((n, classes[key]) for key in sorted(classes))
+        keys = {_canonical_form(n, masks)[0] for masks in _pinned_hyperstar_antichains(n)}
+        out.extend((n, AccessStructure.from_masks(n, key)) for key in sorted(keys))
     return out
 
 

@@ -22,7 +22,6 @@ from qsslab.protocols import (
     UnauthorizedSetError,
     UnsupportedActingSetError,
     _ket_doc,
-    _normalize_acting,
     _residual_ket,
 )
 from qsslab.qstate import PureState, partial_trace
@@ -32,6 +31,7 @@ from qsslab.schemes import (
     build_threshold34,
     identity_assignment,
 )
+from qsslab.structures import PlayerSubset
 
 
 def _conditional_flip(state, target, condition):
@@ -154,7 +154,7 @@ def threshold34_circuit(secret, acting_set, scheme=None):
         raise ProtocolError("circuit wiring is specific to the four-share threshold scheme")
     if scheme.assignment != identity_assignment(4):
         raise ProtocolError("circuit wiring assumes each player holds his own particle")
-    acting = _normalize_acting(acting_set, 4)
+    acting = PlayerSubset.coerce(acting_set, 4)
     key = frozenset(acting.players())
     if key not in _CIRCUIT_ROLES:
         raise UnauthorizedSetError(f"{acting} is not an authorized triple")
@@ -190,7 +190,7 @@ def threshold34_circuit(secret, acting_set, scheme=None):
 
 def block_measure_protocol(scheme, block, acting_set, secret):
     n = scheme.num_particles
-    block = _normalize_acting(block, n)
+    block = PlayerSubset.coerce(block, n)
     reference, gamma = build_block_scheme(n, block)
     if not np.allclose(scheme.basis_images, reference.basis_images, atol=1e-12):
         raise ProtocolError("scheme images do not match the block construction for this block")
@@ -199,7 +199,7 @@ def block_measure_protocol(scheme, block, acting_set, secret):
     alpha, beta = complex(secret[0]), complex(secret[1])
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise ProtocolError("secret amplitudes are not normalized")
-    acting = _normalize_acting(acting_set, n)
+    acting = PlayerSubset.coerce(acting_set, n)
     outsiders = acting.bits & ~block.bits
     if acting.bits | block.bits == acting.bits and outsiders.bit_count() == 1:
         measurer = outsiders.bit_length()

@@ -234,6 +234,13 @@ class TestThreshold34Circuit:
         with pytest.raises(ProtocolError, match="normalized"):
             run_threshold34_circuit((1.0, 1.0), (1, 3, 4))
 
+    def test_nan_secret_rejected(self):
+        with pytest.raises(ProtocolError, match="normalized"):
+            run_threshold34_circuit((float("nan"), 0.0), (1, 3, 4))
+        scheme, _ = build_block_scheme(5, [1, 2])
+        with pytest.raises(ProtocolError, match="normalized"):
+            run_block_measure_protocol(scheme, [1, 2], [1, 2, 3], (float("nan"), 0.0))
+
     def test_wrong_scheme_rejected(self):
         scheme, _ = build_block_scheme(4, [1])
         with pytest.raises(ProtocolError, match="four-share"):

@@ -91,6 +91,10 @@ class TestPureState:
         with pytest.raises(QStateError, match="norm"):
             PureState(RegisterLayout(("a",)), [1.0, 1.0])
 
+    def test_nan_norm_rejected(self):
+        with pytest.raises(QStateError, match="norm"):
+            PureState(RegisterLayout(("a",)), [float("nan"), 0.0])
+
     def test_amplitudes_read_only(self):
         state = bell_state()
         with pytest.raises(ValueError):

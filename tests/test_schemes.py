@@ -462,6 +462,8 @@ class TestHelpers:
     def test_apply_to_secret_normalization(self, threshold34_scheme):
         with pytest.raises(SchemeError, match="normalized"):
             apply_to_secret(threshold34_scheme, 1.0, 1.0)
+        with pytest.raises(SchemeError, match="normalized"):
+            apply_to_secret(threshold34_scheme, float("nan"), 0.0)
 
     def test_block_structure_matches_builder(self):
         for n, block in ((5, [1, 2]), (6, [1, 2, 3]), (4, [2])):

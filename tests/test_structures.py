@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsslab.structures import (
@@ -73,6 +73,13 @@ class TestPlayerSubset:
     def test_out_of_range_player(self):
         with pytest.raises(StructureError):
             subset([5], 4)
+
+    def test_coerce(self):
+        s = subset([1, 3], 4)
+        assert PlayerSubset.coerce(s, 4) is s
+        assert PlayerSubset.coerce([3, 1], 4) == s
+        with pytest.raises(StructureError, match="over 4 players, expected 5"):
+            PlayerSubset.coerce(s, 5)
 
 
 class TestAccessStructure:
@@ -241,6 +248,15 @@ def apply_permutation(g, perm):
     )
 
 
+@st.composite
+def relabeled_antichains(draw):
+    """A random antichain on 6 to 8 players and a random relabeling (image of P1, P2, ...)."""
+    n = draw(st.integers(6, 8))
+    family = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    perm = draw(st.permutations(list(range(1, n + 1))))
+    return antichain_reduce(n, family), tuple(perm)
+
+
 class TestIsomorphism:
     def test_mixed_sizes_found(self):
         g1 = gamma(4, [[1, 2, 3], [1, 4]])
@@ -262,6 +278,40 @@ class TestIsomorphism:
         g = gamma(9, [[1, 2]])
         with pytest.raises(StructureError, match="capped"):
             are_isomorphic(g, g)
+
+    def test_empty_structures(self):
+        empty = AccessStructure(3, ())
+        assert canonical_key(empty) == ()
+        assert are_isomorphic(empty, empty) == (1, 2, 3)
+        assert are_isomorphic(empty, gamma(3, [[1, 2]])) is None
+
+    @given(relabeled_antichains())
+    @settings(max_examples=30, deadline=None)
+    def test_witness_maps_onto_relabeled_copy(self, case):
+        g, perm = case
+        copy = apply_permutation(g, perm)
+        witness = are_isomorphic(g, copy)
+        assert witness is not None
+        assert apply_permutation(g, witness).masks() == copy.masks()
+
+    @given(relabeled_antichains(), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_one_mask_changed_is_not_isomorphic(self, case, pick):
+        g, perm = case
+        masks = list(apply_permutation(g, perm).masks())
+        # toggle one player of one mask, keeping an antichain: the mask count
+        # stays and the total mask size moves by one, so no relabeling matches
+        changes = [
+            (i, m ^ (1 << p))
+            for i, m in enumerate(masks)
+            for p in range(g.n)
+            if m ^ (1 << p)
+            and all(o & (m ^ (1 << p)) not in (o, m ^ (1 << p)) for o in masks if o != m)
+        ]
+        assume(changes)
+        i, changed = changes[pick % len(changes)]
+        masks[i] = changed
+        assert are_isomorphic(g, AccessStructure.from_masks(g.n, masks)) is None
 
     @given(
         st.permutations(list(range(1, 6))),
@@ -378,12 +428,14 @@ def admissible_structures(draw):
 
 
 def brute_canonical(g):
-    """Full n!-permutation minimum, the definition the pruned search must match."""
-    from qsslab.structures import _remap_mask
+    """Full n!-permutation minimum, the definition canonical_key must match."""
+
+    def remap(mask, perm):
+        return sum(1 << perm[p] for p in range(g.n) if mask >> p & 1)
 
     best = None
     for perm in itertools.permutations(range(g.n)):
-        key = tuple(sorted(_remap_mask(m, perm) for m in g.masks()))
+        key = tuple(sorted(remap(m, perm) for m in g.masks()))
         if best is None or key < best:
             best = key
     return best
@@ -407,6 +459,10 @@ class TestCanonicalKey:
     @settings(max_examples=80, deadline=None)
     def test_matches_full_permutation_minimum(self, g):
         assert canonical_key(g) == brute_canonical(g)
+
+    def test_large_n_rejected(self):
+        with pytest.raises(StructureError, match="capped"):
+            canonical_key(gamma(9, [[1, 2]]))
 
 
 # ---------------------------------------------------------------------------
