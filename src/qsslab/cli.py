@@ -8,7 +8,9 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +68,41 @@ def _emit(text, out):
         print(text)
 
 
+#: json's own rules for the scalars _dump leaves to it: bools, None, NaN and
+#: the infinities, and subclasses of int and float such as numpy.float64
+_encode_scalar = json.JSONEncoder().encode
+
+
 def _dump(doc):
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """doc exactly as json.dumps(doc, indent=2, sort_keys=True) writes it.
+
+    On CPython json only uses its C encoder without an indent; with one,
+    every item passes up through nested Python generators.  This writer
+    joins each container's items instead.  Keys must be str; values json
+    cannot encode raise TypeError, as they do in json.
+    """
+    return _json_text(doc, "\n")
+
+
+def _json_text(value, newline):
+    """value as _dump writes it nested at one level, newline being the line break and its indent."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    cls = type(value)
+    if cls is int or (cls is float and math.isfinite(value)):
+        return cls.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        # exact ints, most of the leaves the CLI prints, skip the call
+        items = [repr(v) if type(v) is int else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    return _encode_scalar(value)
 
 
 def _parse_players(raw):
@@ -92,33 +127,38 @@ def _tolerance(args):
 
 def cmd_structure_check(args):
     gamma = _load_structure(args.path)
-    pairs = itertools.combinations(gamma.minimal_sets, 2)
-    bad = next(((a, b) for a, b in pairs if a.bits & b.bits == 0), None)
-    if bad:
-        raise CliError(
-            f"disjoint authorized sets {bad[0]} and {bad[1]}: not quantum-admissible",
-            EXIT_INPUT,
-        )
-    partition = structures.adversary_partition(gamma)
+    if not structures.is_quantum_admissible(gamma):
+        # two authorized sets are disjoint exactly when two minimal ones are
+        pairs = itertools.combinations(gamma.minimal_sets, 2)
+        a, b = next((a, b) for a, b in pairs if a.bits & b.bits == 0)
+        raise CliError(f"disjoint authorized sets {a} and {b}: not quantum-admissible", EXIT_INPUT)
+    n, classes = gamma.n, structures._admissible_classes(gamma)
+    a1, a2 = ([bits for bits in range(1, 1 << n) if classes[bits] == c] for c in ("A1", "A2"))
+    # players of every bitmask, by doubling as in structures.subset_unions
+    players = [()]
+    for p in range(1, n + 1):
+        players += [s + (p,) for s in players]
     law = structures.check_complement_law(gamma)
     feas = structures.perfect_feasibility(gamma)
     doc = {
-        "players": gamma.n,
-        "minimal_authorized": [list(s.players()) for s in gamma.minimal_sets],
+        "players": n,
+        "minimal_authorized": [players[bits] for bits in gamma.masks()],
         "admissible": True,
-        "a1": [list(s.players()) for s in partition.a1],
-        "a2": [list(s.players()) for s in partition.a2],
+        "a1": [players[bits] for bits in a1],
+        "a2": [players[bits] for bits in a2],
         "complement_law": law.holds,
         "perfect": "feasible" if feas.feasible else "infeasible",
-        "perfect_witness": list(feas.witness.players()) if feas.witness else None,
+        "perfect_witness": players[feas.witness.bits] if feas.witness else None,
     }
     if args.format == "json":
         print(_dump(doc))
     else:
         verdict = "feasible" if feas.feasible else "infeasible"
-        print(f"admissible; |A1|={len(partition.a1)} |A2|={len(partition.a2)}; perfect: {verdict}")
-        print("A1:", ", ".join(str(s) for s in partition.a1) or "(empty)")
-        print("A2:", ", ".join(str(s) for s in partition.a2) or "(empty)")
+        print(f"admissible; |A1|={len(a1)} |A2|={len(a2)}; perfect: {verdict}")
+        for name, masks in (("A1", a1), ("A2", a2)):
+            # as str(PlayerSubset) writes each set
+            sets = ("{" + ",".join(f"P{p}" for p in players[bits]) + "}" for bits in masks)
+            print(f"{name}:", ", ".join(sets) or "(empty)")
         print(f"complement law: {'holds' if law.holds else f'fails at {law.counterexample}'}")
         if feas.witness:
             print(f"perfect-infeasibility witness: {feas.witness}")

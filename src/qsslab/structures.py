@@ -131,6 +131,28 @@ class PlayerSubset:
         return "{" + ",".join(f"P{p}" for p in self.players()) + "}"
 
 
+#: Mask pairs compared per block of rows in _first_nested_pair (8 MB of int64)
+_PAIR_BLOCK = 1 << 20
+
+
+def _first_nested_pair(masks):
+    """First (i, j), i < j, in itertools.combinations order with masks[i], masks[j] nested or equal.
+
+    One pair matrix over the masks, read in row-major order on its upper
+    triangle; built a block of rows at a time, so memory stays bounded
+    however many masks an input lists.  None when the masks are an antichain.
+    """
+    m = np.array(masks, dtype=np.int64)
+    rows = max(1, _PAIR_BLOCK // max(1, len(m)))
+    for start in range(0, len(m), rows):
+        block = m[start:start + rows, None]
+        meet = block & m
+        hits = np.argwhere(np.triu((meet == block) | (meet == m), start + 1))
+        if len(hits):
+            return start + int(hits[0, 0]), int(hits[0, 1])
+    return None
+
+
 @dataclass(frozen=True)
 class AccessStructure:
     """Antichain of minimal authorized player subsets."""
@@ -145,13 +167,13 @@ class AccessStructure:
                 raise StructureError(f"set {s} has player count {s.n}, expected {self.n}")
             if s.bits == 0:
                 raise StructureError("minimal authorized set must be nonempty")
-        # pairs in the order given, so the message names the first offending pair
-        for a, b in itertools.combinations([s.bits for s in sets], 2):
-            if a & b in (a, b):
-                raise StructureError(
-                    f"not an antichain: {list(PlayerSubset(a, self.n).players())} and "
-                    f"{list(PlayerSubset(b, self.n).players())} are nested or equal"
-                )
+        masks = [s.bits for s in sets]
+        pair = _first_nested_pair(masks)
+        if pair:
+            a, b = (PlayerSubset(masks[i], self.n) for i in pair)
+            raise StructureError(
+                f"not an antichain: {list(a.players())} and {list(b.players())} are nested or equal"
+            )
         object.__setattr__(self, "minimal_sets", tuple(sorted(sets, key=lambda s: s.bits)))
 
     @classmethod

@@ -1,13 +1,14 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qsslab import cli
@@ -20,7 +21,16 @@ from qsslab.schemes import (
     load_scheme,
     save_scheme,
 )
-from qsslab.structures import HYPERSTAR_CATALOG, structure_to_dict, threshold_structure
+from qsslab.structures import (
+    HYPERSTAR_CATALOG,
+    AccessStructure,
+    adversary_partition,
+    antichain_reduce,
+    check_complement_law,
+    perfect_feasibility,
+    structure_to_dict,
+    threshold_structure,
+)
 
 GOLDEN_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "tables.json"
 
@@ -108,6 +118,123 @@ class TestStructureCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["admissible"] and doc["complement_law"]
         assert doc["a2"] == [[1], [2, 3]]
+
+    def test_names_first_disjoint_pair_of_a_large_family(self, tmp_path, capsys):
+        # 462 six-sets through P1, pairwise meeting, and the six-set {P7..P12}, which
+        # misses exactly {P1..P6}; the message names the first disjoint pair of minimal
+        # sets in itertools.combinations order
+        sets = [[1, *c] for c in itertools.combinations(range(2, 13), 5)] + [list(range(7, 13))]
+        gamma = AccessStructure.from_sets(12, sets)
+        a, b = next(
+            (a, b) for a, b in itertools.combinations(gamma.minimal_sets, 2) if not a.bits & b.bits
+        )
+        path = write_structure(tmp_path, "g.json", 12, sets)
+        assert main(["structure", "check", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: disjoint authorized sets {a} and {b}: not quantum-admissible\n"
+        )
+        assert (str(a), str(b)) == ("{P1,P2,P3,P4,P5,P6}", "{P7,P8,P9,P10,P11,P12}")
+
+
+def structure_check_reference(gamma, fmt):
+    """structure check's stdout, built through PlayerSubset objects and json.dumps."""
+    partition = adversary_partition(gamma)
+    law = check_complement_law(gamma)
+    feas = perfect_feasibility(gamma)
+    if fmt == "json":
+        doc = {
+            "players": gamma.n,
+            "minimal_authorized": [list(s.players()) for s in gamma.minimal_sets],
+            "admissible": True,
+            "a1": [list(s.players()) for s in partition.a1],
+            "a2": [list(s.players()) for s in partition.a2],
+            "complement_law": law.holds,
+            "perfect": "feasible" if feas.feasible else "infeasible",
+            "perfect_witness": list(feas.witness.players()) if feas.witness else None,
+        }
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    verdict = "feasible" if feas.feasible else "infeasible"
+    lines = [
+        f"admissible; |A1|={len(partition.a1)} |A2|={len(partition.a2)}; perfect: {verdict}",
+        "A1: " + (", ".join(str(s) for s in partition.a1) or "(empty)"),
+        "A2: " + (", ".join(str(s) for s in partition.a2) or "(empty)"),
+        f"complement law: {'holds' if law.holds else f'fails at {law.counterexample}'}",
+    ]
+    if feas.witness:
+        lines.append(f"perfect-infeasibility witness: {feas.witness}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def admissible_structures(draw):
+    """Admissible structures on 2-12 players: majority sets, or sets sharing a center."""
+    n = draw(st.integers(2, 12))
+    center = draw(st.integers(1, n)) if draw(st.booleans()) else None
+    masks = []
+    for _ in range(draw(st.integers(1, 5))):
+        if center:
+            players = {center} | draw(st.sets(st.integers(1, n), max_size=n - 1))
+        else:  # more than n/2 players, so any two sets meet
+            players = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(n // 2 + 1, n))]
+        masks.append(sum(1 << (p - 1) for p in players))
+    return antichain_reduce(n, masks)
+
+
+@given(admissible_structures(), st.sampled_from(["json", "text"]))
+@example(threshold_structure(7, 12), "json")
+@example(threshold_structure(7, 12), "text")
+@settings(max_examples=60, deadline=None)
+def test_structure_check_matches_reference(tmp_path_factory, gamma, fmt):
+    path = tmp_path_factory.getbasetemp() / "structure_check.json"
+    path.write_text(json.dumps(structure_to_dict(gamma)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["structure", "check", str(path), "--format", fmt]) == 0
+    assert out.getvalue() == structure_check_reference(gamma, fmt)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps
+
+
+_JSON_SCALARS = st.one_of(
+    st.text(alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZé€😀 ')),
+    st.text(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.booleans(),
+    st.none(),
+    st.floats(),  # NaN and both infinities included
+    st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 1.5e300, float("nan"), float("inf"), -float("inf")]),
+    st.floats(allow_nan=True).map(np.float64),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_JSON_DOCS)
+@example({})
+@example([])
+@example({"": [(), {}, [[]]], "a": {"b": ()}})
+@settings(max_examples=300, deadline=None)
+def test_dump_matches_json_dumps(doc):
+    assert cli._dump(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, np.bool_(True), object()])
+def test_dump_rejects_what_json_rejects(bad):
+    for doc in (bad, [1, bad], {"a": {"b": bad}}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._dump(doc)
 
 
 # ---------------------------------------------------------------------------

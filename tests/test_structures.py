@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qsslab import structures
 from qsslab.structures import (
     HYPERSTAR_CATALOG,
     AccessStructure,
@@ -95,9 +96,50 @@ class TestAccessStructure:
         with pytest.raises(StructureError, match="nonempty"):
             AccessStructure(3, (PlayerSubset(0, 3),))
 
+    def test_names_nested_pair_in_a_large_family(self):
+        sets = [list(c) for c in itertools.combinations(range(1, 13), 7)]
+        with pytest.raises(
+            StructureError,
+            match=r"^not an antichain: \[1, 2, 3, 4, 5, 6, 8\] and \[1, 2, 3, 4, 5, 6, 8, 9\] ",
+        ):
+            gamma(12, sets + [[1, 2, 3, 4, 5, 6, 8, 9]])
+
     def test_minimal_sets_sorted_by_mask(self):
         g = gamma(4, [[1, 4], [1, 2, 3]])
         assert [s.players() for s in g.minimal_sets] == [(1, 2, 3), (1, 4)]
+
+
+def first_nested_pair_by_loop(masks):
+    for (i, a), (j, b) in itertools.combinations(enumerate(masks), 2):
+        if a & b in (a, b):
+            return i, j
+    return None
+
+
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.lists(st.integers(1, (1 << n) - 1), max_size=12).map(lambda ms: (n, ms))
+    ),
+    st.sampled_from([1, 24, 60, 1 << 20]),
+)
+@example((3, [0b011, 0b110, 0b111, 0b001]), 1 << 20)
+@example((2, []), 1 << 20)
+@settings(max_examples=200, deadline=None)
+def test_antichain_check_names_first_pair_in_combinations_order(family, block):
+    n, masks = family
+    expected = first_nested_pair_by_loop(masks)
+    with pytest.MonkeyPatch.context() as mp:
+        # one row per block, a few rows per block, or every row in one block
+        mp.setattr(structures, "_PAIR_BLOCK", block)
+        assert structures._first_nested_pair(masks) == expected
+        if expected is None:
+            assert AccessStructure.from_masks(n, masks).masks() == tuple(sorted(masks))
+        else:
+            a, b = (PlayerSubset(masks[i], n).players() for i in expected)
+            message = f"not an antichain: {list(a)} and {list(b)} are nested or equal"
+            with pytest.raises(StructureError) as info:
+                AccessStructure.from_masks(n, masks)
+            assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
