@@ -68,9 +68,13 @@ def _emit(text, out):
         print(text)
 
 
-#: json's own rules for the scalars _dump leaves to it: bools, None, NaN and
-#: the infinities, and subclasses of int and float such as numpy.float64
+#: json's own rules for the scalars _dump leaves to it: NaN and the
+#: infinities, and subclasses of int and float such as numpy.float64
 _encode_scalar = json.JSONEncoder().encode
+
+
+class _Fragment(str):
+    """JSON text that _dump writes as it stands, rendered as _dump renders it at the top level."""
 
 
 def _dump(doc):
@@ -79,7 +83,8 @@ def _dump(doc):
     On CPython json only uses its C encoder without an indent; with one,
     every item passes up through nested Python generators.  This writer
     joins each container's items instead.  Keys must be str; values json
-    cannot encode raise TypeError, as they do in json.
+    cannot encode raise TypeError, as they do in json.  A _Fragment is
+    written as the value it renders.
     """
     return _json_text(doc, "\n")
 
@@ -87,10 +92,17 @@ def _dump(doc):
 def _json_text(value, newline):
     """value as _dump writes it nested at one level, newline being the line break and its indent."""
     if isinstance(value, str):
+        if type(value) is _Fragment:
+            # exact: the writer puts no raw line break inside a string
+            return value.replace("\n", newline)
         return encode_basestring_ascii(value)
     cls = type(value)
     if cls is int or (cls is float and math.isfinite(value)):
         return cls.__repr__(value)
+    if cls is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         # exact ints, most of the leaves the CLI prints, skip the call
@@ -103,6 +115,18 @@ def _json_text(value, newline):
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
     return _encode_scalar(value)
+
+
+def _subset_texts(n, prefix):
+    """Entry b joins prefix + player with commas over the players of bitmask b, ascending.
+
+    Built by doubling, as structures.subset_unions builds its table.
+    """
+    body = [""]
+    for p in range(1, n + 1):
+        tok = prefix + str(p)
+        body += [b + "," + tok if b else tok for b in body]
+    return body
 
 
 def _parse_players(raw):
@@ -132,33 +156,37 @@ def cmd_structure_check(args):
         pairs = itertools.combinations(gamma.minimal_sets, 2)
         a, b = next((a, b) for a, b in pairs if a.bits & b.bits == 0)
         raise CliError(f"disjoint authorized sets {a} and {b}: not quantum-admissible", EXIT_INPUT)
-    n, classes = gamma.n, structures._admissible_classes(gamma)
-    a1, a2 = ([bits for bits in range(1, 1 << n) if classes[bits] == c] for c in ("A1", "A2"))
-    # players of every bitmask, by doubling as in structures.subset_unions
-    players = [()]
-    for p in range(1, n + 1):
-        players += [s + (p,) for s in players]
+    n = gamma.n
+    a1, a2 = (masks.tolist() for masks in structures._adversary_masks(gamma))
     law = structures.check_complement_law(gamma)
     feas = structures.perfect_feasibility(gamma)
-    doc = {
-        "players": n,
-        "minimal_authorized": [players[bits] for bits in gamma.masks()],
-        "admissible": True,
-        "a1": [players[bits] for bits in a1],
-        "a2": [players[bits] for bits in a2],
-        "complement_law": law.holds,
-        "perfect": "feasible" if feas.feasible else "infeasible",
-        "perfect_witness": players[feas.witness.bits] if feas.witness else None,
-    }
     if args.format == "json":
+        # each subset as _dump writes a list of player numbers one level down
+        body = _subset_texts(n, "\n    ")
+        a1_text, a2_text = (
+            _Fragment(
+                "[\n  [" + "\n  ],\n  [".join([body[b] for b in masks]) + "\n  ]\n]" if masks else "[]"
+            )
+            for masks in (a1, a2)
+        )
+        doc = {
+            "players": n,
+            "minimal_authorized": [s.players() for s in gamma.minimal_sets],
+            "admissible": True,
+            "a1": a1_text,
+            "a2": a2_text,
+            "complement_law": law.holds,
+            "perfect": "feasible" if feas.feasible else "infeasible",
+            "perfect_witness": feas.witness.players() if feas.witness else None,
+        }
         print(_dump(doc))
     else:
         verdict = "feasible" if feas.feasible else "infeasible"
         print(f"admissible; |A1|={len(a1)} |A2|={len(a2)}; perfect: {verdict}")
+        # each subset as str(PlayerSubset) writes it
+        body = _subset_texts(n, "P")
         for name, masks in (("A1", a1), ("A2", a2)):
-            # as str(PlayerSubset) writes each set
-            sets = ("{" + ",".join(f"P{p}" for p in players[bits]) + "}" for bits in masks)
-            print(f"{name}:", ", ".join(sets) or "(empty)")
+            print(f"{name}:", "{" + "}, {".join([body[b] for b in masks]) + "}" if masks else "(empty)")
         print(f"complement law: {'holds' if law.holds else f'fails at {law.counterexample}'}")
         if feas.witness:
             print(f"perfect-infeasibility witness: {feas.witness}")

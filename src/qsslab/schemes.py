@@ -33,6 +33,7 @@ from .structures import (
     PlayerSubset,
     _bit_positions,
     _json_int,
+    _maximal_unauthorized,
     antichain_reduce,
     is_quantum_admissible,
     subset_unions,
@@ -300,12 +301,23 @@ def _profile_rows(classes, num_particles, num_holders):
 
 
 def _induced_match_indices(masks, base_authorized, target):
-    """Row indices whose induced player closure equals the target's."""
-    union = subset_unions(masks[:, j] for j in range(target.n))
-    ok = np.ones(masks.shape[0], dtype=bool)
-    for bits in range(1, 1 << target.n):
-        ok &= base_authorized[union[bits]] == target.authorized[bits]
-    return np.nonzero(ok)[0]
+    """Row indices, ascending, whose induced player closure equals the target's.
+
+    Row r's closure, base_authorized at the union of masks[r] over a
+    subset's players, and the target's are both monotone, so they agree on
+    every subset once they agree on the target's frontier: its minimal
+    authorized sets and its nonempty maximal unauthorized sets.  (The empty
+    set is unauthorized in both.)  The surviving rows are tested against one
+    frontier set at a time and compressed each time.
+    """
+    rows = np.arange(masks.shape[0])
+    frontier = [(bits, True) for bits in target.masks()]
+    frontier += [(bits, False) for bits in _maximal_unauthorized(target).tolist()]
+    for bits, authorized in frontier:
+        union = np.bitwise_or.reduce(masks[:, _bit_positions(bits)], axis=1)
+        keep = base_authorized[union] == authorized
+        rows, masks = rows[keep], masks[keep]
+    return rows
 
 
 def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):

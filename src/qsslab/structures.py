@@ -83,6 +83,20 @@ def antichain_reduce(n, masks):
     return AccessStructure.from_masks(n, np.flatnonzero(minimal).tolist())
 
 
+def _maximal_unauthorized(gamma):
+    """Bitmasks of gamma's nonempty maximal unauthorized sets, ascending.
+
+    A set is maximal unauthorized when it is unauthorized and every
+    one-player extension of it is authorized (the full set qualifies when
+    it is unauthorized, having no extension).
+    """
+    table = gamma.authorized
+    maximal = ~table
+    for i in range(gamma.n):
+        maximal.reshape(-1, 2, 1 << i)[:, 0] &= table.reshape(-1, 2, 1 << i)[:, 1]
+    return np.flatnonzero(maximal[1:]) + 1
+
+
 @dataclass(frozen=True, order=True)
 class PlayerSubset:
     """A subset of the players P1..Pn, encoded as a bitmask."""
@@ -153,6 +167,18 @@ def _first_nested_pair(masks):
     return None
 
 
+def _one_player_less(masks):
+    """Every mask with one of its players removed, as one int64 array."""
+    m = np.array(masks, dtype=np.int64)[:, None]
+    bits = np.left_shift(1, np.arange(MAX_PLAYERS, dtype=np.int64))
+    return (m ^ bits)[(m & bits) != 0]
+
+
+#: Subset classes by their code in AccessStructure.class_codes
+CLASS_NAMES = ("authorized", "A1", "A2")
+AUTHORIZED, A1, A2 = 0, 1, 2
+
+
 @dataclass(frozen=True)
 class AccessStructure:
     """Antichain of minimal authorized player subsets."""
@@ -167,14 +193,16 @@ class AccessStructure:
                 raise StructureError(f"set {s} has player count {s.n}, expected {self.n}")
             if s.bits == 0:
                 raise StructureError("minimal authorized set must be nonempty")
-        masks = [s.bits for s in sets]
-        pair = _first_nested_pair(masks)
-        if pair:
-            a, b = (PlayerSubset(masks[i], self.n) for i in pair)
+        object.__setattr__(self, "minimal_sets", tuple(sorted(sets, key=lambda s: s.bits)))
+        masks = self.masks()
+        # an antichain has no duplicate, and no mask less one of its players contains
+        # another mask; the pair walk only names the offending pair
+        if len(set(masks)) < len(masks) or self.authorized[_one_player_less(masks)].any():
+            masks = [s.bits for s in sets]
+            a, b = (PlayerSubset(masks[i], self.n) for i in _first_nested_pair(masks))
             raise StructureError(
                 f"not an antichain: {list(a.players())} and {list(b.players())} are nested or equal"
             )
-        object.__setattr__(self, "minimal_sets", tuple(sorted(sets, key=lambda s: s.bits)))
 
     @classmethod
     def from_sets(cls, n, sets):
@@ -196,15 +224,22 @@ class AccessStructure:
         return table
 
     @functools.cached_property
-    def subset_classes(self):
-        """Class of each player subset, by bitmask: "authorized", "A1" or "A2".
+    def class_codes(self):
+        """Read-only int8 table of each player subset's class, by bitmask: AUTHORIZED, A1 or A2.
 
         Of the unauthorized sets, A1 sets are disjoint from a minimal set,
         that is, their complement is authorized; A2 sets meet all of them.
         The complement of bitmask b is entry b of the reversed table.
         """
         table = self.authorized
-        return tuple(np.where(table, "authorized", np.where(table[::-1], "A1", "A2")).tolist())
+        codes = np.where(table, AUTHORIZED, np.where(table[::-1], A1, A2)).astype(np.int8)
+        codes.flags.writeable = False
+        return codes
+
+    @functools.cached_property
+    def subset_classes(self):
+        """The class table by name, as CLASS_NAMES spells each code."""
+        return tuple(map(CLASS_NAMES.__getitem__, self.class_codes.tolist()))
 
     def contains(self, s):
         """Monotone-closure membership: some minimal set is inside s."""
@@ -237,10 +272,19 @@ def is_hyperstar(gamma):
 
 
 def _admissible_classes(gamma):
-    """gamma's class table, after checking that the A1/A2 split is meaningful for it."""
+    """gamma's class codes, after checking that the A1/A2 split is meaningful for it."""
     if not is_quantum_admissible(gamma):
         raise StructureError("adversary partition requires a quantum-admissible structure")
-    return gamma.subset_classes
+    return gamma.class_codes
+
+
+def _adversary_masks(gamma):
+    """Bitmasks of gamma's A1 sets and of its A2 sets, each an ascending int array.
+
+    The empty set is neither: its complement, the full set, is authorized.
+    """
+    codes = _admissible_classes(gamma)[1:]
+    return np.flatnonzero(codes == A1) + 1, np.flatnonzero(codes == A2) + 1
 
 
 def adversary_partition(gamma):
@@ -251,10 +295,9 @@ def adversary_partition(gamma):
     structure, otherwise the two predicates do not partition the adversary
     structure meaningfully.
     """
-    n, classes = gamma.n, _admissible_classes(gamma)
     return AdversaryPartition(*(
-        tuple(PlayerSubset(bits, n) for bits in range(1, 1 << n) if classes[bits] == cls)
-        for cls in ("A1", "A2")
+        tuple(PlayerSubset(bits, gamma.n) for bits in masks.tolist())
+        for masks in _adversary_masks(gamma)
     ))
 
 
@@ -278,12 +321,12 @@ class ComplementLawResult:
 
 def check_complement_law(gamma):
     """Machine-check that complements of A1 members are authorized and A2 is closed under complement."""
-    classes = _admissible_classes(gamma)
-    full = (1 << gamma.n) - 1
-    for clause, cls, complement_cls in (("a1", "A1", "authorized"), ("a2", "A2", "A2")):
-        for bits in range(1, full + 1):
-            if classes[bits] == cls and classes[full ^ bits] != complement_cls:
-                return ComplementLawResult(False, PlayerSubset(bits, gamma.n), clause)
+    codes = _admissible_classes(gamma)
+    # entry b of the reversed table is the class of b's complement
+    for clause, cls, complement_cls in (("a1", A1, AUTHORIZED), ("a2", A2, A2)):
+        bad = np.flatnonzero((codes[1:] == cls) & (codes[::-1][1:] != complement_cls))
+        if bad.size:
+            return ComplementLawResult(False, PlayerSubset(int(bad[0]) + 1, gamma.n), clause)
     return ComplementLawResult(True)
 
 
@@ -300,9 +343,9 @@ class FeasibilityVerdict:
 
 def perfect_feasibility(gamma):
     """Perfect schemes exist iff A2 is empty; a witness from A2 is returned otherwise."""
-    classes = _admissible_classes(gamma)
-    if "A2" in classes[1:]:
-        return FeasibilityVerdict(False, PlayerSubset(classes.index("A2", 1), gamma.n))
+    a2 = _adversary_masks(gamma)[1]
+    if a2.size:
+        return FeasibilityVerdict(False, PlayerSubset(int(a2[0]), gamma.n))
     return FeasibilityVerdict(True)
 
 

@@ -33,6 +33,7 @@ from .schemes import (
     search_assignment,
 )
 from .structures import (
+    A2,
     HYPERSTAR_CATALOG,
     AccessStructure,
     PlayerSubset,
@@ -209,11 +210,11 @@ def _evaluate_scheme(scheme, gamma, tolerance):
     if gamma.n != n:
         raise StructureError(f"structure is over {gamma.n} players but scheme has {n}")
     table = SubsetEntropyTable(distribute_purified(scheme), scheme.num_particles)
-    classes = _admissible_classes(gamma)
-    ev = _evaluate(table, _player_masks(scheme), classes, tolerance)
+    codes = _admissible_classes(gamma)
+    ev = _evaluate(table, _player_masks(scheme), gamma.subset_classes, tolerance)
     # a perfect verdict over a structure with nonempty A2 would contradict the
     # feasibility theorem; reaching this means the numerics are inconsistent
-    if ev.verdict == "perfect" and "A2" in classes[1:]:
+    if ev.verdict == "perfect" and (codes[1:] == A2).any():
         raise VerificationError(
             "perfect verdict with nonempty A2 contradicts perfect-infeasibility"
         )
@@ -403,7 +404,7 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
     schemes.MAX_SEARCH_PARTICLES particles, the search's own cap.  Absence
     of a construction is reported as "unknown".
     """
-    rows = []
+    rows, bases = [], {}
     for entry in HYPERSTAR_CATALOG:
         gamma = entry.structure
         feas = perfect_feasibility(gamma)
@@ -444,7 +445,9 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
         if result is None:
             for m, block in _search_bases(gamma.n):
                 tried.append(f"search base (m={m}, k={len(block)})")
-                base_scheme, base_gamma = build_block_scheme(m, block)
+                if (m, block) not in bases:
+                    bases[m, block] = build_block_scheme(m, block)
+                base_scheme, base_gamma = bases[m, block]
                 assignment = search_assignment(
                     (base_scheme, base_gamma), gamma, allow_dealer=True, tolerance=tolerance
                 )

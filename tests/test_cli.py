@@ -24,6 +24,8 @@ from qsslab.schemes import (
 from qsslab.structures import (
     HYPERSTAR_CATALOG,
     AccessStructure,
+    AdversaryPartition,
+    PlayerSubset,
     adversary_partition,
     antichain_reduce,
     check_complement_law,
@@ -137,8 +139,20 @@ class TestStructureCheck:
 
 
 def structure_check_reference(gamma, fmt):
-    """structure check's stdout, built through PlayerSubset objects and json.dumps."""
-    partition = adversary_partition(gamma)
+    """structure check's stdout, built through PlayerSubset objects and json.dumps.
+
+    The partition is taken by definition from the minimal sets, apart from
+    the library's tables.
+    """
+    n, minimal = gamma.n, gamma.masks()
+    unauthorized = [
+        PlayerSubset(b, n) for b in range(1, 1 << n) if not any(m & b == m for m in minimal)
+    ]
+    partition = AdversaryPartition(
+        tuple(s for s in unauthorized if any(m & s.bits == 0 for m in minimal)),
+        tuple(s for s in unauthorized if all(m & s.bits for m in minimal)),
+    )
+    assert adversary_partition(gamma) == partition
     law = check_complement_law(gamma)
     feas = perfect_feasibility(gamma)
     if fmt == "json":
@@ -223,12 +237,39 @@ _JSON_DOCS = st.recursive(
 @example({})
 @example([])
 @example({"": [(), {}, [[]]], "a": {"b": ()}})
+@example(True)
+@example(None)
+@example([True, False, None, 1, 0, 1.0, 0.0, (None, [False])])
+@example({"pass": True, "fail": False, "witness": None, "rows": [{"ok": True}]})
 @settings(max_examples=300, deadline=None)
 def test_dump_matches_json_dumps(doc):
     assert cli._dump(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, np.bool_(True), object()])
+_SUBSET_LISTS = st.lists(st.lists(st.integers(1, 16), min_size=1, max_size=5).map(tuple), max_size=5)
+
+
+@given(
+    st.one_of(_SUBSET_LISTS, _JSON_DOCS),
+    st.lists(st.one_of(st.none(), st.text(max_size=3)), max_size=3),
+    _JSON_DOCS,
+)
+@example([(1, 2), (3,)], [], None)
+@example([], ["a", None, "b"], {"z": [1]})
+@example([(1,)], [None, None, None], [])
+@settings(max_examples=200, deadline=None)
+def test_dump_writes_fragments_as_their_value(value, path, sibling):
+    """A _Fragment of _dump(value) at depth len(path) (None: a list level, str: a dict key)."""
+    def nest(leaf):
+        for step in reversed(path):
+            leaf = [sibling, leaf] if step is None else {step: leaf, step + "~": sibling}
+        return leaf
+
+    fragment = cli._Fragment(cli._dump(value))
+    assert cli._dump(nest(fragment)) == json.dumps(nest(value), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, np.bool_(True), np.bool_(False), object()])
 def test_dump_rejects_what_json_rejects(bad):
     for doc in (bad, [1, bad], {"a": {"b": bad}}):
         with pytest.raises(TypeError):

@@ -4,7 +4,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsslab import schemes
 from qsslab.schemes import (
     DEALER,
     SchemeSpec,
@@ -25,7 +28,7 @@ from qsslab.schemes import (
     search_assignment,
     SchemeError,
 )
-from qsslab.structures import AccessStructure, PlayerSubset, is_quantum_admissible
+from qsslab.structures import AccessStructure, PlayerSubset, is_quantum_admissible, subset_unions
 
 SQ2 = 2**-0.5
 
@@ -403,6 +406,63 @@ class TestSearchMatchesGridOracle:
         assert hits  # the comparison covers hits, not only exhausted searches
 
 
+def induced_match_indices_by_subsets(masks, base_authorized, target):
+    """The search filter over all 2^n player subsets: every row compared on every subset."""
+    union = subset_unions(masks[:, j] for j in range(target.n))
+    ok = np.ones(masks.shape[0], dtype=bool)
+    for bits in range(1, 1 << target.n):
+        ok &= base_authorized[union[bits]] == target.authorized[bits]
+    return np.nonzero(ok)[0]
+
+
+@st.composite
+def filter_cases(draw):
+    """A base structure over m particles, rows of n holder masks that may share particles, a target.
+
+    The target is empty, a random antichain, or the structure some row
+    induces, so that the comparison covers matching rows too.
+    """
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(2, m))
+    base = antichain_reduce(m, draw(st.lists(st.integers(1, (1 << m) - 1), max_size=5)))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n), min_size=1, max_size=40
+    ))
+    masks = np.array(rows, dtype=np.int32)
+    kind = draw(st.sampled_from(["empty", "random", "induced"]))
+    if kind == "empty":
+        target = AccessStructure(n, ())
+    elif kind == "random":
+        target = antichain_reduce(n, draw(st.lists(st.integers(1, (1 << n) - 1), max_size=4)))
+    else:
+        row = masks[draw(st.integers(0, len(rows) - 1))]
+        union = subset_unions(int(h) for h in row)
+        target = antichain_reduce(n, np.flatnonzero(base.authorized[union]).tolist())
+    return masks, base, target
+
+
+@given(filter_cases())
+@settings(max_examples=300, deadline=None)
+def test_frontier_filter_matches_subset_filter(case):
+    masks, base, target = case
+    expected = induced_match_indices_by_subsets(masks, base.authorized, target)
+    got = schemes._induced_match_indices(masks, base.authorized, target)
+    assert got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_frontier_filter_on_the_empty_target(n):
+    # no minimal sets: the only maximal unauthorized set is the full set
+    target = AccessStructure(n, ())
+    base = AccessStructure.from_sets(4, [[1, 2], [3]])
+    rows = np.array(list(itertools.product([0, 0b0011, 0b0100, 0b1000], repeat=n)), dtype=np.int32)
+    expected = induced_match_indices_by_subsets(rows, base.authorized, target)
+    assert schemes._induced_match_indices(rows, base.authorized, target).tolist() == expected.tolist()
+    assert 0 < expected.size < len(rows)
+
+
+# ---------------------------------------------------------------------------
+# serialization
 # ---------------------------------------------------------------------------
 # serialization
 

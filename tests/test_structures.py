@@ -593,6 +593,76 @@ def test_subset_classes_match_bruteforce(g):
     assert {bits: classes[bits] for bits in range(1, 1 << g.n)} == expected
 
 
+@given(antichains())
+@example(AccessStructure(3, ()))
+@example(gamma(2, [[1], [2]]))
+@settings(max_examples=150, deadline=None)
+def test_maximal_unauthorized_matches_bruteforce(g):
+    full = (1 << g.n) - 1
+    expected = [
+        bits for bits in range(1, full + 1)
+        if not g.authorized[bits]
+        and all(g.authorized[bits | 1 << i] for i in range(g.n) if not bits >> i & 1)
+    ]
+    assert structures._maximal_unauthorized(g).tolist() == expected
+
+
+def complement_law_by_loop(g):
+    """check_complement_law as a loop over every subset's class name."""
+    classes, full = g.subset_classes, (1 << g.n) - 1
+    for clause, cls, complement_cls in (("a1", "A1", "authorized"), ("a2", "A2", "A2")):
+        for bits in range(1, full + 1):
+            if classes[bits] == cls and classes[full ^ bits] != complement_cls:
+                return structures.ComplementLawResult(False, PlayerSubset(bits, g.n), clause)
+    return structures.ComplementLawResult(True)
+
+
+def with_class_codes(g, patch):
+    """A copy of g whose class table is g's with patch (bitmask -> code) applied."""
+    codes = g.class_codes.copy()
+    for bits, code in patch.items():
+        codes[bits] = code
+    patched = AccessStructure(g.n, g.minimal_sets)
+    patched.__dict__["class_codes"] = codes
+    return patched
+
+
+_ADMISSIBLE = [threshold_structure(3, 4), threshold_structure(2, 3), gamma(5, [[1, 2, 3], [1, 4, 5]])]
+
+
+@pytest.mark.parametrize("g", _ADMISSIBLE, ids=str)
+def test_complement_law_fails_each_clause_as_the_loop(g):
+    full, codes = (1 << g.n) - 1, g.class_codes
+    a1, a2 = (np.flatnonzero(codes[1:] == c) + 1 for c in (structures.A1, structures.A2))
+    patches = [{}]
+    # an A1 set whose complement is not authorized fails clause a1
+    patches += [{full ^ int(b): structures.A1} for b in a1[-2:]]
+    # an A2 set whose complement is authorized fails clause a2 only
+    patches += [{full ^ int(b): structures.AUTHORIZED} for b in a2[-2:]]
+    clauses = set()
+    for patch in patches:
+        patched = with_class_codes(g, patch)
+        result = check_complement_law(patched)
+        assert result == complement_law_by_loop(patched), patch
+        clauses.add(result.clause)
+    assert clauses == ({None, "a1", "a2"} if a2.size else {None, "a1"})
+
+
+@given(
+    st.sampled_from(_ADMISSIBLE).flatmap(
+        lambda g: st.tuples(
+            st.just(g),
+            st.dictionaries(st.integers(0, (1 << g.n) - 1), st.integers(0, 2), max_size=4),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_complement_law_matches_the_loop_on_patched_tables(case):
+    g, patch = case
+    patched = with_class_codes(g, patch)
+    assert check_complement_law(patched) == complement_law_by_loop(patched)
+
+
 @st.composite
 def families(draw):
     """Random families of nonempty subset bitmasks on 2-10 players, nested members allowed."""
@@ -653,7 +723,7 @@ def test_threshold_7_12_class_counts():
 
 
 def test_structure_analyses_classify_once(monkeypatch):
-    table = AccessStructure.__dict__["subset_classes"]
+    table = AccessStructure.__dict__["class_codes"]
     calls = []
 
     def spy(self):
@@ -661,8 +731,8 @@ def test_structure_analyses_classify_once(monkeypatch):
         return table.func(self)
 
     spied = functools.cached_property(spy)
-    spied.__set_name__(AccessStructure, "subset_classes")
-    monkeypatch.setattr(AccessStructure, "subset_classes", spied)
+    spied.__set_name__(AccessStructure, "class_codes")
+    monkeypatch.setattr(AccessStructure, "class_codes", spied)
     monkeypatch.setattr(AccessStructure, "contains", lambda *_: pytest.fail("contains called"))
     g = gamma(5, [[1, 2, 3], [1, 4, 5]])
     part = adversary_partition(g)
