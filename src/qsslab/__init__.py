@@ -49,8 +49,6 @@ from .structures import (
 from .verifier import (
     StructuralMismatchError,
     VerificationReport,
-    check_entropy_balance,
-    entropy_profile,
     feasibility_matrix,
     verify,
 )

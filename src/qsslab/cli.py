@@ -74,7 +74,7 @@ _encode_scalar = json.JSONEncoder().encode
 
 
 class _Fragment(str):
-    """JSON text that _dump writes as it stands, rendered as _dump renders it at the top level."""
+    """JSON text that _dump writes as it stands, already indented for the depth it sits at."""
 
 
 def _dump(doc):
@@ -84,7 +84,7 @@ def _dump(doc):
     every item passes up through nested Python generators.  This writer
     joins each container's items instead.  Keys must be str; values json
     cannot encode raise TypeError, as they do in json.  A _Fragment is
-    written as the value it renders.
+    written as it stands.
     """
     return _json_text(doc, "\n")
 
@@ -93,8 +93,7 @@ def _json_text(value, newline):
     """value as _dump writes it nested at one level, newline being the line break and its indent."""
     if isinstance(value, str):
         if type(value) is _Fragment:
-            # exact: the writer puts no raw line break inside a string
-            return value.replace("\n", newline)
+            return value
         return encode_basestring_ascii(value)
     cls = type(value)
     if cls is int or (cls is float and math.isfinite(value)):
@@ -161,11 +160,12 @@ def cmd_structure_check(args):
     law = structures.check_complement_law(gamma)
     feas = structures.perfect_feasibility(gamma)
     if args.format == "json":
-        # each subset as _dump writes a list of player numbers one level down
-        body = _subset_texts(n, "\n    ")
+        # each subset as _dump writes a list of player numbers under a top-level key
+        body = _subset_texts(n, "\n      ")
         a1_text, a2_text = (
             _Fragment(
-                "[\n  [" + "\n  ],\n  [".join([body[b] for b in masks]) + "\n  ]\n]" if masks else "[]"
+                "[\n    [" + "\n    ],\n    [".join([body[b] for b in masks]) + "\n    ]\n  ]"
+                if masks else "[]"
             )
             for masks in (a1, a2)
         )

@@ -10,6 +10,7 @@ Particle p occupies register "p<p>"; particle 1 is the most significant
 bit of an image ket, matching the register layout convention.
 """
 
+import functools
 import itertools
 import json
 import logging
@@ -320,26 +321,57 @@ def _induced_match_indices(masks, base_authorized, target):
     return rows
 
 
+class PreparedBase:
+    """A search base, a scheme with its structure over particles, and what searches on it share.
+
+    The interchangeable classes, the profile rows of each holder count and
+    the subset-entropy table depend on the base only, not on the target or
+    the assignment; each is computed when first needed and kept.
+    """
+
+    def __init__(self, scheme, structure):
+        if structure.n != scheme.num_particles:
+            raise SchemeError("base structure must be over the scheme's particles")
+        self.scheme, self.structure = scheme, structure
+        self._rows = {}
+
+    @functools.cached_property
+    def classes(self):
+        return interchangeable_classes(self.scheme, self.structure)
+
+    def profile_rows(self, num_holders):
+        if num_holders not in self._rows:
+            self._rows[num_holders] = _profile_rows(self.classes, self.scheme.num_particles, num_holders)
+        return self._rows[num_holders]
+
+    @functools.cached_property
+    def table(self):
+        """The verifier's SubsetEntropyTable of the base's images."""
+        from . import verifier  # deferred: verifier builds on schemes
+
+        return verifier.SubsetEntropyTable(distribute_purified(self.scheme), self.scheme.num_particles)
+
+
 def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
     """Particle-to-holder search realizing the target structure.
 
-    base is a (scheme, structure-over-particles) pair.  Holders are the
-    target's players P1..Pn, plus DEALER when allow_dealer is set, ordered
+    base is a (scheme, structure-over-particles) pair, or a PreparedBase
+    that shares its work across searches.  Holders are the target's
+    players P1..Pn, plus DEALER when allow_dealer is set, ordered
     P1 < ... < Pn < DEALER.  The search covers one assignment per holder
     profile of interchangeable particles (see interchangeable_classes): the
     lexicographically least one, since entropies and the induced structure
     are the same on every assignment of a profile.  Profiles whose induced
     structure equals the target are taken in the order of those assignments,
     and the first whose scheme passes the generalized entropy conditions
-    (the pass that verify runs, on one entropy table for all candidates) is
+    (the pass that verify runs, on the base's entropy table) is
     returned as a holder->particles dict.  It is the first hit of an
     exhaustive scan of all holder^particles assignments in lexicographic
     particle order.  None means no assignment passes.
     """
-    scheme, base_gamma = base
-    m = scheme.num_particles
-    if base_gamma.n != m:
-        raise SchemeError("base structure must be over the scheme's particles")
+    if not isinstance(base, PreparedBase):
+        base = PreparedBase(*base)
+    scheme, m = base.scheme, base.scheme.num_particles
     if not target.n <= m <= MAX_SEARCH_PARTICLES:
         raise SchemeError(
             f"search needs target players <= particles <= {MAX_SEARCH_PARTICLES}"
@@ -348,14 +380,13 @@ def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
 
     n = target.n
     holders = [f"P{i}" for i in range(1, n + 1)] + ([DEALER] if allow_dealer else [])
-    classes = interchangeable_classes(scheme, base_gamma)
-    masks, index = _profile_rows(classes, m, len(holders))
-    matches = _induced_match_indices(masks[:, :n], base_gamma.authorized, target)
+    masks, index = base.profile_rows(len(holders))
+    matches = _induced_match_indices(masks[:, :n], base.structure.authorized, target)
     matches = matches[np.argsort(index[matches])]
     evaluated, hit = 0, None
     # two disjoint authorized sets would clone the secret: no scheme passes
     if matches.size and is_quantum_admissible(target):
-        table = verifier.SubsetEntropyTable(distribute_purified(scheme), m)
+        table = base.table
         for row in matches:
             evaluated += 1
             player_masks = [int(masks[row, j]) for j in range(n)]
@@ -366,7 +397,7 @@ def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
     _log.debug(
         "search %s for %s: classes %s, %d profile rows, %d induced matches, "
         "%d candidates evaluated, %s",
-        scheme.name or "scheme", target, classes, len(masks), matches.size, evaluated,
+        scheme.name or "scheme", target, base.classes, len(masks), matches.size, evaluated,
         "hit" if hit is not None else "no hit",
     )
     if hit is None:

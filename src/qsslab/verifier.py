@@ -24,9 +24,9 @@ import numpy as np
 from .qstate import DEFAULT_TOLERANCE, cut_entropies
 from . import schemes
 from .schemes import (
+    PreparedBase,
     SchemeSpec,
     build_block_scheme,
-    build_star_scheme,
     distribute_purified,
     induce_structure,
     particle_labels,
@@ -77,7 +77,7 @@ class SubsetEntropyTable:
     both S(A) and S(RA); NaN marks an entry not yet computed.  Any player
     grouping only changes which unions are read, so entries are shared
     across assignments.  The reference is register "R" of the purified
-    secret.
+    secret.  computed and entries_read count entries filled and looked up.
     """
 
     def __init__(self, state, num_particles):
@@ -88,7 +88,14 @@ class SubsetEntropyTable:
         self._bits = [
             1 << (n - 1 - state.layout.axis(label)) for label in particle_labels(num_particles)
         ]
-        self.s_ref = self.read([0])[1][0]
+        self.computed = self.entries_read = 0
+
+    @property
+    def s_ref(self):
+        """S(R), the entropy of all particles, computed only if no read has filled it."""
+        if np.isnan(self._s[self._full]):
+            self.read([0])
+        return float(self._s[self._full])
 
     def read(self, masks):
         """(S(A), S(RA)) of each particle mask A as two float lists; S of no particles is 0.0.
@@ -101,6 +108,8 @@ class SubsetEntropyTable:
         wanted = np.zeros(self._s.shape, dtype=bool)
         wanted[masks] = wanted[others] = True
         missing = np.flatnonzero(wanted & np.isnan(self._s))
+        self.computed += missing.size
+        self.entries_read += 2 * masks.size
         if missing.size:
             keep = np.zeros(missing.shape, dtype=np.int64)
             for i, bit in enumerate(self._bits):
@@ -135,13 +144,6 @@ class VerificationReport:
     meets_requested: bool
     requested_witness: PlayerSubset | None
 
-    def record_for(self, players):
-        bits = PlayerSubset.from_players(players, self.records[0].subset.n).bits
-        for r in self.records:
-            if r.subset.bits == bits:
-                return r
-        raise KeyError(players)
-
 
 @dataclass(frozen=True)
 class _Evaluation:
@@ -153,11 +155,10 @@ class _Evaluation:
     verdict: str  # "perfect" | "generalized" | "fail"
     mismatch: SubsetRecord | None  # first unauthorized subset at full correlation
     worst_balance: float
-    balance_witness: PlayerSubset | None  # first A2 member with the worst deviation
 
 
 def _evaluate(table, player_masks, classes, tolerance):
-    """The entropy-condition pass behind verify, the balance check, the profile and the search.
+    """The entropy-condition pass behind verify and the search.
 
     player_masks[i] is the particle bitmask of player i+1 and classes the
     claimed structure's class table (AccessStructure.subset_classes).  Every
@@ -166,10 +167,10 @@ def _evaluate(table, player_masks, classes, tolerance):
     on the same table.
     """
     n = len(player_masks)
+    # the unions include mask 0, whose complement read fills S(R)
+    s_a_of, s_ra_of = table.read(subset_unions(player_masks))
     s_s = table.s_ref
     i_rs = 2.0 * s_s
-    union = subset_unions(player_masks)
-    s_a_of, s_ra_of = table.read(union)
     records = []
     for bits in range(1, 1 << n):
         s_a, s_ra = s_a_of[bits], s_ra_of[bits]
@@ -191,25 +192,23 @@ def _evaluate(table, player_masks, classes, tolerance):
     else:
         verdict = "generalized"
 
-    worst, witness, full = 0.0, None, (1 << n) - 1
-    for r in records:
-        if r.classification == "A2":
-            dev = abs(r.s_a - s_a_of[full ^ r.subset.bits])
-            if dev > worst:
-                worst, witness = dev, r.subset
-    return _Evaluation(s_s, records, failing, verdict, mismatch, worst, witness)
+    full = (1 << n) - 1
+    devs = [abs(r.s_a - s_a_of[full ^ r.subset.bits]) for r in records if r.classification == "A2"]
+    return _Evaluation(s_s, records, failing, verdict, mismatch, max([0.0, *devs]))
 
 
 def _player_masks(scheme):
     return [scheme.particle_mask(f"P{i}") for i in range(1, scheme.num_players + 1)]
 
 
-def _evaluate_scheme(scheme, gamma, tolerance):
-    """Run the pass on a scheme as distributed, against a claimed structure."""
+def _report(table, scheme, gamma, model, tolerance):
+    """verify's report, read from table, a SubsetEntropyTable of the scheme's basis images.
+
+    The table does not depend on the assignment, so the matrix routes share one per base.
+    """
     n = scheme.num_players
     if gamma.n != n:
         raise StructureError(f"structure is over {gamma.n} players but scheme has {n}")
-    table = SubsetEntropyTable(distribute_purified(scheme), scheme.num_particles)
     codes = _admissible_classes(gamma)
     ev = _evaluate(table, _player_masks(scheme), gamma.subset_classes, tolerance)
     # a perfect verdict over a structure with nonempty A2 would contradict the
@@ -218,22 +217,6 @@ def _evaluate_scheme(scheme, gamma, tolerance):
         raise VerificationError(
             "perfect verdict with nonempty A2 contradicts perfect-infeasibility"
         )
-    return ev
-
-
-def verify(scheme, gamma, model="generalized", tolerance=DEFAULT_TOLERANCE):
-    """Full verification of a scheme against a claimed access structure.
-
-    Builds the purified maximally mixed secret, distributes it, and
-    evaluates every nonempty player subset.  Raises
-    StructuralMismatchError when some unauthorized subset attains full
-    correlation (the scheme's real structure differs from gamma);
-    otherwise reports the strongest verdict earned plus the pass/fail of
-    the requested model.
-    """
-    if model not in ("perfect", "generalized"):
-        raise ValueError(f"unknown model {model!r}")
-    ev = _evaluate_scheme(scheme, gamma, tolerance)
     i_rs = 2.0 * ev.s_s
     if ev.mismatch is not None:
         raise StructuralMismatchError(ev.mismatch.subset, ev.mismatch.i_ra, i_rs)
@@ -263,42 +246,20 @@ def verify(scheme, gamma, model="generalized", tolerance=DEFAULT_TOLERANCE):
     )
 
 
-@dataclass(frozen=True)
-class BalanceResult:
-    """Entropy balance S(A) = S(complement of A) over the A2 members."""
+def verify(scheme, gamma, model="generalized", tolerance=DEFAULT_TOLERANCE):
+    """Full verification of a scheme against a claimed access structure.
 
-    balanced: bool
-    worst_deviation: float
-    witness: PlayerSubset | None
-    generalized_ok: bool
-    agrees_with_verify: bool
-
-
-def check_entropy_balance(scheme, gamma, tolerance=DEFAULT_TOLERANCE):
-    """Check S(A) = S(A-complement) for every A in A2 and compare with verify.
-
-    Complements are taken over the players; dealer particles belong to
-    neither side and stay traced out.  For dealer-free schemes this
-    balance is equivalent to the generalized verdict being attainable.
+    Builds the purified maximally mixed secret, distributes it, and
+    evaluates every nonempty player subset.  Raises
+    StructuralMismatchError when some unauthorized subset attains full
+    correlation (the scheme's real structure differs from gamma);
+    otherwise reports the strongest verdict earned plus the pass/fail of
+    the requested model.
     """
-    ev = _evaluate_scheme(scheme, gamma, tolerance)
-    balanced = ev.worst_balance <= tolerance
-    ok = ev.mismatch is None and ev.verdict != "fail"
-    return BalanceResult(balanced, ev.worst_balance, ev.balance_witness, ok, balanced == ok)
-
-
-def entropy_profile(scheme, probabilities=(0.5, 0.5)):
-    """Per-subset entropy records for an arbitrary secret distribution.
-
-    Sensitivity companion to verify: verdicts are only defined at the
-    maximally mixed secret, but the correlation landscape at other
-    distributions is often worth inspecting.  Returns a list of
-    (subset, s_a, s_ra, i_ra) tuples ordered by subset bitmask.
-    """
-    table = SubsetEntropyTable(distribute_purified(scheme, probabilities), scheme.num_particles)
-    classes = ("authorized",) * (1 << scheme.num_players)
-    ev = _evaluate(table, _player_masks(scheme), classes, DEFAULT_TOLERANCE)
-    return [(r.subset, r.s_a, r.s_ra, r.i_ra) for r in ev.records]
+    if model not in ("perfect", "generalized"):
+        raise ValueError(f"unknown model {model!r}")
+    table = SubsetEntropyTable(distribute_purified(scheme), scheme.num_particles)
+    return _report(table, scheme, gamma, model, tolerance)
 
 
 def report_to_dict(report):
@@ -378,14 +339,14 @@ def _search_bases(target_n):
             yield m, tuple(range(1, k + 1))
 
 
-def _try_assignment(base_scheme, base_gamma, assignment, target, name, tolerance):
-    """Realization check of every matrix route: the target is induced and verified."""
-    candidate = SchemeSpec(base_scheme.num_particles, base_scheme.basis_images, assignment, name)
-    induced = induce_structure(candidate, base_gamma)
+def _try_assignment(base, assignment, target, name, tolerance):
+    """Realization check of every matrix route on a PreparedBase: induce the target, then verify."""
+    candidate = SchemeSpec(base.scheme.num_particles, base.scheme.basis_images, assignment, name)
+    induced = induce_structure(candidate, base.structure)
     if induced.masks() != target.masks():
         return None, f"induces {induced} instead of {target}"
     try:
-        report = verify(candidate, target, "generalized", tolerance)
+        report = _report(base.table, candidate, target, "generalized", tolerance)
     except StructuralMismatchError as exc:
         return None, f"induced structure matches but correlations do not: {exc}"
     if report.verdict not in ("perfect", "generalized"):
@@ -402,9 +363,16 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
     with failures flagged and corrected by search), and otherwise an
     exhaustive assignment search over block-scheme bases with at most
     schemes.MAX_SEARCH_PARTICLES particles, the search's own cap.  Absence
-    of a construction is reported as "unknown".
+    of a construction is reported as "unknown".  Each block base (m, block),
+    stars included, is prepared once per call and shared by every route.
     """
-    rows, bases = [], {}
+    rows, bases, searches = [], {}, 0
+
+    def prepared(m, block):
+        if (m, block) not in bases:
+            bases[m, block] = PreparedBase(*build_block_scheme(m, block))
+        return bases[m, block]
+
     for entry in HYPERSTAR_CATALOG:
         gamma = entry.structure
         feas = perfect_feasibility(gamma)
@@ -422,39 +390,34 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
 
         result, tried = None, []
         if entry.number in DIRECT_STARS:
-            scheme, built = build_star_scheme(*DIRECT_STARS[entry.number])
-            tried.append(f"direct star {scheme.name}")
-            result, _ = _try_assignment(
-                scheme, built, scheme.assignment, gamma, scheme.name, tolerance
-            )
+            n, center = DIRECT_STARS[entry.number]
+            base = prepared(n, (center,))
+            name = f"star(n={n},center={center})"
+            tried.append(f"direct star {name}")
+            result, _ = _try_assignment(base, base.scheme.assignment, gamma, name, tolerance)
 
         if result is None and entry.number in DOCUMENTED_ASSIGNMENTS:
             (m, block), assignment = DOCUMENTED_ASSIGNMENTS[entry.number]
-            base_scheme, base_gamma = build_block_scheme(m, block)
-            tried.append(f"documented recipe over {base_scheme.name}")
+            base = prepared(m, block)
+            tried.append(f"documented recipe over {base.scheme.name}")
             result, failure = _try_assignment(
-                base_scheme, base_gamma, assignment, gamma,
-                f"{base_scheme.name} via documented assignment", tolerance,
+                base, assignment, gamma, f"{base.scheme.name} via documented assignment", tolerance,
             )
             if failure:
                 row.notes.append(
                     f"row {entry.number}: documented assignment {assignment} over "
-                    f"{base_scheme.name} rejected ({failure}); corrected by search"
+                    f"{base.scheme.name} rejected ({failure}); corrected by search"
                 )
 
         if result is None:
             for m, block in _search_bases(gamma.n):
                 tried.append(f"search base (m={m}, k={len(block)})")
-                if (m, block) not in bases:
-                    bases[m, block] = build_block_scheme(m, block)
-                base_scheme, base_gamma = bases[m, block]
-                assignment = search_assignment(
-                    (base_scheme, base_gamma), gamma, allow_dealer=True, tolerance=tolerance
-                )
+                base = prepared(m, block)
+                searches += 1
+                assignment = search_assignment(base, gamma, allow_dealer=True, tolerance=tolerance)
                 if assignment is not None:
                     result, _ = _try_assignment(
-                        base_scheme, base_gamma, assignment, gamma,
-                        f"{base_scheme.name} via search", tolerance,
+                        base, assignment, gamma, f"{base.scheme.name} via search", tolerance,
                     )
                     break
 
@@ -467,6 +430,13 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
             row.assignment = {h: list(ps) for h, ps in scheme.assignment.items()}
             row.report_hash = report_hash(report)
         rows.append(row)
+    # a cached_property is in the instance dict once computed
+    tables = [vars(base)["table"] for base in bases.values() if "table" in vars(base)]
+    _log.debug(
+        "matrix: %d bases prepared, %d searches, %d entropy-table entries computed, %d read",
+        len(bases), searches, sum(tb.computed for tb in tables),
+        sum(tb.entries_read for tb in tables),
+    )
     return MatrixReport(rows)
 
 

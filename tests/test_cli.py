@@ -259,13 +259,13 @@ _SUBSET_LISTS = st.lists(st.lists(st.integers(1, 16), min_size=1, max_size=5).ma
 @example([(1,)], [None, None, None], [])
 @settings(max_examples=200, deadline=None)
 def test_dump_writes_fragments_as_their_value(value, path, sibling):
-    """A _Fragment of _dump(value) at depth len(path) (None: a list level, str: a dict key)."""
+    """A _Fragment of _dump(value), indented for depth len(path) (None: a list level, str: a dict key)."""
     def nest(leaf):
         for step in reversed(path):
             leaf = [sibling, leaf] if step is None else {step: leaf, step + "~": sibling}
         return leaf
 
-    fragment = cli._Fragment(cli._dump(value))
+    fragment = cli._Fragment(cli._dump(value).replace("\n", "\n" + "  " * len(path)))
     assert cli._dump(nest(fragment)) == json.dumps(nest(value), indent=2, sort_keys=True)
 
 

@@ -6,6 +6,7 @@ import pytest
 from qsslab.schemes import DEALER, SchemeSpec, build_block_scheme, identity_assignment
 from qsslab.structures import (
     AccessStructure,
+    PlayerSubset,
     StructureError,
     adversary_partition,
     threshold_structure,
@@ -14,8 +15,6 @@ from qsslab.verifier import (
     StructuralMismatchError,
     SubsetEntropyTable,
     _evaluate,
-    check_entropy_balance,
-    entropy_profile,
     matrix_to_dict,
     report_hash,
     report_to_dict,
@@ -23,6 +22,13 @@ from qsslab.verifier import (
 )
 from qsslab.qstate import ResourceLimitError
 from qsslab.schemes import distribute_purified
+from reference_verifier import entropy_profile
+
+
+def record_for(report, players):
+    """The record of the subset of these players."""
+    bits = PlayerSubset.from_players(players, report.records[0].subset.n).bits
+    return next(r for r in report.records if r.subset.bits == bits)
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +102,10 @@ class TestVerifyBlockScheme:
     def test_named_sets(self):
         scheme, gamma = build_block_scheme(5, [1, 2])
         report = verify(scheme, gamma)
-        assert report.record_for([1, 2, 3]).i_ra == pytest.approx(2.0, abs=1e-9)
-        assert report.record_for([1, 3, 4, 5]).i_ra == pytest.approx(2.0, abs=1e-9)
-        assert report.record_for([3]).classification == "A1"
-        assert report.record_for([1, 2]).classification == "A2"
+        assert record_for(report, [1, 2, 3]).i_ra == pytest.approx(2.0, abs=1e-9)
+        assert record_for(report, [1, 3, 4, 5]).i_ra == pytest.approx(2.0, abs=1e-9)
+        assert record_for(report, [3]).classification == "A1"
+        assert record_for(report, [1, 2]).classification == "A2"
 
 
 class TestVerifyFailures:
@@ -111,7 +117,7 @@ class TestVerifyFailures:
         assert failing
         assert report.witness == failing[0].subset
         # the breakage shows as an authorized triple short of full correlation
-        triple = report.record_for([1, 2, 3])
+        triple = record_for(report, [1, 2, 3])
         assert triple.i_ra == pytest.approx(1.5, abs=1e-9)
         assert not triple.condition_pass
 
@@ -139,24 +145,23 @@ class TestVerifyFailures:
 
 class TestEntropyBalance:
     def test_threshold34_balanced(self, threshold34_scheme, threshold34_gamma):
-        result = check_entropy_balance(threshold34_scheme, threshold34_gamma)
-        assert result.balanced
-        assert result.worst_deviation <= 1e-9
-        assert result.generalized_ok and result.agrees_with_verify
+        report = verify(threshold34_scheme, threshold34_gamma)
+        assert report.entropy_balanced
+        assert report.worst_balance_deviation <= 1e-9
+        assert report.verdict == "generalized"
 
     def test_block_scheme_balanced(self):
         scheme, gamma = build_block_scheme(5, [1, 2])
-        result = check_entropy_balance(scheme, gamma)
-        assert result.balanced and result.agrees_with_verify
+        report = verify(scheme, gamma)
+        assert report.entropy_balanced and report.verdict == "generalized"
 
     def test_corrupted_scheme_unbalanced(self, corrupted_scheme, threshold34_gamma):
-        result = check_entropy_balance(corrupted_scheme, threshold34_gamma)
-        assert not result.balanced
-        assert result.worst_deviation == pytest.approx(0.5, abs=1e-9)
-        assert not result.generalized_ok
-        assert result.agrees_with_verify
+        report = verify(corrupted_scheme, threshold34_gamma)
+        assert not report.entropy_balanced
+        assert report.worst_balance_deviation == pytest.approx(0.5, abs=1e-9)
+        assert report.verdict == "fail"
 
-    def test_witness_is_first_worst_a2_member(self, corrupted_scheme, threshold34_gamma):
+    def test_worst_deviation_is_the_dense_a2_maximum(self, corrupted_scheme, threshold34_gamma):
         from qsslab.qstate import subsystem_entropy
 
         state = distribute_purified(corrupted_scheme)
@@ -166,16 +171,13 @@ class TestEntropyBalance:
 
         a2 = adversary_partition(threshold34_gamma).a2
         devs = [abs(s(a) - s(a.complement())) for a in a2]
-        result = check_entropy_balance(corrupted_scheme, threshold34_gamma)
-        assert result.worst_deviation == pytest.approx(max(devs), abs=1e-12)
-        assert result.witness == a2[devs.index(max(devs))]
         report = verify(corrupted_scheme, threshold34_gamma)
-        assert report.worst_balance_deviation == result.worst_deviation
+        assert report.worst_balance_deviation == pytest.approx(max(devs), abs=1e-12)
 
     def test_mismatch_counts_as_not_generalized(self, threshold34_scheme):
         claimed = AccessStructure.from_sets(4, [[1, 2, 3, 4]])
-        result = check_entropy_balance(threshold34_scheme, claimed)
-        assert not result.generalized_ok
+        with pytest.raises(StructuralMismatchError):
+            verify(threshold34_scheme, claimed)
 
 
 class TestEntropyProfile:
@@ -302,13 +304,13 @@ class TestFeasibilityMatrix:
         import qsslab.verifier as verifier
 
         seen = []
-        real_verify = verifier.verify
+        real_report = verifier._report
 
-        def spy(scheme, gamma, model="generalized", tolerance=verifier.DEFAULT_TOLERANCE):
+        def spy(table, scheme, gamma, model, tolerance):
             seen.append((scheme.name, tolerance))
-            return real_verify(scheme, gamma, model, tolerance)
+            return real_report(table, scheme, gamma, model, tolerance)
 
-        monkeypatch.setattr(verifier, "verify", spy)
+        monkeypatch.setattr(verifier, "_report", spy)
         verifier.feasibility_matrix(tolerance=1e-7)
         assert [tol for _, tol in seen] == [1e-7] * len(seen)
         for route in ("star", "via documented assignment", "via search"):
@@ -447,7 +449,8 @@ def test_matrix_logs_the_route_of_every_row(caplog, feasibility_rows):
 
     with caplog.at_level(logging.DEBUG, logger="qsslab.matrix"):
         verifier.feasibility_matrix()
-    events = [r.getMessage() for r in caplog.records if r.name == "qsslab.matrix"]
+    *events, summary = [r.getMessage() for r in caplog.records if r.name == "qsslab.matrix"]
+    assert summary.startswith("matrix: ")
     assert len(events) == len(feasibility_rows.rows)
     for message, row in zip(events, feasibility_rows.rows):
         assert message.startswith(f"row {row.number} ")
@@ -461,3 +464,118 @@ def test_matrix_logs_the_route_of_every_row(caplog, feasibility_rows):
             assert route == f"documented recipe over {row.scheme_name.split(' via')[0]}"
         else:
             assert route == f"direct star {row.scheme_name}"
+
+
+# ---------------------------------------------------------------------------
+# prepared bases: one per (m, block) in a matrix call, shared by every route
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except StructuralMismatchError as exc:
+        return str(exc)
+
+
+def test_prepared_base_searches_equal_fresh_searches():
+    from qsslab.schemes import PreparedBase, search_assignment
+    from qsslab.structures import HYPERSTAR_CATALOG
+    from qsslab.verifier import _report, _search_bases
+
+    hits = 0
+    for m, block in _search_bases(3):
+        prepared = PreparedBase(*build_block_scheme(m, block))
+        for entry in HYPERSTAR_CATALOG:
+            target = entry.structure
+            if target.n > m:
+                continue
+            shared = search_assignment(prepared, target, allow_dealer=True)
+            fresh = search_assignment(build_block_scheme(m, block), target, allow_dealer=True)
+            assert shared == fresh, (m, block, entry.number)
+            if shared is None:
+                continue
+            hits += 1
+            candidate = SchemeSpec(m, prepared.scheme.basis_images, shared, "candidate")
+            from_table = _outcome(
+                _report, prepared.table, candidate, target, "generalized", 1e-9
+            )
+            assert from_table == _outcome(verify, candidate, target), (m, block, entry.number)
+            if not isinstance(from_table, str):
+                assert report_hash(from_table) == report_hash(verify(candidate, target))
+    assert hits
+
+
+def test_every_matrix_report_equals_a_fresh_verify(monkeypatch):
+    import qsslab.verifier as verifier
+
+    reports = []
+    real_report = verifier._report
+
+    def recording(table, *args):
+        try:
+            result = real_report(table, *args)
+        except StructuralMismatchError as exc:
+            reports.append((args, str(exc)))
+            raise
+        reports.append((args, result))
+        return result
+
+    monkeypatch.setattr(verifier, "_report", recording)
+    verifier.feasibility_matrix()
+    monkeypatch.undo()
+    assert len(reports) >= 14
+    for args, result in reports:
+        assert result == _outcome(verify, *args), args[0].name
+        if not isinstance(result, str):
+            assert report_hash(result) == report_hash(verify(*args))
+
+
+def test_matrix_prepares_each_base_once(monkeypatch, caplog):
+    import logging
+    import re
+    from collections import Counter
+
+    import qsslab.schemes as schemes
+    import qsslab.verifier as verifier
+
+    classes, states = Counter(), Counter()
+    real_classes, real_distribute = schemes.interchangeable_classes, schemes.distribute_purified
+
+    def counting_classes(scheme, gamma):
+        classes[scheme.name] += 1
+        return real_classes(scheme, gamma)
+
+    def counting_distribute(scheme, *args):
+        states[scheme.name] += 1
+        return real_distribute(scheme, *args)
+
+    monkeypatch.setattr(schemes, "interchangeable_classes", counting_classes)
+    monkeypatch.setattr(schemes, "distribute_purified", counting_distribute)
+    monkeypatch.setattr(verifier, "distribute_purified", counting_distribute)
+    with caplog.at_level(logging.DEBUG, logger="qsslab.matrix"):
+        matrix = verifier.feasibility_matrix()
+    bases = {build_block_scheme(m, block)[0].name for m, block in verifier._search_bases(3)}
+    assert set(classes) == bases and set(classes.values()) == {1}
+    assert set(states) <= bases and set(states.values()) == {1}
+
+    # a row runs its search bases in order up to the one that realizes it, or all of them
+    expected_searches = 0
+    for row in matrix.rows:
+        names = [build_block_scheme(m, block)[0].name for m, block in verifier._search_bases(row.players)]
+        if row.gqss == "unknown":
+            expected_searches += len(names)
+        elif row.scheme_name.endswith(" via search"):
+            expected_searches += names.index(row.scheme_name.split(" via")[0]) + 1
+    summary = [r.getMessage() for r in caplog.records if r.name == "qsslab.matrix"][-1]
+    found = re.fullmatch(
+        r"matrix: (\d+) bases prepared, (\d+) searches, "
+        r"(\d+) entropy-table entries computed, (\d+) read",
+        summary,
+    )
+    assert found, summary
+    prepared, searches, computed, read = map(int, found.groups())
+    assert prepared == len(bases)
+    assert searches == expected_searches
+    # every built table computes each of its 2^m entries at most once
+    assert 0 < computed <= sum(1 << int(name.split("n=")[1].split(",")[0]) for name in states)
+    assert computed < read
