@@ -35,12 +35,9 @@ from .structures import (
     HYPERSTAR_CATALOG,
     AccessStructure,
     PlayerSubset,
-    adversary_partition,
-    are_isomorphic,
     catalog_number,
     check_complement_law,
     enumerate_hyperstars,
-    is_hyperstar,
     is_quantum_admissible,
     load_structure,
     perfect_feasibility,

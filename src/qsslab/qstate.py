@@ -13,8 +13,9 @@ scatters them into one stack of small coefficient matrices per number of
 kept registers, and diagonalizes the smaller Gram matrix of every cut in
 one stacked eigvalsh call, in batches of bounded size.  A four-term state
 gives at most 4 x 4 Gram matrices; a dense state gives at most the smaller
-side of the cut.  subsystem_entropy is the one-cut case; partial_trace
-and von_neumann_entropy are the dense reference path.
+side of the cut.  It is the one entropy path: mutual_information takes
+pure states only and reads its three cuts from it.  partial_trace and
+von_neumann_entropy are the dense reference that the tests compare against.
 
 Entropy is base 2 throughout: a maximally mixed qubit has S = 1.
 """
@@ -372,29 +373,14 @@ def _keep_mask(layout, regs):
     return sum(1 << (layout.num_qubits - 1 - a) for a in keep_ax)
 
 
-def subsystem_entropy(state, regs):
-    """Entropy of the reduced state on the given registers.
-
-    A pure state goes through cut_entropies, which never forms the reduced
-    state; a density matrix through partial_trace.
-    """
-    if not isinstance(state, PureState):
-        return von_neumann_entropy(partial_trace(state, regs))
-    return float(cut_entropies(state, [_keep_mask(state.layout, regs)])[0])
-
-
 def mutual_information(state, ref_regs, a_regs):
-    """I(R:A) = S(R) + S(A) - S(RA); a pure state's three cuts take one cut_entropies call."""
+    """I(R:A) = S(R) + S(A) - S(RA) of a pure state, its three cuts in one cut_entropies call."""
+    if not isinstance(state, PureState):
+        raise QStateError(f"mutual information needs a PureState, got {type(state).__name__}")
     ref_regs, a_regs = tuple(ref_regs), tuple(a_regs)
     overlap = set(ref_regs) & set(a_regs)
     if overlap:
         raise QStateError(f"register lists overlap on {sorted(overlap)}")
-    if isinstance(state, PureState):
-        masks = [_keep_mask(state.layout, regs) for regs in (ref_regs, a_regs, ref_regs + a_regs)]
-        s_r, s_a, s_ra = cut_entropies(state, masks).tolist()
-    else:
-        s_r = subsystem_entropy(state, ref_regs)
-        s_a = subsystem_entropy(state, a_regs)
-        s_ra = subsystem_entropy(state, ref_regs + a_regs)
+    masks = [_keep_mask(state.layout, regs) for regs in (ref_regs, a_regs, ref_regs + a_regs)]
+    s_r, s_a, s_ra = cut_entropies(state, masks).tolist()
     return s_r + s_a - s_ra
-

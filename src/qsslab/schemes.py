@@ -222,27 +222,6 @@ def induce_structure(scheme, base_gamma):
     return antichain_reduce(n, np.flatnonzero(base_gamma.authorized[union]).tolist())
 
 
-def permute_particles(scheme, perm):
-    """Relabel particle i as perm[i-1] in images and assignment."""
-    m = scheme.num_particles
-    if sorted(perm) != list(range(1, m + 1)):
-        raise SchemeError(f"{perm} is not a permutation of 1..{m}")
-    order = [0] * m
-    for i0, j in enumerate(perm):
-        order[j - 1] = i0
-    images = np.stack(
-        [
-            scheme.basis_images[b].reshape((2,) * m).transpose(order).reshape(-1)
-            for b in (0, 1)
-        ]
-    )
-    assignment = {
-        holder: tuple(sorted(perm[p - 1] for p in particles))
-        for holder, particles in scheme.assignment.items()
-    }
-    return SchemeSpec(m, images, assignment, name=f"{scheme.name}~perm")
-
-
 def _is_transposition_symmetric(scheme, base_masks, i, j):
     """Whether swapping particles i and j (0-based) fixes the images and the base masks."""
     m = scheme.num_particles

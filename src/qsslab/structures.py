@@ -251,24 +251,9 @@ class AccessStructure:
         return "{" + ", ".join(str(s) for s in self.minimal_sets) + "}"
 
 
-@dataclass(frozen=True)
-class AdversaryPartition:
-    """Unauthorized subsets split into A1 (avoidable) and A2 (unavoidable)."""
-
-    a1: tuple
-    a2: tuple
-
-
 def is_quantum_admissible(gamma):
     """True iff no two authorized sets are disjoint: no authorized set has an authorized complement."""
     return not (gamma.authorized & gamma.authorized[::-1]).any()
-
-
-def is_hyperstar(gamma):
-    """True iff all minimal authorized sets share a common player."""
-    if not gamma.minimal_sets:
-        raise StructureError("hyperstar test needs at least one minimal set")
-    return functools.reduce(lambda a, b: a & b, gamma.masks()) != 0
 
 
 def _admissible_classes(gamma):
@@ -285,20 +270,6 @@ def _adversary_masks(gamma):
     """
     codes = _admissible_classes(gamma)[1:]
     return np.flatnonzero(codes == A1) + 1, np.flatnonzero(codes == A2) + 1
-
-
-def adversary_partition(gamma):
-    """Every nonempty unauthorized subset, split into A1 and A2 by gamma's class table.
-
-    A in A1 iff A is disjoint from some minimal authorized set; A in A2 iff
-    A intersects every minimal authorized set.  Requires an admissible
-    structure, otherwise the two predicates do not partition the adversary
-    structure meaningfully.
-    """
-    return AdversaryPartition(*(
-        tuple(PlayerSubset(bits, gamma.n) for bits in masks.tolist())
-        for masks in _adversary_masks(gamma)
-    ))
 
 
 @dataclass(frozen=True)
@@ -364,54 +335,32 @@ def threshold_structure(k, n):
 
 
 @functools.cache
-def _relabelings(n):
-    """Every player relabeling as rows of 0-based images, and the bit each player lands on.
+def _relabeling_shifts(n):
+    """Every player relabeling as a row of the bit each player lands on.
 
-    Row r of the read-only (n!, n) tables holds relabeling r in
-    itertools.permutations order: image[p] is the new position of position
-    p, and shift[p] is 1 << image[p].
+    Row r of the read-only (n!, n) table holds relabeling r in
+    itertools.permutations order: entry p is 1 << (new position of position p).
     """
-    images = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    shifts = np.left_shift(1, images)
-    images.flags.writeable = shifts.flags.writeable = False
-    return images, shifts
+    shifts = np.left_shift(1, np.array(list(itertools.permutations(range(n))), dtype=np.int64))
+    shifts.flags.writeable = False
+    return shifts
 
 
 def _canonical_form(n, masks):
-    """Least sorted mask tuple over all n! player relabelings, and a relabeling reaching it.
+    """Least sorted mask tuple over all n! player relabelings.
 
     Every mask is remapped under every relabeling at once: one int64
     matmul of the bit-shift table against the masks' bit matrix, a sort
-    within each row and a lexsort over the rows.  The relabeling is the
-    0-based image tuple of the first relabeling (in permutations order)
-    that gives the least tuple.
+    within each row and a lexsort over the rows.
     """
     if n > MAX_ISO_PLAYERS:
         raise StructureError(f"isomorphism search capped at n={MAX_ISO_PLAYERS}, got n={n}")
     if not masks:
-        return (), tuple(range(n))
-    images, shifts = _relabelings(n)
+        return ()
     bits = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    remapped = shifts @ bits.T
+    remapped = _relabeling_shifts(n) @ bits.T
     remapped.sort(axis=1)
-    best = np.lexsort(remapped.T[::-1])[0]
-    return tuple(remapped[best].tolist()), tuple(images[best].tolist())
-
-
-def are_isomorphic(g1, g2):
-    """A player permutation mapping g1's minimal sets onto g2's, or None.
-
-    The permutation is a tuple (image of P1, image of P2, ...) with 1-based
-    entries: g1's relabeling to the canonical form followed by the inverse
-    of g2's.  n is capped at MAX_ISO_PLAYERS.
-    """
-    if g1.n != g2.n:
-        raise StructureError(f"player-count mismatch: {g1.n} vs {g2.n}")
-    key1, image1 = _canonical_form(g1.n, g1.masks())
-    key2, image2 = _canonical_form(g2.n, g2.masks())
-    if key1 != key2:
-        return None
-    return tuple(image2.index(t) + 1 for t in image1)
+    return tuple(remapped[np.lexsort(remapped.T[::-1])[0]].tolist())
 
 
 def canonical_key(gamma):
@@ -419,7 +368,7 @@ def canonical_key(gamma):
 
     n is capped at MAX_ISO_PLAYERS.
     """
-    return _canonical_form(gamma.n, gamma.masks())[0]
+    return _canonical_form(gamma.n, gamma.masks())
 
 
 def _pinned_hyperstar_antichains(n):
@@ -460,7 +409,7 @@ def enumerate_hyperstars(max_n):
         raise StructureError(f"enumeration supported for 2 <= max_n <= {MAX_ENUM_PLAYERS}")
     out = []
     for n in range(2, max_n + 1):
-        keys = {_canonical_form(n, masks)[0] for masks in _pinned_hyperstar_antichains(n)}
+        keys = {_canonical_form(n, masks) for masks in _pinned_hyperstar_antichains(n)}
         out.extend((n, AccessStructure.from_masks(n, key)) for key in sorted(keys))
     return out
 

@@ -1,11 +1,13 @@
-"""Per-subset entropy records of a scheme at any secret distribution.
+"""Entropy references for the verifier and state-engine tests.
 
-verify only judges the maximally mixed secret.  This helper runs the same
-entropy pass at any distribution, with every subset classed authorized,
-and returns (subset, S(A), S(RA), I(R:A)) tuples ordered by subset bitmask.
+verify only judges the maximally mixed secret.  entropy_profile runs the
+same entropy pass at any distribution, with every subset classed
+authorized, and returns (subset, S(A), S(RA), I(R:A)) tuples ordered by
+subset bitmask.  register_entropy reads one register list's entropy off a
+pure state through the cut oracle.
 """
 
-from qsslab.qstate import DEFAULT_TOLERANCE
+from qsslab.qstate import DEFAULT_TOLERANCE, _keep_mask, cut_entropies
 from qsslab.schemes import distribute_purified
 from qsslab.verifier import SubsetEntropyTable, _evaluate, _player_masks
 
@@ -15,3 +17,8 @@ def entropy_profile(scheme, probabilities=(0.5, 0.5)):
     classes = ("authorized",) * (1 << scheme.num_players)
     ev = _evaluate(table, _player_masks(scheme), classes, DEFAULT_TOLERANCE)
     return [(r.subset, r.s_a, r.s_ra, r.i_ra) for r in ev.records]
+
+
+def register_entropy(state, regs):
+    """Entropy of a pure state's reduced state on the given registers, as one cut."""
+    return float(cut_entropies(state, [_keep_mask(state.layout, regs)])[0])

@@ -1,0 +1,73 @@
+"""Every public name of the package has a caller in the package itself.
+
+A name counts as called when some module under src/qsslab other than
+__init__.py reads it (an ast Name or Attribute in load context) outside
+the top-level definition that binds it.  Docstrings, comments, imports and
+tests do not count.
+"""
+
+import ast
+import types
+from pathlib import Path
+
+import qsslab
+
+SRC = Path(qsslab.__file__).resolve().parent
+
+#: Public names kept without a caller in the package, each with its reason.
+UNCALLED = {
+    "attack_threshold34_pair12": "the paper's security example on the ((3,4)) scheme",
+    "attack_threshold34_pair23": "the paper's security example on the ((3,4)) scheme",
+    "threshold_structure": "the paper's threshold access structures",
+    "von_neumann_entropy": "the dense entropy reference that the tests compare against",
+}
+
+
+def read_names(tree):
+    """Names a module reads, leaving out each top-level definition's reads of its own name."""
+    found = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def public_names():
+    return {
+        name for name in qsslab.__all__
+        if not isinstance(getattr(qsslab, name), types.ModuleType)
+    }
+
+
+def called_names():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            found |= read_names(ast.parse(path.read_text(), filename=str(path)))
+    return found
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    assert sorted(public_names() - called_names() - UNCALLED.keys()) == []
+
+
+def test_the_uncalled_list_names_only_exported_names_without_a_caller():
+    assert sorted(UNCALLED.keys() - public_names()) == []
+    assert sorted(UNCALLED.keys() & called_names()) == []
+
+
+def test_reads_of_a_name_inside_its_own_definition_do_not_count():
+    tree = ast.parse(
+        "def loop(n):\n    return loop(n - 1)\n"
+        "TABLE = 1\n"
+        "def user():\n    return obj.helper\n"
+    )
+    assert read_names(tree) == {"n", "obj", "helper"}

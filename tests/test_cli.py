@@ -24,15 +24,15 @@ from qsslab.schemes import (
 from qsslab.structures import (
     HYPERSTAR_CATALOG,
     AccessStructure,
-    AdversaryPartition,
     PlayerSubset,
-    adversary_partition,
+    _adversary_masks,
     antichain_reduce,
     check_complement_law,
     perfect_feasibility,
     structure_to_dict,
     threshold_structure,
 )
+from reference_structures import brute_classes
 
 GOLDEN_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "tables.json"
 
@@ -144,15 +144,9 @@ def structure_check_reference(gamma, fmt):
     The partition is taken by definition from the minimal sets, apart from
     the library's tables.
     """
-    n, minimal = gamma.n, gamma.masks()
-    unauthorized = [
-        PlayerSubset(b, n) for b in range(1, 1 << n) if not any(m & b == m for m in minimal)
-    ]
-    partition = AdversaryPartition(
-        tuple(s for s in unauthorized if any(m & s.bits == 0 for m in minimal)),
-        tuple(s for s in unauthorized if all(m & s.bits for m in minimal)),
-    )
-    assert adversary_partition(gamma) == partition
+    a1_masks, a2_masks = brute_classes(gamma)[1:]
+    assert [masks.tolist() for masks in _adversary_masks(gamma)] == [a1_masks, a2_masks]
+    a1, a2 = ([PlayerSubset(b, gamma.n) for b in masks] for masks in (a1_masks, a2_masks))
     law = check_complement_law(gamma)
     feas = perfect_feasibility(gamma)
     if fmt == "json":
@@ -160,8 +154,8 @@ def structure_check_reference(gamma, fmt):
             "players": gamma.n,
             "minimal_authorized": [list(s.players()) for s in gamma.minimal_sets],
             "admissible": True,
-            "a1": [list(s.players()) for s in partition.a1],
-            "a2": [list(s.players()) for s in partition.a2],
+            "a1": [list(s.players()) for s in a1],
+            "a2": [list(s.players()) for s in a2],
             "complement_law": law.holds,
             "perfect": "feasible" if feas.feasible else "infeasible",
             "perfect_witness": list(feas.witness.players()) if feas.witness else None,
@@ -169,9 +163,9 @@ def structure_check_reference(gamma, fmt):
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     verdict = "feasible" if feas.feasible else "infeasible"
     lines = [
-        f"admissible; |A1|={len(partition.a1)} |A2|={len(partition.a2)}; perfect: {verdict}",
-        "A1: " + (", ".join(str(s) for s in partition.a1) or "(empty)"),
-        "A2: " + (", ".join(str(s) for s in partition.a2) or "(empty)"),
+        f"admissible; |A1|={len(a1)} |A2|={len(a2)}; perfect: {verdict}",
+        "A1: " + (", ".join(str(s) for s in a1) or "(empty)"),
+        "A2: " + (", ".join(str(s) for s in a2) or "(empty)"),
         f"complement law: {'holds' if law.holds else f'fails at {law.counterexample}'}",
     ]
     if feas.witness:

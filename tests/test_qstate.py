@@ -13,10 +13,10 @@ from qsslab.qstate import (
     mutual_information,
     partial_trace,
     purify_secret,
-    subsystem_entropy,
     von_neumann_entropy,
 )
 from qsslab.qstate import _dense_ranks, _subset_ranks
+from reference_verifier import register_entropy
 
 SQ2 = 2**-0.5
 
@@ -142,7 +142,7 @@ class TestPurifySecret:
     def test_reference_correlation_is_twice_secret_entropy(self, p):
         state = purify_secret((p, 1.0 - p))
         i_rs = mutual_information(state, ("R",), ("S",))
-        s_s = subsystem_entropy(state, ("S",))
+        s_s = register_entropy(state, ("S",))
         assert abs(i_rs - 2.0 * s_s) <= 1e-9
 
 
@@ -299,6 +299,11 @@ class TestMutualInformation:
         with pytest.raises(QStateError, match="overlap"):
             mutual_information(distributed_state(), ("R",), ("R", "p1"))
 
+    def test_rejects_a_density_matrix(self):
+        rho = partial_trace(distributed_state(), ("R", "p1", "p2"))
+        with pytest.raises(QStateError, match="PureState"):
+            mutual_information(rho, ("R",), ("p1",))
+
 
 # ---------------------------------------------------------------------------
 # purity identities on random states
@@ -319,7 +324,7 @@ def test_purity_symmetry(seed, n):
     part = list(rng.permutation(n))
     left = tuple(labels[i] for i in part[:cut])
     right = tuple(labels[i] for i in part[cut:])
-    assert abs(subsystem_entropy(state, left) - subsystem_entropy(state, right)) <= 1e-9
+    assert abs(register_entropy(state, left) - register_entropy(state, right)) <= 1e-9
 
 
 @given(st.integers(0, 10_000))
@@ -330,7 +335,7 @@ def test_complementary_information(seed):
     state = random_state(rng, labels)
     i_ra = mutual_information(state, ("R",), ("a",))
     i_rbc = mutual_information(state, ("R",), ("b", "c"))
-    s_r = subsystem_entropy(state, ("R",))
+    s_r = register_entropy(state, ("R",))
     assert abs(i_ra + i_rbc - 2.0 * s_r) <= 1e-9
 
 
@@ -370,28 +375,22 @@ class TestSupportEntropy:
             state = random_isometry_state(rng, m)
             for regs in proper_cuts(state.layout.labels):
                 dense = von_neumann_entropy(partial_trace(state, regs))
-                assert abs(subsystem_entropy(state, regs) - dense) <= 1e-12, (m, regs)
+                assert abs(register_entropy(state, regs) - dense) <= 1e-12, (m, regs)
 
     def test_register_order_does_not_matter(self):
         state = random_isometry_state(np.random.default_rng(3), 4)
-        assert subsystem_entropy(state, ("p3", "R", "p1")) == subsystem_entropy(
+        assert register_entropy(state, ("p3", "R", "p1")) == register_entropy(
             state, ("R", "p1", "p3")
         )
 
     def test_rejects_empty_duplicate_and_unknown_registers(self):
         state = distributed_state()
-        with pytest.raises(QStateError):
-            subsystem_entropy(state, ())
+        with pytest.raises(QStateError, match="at least one"):
+            mutual_information(state, ("R",), ())
         with pytest.raises(QStateError, match="duplicate"):
-            subsystem_entropy(state, ("p1", "p1"))
+            mutual_information(state, ("R",), ("p1", "p1"))
         with pytest.raises(QStateError, match="unknown"):
-            subsystem_entropy(state, ("p9",))
-
-    def test_density_matrix_input_keeps_the_dense_path(self):
-        rho = partial_trace(distributed_state(), ("R", "p1", "p2"))
-        assert subsystem_entropy(rho, ("R", "p1")) == von_neumann_entropy(
-            partial_trace(rho, ("R", "p1"))
-        )
+            mutual_information(state, ("R",), ("p9",))
 
 
 class TestCutEntropies:
@@ -442,16 +441,16 @@ class TestCutEntropies:
         labels = almost_dense.layout.labels
         for regs in proper_cuts(labels):
             dense = von_neumann_entropy(partial_trace(almost_dense, regs))
-            assert abs(subsystem_entropy(almost_dense, regs) - dense) <= 1e-12
+            assert abs(register_entropy(almost_dense, regs) - dense) <= 1e-12
 
-    def test_matches_subsystem_entropy_per_cut(self):
+    def test_matches_one_cut_at_a_time(self):
         state = random_isometry_state(np.random.default_rng(8), 5)
         labels = state.layout.labels
         masks = list(range(1, 1 << len(labels)))
         n = len(labels)
         for mask, s in zip(masks, cut_entropies(state, masks).tolist()):
             regs = tuple(labels[a] for a in range(n) if mask >> (n - 1 - a) & 1)
-            assert s == subsystem_entropy(state, regs)
+            assert s == register_entropy(state, regs)
 
     def test_keeping_nothing_is_the_cut_of_keeping_everything(self):
         state = distributed_state()
@@ -477,9 +476,9 @@ def test_entropy_inequalities_on_random_isometries(seed, m):
     a = tuple(p for p, k in zip(particles, side) if k == 0)
     b = tuple(p for p, k in zip(particles, side) if k == 1)
     rest = tuple(p for p in particles if p not in a)
-    s_a, s_b = subsystem_entropy(state, a), subsystem_entropy(state, b)
-    s_ab = subsystem_entropy(state, a + b)
+    s_a, s_b = register_entropy(state, a), register_entropy(state, b)
+    s_ab = register_entropy(state, a + b)
     # purity: A and its complement R + (particles outside A) share one spectrum
-    assert abs(s_a - subsystem_entropy(state, ("R",) + rest)) <= 1e-9
+    assert abs(s_a - register_entropy(state, ("R",) + rest)) <= 1e-9
     assert s_ab <= s_a + s_b + 1e-9  # subadditivity
     assert abs(s_a - s_b) <= s_ab + 1e-9  # Araki-Lieb

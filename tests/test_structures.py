@@ -13,14 +13,11 @@ from qsslab.structures import (
     AccessStructure,
     PlayerSubset,
     StructureError,
-    adversary_partition,
     antichain_reduce,
-    are_isomorphic,
     canonical_key,
     catalog_number,
     check_complement_law,
     enumerate_hyperstars,
-    is_hyperstar,
     is_quantum_admissible,
     load_structure,
     perfect_feasibility,
@@ -28,6 +25,7 @@ from qsslab.structures import (
     subset_unions,
     threshold_structure,
 )
+from reference_structures import brute_canonical, brute_classes
 
 
 def gamma(n, sets):
@@ -37,25 +35,6 @@ def gamma(n, sets):
 def subset(players, n):
     return PlayerSubset.from_players(players, n)
 
-
-# ---------------------------------------------------------------------------
-# oracle: classify every nonempty subset by definition, independent of the
-# library's partition implementation
-
-
-def brute_classification(g):
-    authorized, a1, a2 = [], [], []
-    minimal = [set(s.players()) for s in g.minimal_sets]
-    for size in range(1, g.n + 1):
-        for combo in itertools.combinations(range(1, g.n + 1), size):
-            s = set(combo)
-            if any(m <= s for m in minimal):
-                authorized.append(s)
-            elif any(not (m & s) for m in minimal):
-                a1.append(s)
-            else:
-                a2.append(s)
-    return authorized, a1, a2
 
 
 # ---------------------------------------------------------------------------
@@ -180,25 +159,29 @@ class TestAdmissibility:
 # adversary partition
 
 
+def adversary_masks(g):
+    """g's A1 and A2 bitmasks as two ascending lists, as structure check reads them."""
+    a1, a2 = structures._adversary_masks(g)
+    return a1.tolist(), a2.tolist()
+
+
 class TestAdversaryPartition:
     def test_threshold34_sizes(self):
-        part = adversary_partition(threshold_structure(3, 4))
-        assert len(part.a1) == 4 and len(part.a2) == 6
-        _, a1, a2 = brute_classification(threshold_structure(3, 4))
-        assert {frozenset(s.players()) for s in part.a1} == {frozenset(s) for s in a1}
-        assert {frozenset(s.players()) for s in part.a2} == {frozenset(s) for s in a2}
+        a1, a2 = adversary_masks(threshold_structure(3, 4))
+        assert len(a1) == 4 and len(a2) == 6
+        assert (a1, a2) == brute_classes(threshold_structure(3, 4))[1:]
 
     def test_two_star_on_three(self):
-        part = adversary_partition(gamma(3, [[1, 2], [1, 3]]))
-        assert {s.players() for s in part.a2} == {(1,), (2, 3)}
-        assert {s.players() for s in part.a1} == {(2,), (3,)}
+        a1, a2 = adversary_masks(gamma(3, [[1, 2], [1, 3]]))
+        assert [PlayerSubset(b, 3).players() for b in a2] == [(1,), (2, 3)]
+        assert [PlayerSubset(b, 3).players() for b in a1] == [(2,), (3,)]
 
     def test_threshold23_a2_empty(self):
-        assert adversary_partition(threshold_structure(2, 3)).a2 == ()
+        assert adversary_masks(threshold_structure(2, 3))[1] == []
 
     def test_rejects_inadmissible(self):
         with pytest.raises(StructureError, match="admissible"):
-            adversary_partition(gamma(4, [[1, 2], [3, 4]]))
+            structures._adversary_masks(gamma(4, [[1, 2], [3, 4]]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +212,8 @@ class TestPerfectFeasibility:
 
     def test_matches_a2_emptiness(self):
         for entry in HYPERSTAR_CATALOG:
-            part = adversary_partition(entry.structure)
-            assert perfect_feasibility(entry.structure).feasible == (not part.a2)
+            a2 = adversary_masks(entry.structure)[1]
+            assert perfect_feasibility(entry.structure).feasible == (not a2)
 
 
 class TestThresholdStructure:
@@ -266,18 +249,20 @@ class TestThresholdStructure:
 
 
 class TestHyperstar:
+    """A structure is a hyperstar iff its class is one that enumerate_hyperstars lists."""
+
+    @staticmethod
+    def enumerated(g):
+        return canonical_key(g) in {c.masks() for n, c in enumerate_hyperstars(g.n) if n == g.n}
+
     def test_star(self):
-        assert is_hyperstar(gamma(4, [[1, 2], [1, 3], [1, 4]]))
+        assert self.enumerated(gamma(4, [[1, 2], [1, 3], [1, 4]]))
 
     def test_threshold_not_star(self):
-        assert not is_hyperstar(threshold_structure(3, 4))
+        assert not self.enumerated(threshold_structure(3, 4))
 
     def test_single_full_edge(self):
-        assert is_hyperstar(gamma(5, [[1, 2, 3, 4, 5]]))
-
-    def test_needs_edges(self):
-        with pytest.raises(StructureError):
-            is_hyperstar(AccessStructure(3, ()))
+        assert self.enumerated(gamma(5, [[1, 2, 3, 4, 5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,41 +285,31 @@ def relabeled_antichains(draw):
 
 
 class TestIsomorphism:
+    """Isomorphic structures share a canonical key and others do not."""
+
     def test_mixed_sizes_found(self):
         g1 = gamma(4, [[1, 2, 3], [1, 4]])
         g2 = gamma(4, [[1, 2], [1, 3, 4]])
-        perm = are_isomorphic(g1, g2)
-        assert perm is not None
-        assert apply_permutation(g1, perm).masks() == g2.masks()
+        assert canonical_key(g1) == canonical_key(g2)
 
     def test_relabeling_found(self):
-        perm = are_isomorphic(gamma(3, [[1, 2], [1, 3]]), gamma(3, [[1, 2], [2, 3]]))
-        assert perm is not None
+        assert canonical_key(gamma(3, [[1, 2], [1, 3]])) == canonical_key(gamma(3, [[1, 2], [2, 3]]))
 
     def test_distinct_catalog_classes(self):
         g4 = HYPERSTAR_CATALOG[3].structure
         g5 = HYPERSTAR_CATALOG[4].structure
-        assert are_isomorphic(g4, g5) is None
-
-    def test_large_n_rejected(self):
-        g = gamma(9, [[1, 2]])
-        with pytest.raises(StructureError, match="capped"):
-            are_isomorphic(g, g)
+        assert canonical_key(g4) != canonical_key(g5)
 
     def test_empty_structures(self):
         empty = AccessStructure(3, ())
         assert canonical_key(empty) == ()
-        assert are_isomorphic(empty, empty) == (1, 2, 3)
-        assert are_isomorphic(empty, gamma(3, [[1, 2]])) is None
+        assert canonical_key(empty) != canonical_key(gamma(3, [[1, 2]]))
 
     @given(relabeled_antichains())
     @settings(max_examples=30, deadline=None)
-    def test_witness_maps_onto_relabeled_copy(self, case):
+    def test_relabeled_copy_keeps_its_key(self, case):
         g, perm = case
-        copy = apply_permutation(g, perm)
-        witness = are_isomorphic(g, copy)
-        assert witness is not None
-        assert apply_permutation(g, witness).masks() == copy.masks()
+        assert canonical_key(apply_permutation(g, perm)) == canonical_key(g)
 
     @given(relabeled_antichains(), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -353,31 +328,7 @@ class TestIsomorphism:
         assume(changes)
         i, changed = changes[pick % len(changes)]
         masks[i] = changed
-        assert are_isomorphic(g, AccessStructure.from_masks(g.n, masks)) is None
-
-    @given(
-        st.permutations(list(range(1, 6))),
-        st.permutations(list(range(1, 6))),
-        st.integers(0, len(HYPERSTAR_CATALOG) - 1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_equivalence_properties(self, perm5, other5, idx):
-        g = HYPERSTAR_CATALOG[idx].structure
-        perm = tuple(perm5[: g.n])
-        second = tuple(other5[: g.n])
-        if sorted(perm) != list(range(1, g.n + 1)) or sorted(second) != sorted(perm):
-            return
-        relabeled = apply_permutation(g, perm)
-        # reflexive
-        assert are_isomorphic(g, g) is not None
-        # found in both directions
-        forward = are_isomorphic(g, relabeled)
-        backward = are_isomorphic(relabeled, g)
-        assert forward is not None and backward is not None
-        assert apply_permutation(g, forward).masks() == relabeled.masks()
-        # transitive across a second relabeling
-        twice = apply_permutation(relabeled, second)
-        assert are_isomorphic(g, twice) is not None
+        assert canonical_key(AccessStructure.from_masks(g.n, masks)) != canonical_key(g)
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +350,24 @@ class TestEnumeration:
 
     def test_four_players_contains_catalog(self):
         classes = [g for n, g in enumerate_hyperstars(4) if g.n == 4]
+        keys = {brute_canonical(g) for g in classes}
         for entry in HYPERSTAR_CATALOG[3:7]:
-            assert any(are_isomorphic(g, entry.structure) for g in classes), entry.number
+            assert brute_canonical(entry.structure) in keys, entry.number
         # the three-triangle family is a class of its own
-        extra = gamma(4, [[1, 2, 3], [1, 2, 4], [1, 3, 4]])
-        assert any(are_isomorphic(g, extra) for g in classes)
+        assert brute_canonical(gamma(4, [[1, 2, 3], [1, 2, 4], [1, 3, 4]])) in keys
         assert len(classes) == 5
 
     def test_entries_are_valid_and_distinct(self):
         classes = enumerate_hyperstars(5)
         for n, g in classes:
             assert g.n == n
-            assert is_hyperstar(g)
+            assert functools.reduce(lambda a, b: a & b, g.masks()) != 0  # a common player
             assert is_quantum_admissible(g)
         per_n = {}
         for n, g in classes:
-            per_n.setdefault(n, []).append(g)
-        for n, group in per_n.items():
-            for g1, g2 in itertools.combinations(group, 2):
-                assert are_isomorphic(g1, g2) is None
+            per_n.setdefault(n, []).append(brute_canonical(g))
+        for n, keys in per_n.items():
+            assert len(set(keys)) == len(keys), n
 
     def test_deterministic(self):
         a = [(n, g.masks()) for n, g in enumerate_hyperstars(4)]
@@ -467,20 +417,6 @@ def admissible_structures(draw):
         masks.add(sum(1 << (p - 1) for p in {center} | extra))
     minimal = [m for m in sorted(masks) if not any(o != m and o & m == o for o in masks)]
     return AccessStructure.from_masks(n, minimal)
-
-
-def brute_canonical(g):
-    """Full n!-permutation minimum, the definition canonical_key must match."""
-
-    def remap(mask, perm):
-        return sum(1 << perm[p] for p in range(g.n) if mask >> p & 1)
-
-    best = None
-    for perm in itertools.permutations(range(g.n)):
-        key = tuple(sorted(remap(m, perm) for m in g.masks()))
-        if best is None or key < best:
-            best = key
-    return best
 
 
 class TestCanonicalKey:
@@ -544,15 +480,15 @@ def test_subset_unions_match_bruteforce_on_columns(n, rows, seed):
 @given(admissible_structures())
 @settings(max_examples=120, deadline=None)
 def test_partition_totality(g):
-    part = adversary_partition(g)
+    a1, a2 = adversary_masks(g)
     closure = sum(
         1 for bits in range(1, 1 << g.n) if g.contains(PlayerSubset(bits, g.n))
     )
-    assert len(part.a1) + len(part.a2) + closure == (1 << g.n) - 1
-    for s in part.a1:
-        assert any(m.bits & s.bits == 0 for m in g.minimal_sets)
-    for s in part.a2:
-        assert all(m.bits & s.bits != 0 for m in g.minimal_sets)
+    assert len(a1) + len(a2) + closure == (1 << g.n) - 1
+    for bits in a1:
+        assert any(m & bits == 0 for m in g.masks())
+    for bits in a2:
+        assert all(m & bits != 0 for m in g.masks())
 
 
 @given(admissible_structures())
@@ -564,7 +500,7 @@ def test_complement_law_always_holds(g):
 @given(admissible_structures())
 @settings(max_examples=60, deadline=None)
 def test_feasible_iff_a2_empty(g):
-    assert perfect_feasibility(g).feasible == (not adversary_partition(g).a2)
+    assert perfect_feasibility(g).feasible == (not adversary_masks(g)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +522,8 @@ def antichains(draw):
 @settings(max_examples=150, deadline=None)
 def test_subset_classes_match_bruteforce(g):
     expected = {}
-    for cls, sets in zip(("authorized", "A1", "A2"), brute_classification(g)):
-        expected.update({subset(s, g.n).bits: cls for s in sets})
+    for cls, masks in zip(("authorized", "A1", "A2"), brute_classes(g)):
+        expected.update(dict.fromkeys(masks, cls))
     classes = g.subset_classes
     assert len(classes) == 1 << g.n
     assert {bits: classes[bits] for bits in range(1, 1 << g.n)} == expected
@@ -735,9 +671,9 @@ def test_structure_analyses_classify_once(monkeypatch):
     monkeypatch.setattr(AccessStructure, "class_codes", spied)
     monkeypatch.setattr(AccessStructure, "contains", lambda *_: pytest.fail("contains called"))
     g = gamma(5, [[1, 2, 3], [1, 4, 5]])
-    part = adversary_partition(g)
+    a2 = structures._adversary_masks(g)[1]
     assert check_complement_law(g).holds
-    assert perfect_feasibility(g).witness == part.a2[0]
+    assert perfect_feasibility(g).witness == PlayerSubset(int(a2[0]), g.n)
     assert calls == [g]
 
 

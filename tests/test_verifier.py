@@ -8,7 +8,7 @@ from qsslab.structures import (
     AccessStructure,
     PlayerSubset,
     StructureError,
-    adversary_partition,
+    _adversary_masks,
     threshold_structure,
 )
 from qsslab.verifier import (
@@ -22,7 +22,7 @@ from qsslab.verifier import (
 )
 from qsslab.qstate import ResourceLimitError
 from qsslab.schemes import distribute_purified
-from reference_verifier import entropy_profile
+from reference_verifier import entropy_profile, register_entropy
 
 
 def record_for(report, players):
@@ -162,14 +162,15 @@ class TestEntropyBalance:
         assert report.verdict == "fail"
 
     def test_worst_deviation_is_the_dense_a2_maximum(self, corrupted_scheme, threshold34_gamma):
-        from qsslab.qstate import subsystem_entropy
+        from qsslab.qstate import partial_trace, von_neumann_entropy
 
         state = distribute_purified(corrupted_scheme)
 
         def s(subset):
-            return subsystem_entropy(state, [f"p{p}" for p in subset.players()])
+            return von_neumann_entropy(partial_trace(state, [f"p{p}" for p in subset.players()]))
 
-        a2 = adversary_partition(threshold34_gamma).a2
+        n = threshold34_gamma.n
+        a2 = [PlayerSubset(int(b), n) for b in _adversary_masks(threshold34_gamma)[1]]
         devs = [abs(s(a) - s(a.complement())) for a in a2]
         report = verify(corrupted_scheme, threshold34_gamma)
         assert report.worst_balance_deviation == pytest.approx(max(devs), abs=1e-12)
@@ -203,13 +204,11 @@ class TestEntropyProfile:
 
 class TestEntropyTable:
     def test_lookup_matches_direct_computation(self, threshold34_scheme):
-        from qsslab.qstate import subsystem_entropy
-
         state = distribute_purified(threshold34_scheme)
         table = SubsetEntropyTable(state, 4)
         (s_a,), (s_ra,) = table.read([0b0011])
-        assert s_a == pytest.approx(subsystem_entropy(state, ("p1", "p2")), abs=1e-12)
-        assert s_ra == pytest.approx(subsystem_entropy(state, ("R", "p1", "p2")), abs=1e-12)
+        assert s_a == pytest.approx(register_entropy(state, ("p1", "p2")), abs=1e-12)
+        assert s_ra == pytest.approx(register_entropy(state, ("R", "p1", "p2")), abs=1e-12)
         (s_a,), (s_ra,) = table.read([0b0111])
         assert table.s_ref + s_a - s_ra == pytest.approx(2.0, abs=1e-9)
 
@@ -334,7 +333,7 @@ class TestFeasibilityMatrix:
 
 
 def test_block_scheme_cuts_match_partial_trace():
-    from qsslab.qstate import partial_trace, subsystem_entropy, von_neumann_entropy
+    from qsslab.qstate import partial_trace, von_neumann_entropy
 
     for m in range(3, 10):
         scheme, _ = build_block_scheme(m, range(1, (m + 1) // 2 + 1))
@@ -343,7 +342,7 @@ def test_block_scheme_cuts_match_partial_trace():
         for bits in range(1, (1 << len(labels)) - 1):
             regs = tuple(labels[i] for i in range(len(labels)) if bits >> i & 1)
             dense = von_neumann_entropy(partial_trace(state, regs))
-            assert abs(subsystem_entropy(state, regs) - dense) <= 1e-12, (m, regs)
+            assert abs(register_entropy(state, regs) - dense) <= 1e-12, (m, regs)
 
 
 def test_matrix_entropies_are_bit_equal_to_partial_trace(monkeypatch):
@@ -420,8 +419,6 @@ def test_record_entropies_keep_the_dense_path_bits_and_signs():
 
 @pytest.mark.parametrize("m", range(3, 8))
 def test_s_with_ref_is_the_entropy_of_the_other_particles(m):
-    from qsslab.qstate import subsystem_entropy
-
     assignments = [identity_assignment(m)]
     # the dealer keeps the last particle, or the last two
     for kept in range(1, min(2, m - 2) + 1):
@@ -437,9 +434,9 @@ def test_s_with_ref_is_the_entropy_of_the_other_particles(m):
             regs = scheme.registers_of(subset.bits)
             others = tuple(f"p{p}" for p in range(1, m + 1) if not mask >> (p - 1) & 1)
             assert s_ra == table.read([mask])[1][0]
-            assert s_ra == subsystem_entropy(state, ("R",) + regs), (assignment, subset)
+            assert s_ra == register_entropy(state, ("R",) + regs), (assignment, subset)
             if others:
-                assert s_ra == subsystem_entropy(state, others), (assignment, subset)
+                assert s_ra == register_entropy(state, others), (assignment, subset)
 
 
 def test_matrix_logs_the_route_of_every_row(caplog, feasibility_rows):
