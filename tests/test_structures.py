@@ -264,6 +264,9 @@ class TestHyperstar:
     def test_single_full_edge(self):
         assert self.enumerated(gamma(5, [[1, 2, 3, 4, 5]]))
 
+    def test_needs_edges(self):
+        assert not self.enumerated(AccessStructure(3, ()))
+
 
 # ---------------------------------------------------------------------------
 # isomorphism
@@ -329,6 +332,26 @@ class TestIsomorphism:
         i, changed = changes[pick % len(changes)]
         masks[i] = changed
         assert canonical_key(AccessStructure.from_masks(g.n, masks)) != canonical_key(g)
+
+    @given(
+        st.permutations(list(range(1, 6))),
+        st.permutations(list(range(1, 6))),
+        st.integers(0, len(HYPERSTAR_CATALOG) - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equivalence_properties(self, perm5, other5, idx):
+        g = HYPERSTAR_CATALOG[idx].structure
+        perm = tuple(perm5[: g.n])
+        second = tuple(other5[: g.n])
+        if sorted(perm) != list(range(1, g.n + 1)) or sorted(second) != sorted(perm):
+            return
+        relabeled = apply_permutation(g, perm)
+        # the key of a relabeled copy is the key of the original, and both are
+        # the by-definition minimum over all relabelings
+        assert canonical_key(relabeled) == canonical_key(g) == brute_canonical(relabeled)
+        # transitive across a second relabeling
+        twice = apply_permutation(relabeled, second)
+        assert canonical_key(twice) == canonical_key(relabeled) == canonical_key(g)
 
 
 # ---------------------------------------------------------------------------
