@@ -616,9 +616,10 @@ def decoupling_decoder(state, a_regs, r_regs):
     (the first acting register) i and junk k.  V has at most
     2 * rank(rho_E) rows, so nothing of size 2^|A| x 2^|A| is built: the
     fidelity of (R, output) with the purified secret is read off the
-    coefficients of the state on those rows.  What remains of size
-    2^|E| is the eigendecomposition of rho_E, so the decoder reaches the
-    13-particle ceiling when E is small.
+    coefficients of the state on those rows.  The eigenvectors of rho_E
+    come from one thin SVD of the coefficient matrix M[e, (i, a)], whose
+    cost is set by the smaller side of the E | (R, A) cut, so the decoder
+    reaches the 13-particle ceiling whether E or A is small.
     """
     a_regs, r_regs = tuple(a_regs), tuple(r_regs)
     if len(r_regs) != 1:
@@ -628,40 +629,34 @@ def decoupling_decoder(state, a_regs, r_regs):
     layout = state.layout
     a_axes = layout.axes(a_regs)
     r_axis = layout.axis(r_regs[0])
-    e_axes = tuple(
-        ax for ax in range(layout.num_qubits) if ax not in a_axes and ax != r_axis
-    )
-    e_regs = tuple(layout.labels[ax] for ax in e_axes)
-
-    i_re = mutual_information(state, r_regs, e_regs) if e_regs else 0.0
+    n = layout.num_qubits
+    e_axes = tuple(ax for ax in range(n) if ax not in a_axes and ax != r_axis)
+    r_mask = 1 << (n - 1 - r_axis)
+    e_mask = sum(1 << (n - 1 - ax) for ax in e_axes)
+    # an empty E keeps nothing: its cut of the pure state has entropy 0
+    s_r, s_e, s_re = qstate.cut_entropies(state, [r_mask, e_mask, r_mask | e_mask]).tolist()
+    i_re = s_r + s_e - s_re
     if i_re > DECOUPLING_TOL:
         raise DecouplingError(i_re)
 
-    rho_r = partial_trace(state, r_regs).matrix
-    if abs(rho_r[0, 1]) > 1e-9:
-        raise ProtocolError("reference is not stored in its eigenbasis")
-    p = np.clip(np.real(np.diag(rho_r)), 0.0, 1.0)
-
-    if e_regs:
-        rho_e = partial_trace(state, e_regs).matrix
-        e_vals, e_vecs = np.linalg.eigh(rho_e)
-        order = np.argsort(e_vals)[::-1]
-        e_vals, e_vecs = e_vals[order], e_vecs[:, order]
-    else:
-        e_vals = np.array([1.0])
-        e_vecs = np.array([[1.0 + 0.0j]])
-
     dim_a = 1 << len(a_axes)
     junk = dim_a // 2
-    t = state.tensor().transpose((r_axis,) + e_axes + a_axes).reshape(2, len(e_vals), dim_a)
+    t = state.tensor().transpose((r_axis,) + e_axes + a_axes).reshape(2, -1, dim_a)
+    if abs(np.vdot(t[1], t[0])) > 1e-9:
+        raise ProtocolError("reference is not stored in its eigenbasis")
+    p = np.einsum("iea,iea->i", t, t.conj()).real
+    # M[e, (i, a)] = t[i, e, a] = U diag(s) Vh: column k of U is the eigenvector of
+    # rho_E = M M^dagger with eigenvalue s_k^2, and projecting E onto it leaves
+    # s_k Vh[k, (i, a)], so the relative state of (i, k) is Vh[k, i-block] / sqrt(p_i)
+    _, s, vh = np.linalg.svd(t.transpose(1, 0, 2).reshape(t.shape[1], -1), full_matrices=False)
+    rel = vh.reshape(-1, 2, dim_a)
 
     kept, targets = [], []
     for i in (0, 1):
-        for k in range(len(e_vals)):
-            weight = p[i] * max(float(e_vals[k]), 0.0)
-            if weight <= 1e-12:
+        for k in range(len(s)):
+            if p[i] * s[k] ** 2 <= 1e-12:
                 continue
-            vec = e_vecs[:, k].conj() @ t[i] / np.sqrt(weight)
+            vec = rel[k, i] / np.sqrt(p[i])
             for prev in kept:
                 vec = vec - (prev.conj() @ vec) * prev
             norm = np.linalg.norm(vec)
@@ -681,7 +676,7 @@ def decoupling_decoder(state, a_regs, r_regs):
     # the decoded state on (R, E, output, junk), then rho(R, output) = M M^dagger
     decoded = np.zeros_like(t)
     decoded[:, :, targets] = t @ isometry.T
-    m = decoded.reshape(2, len(e_vals), 2, junk).transpose(0, 2, 1, 3).reshape(4, -1)
+    m = decoded.reshape(2, t.shape[1], 2, junk).transpose(0, 2, 1, 3).reshape(4, -1)
     rho = m @ m.conj().T
     phi = np.zeros(4, dtype=np.complex128)
     phi[0b00] = np.sqrt(p[0])

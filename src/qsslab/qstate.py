@@ -15,7 +15,8 @@ one stacked eigvalsh call, in batches of bounded size.  A four-term state
 gives at most 4 x 4 Gram matrices; a dense state gives at most the smaller
 side of the cut.  It is the one entropy path: mutual_information takes
 pure states only and reads its three cuts from it.  partial_trace and
-von_neumann_entropy are the dense reference that the tests compare against.
+von_neumann_entropy are the dense reference that the tests compare against;
+partial_trace also gives attack_threshold34_pair23 its two-share states.
 
 Entropy is base 2 throughout: a maximally mixed qubit has S = 1.
 """

@@ -517,9 +517,10 @@ class TestReconstruct:
         doc = json.loads(capsys.readouterr().out)
         assert doc["fidelities"][0] >= 1.0 - 1e-6
 
-    @pytest.mark.parametrize("players", [12, 13])
+    @pytest.mark.parametrize("players", [3, 12, 13])
     def test_decoder_at_thirteen_particles(self, tmp_path, capsys, players):
-        # the decoder acts on at most 2 * rank(rho_E) vectors, never on all of 2^|A|
+        # the decoder acts on at most 2 * rank(rho_E) vectors, never on all of 2^|A|,
+        # and 3 players leave |E| = 10 to one thin SVD at the smaller side of the cut
         path = tmp_path / "block13.json"
         path.write_text(json.dumps(save_scheme(build_block_scheme(13, [1, 2])[0])))
         acting = ",".join(str(p) for p in range(1, players + 1))

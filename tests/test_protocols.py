@@ -467,6 +467,7 @@ class TestDecouplingDecoder:
         state = distribute_purified(threshold34_scheme)
         result = decoupling_decoder(state, ("p1", "p2", "p3", "p4"), ("R",))
         assert result.fidelity >= 1.0 - 1e-6
+        assert result.i_re == 0.0  # E is empty
 
     def test_isometry_is_unitary(self, threshold34_scheme):
         state = distribute_purified(threshold34_scheme)
@@ -607,6 +608,11 @@ def _authorized_cases():
             masks = gamma.masks()
         for bits in masks:
             yield pytest.param(scheme, bits, id=f"{scheme.name}-{which}-{bits:b}")
+    for m in (9, 10, 11):
+        # A = {P1, Pm} leaves |E| = m - 2, up to a 512 x 512 rho_E in the dense reference
+        scheme, _ = build_block_scheme(m, [1])
+        bits = PlayerSubset.from_players([1, m], m).bits
+        yield pytest.param(scheme, bits, id=f"{scheme.name}-large-E-{bits:b}")
 
 
 class TestDecoderAgainstDenseReference:
