@@ -36,15 +36,11 @@ def _fmt(x):
 
 def _read_json(path, kind):
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise CliError(f"{kind} file not found: {path}", EXIT_INPUT) from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"{kind} file {path} is not valid JSON: {exc}", EXIT_INPUT) from None
-    # the loaders would parse a top-level JSON string as a document of its own
-    if not isinstance(doc, dict):
-        raise CliError(f"bad {kind} {path}: {kind} document must be a JSON object", EXIT_INPUT)
-    return doc
 
 
 def _load_structure(path):
@@ -269,7 +265,7 @@ def cmd_assign_search(args):
             raise CliError("provide --scheme/--base files or --base-n/--base-b", EXIT_INPUT)
         scheme, base = schemes.build_block_scheme(args.base_n, _parse_players(args.base_b))
     assignment = schemes.search_assignment(
-        (scheme, base), target, allow_dealer=args.allow_dealer, tolerance=tolerance
+        schemes.PreparedBase(scheme, base), target, args.allow_dealer, tolerance
     )
     doc = {
         "base": scheme.name or "scheme",
@@ -323,11 +319,11 @@ def cmd_reconstruct(args):
         block = _parse_players(args.block)
     if args.protocol == "decoder":
         state = schemes.distribute_purified(scheme)
-        bits = structures.PlayerSubset.from_players(acting, scheme.num_players).bits
-        result = protocols.decoupling_decoder(state, scheme.registers_of(bits), ("R",))
+        subset = structures.PlayerSubset.from_players(acting, scheme.num_players)
+        result = protocols.decoupling_decoder(state, scheme.registers_of(subset.bits))
         trace = {
             "protocol": "decoder",
-            "acting": acting,
+            "acting": list(subset.players()),
             "output_register": result.output_register,
             "i_re": result.i_re,
         }
@@ -337,7 +333,7 @@ def cmd_reconstruct(args):
         # drawn as the protocol reads them, after it has checked its inputs
         secrets = (protocols.random_secret(rng) for _ in range(args.trials))
         if args.protocol == "circuit":
-            outcome = protocols.run_threshold34_circuit(secrets, acting, scheme=scheme)
+            outcome = protocols.run_threshold34_circuit(secrets, acting, scheme)
         else:
             outcome = protocols.run_block_measure_protocol(scheme, block, acting, secrets)
         doc = {
@@ -359,8 +355,8 @@ def cmd_reconstruct(args):
 
 
 def cmd_tables(args):
-    matrix = verifier.feasibility_matrix(tolerance=_tolerance(args))
-    doc = verifier.matrix_to_dict(matrix)
+    rows = verifier.feasibility_matrix(tolerance=_tolerance(args))
+    doc = verifier.matrix_to_dict(rows)
     csv_lines = ["no;players;structure;pqss;gqss;scheme;assignment;report_hash;notes"]
     for row in doc["rows"]:
         sets = " ".join("".join(map(str, s)) for s in row["structure"])

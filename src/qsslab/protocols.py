@@ -443,19 +443,18 @@ _DOCUMENTED_RESIDUAL_NOTE = (
 )
 
 
-def run_threshold34_circuit(secrets, acting_set, scheme=None):
-    """Controlled-flip reconstruction circuit for an authorized triple.
+def run_threshold34_circuit(secrets, acting_set, scheme):
+    """Controlled-flip reconstruction circuit for an authorized triple of the threshold34 scheme.
 
     Stage one: the designated controller conditions flips on both other
     acting particles.  Stage two: those two particles jointly control a
     parity flip back onto the controller.  The secret ends on the output
     particle with fidelity 1 and the residual factorizes.  secrets is one
     (alpha, beta) pair or a batch of them; the circuit is one gather,
-    applied to all of them at once.
+    applied to all of them at once.  scheme must be build_threshold34()'s
+    scheme, with its identity assignment.
     """
     first_secret, rest = _secret_rows(secrets)
-    if scheme is None:
-        scheme = build_threshold34()
     reference = build_threshold34()
     if scheme.num_particles != 4 or not np.allclose(
         scheme.basis_images, reference.basis_images, atol=1e-12
@@ -603,32 +602,34 @@ class DecoderResult:
     i_re: float
 
 
-def decoupling_decoder(state, a_regs, r_regs):
+def decoupling_decoder(state, a_regs):
     """Decode the secret onto the acting registers via purification matching.
 
-    Works whenever the complement E of R and A is uncorrelated with R
-    (I(R:E) = 0): the global state is then a purification of a product
-    rho_R x rho_E, whose relative states on A, one per eigenvector k of
-    rho_E and reference value i, form an orthonormal family.  The decoder
-    is the partial isometry V on their span: row j of ``isometry`` is the
-    conjugate of the j-th relative state, and it maps that state to the
-    acting-block index ``targets[j] = i * 2^(|A|-1) + k``, i.e. output qubit
-    (the first acting register) i and junk k.  V has at most
-    2 * rank(rho_E) rows, so nothing of size 2^|A| x 2^|A| is built: the
-    fidelity of (R, output) with the purified secret is read off the
+    The reference is register "R", as purify_secret names it.  The decoder
+    needs the complement E of R and A to be uncorrelated with R (I(R:E) = 0):
+    the global state is then a purification of a product rho_R x rho_E,
+    whose relative states on A, one per eigenvector k of rho_E and reference
+    value i, form an orthonormal family.  It also needs rank(rho_E) <=
+    2^(|A|-1), so that the targets below fit on A.  That follows from
+    I(R:E) = 0 only when both reference values have weight, since then
+    rank(rho_A) = rank(rho_R x rho_E) = 2 rank(rho_E).  With a pure
+    reference it can fail, and the set is refused: A = {P1} of threshold34
+    is.  The decoder is the partial isometry V on their span: row j of
+    ``isometry`` is the conjugate of the j-th relative state, and it maps
+    that state to the acting-block index ``targets[j] = i * 2^(|A|-1) + k``,
+    i.e. output qubit (the first acting register) i and junk k.  V has at
+    most 2 * rank(rho_E) rows, so nothing of size 2^|A| x 2^|A| is built:
+    the fidelity of (R, output) with the purified secret is read off the
     coefficients of the state on those rows.  The eigenvectors of rho_E
     come from one thin SVD of the coefficient matrix M[e, (i, a)], whose
     cost is set by the smaller side of the E | (R, A) cut, so the decoder
     reaches the 13-particle ceiling whether E or A is small.
     """
-    a_regs, r_regs = tuple(a_regs), tuple(r_regs)
-    if len(r_regs) != 1:
-        raise ProtocolError("exactly one reference register expected")
-    if set(a_regs) & set(r_regs):
-        raise ProtocolError("acting registers overlap the reference")
+    if "R" in a_regs:
+        raise ProtocolError("acting registers include the reference")
     layout = state.layout
     a_axes = layout.axes(a_regs)
-    r_axis = layout.axis(r_regs[0])
+    r_axis = layout.axis("R")
     n = layout.num_qubits
     e_axes = tuple(ax for ax in range(n) if ax not in a_axes and ax != r_axis)
     r_mask = 1 << (n - 1 - r_axis)

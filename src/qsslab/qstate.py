@@ -90,11 +90,9 @@ def check_norms(norms):
 
 
 class PureState:
-    """Normalized amplitude vector over a register layout."""
+    """Normalized amplitude vector over a RegisterLayout."""
 
     def __init__(self, layout, amplitudes):
-        if not isinstance(layout, RegisterLayout):
-            layout = RegisterLayout(tuple(layout))
         amplitudes = np.asarray(amplitudes, dtype=np.complex128)
         if amplitudes.shape != (layout.dim,):
             raise QStateError(

@@ -12,7 +12,6 @@ bit of an image ket, matching the register layout convention.
 
 import functools
 import itertools
-import json
 import logging
 import math
 import warnings
@@ -113,6 +112,11 @@ class SchemeSpec:
         for p in self.assignment.get(player, ()):
             mask |= 1 << (p - 1)
         return mask
+
+    @property
+    def player_masks(self):
+        """Particle bitmask of each player P1..Pn, in player order."""
+        return [self.particle_mask(f"P{i}") for i in range(1, self.num_players + 1)]
 
     def registers_of(self, player_bits):
         return tuple(f"p{p}" for p in self.particles_of(player_bits))
@@ -217,9 +221,8 @@ def induce_structure(scheme, base_gamma):
         raise SchemeError(
             f"base structure is over {base_gamma.n} particles, scheme has {scheme.num_particles}"
         )
-    n = scheme.num_players
-    union = subset_unions(scheme.particle_mask(f"P{i}") for i in range(1, n + 1))
-    return antichain_reduce(n, np.flatnonzero(base_gamma.authorized[union]).tolist())
+    union = subset_unions(scheme.player_masks)
+    return antichain_reduce(scheme.num_players, np.flatnonzero(base_gamma.authorized[union]).tolist())
 
 
 def _is_transposition_symmetric(scheme, base_masks, i, j):
@@ -334,8 +337,8 @@ class PreparedBase:
 def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
     """Particle-to-holder search realizing the target structure.
 
-    base is a (scheme, structure-over-particles) pair, or a PreparedBase
-    that shares its work across searches.  Holders are the target's
+    base is a PreparedBase, which shares its work across searches on the
+    same scheme and structure over its particles.  Holders are the target's
     players P1..Pn, plus DEALER when allow_dealer is set, ordered
     P1 < ... < Pn < DEALER.  The search covers one assignment per holder
     profile of interchangeable particles (see interchangeable_classes): the
@@ -348,8 +351,6 @@ def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
     exhaustive scan of all holder^particles assignments in lexicographic
     particle order.  None means no assignment passes.
     """
-    if not isinstance(base, PreparedBase):
-        base = PreparedBase(*base)
     scheme, m = base.scheme, base.scheme.num_particles
     if not target.n <= m <= MAX_SEARCH_PARTICLES:
         raise SchemeError(
@@ -369,7 +370,7 @@ def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
         for row in matches:
             evaluated += 1
             player_masks = [int(masks[row, j]) for j in range(n)]
-            ev = verifier._evaluate(table, player_masks, target.subset_classes, tolerance)
+            ev = verifier._evaluate(table, player_masks, target.class_codes, tolerance)
             if not ev.failing:
                 hit = row
                 break
@@ -409,9 +410,7 @@ def save_scheme(scheme):
 
 
 def load_scheme(data, name=""):
-    """Parse a scheme JSON document; normalizes images, rejects non-isometries."""
-    if isinstance(data, str):
-        data = json.loads(data)
+    """Parse a decoded scheme JSON document, a dict; normalizes images, rejects non-isometries."""
     if not isinstance(data, dict):
         raise SchemeError("scheme document must be a JSON object")
     try:

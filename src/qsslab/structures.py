@@ -16,7 +16,6 @@ authorized set); A2 is exactly the obstruction to perfect schemes.
 
 import functools
 import itertools
-import json
 import operator
 from dataclasses import dataclass
 
@@ -236,11 +235,6 @@ class AccessStructure:
         codes.flags.writeable = False
         return codes
 
-    @functools.cached_property
-    def subset_classes(self):
-        """The class table by name, as CLASS_NAMES spells each code."""
-        return tuple(map(CLASS_NAMES.__getitem__, self.class_codes.tolist()))
-
     def contains(self, s):
         """Monotone-closure membership: some minimal set is inside s."""
         if s.n != self.n:
@@ -286,9 +280,6 @@ class ComplementLawResult:
     counterexample: PlayerSubset | None = None
     clause: str | None = None
 
-    def __bool__(self):
-        return self.holds
-
 
 def check_complement_law(gamma):
     """Machine-check that complements of A1 members are authorized and A2 is closed under complement."""
@@ -307,9 +298,6 @@ class FeasibilityVerdict:
 
     feasible: bool
     witness: PlayerSubset | None = None
-
-    def __bool__(self):
-        return self.feasible
 
 
 def perfect_feasibility(gamma):
@@ -462,15 +450,13 @@ def catalog_number(gamma):
 
 
 def load_structure(data):
-    """Parse the access-structure JSON document.
+    """Parse a decoded access-structure JSON document.
 
-    Accepts a JSON string or an already-decoded dict of the form
-    {"players": 4, "minimal_authorized": [[1,2,3],[1,4]]} with 1-based
-    player indices.  Rejects empty sets and nested (non-antichain) entries
-    with a diagnostic naming the offender.
+    data is the dict of the form {"players": 4, "minimal_authorized":
+    [[1,2,3],[1,4]]} with 1-based player indices; any other JSON value is
+    rejected.  Rejects empty sets and nested (non-antichain) entries with a
+    diagnostic naming the offender.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
     if not isinstance(data, dict):
         raise StructureError("structure document must be a JSON object")
     try:

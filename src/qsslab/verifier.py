@@ -34,6 +34,8 @@ from .schemes import (
 )
 from .structures import (
     A2,
+    AUTHORIZED,
+    CLASS_NAMES,
     HYPERSTAR_CATALOG,
     AccessStructure,
     PlayerSubset,
@@ -74,10 +76,12 @@ class SubsetEntropyTable:
 
     The global state over (R, particles) is pure, so S(RA) is the entropy
     of the particles outside A and one array over particle masks holds
-    both S(A) and S(RA); NaN marks an entry not yet computed.  Any player
-    grouping only changes which unions are read, so entries are shared
-    across assignments.  The reference is register "R" of the purified
-    secret.  computed and entries_read count entries filled and looked up.
+    both S(A) and S(RA); NaN marks an entry not yet computed.  S(R) is the
+    entry of all particles, which a read of mask 0 returns as its S(RA).
+    Any player grouping only changes which unions are read, so entries are
+    shared across assignments.  The reference is register "R" of the
+    purified secret.  computed and entries_read count entries filled and
+    looked up.
     """
 
     def __init__(self, state, num_particles):
@@ -89,13 +93,6 @@ class SubsetEntropyTable:
             1 << (n - 1 - state.layout.axis(label)) for label in particle_labels(num_particles)
         ]
         self.computed = self.entries_read = 0
-
-    @property
-    def s_ref(self):
-        """S(R), the entropy of all particles, computed only if no read has filled it."""
-        if np.isnan(self._s[self._full]):
-            self.read([0])
-        return float(self._s[self._full])
 
     def read(self, masks):
         """(S(A), S(RA)) of each particle mask A as two float lists; S of no particles is 0.0.
@@ -157,30 +154,29 @@ class _Evaluation:
     worst_balance: float
 
 
-def _evaluate(table, player_masks, classes, tolerance):
+def _evaluate(table, player_masks, class_codes, tolerance):
     """The entropy-condition pass behind verify and the search.
 
-    player_masks[i] is the particle bitmask of player i+1 and classes the
-    claimed structure's class table (AccessStructure.subset_classes).  Every
-    nonempty player subset gets a record with its generalized-model
+    player_masks[i] is the particle bitmask of player i+1 and class_codes
+    the claimed structure's class table (AccessStructure.class_codes).
+    Every nonempty player subset gets a record with its generalized-model
     condition; the A2 entropy balance S(A) = S(complement of A) is measured
     on the same table.
     """
     n = len(player_masks)
-    # the unions include mask 0, whose complement read fills S(R)
+    # the unions include mask 0, whose S(RA) is the entropy of all particles: S(R)
     s_a_of, s_ra_of = table.read(subset_unions(player_masks))
-    s_s = table.s_ref
+    s_s = s_ra_of[0]
     i_rs = 2.0 * s_s
     records = []
-    for bits in range(1, 1 << n):
+    for bits, code in enumerate(class_codes.tolist()[1:], 1):
         s_a, s_ra = s_a_of[bits], s_ra_of[bits]
         i_ra = s_s + s_a - s_ra
-        cls = classes[bits]
-        if cls == "authorized":
+        if code == AUTHORIZED:
             ok = abs(i_ra - i_rs) <= tolerance
         else:
             ok = i_ra <= s_s + tolerance
-        records.append(SubsetRecord(PlayerSubset(bits, n), cls, s_a, s_ra, i_ra, ok))
+        records.append(SubsetRecord(PlayerSubset(bits, n), CLASS_NAMES[code], s_a, s_ra, i_ra, ok))
 
     unauthorized = [r for r in records if r.classification != "authorized"]
     mismatch = next((r for r in unauthorized if abs(r.i_ra - i_rs) <= tolerance), None)
@@ -197,10 +193,6 @@ def _evaluate(table, player_masks, classes, tolerance):
     return _Evaluation(s_s, records, failing, verdict, mismatch, max([0.0, *devs]))
 
 
-def _player_masks(scheme):
-    return [scheme.particle_mask(f"P{i}") for i in range(1, scheme.num_players + 1)]
-
-
 def _report(table, scheme, gamma, model, tolerance):
     """verify's report, read from table, a SubsetEntropyTable of the scheme's basis images.
 
@@ -210,7 +202,7 @@ def _report(table, scheme, gamma, model, tolerance):
     if gamma.n != n:
         raise StructureError(f"structure is over {gamma.n} players but scheme has {n}")
     codes = _admissible_classes(gamma)
-    ev = _evaluate(table, _player_masks(scheme), gamma.subset_classes, tolerance)
+    ev = _evaluate(table, scheme.player_masks, codes, tolerance)
     # a perfect verdict over a structure with nonempty A2 would contradict the
     # feasibility theorem; reaching this means the numerics are inconsistent
     if ev.verdict == "perfect" and (codes[1:] == A2).any():
@@ -323,11 +315,6 @@ class MatrixRow:
     notes: list = field(default_factory=list)
 
 
-@dataclass
-class MatrixReport:
-    rows: list
-
-
 def _search_bases(target_n):
     """Block-scheme bases scanned for redistribution, smallest first.
 
@@ -355,7 +342,7 @@ def _try_assignment(base, assignment, target, name, tolerance):
 
 
 def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
-    """Reproduce the perfect/generalized feasibility verdicts for the catalog.
+    """Reproduce the perfect/generalized feasibility verdicts for the catalog, one MatrixRow each.
 
     Perfect feasibility comes from the A2 test; generalized feasibility is
     re-established constructively: direct star schemes where the structure
@@ -437,10 +424,10 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
         len(bases), searches, sum(tb.computed for tb in tables),
         sum(tb.entries_read for tb in tables),
     )
-    return MatrixReport(rows)
+    return rows
 
 
-def matrix_to_dict(matrix):
+def matrix_to_dict(rows):
     return {
         "rows": [
             {
@@ -455,6 +442,6 @@ def matrix_to_dict(matrix):
                 "report_hash": row.report_hash,
                 "notes": list(row.notes),
             }
-            for row in matrix.rows
+            for row in rows
         ]
     }

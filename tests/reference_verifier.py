@@ -7,15 +7,18 @@ subset bitmask.  register_entropy reads one register list's entropy off a
 pure state through the cut oracle.
 """
 
+import numpy as np
+
 from qsslab.qstate import DEFAULT_TOLERANCE, _keep_mask, cut_entropies
 from qsslab.schemes import distribute_purified
-from qsslab.verifier import SubsetEntropyTable, _evaluate, _player_masks
+from qsslab.structures import AUTHORIZED
+from qsslab.verifier import SubsetEntropyTable, _evaluate
 
 
 def entropy_profile(scheme, probabilities=(0.5, 0.5)):
     table = SubsetEntropyTable(distribute_purified(scheme, probabilities), scheme.num_particles)
-    classes = ("authorized",) * (1 << scheme.num_players)
-    ev = _evaluate(table, _player_masks(scheme), classes, DEFAULT_TOLERANCE)
+    codes = np.full(1 << scheme.num_players, AUTHORIZED, dtype=np.int8)
+    ev = _evaluate(table, scheme.player_masks, codes, DEFAULT_TOLERANCE)
     return [(r.subset, r.s_a, r.s_ra, r.i_ra) for r in ev.records]
 
 

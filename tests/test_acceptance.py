@@ -151,9 +151,10 @@ def test_criterion_5_entropy_balance_equivalence(constructed_schemes):
 def test_criterion_6_reconstruction_fidelities(constructed_schemes):
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
+    threshold34 = build_threshold34()
     for acting in ((1, 3, 4), (2, 3, 4), (1, 2, 3), (1, 2, 4)):
         for _ in range(20):
-            out = run_threshold34_circuit(random_secret(rng), acting)
+            out = run_threshold34_circuit(random_secret(rng), acting, threshold34)
             assert out.fidelity >= 1.0 - 1e-9
     block_scheme, _ = build_block_scheme(5, [1, 2])
     for outsider in (3, 4, 5):
@@ -170,7 +171,7 @@ def test_criterion_6_reconstruction_fidelities(constructed_schemes):
             subset = PlayerSubset(bits, n)
             if not gamma.contains(subset):
                 continue
-            result = decoupling_decoder(state, scheme.registers_of(bits), ("R",))
+            result = decoupling_decoder(state, scheme.registers_of(bits))
             assert result.fidelity >= 1.0 - 1e-6, (scheme.name, str(subset))
             decoder_runs += 1
     elapsed = time.perf_counter() - t0
@@ -184,9 +185,9 @@ def test_criterion_7_feasibility_matrix():
     t0 = time.perf_counter()
     matrix = feasibility_matrix()
     elapsed = time.perf_counter() - t0
-    rows = {row.number: row for row in matrix.rows}
+    rows = {row.number: row for row in matrix}
     assert len(rows) == 16
-    for row in matrix.rows:
+    for row in matrix:
         assert not row.pqss_feasible
         assert row.pqss_witness is not None
     for number in (1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16):

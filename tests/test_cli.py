@@ -517,6 +517,15 @@ class TestReconstruct:
         doc = json.loads(capsys.readouterr().out)
         assert doc["fidelities"][0] >= 1.0 - 1e-6
 
+    def test_trace_lists_acting_players_ascending(self, threshold34_files, capsys):
+        scheme, _ = threshold34_files
+        for protocol in ("decoder", "circuit"):
+            assert main(
+                ["reconstruct", scheme, "--set", "3,2,1,1", "--protocol", protocol,
+                 "--trials", "1", "--format", "json"]
+            ) == 0
+            assert json.loads(capsys.readouterr().out)["trace"]["acting"] == [1, 2, 3], protocol
+
     @pytest.mark.parametrize("players", [3, 12, 13])
     def test_decoder_at_thirteen_particles(self, tmp_path, capsys, players):
         # the decoder acts on at most 2 * rank(rho_E) vectors, never on all of 2^|A|,
@@ -677,6 +686,23 @@ def test_malformed_document_exit2(tmp_path, threshold34_files, capsys, kind, doc
         "structure", "check", str(path)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: bad {kind} {path}: ")
+
+
+@pytest.mark.parametrize("text", ['"players"', "[[1, 2], [1, 3]]"])
+@pytest.mark.parametrize("position", ["structure check", "verify scheme", "verify structure"])
+def test_non_object_document_exit2(tmp_path, threshold34_files, capsys, text, position):
+    scheme, gamma = threshold34_files
+    path = str(tmp_path / "doc.json")
+    Path(path).write_text(text)
+    kind, argv = {
+        "structure check": ("structure", ["structure", "check", path]),
+        "verify scheme": ("scheme", ["scheme", "verify", path, gamma]),
+        "verify structure": ("structure", ["scheme", "verify", scheme, path]),
+    }[position]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad {kind} {path}: {kind} document must be a JSON object\n"
 
 
 @pytest.mark.parametrize(

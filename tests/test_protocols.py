@@ -37,6 +37,7 @@ from qsslab.structures import PlayerSubset, threshold_structure
 
 SQ2 = 2**-0.5
 TRIPLES = ((1, 3, 4), (2, 3, 4), (1, 2, 3), (1, 2, 4))
+THRESHOLD34 = build_threshold34()
 
 
 def seeded_secrets(count, seed=42):
@@ -207,19 +208,19 @@ class TestProtocolLocality:
 
 class TestThreshold34Circuit:
     def test_basis_secret(self):
-        out = run_threshold34_circuit((1.0, 0.0), (1, 3, 4))
+        out = run_threshold34_circuit((1.0, 0.0), (1, 3, 4), THRESHOLD34)
         assert out.fidelity >= 1.0 - 1e-9
         assert out.output_register == "p1"
 
     @pytest.mark.parametrize("acting", TRIPLES)
     def test_random_secrets_full_fidelity(self, acting):
         for secret in seeded_secrets(20):
-            out = run_threshold34_circuit(secret, acting)
+            out = run_threshold34_circuit(secret, acting, THRESHOLD34)
             assert out.fidelity >= 1.0 - 1e-9
             assert out.residual_factorized
 
     def test_residual_of_first_triple(self):
-        out = run_threshold34_circuit((0.6, 0.8), (1, 3, 4))
+        out = run_threshold34_circuit((0.6, 0.8), (1, 3, 4), THRESHOLD34)
         residual = {e["ket"]: e["re"] for e in out.trace["residual"]}
         assert residual["000"] == pytest.approx(SQ2, abs=1e-9)
         assert residual["110"] == pytest.approx(SQ2, abs=1e-9)
@@ -228,15 +229,15 @@ class TestThreshold34Circuit:
 
     def test_unauthorized_pair_rejected(self):
         with pytest.raises(UnauthorizedSetError):
-            run_threshold34_circuit((1.0, 0.0), (1, 2))
+            run_threshold34_circuit((1.0, 0.0), (1, 2), THRESHOLD34)
 
     def test_unnormalized_secret_rejected(self):
         with pytest.raises(ProtocolError, match="normalized"):
-            run_threshold34_circuit((1.0, 1.0), (1, 3, 4))
+            run_threshold34_circuit((1.0, 1.0), (1, 3, 4), THRESHOLD34)
 
     def test_nan_secret_rejected(self):
         with pytest.raises(ProtocolError, match="normalized"):
-            run_threshold34_circuit((float("nan"), 0.0), (1, 3, 4))
+            run_threshold34_circuit((float("nan"), 0.0), (1, 3, 4), THRESHOLD34)
         scheme, _ = build_block_scheme(5, [1, 2])
         with pytest.raises(ProtocolError, match="normalized"):
             run_block_measure_protocol(scheme, [1, 2], [1, 2, 3], (float("nan"), 0.0))
@@ -334,7 +335,7 @@ class TestBatchedAgainstReference:
     @pytest.mark.parametrize("acting", TRIPLES)
     def test_circuit_triple(self, acting):
         secrets = seeded_secrets(256, seed=sum(acting))
-        out = run_threshold34_circuit(secrets, acting)
+        out = run_threshold34_circuit(secrets, acting, THRESHOLD34)
         assert_matches_reference(out, [ref.threshold34_circuit(s, acting) for s in secrets])
 
     @pytest.mark.parametrize("n", range(3, 8))
@@ -357,10 +358,9 @@ class TestBatchedAgainstReference:
     def test_single_secret_is_a_batch_of_one(self):
         scheme, _ = build_block_scheme(5, [1, 2])
         for secret in seeded_secrets(3, seed=11):
-            assert run_threshold34_circuit(secret, (1, 3, 4)) == run_threshold34_circuit(
-                [secret], (1, 3, 4))
-            assert_matches_reference(run_threshold34_circuit(secret, (1, 3, 4)),
-                                     [ref.threshold34_circuit(secret, (1, 3, 4))])
+            single = run_threshold34_circuit(secret, (1, 3, 4), THRESHOLD34)
+            assert single == run_threshold34_circuit([secret], (1, 3, 4), THRESHOLD34)
+            assert_matches_reference(single, [ref.threshold34_circuit(secret, (1, 3, 4))])
             single = run_block_measure_protocol(scheme, [1, 2], [1, 2, 4], secret)
             assert single == run_block_measure_protocol(scheme, [1, 2], [1, 2, 4], [secret])
             assert_matches_reference(
@@ -376,7 +376,7 @@ class TestBatchedAgainstReference:
 
         scheme, _ = build_block_scheme(5, [1, 2])
         with pytest.raises(UnauthorizedSetError):
-            run_threshold34_circuit(secrets(), (1, 2))
+            run_threshold34_circuit(secrets(), (1, 2), THRESHOLD34)
         with pytest.raises(UnauthorizedSetError):
             run_block_measure_protocol(scheme, [1, 2], [3, 4, 5], secrets())
         assert len(drawn) == 2  # the first secret of each call, checked before the set
@@ -384,16 +384,16 @@ class TestBatchedAgainstReference:
         assert len(drawn) == 7
         assert out == run_block_measure_protocol(scheme, [1, 2], [1, 2, 5], drawn[2:])
         with pytest.raises(ProtocolError, match="no secrets"):
-            run_threshold34_circuit(iter(()), (1, 3, 4))
+            run_threshold34_circuit(iter(()), (1, 3, 4), THRESHOLD34)
 
     @pytest.mark.parametrize("budget_rows", (1, 3, 7))
     def test_chunks_that_do_not_divide_the_batch(self, monkeypatch, budget_rows):
         secrets = seeded_secrets(10, seed=budget_rows)
         scheme, _ = build_block_scheme(5, [2, 4])
-        whole_circuit = run_threshold34_circuit(secrets, (1, 2, 4))
+        whole_circuit = run_threshold34_circuit(secrets, (1, 2, 4), THRESHOLD34)
         whole_measure = run_block_measure_protocol(scheme, [2, 4], [1, 2, 4], secrets)
         monkeypatch.setattr(qstate, "CUT_BATCH_ELEMENTS", budget_rows * 16)
-        assert run_threshold34_circuit(secrets, (1, 2, 4)) == whole_circuit
+        assert run_threshold34_circuit(secrets, (1, 2, 4), THRESHOLD34) == whole_circuit
         monkeypatch.setattr(qstate, "CUT_BATCH_ELEMENTS", budget_rows * 32)
         chunked = run_block_measure_protocol(scheme, [2, 4], [1, 2, 4], secrets)
         assert chunked == whole_measure
@@ -403,8 +403,8 @@ class TestBatchedAgainstReference:
     def test_circuit_errors_match(self):
         block_scheme, _ = build_block_scheme(4, [1])
         cases = [
-            ((1.0, 0.0), (1, 2), None),
-            ((1.0, 1.0), (1, 3, 4), None),
+            ((1.0, 0.0), (1, 2), THRESHOLD34),
+            ((1.0, 1.0), (1, 3, 4), THRESHOLD34),
             ((1.0, 0.0), (1, 3, 4), block_scheme),
             ((1.0, 1.0), (1, 2), block_scheme),
         ]
@@ -412,7 +412,8 @@ class TestBatchedAgainstReference:
             assert_same_error(lambda: run_threshold34_circuit(secret, acting, scheme=scheme),
                               lambda: ref.threshold34_circuit(secret, acting, scheme=scheme))
         with pytest.raises(ProtocolError, match="not normalized"):
-            run_threshold34_circuit([(1.0, 0.0), (0.6, 0.8), (0.6, 0.6)], (1, 3, 4))
+            run_threshold34_circuit([(1.0, 0.0), (0.6, 0.8), (0.6, 0.6)], (1, 3, 4),
+                                    THRESHOLD34)
 
     def test_measure_errors_match(self):
         scheme, _ = build_block_scheme(5, [1, 2])
@@ -446,7 +447,7 @@ class TestBatchedAgainstReference:
 class TestDecouplingDecoder:
     def test_threshold_triple(self, threshold34_scheme):
         state = distribute_purified(threshold34_scheme)
-        result = decoupling_decoder(state, ("p1", "p2", "p3"), ("R",))
+        result = decoupling_decoder(state, ("p1", "p2", "p3"))
         assert result.fidelity >= 1.0 - 1e-6
         assert result.i_re <= 1e-9
         assert result.output_register == "p1"
@@ -454,24 +455,29 @@ class TestDecouplingDecoder:
     def test_block_co_set(self):
         scheme, _ = build_block_scheme(5, [1, 2])
         state = distribute_purified(scheme)
-        result = decoupling_decoder(state, ("p1", "p3", "p4", "p5"), ("R",))
+        result = decoupling_decoder(state, ("p1", "p3", "p4", "p5"))
         assert result.fidelity >= 1.0 - 1e-6
+
+    def test_rejects_the_reference_among_the_acting_registers(self, threshold34_scheme):
+        state = distribute_purified(threshold34_scheme)
+        with pytest.raises(ProtocolError, match="acting registers include the reference"):
+            decoupling_decoder(state, ("p1", "R", "p2"))
 
     def test_pair_fails_with_diagnostic(self, threshold34_scheme):
         state = distribute_purified(threshold34_scheme)
         with pytest.raises(DecouplingError) as err:
-            decoupling_decoder(state, ("p1", "p2"), ("R",))
+            decoupling_decoder(state, ("p1", "p2"))
         assert err.value.i_re == pytest.approx(1.0, abs=1e-9)
 
     def test_full_set_decodes(self, threshold34_scheme):
         state = distribute_purified(threshold34_scheme)
-        result = decoupling_decoder(state, ("p1", "p2", "p3", "p4"), ("R",))
+        result = decoupling_decoder(state, ("p1", "p2", "p3", "p4"))
         assert result.fidelity >= 1.0 - 1e-6
         assert result.i_re == 0.0  # E is empty
 
     def test_isometry_is_unitary(self, threshold34_scheme):
         state = distribute_purified(threshold34_scheme)
-        result = decoupling_decoder(state, ("p1", "p2", "p3"), ("R",))
+        result = decoupling_decoder(state, ("p1", "p2", "p3"))
         rows = result.isometry.shape[0]
         assert result.isometry.shape == (rows, 8)
         np.testing.assert_allclose(
@@ -486,18 +492,18 @@ class TestDecouplingDecoder:
         # states for secret 1 would need indices 1 and 2 of a 2-dim block
         state = distribute_purified(threshold34_scheme, (0.0, 1.0))
         with pytest.raises(ProtocolError, match="do not fit"):
-            decoupling_decoder(state, ("p1",), ("R",))
+            decoupling_decoder(state, ("p1",))
 
     def test_biased_secret_purification(self, threshold34_scheme):
         state = distribute_purified(threshold34_scheme, (0.3, 0.7))
-        result = decoupling_decoder(state, ("p1", "p2", "p3"), ("R",))
+        result = decoupling_decoder(state, ("p1", "p2", "p3"))
         assert result.fidelity >= 1.0 - 1e-6
 
     def test_decoder_recovers_concrete_secrets(self, threshold34_scheme):
         # the isometry is built once from the purification, then decodes
         # any actual secret pushed through the scheme
         a_regs = ("p1", "p2", "p3")
-        result = decoupling_decoder(distribute_purified(threshold34_scheme), a_regs, ("R",))
+        result = decoupling_decoder(distribute_purified(threshold34_scheme), a_regs)
         for alpha, beta in ((0.6, 0.8j), (1.0, 0.0), (SQ2, -SQ2)):
             state = apply_to_secret(threshold34_scheme, alpha, beta)
             decoded = apply_on_acting(state, a_regs, result.isometry, result.targets)
@@ -627,7 +633,7 @@ class TestDecoderAgainstDenseReference:
 
     @staticmethod
     def check(state, a_regs):
-        result = decoupling_decoder(state, a_regs, ("R",))
+        result = decoupling_decoder(state, a_regs)
         fidelity, rho = dense_decoder_reference(state, a_regs)
         assert result.fidelity == pytest.approx(fidelity, abs=1e-12)
         decoded = apply_on_acting(state, a_regs, result.isometry, result.targets)

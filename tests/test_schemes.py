@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qsslab import schemes
 from qsslab.schemes import (
     DEALER,
+    PreparedBase,
     SchemeSpec,
     antichain_reduce,
     apply_to_secret,
@@ -227,12 +228,12 @@ class TestPermutationTransfer:
 
 class TestSearchAssignment:
     def test_finds_block_split(self):
-        base = build_block_scheme(6, [1, 2, 3])
+        base = PreparedBase(*build_block_scheme(6, [1, 2, 3]))
         target = AccessStructure.from_sets(4, [[1, 2, 3], [1, 4]])
         assignment = search_assignment(base, target, allow_dealer=True)
         assert assignment is not None
-        scheme = SchemeSpec(6, base[0].basis_images, assignment)
-        assert induce_structure(scheme, base[1]).masks() == target.masks()
+        scheme = SchemeSpec(6, base.scheme.basis_images, assignment)
+        assert induce_structure(scheme, base.structure).masks() == target.masks()
         from qsslab.verifier import verify
 
         assert verify(scheme, target).verdict == "generalized"
@@ -240,12 +241,12 @@ class TestSearchAssignment:
     def test_threshold_cannot_induce_star(self, threshold34_scheme, threshold34_gamma):
         target = AccessStructure.from_sets(4, [[1, 2], [1, 3], [1, 4]])
         assignment = search_assignment(
-            (threshold34_scheme, threshold34_gamma), target, allow_dealer=True
+            PreparedBase(threshold34_scheme, threshold34_gamma), target, allow_dealer=True
         )
         assert assignment is None
 
     def test_deterministic_first_result(self):
-        base = build_block_scheme(5, [1, 2])
+        base = PreparedBase(*build_block_scheme(5, [1, 2]))
         target = AccessStructure.from_sets(4, [[1, 2, 3, 4]])
         first = search_assignment(base, target, allow_dealer=True)
         second = search_assignment(base, target, allow_dealer=True)
@@ -253,27 +254,27 @@ class TestSearchAssignment:
 
     def test_without_dealer(self):
         # splitting the six-particle base over four players needs no dealer
-        base = build_block_scheme(6, [1, 2, 3])
+        base = PreparedBase(*build_block_scheme(6, [1, 2, 3]))
         target = AccessStructure.from_sets(4, [[1, 2, 3], [1, 4]])
         assignment = search_assignment(base, target, allow_dealer=False)
         assert assignment is not None
         assert DEALER not in assignment
         # but the all-particles structure over two players is out of reach
         pair_target = AccessStructure.from_sets(2, [[1, 2]])
-        base5 = build_block_scheme(5, [1, 2])
+        base5 = PreparedBase(*build_block_scheme(5, [1, 2]))
         with_dealer = search_assignment(base5, pair_target, allow_dealer=True)
         without = search_assignment(base5, pair_target, allow_dealer=False)
         assert with_dealer is not None
         assert without is not None  # every particle can still go to a player
 
     def test_bounds(self):
-        base = build_block_scheme(5, [1, 2])
+        base = PreparedBase(*build_block_scheme(5, [1, 2]))
         target = AccessStructure.from_sets(6, [[1, 2, 3, 4, 5, 6]])
         with pytest.raises(SchemeError, match="search"):
             search_assignment(base, target, allow_dealer=False)
 
     def test_logs_one_debug_event(self, caplog):
-        base = build_block_scheme(6, [1, 2, 3])
+        base = PreparedBase(*build_block_scheme(6, [1, 2, 3]))
         target = AccessStructure.from_sets(4, [[1, 2, 3], [1, 4]])
         with caplog.at_level(logging.DEBUG, logger="qsslab.search"):
             search_assignment(base, target, allow_dealer=True)
@@ -366,26 +367,28 @@ class TestSearchMatchesGridOracle:
     @pytest.mark.parametrize("m, block", [(3, [1]), (4, [1]), (4, [1, 2]), (5, [1]), (5, [1, 2])])
     def test_block_bases(self, m, block, allow_dealer):
         base = build_block_scheme(m, block)
+        prepared = PreparedBase(*base)
         for target in _ORACLE_TARGETS:
             if target.n > m:
                 continue
             expected = _grid_oracle(base, target, allow_dealer)
-            assert search_assignment(base, target, allow_dealer) == expected, str(target)
+            assert search_assignment(prepared, target, allow_dealer) == expected, str(target)
 
     @pytest.mark.parametrize("allow_dealer", [False, True])
     def test_relabeled_block_through_json(self, allow_dealer):
         scheme, gamma = build_block_scheme(5, [1, 2])
         perm = (4, 1, 5, 3, 2)
         relabeled = permute_particles(scheme, perm)
-        loaded = load_scheme(json.dumps(save_scheme(relabeled)))
+        loaded = load_scheme(json.loads(json.dumps(save_scheme(relabeled))))
         loaded_gamma = AccessStructure.from_sets(
             5, [[perm[p - 1] for p in s.players()] for s in gamma.minimal_sets]
         )
         base = (loaded, loaded_gamma)
-        assert set(interchangeable_classes(*base)) == {(1, 4), (2, 3, 5)}
+        prepared = PreparedBase(*base)
+        assert set(prepared.classes) == {(1, 4), (2, 3, 5)}
         for target in _ORACLE_TARGETS:
             expected = _grid_oracle(base, target, allow_dealer)
-            assert search_assignment(base, target, allow_dealer) == expected, str(target)
+            assert search_assignment(prepared, target, allow_dealer) == expected, str(target)
 
     @pytest.mark.parametrize("allow_dealer", [False, True])
     def test_dense_rotated_block(self, allow_dealer):
@@ -393,10 +396,11 @@ class TestSearchMatchesGridOracle:
         base = _rotated_block(5, [1, 2], seed=7)
         assert interchangeable_classes(*base) == ((1,), (2,), (3,), (4,), (5,))
         assert np.count_nonzero(base[0].basis_images) == 2 * 32
+        prepared = PreparedBase(*base)
         hits = 0
         for target in _ORACLE_TARGETS:
             expected = _grid_oracle(base, target, allow_dealer)
-            assert search_assignment(base, target, allow_dealer) == expected, str(target)
+            assert search_assignment(prepared, target, allow_dealer) == expected, str(target)
             hits += expected is not None
         assert hits  # the comparison covers hits, not only exhausted searches
 
@@ -471,7 +475,9 @@ class TestSchemeJson:
 
     def test_round_trip_through_text(self, threshold34_scheme):
         text = json.dumps(save_scheme(threshold34_scheme))
-        assert load_scheme(text) == threshold34_scheme
+        assert load_scheme(json.loads(text)) == threshold34_scheme
+        with pytest.raises(SchemeError, match="must be a JSON object"):
+            load_scheme(text)
 
     def test_scaled_images_warn_and_normalize(self, threshold34_scheme):
         doc = save_scheme(threshold34_scheme)

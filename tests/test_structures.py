@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qsslab import structures
 from qsslab.structures import (
+    CLASS_NAMES,
     HYPERSTAR_CATALOG,
     AccessStructure,
     PlayerSubset,
@@ -547,7 +548,7 @@ def test_subset_classes_match_bruteforce(g):
     expected = {}
     for cls, masks in zip(("authorized", "A1", "A2"), brute_classes(g)):
         expected.update(dict.fromkeys(masks, cls))
-    classes = g.subset_classes
+    classes = class_names(g)
     assert len(classes) == 1 << g.n
     assert {bits: classes[bits] for bits in range(1, 1 << g.n)} == expected
 
@@ -566,9 +567,14 @@ def test_maximal_unauthorized_matches_bruteforce(g):
     assert structures._maximal_unauthorized(g).tolist() == expected
 
 
+def class_names(g):
+    """g's class table by name, as CLASS_NAMES spells each code."""
+    return [CLASS_NAMES[code] for code in g.class_codes.tolist()]
+
+
 def complement_law_by_loop(g):
     """check_complement_law as a loop over every subset's class name."""
-    classes, full = g.subset_classes, (1 << g.n) - 1
+    classes, full = class_names(g), (1 << g.n) - 1
     for clause, cls, complement_cls in (("a1", "A1", "authorized"), ("a2", "A2", "A2")):
         for bits in range(1, full + 1):
             if classes[bits] == cls and classes[full ^ bits] != complement_cls:
@@ -673,7 +679,7 @@ def test_authorized_table_matches_bruteforce(family, rnd):
 
 
 def test_threshold_7_12_class_counts():
-    classes = threshold_structure(7, 12).subset_classes
+    classes = class_names(threshold_structure(7, 12))
     sizes = {cls: set() for cls in ("authorized", "A1", "A2")}
     for bits in range(1, 1 << 12):
         sizes[classes[bits]].add(bits.bit_count())
@@ -709,9 +715,10 @@ class TestStructureJson:
         g = gamma(4, [[1, 2, 3], [1, 4]])
         assert load_structure(structure_to_dict(g)).masks() == g.masks()
 
-    def test_parses_string(self):
+    def test_rejects_json_text(self):
         doc = json.dumps({"players": 3, "minimal_authorized": [[1, 2], [1, 3]]})
-        assert load_structure(doc).n == 3
+        with pytest.raises(StructureError, match="must be a JSON object"):
+            load_structure(doc)
 
     def test_rejects_empty_set_with_name(self):
         with pytest.raises(StructureError, match=r"\[\]"):

@@ -210,12 +210,16 @@ class TestEntropyTable:
         assert s_a == pytest.approx(register_entropy(state, ("p1", "p2")), abs=1e-12)
         assert s_ra == pytest.approx(register_entropy(state, ("R", "p1", "p2")), abs=1e-12)
         (s_a,), (s_ra,) = table.read([0b0111])
-        assert table.s_ref + s_a - s_ra == pytest.approx(2.0, abs=1e-9)
+        # S(R) is the S(RA) of no particles
+        (s_none,), (s_r,) = table.read([0])
+        assert s_none == 0.0
+        assert s_r == pytest.approx(register_entropy(state, ("R",)), abs=1e-12)
+        assert s_r + s_a - s_ra == pytest.approx(2.0, abs=1e-9)
 
     def test_generalized_checker_accepts_identity(self, threshold34_scheme, threshold34_gamma):
         table = SubsetEntropyTable(distribute_purified(threshold34_scheme), 4)
-        classes = threshold34_gamma.subset_classes
-        result = _evaluate(table, [0b0001, 0b0010, 0b0100, 0b1000], classes, 1e-9)
+        codes = threshold34_gamma.class_codes
+        result = _evaluate(table, [0b0001, 0b0010, 0b0100, 0b1000], codes, 1e-9)
         assert not result.failing
         assert result.verdict == "generalized" and result.mismatch is None
 
@@ -223,7 +227,7 @@ class TestEntropyTable:
         # claiming the star while the state realizes the threshold
         star = AccessStructure.from_sets(4, [[1, 2], [1, 3], [1, 4]])
         table = SubsetEntropyTable(distribute_purified(threshold34_scheme), 4)
-        result = _evaluate(table, [0b0001, 0b0010, 0b0100, 0b1000], star.subset_classes, 1e-9)
+        result = _evaluate(table, [0b0001, 0b0010, 0b0100, 0b1000], star.class_codes, 1e-9)
         assert result.failing and result.verdict == "fail"
 
 
@@ -250,14 +254,14 @@ class TestReportSerialization:
 
 class TestFeasibilityMatrix:
     def test_every_row_perfect_infeasible(self, feasibility_rows):
-        assert len(feasibility_rows.rows) == 16
-        for row in feasibility_rows.rows:
+        assert len(feasibility_rows) == 16
+        for row in feasibility_rows:
             assert not row.pqss_feasible, row.number
             assert row.pqss_witness is not None
 
     def test_gqss_verdicts(self, feasibility_rows):
         expected_unknown = {9, 10}
-        for row in feasibility_rows.rows:
+        for row in feasibility_rows:
             if row.number in expected_unknown:
                 assert row.gqss == "unknown", row.number
                 assert row.assignment is None
@@ -267,7 +271,7 @@ class TestFeasibilityMatrix:
                 assert row.report_hash is not None
 
     def test_documented_assignment_rows(self, feasibility_rows):
-        rows = {row.number: row for row in feasibility_rows.rows}
+        rows = {row.number: row for row in feasibility_rows}
         assert rows[7].assignment == {
             "P1": [2], "P2": [3], "P3": [4], "P4": [5], DEALER: [1]
         }
@@ -279,12 +283,12 @@ class TestFeasibilityMatrix:
         }
 
     def test_row5_discrepancy_flagged(self, feasibility_rows):
-        rows = {row.number: row for row in feasibility_rows.rows}
+        rows = {row.number: row for row in feasibility_rows}
         assert any("rejected" in note for note in rows[5].notes)
         assert rows[5].gqss == "verified"
 
     def test_verified_assignments_revalidate(self, feasibility_rows):
-        for row in feasibility_rows.rows:
+        for row in feasibility_rows:
             if row.gqss != "verified":
                 continue
             name = row.scheme_name
@@ -448,8 +452,8 @@ def test_matrix_logs_the_route_of_every_row(caplog, feasibility_rows):
         verifier.feasibility_matrix()
     *events, summary = [r.getMessage() for r in caplog.records if r.name == "qsslab.matrix"]
     assert summary.startswith("matrix: ")
-    assert len(events) == len(feasibility_rows.rows)
-    for message, row in zip(events, feasibility_rows.rows):
+    assert len(events) == len(feasibility_rows)
+    for message, row in zip(events, feasibility_rows):
         assert message.startswith(f"row {row.number} ")
         route = message.split(": ", 1)[1]
         if row.gqss == "unknown":
@@ -487,7 +491,8 @@ def test_prepared_base_searches_equal_fresh_searches():
             if target.n > m:
                 continue
             shared = search_assignment(prepared, target, allow_dealer=True)
-            fresh = search_assignment(build_block_scheme(m, block), target, allow_dealer=True)
+            fresh_base = PreparedBase(*build_block_scheme(m, block))
+            fresh = search_assignment(fresh_base, target, allow_dealer=True)
             assert shared == fresh, (m, block, entry.number)
             if shared is None:
                 continue
@@ -557,7 +562,7 @@ def test_matrix_prepares_each_base_once(monkeypatch, caplog):
 
     # a row runs its search bases in order up to the one that realizes it, or all of them
     expected_searches = 0
-    for row in matrix.rows:
+    for row in matrix:
         names = [build_block_scheme(m, block)[0].name for m, block in verifier._search_bases(row.players)]
         if row.gqss == "unknown":
             expected_searches += len(names)
