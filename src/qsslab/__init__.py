@@ -6,7 +6,7 @@ from .protocols import (
     attack_threshold34_pair12,
     attack_threshold34_pair23,
     decoupling_decoder,
-    random_secret,
+    random_secrets,
     run_block_measure_protocol,
     run_threshold34_circuit,
 )

@@ -112,15 +112,22 @@ def _json_text(value, newline):
     return _encode_scalar(value)
 
 
-def _subset_texts(n, prefix):
-    """Entry b joins prefix + player with commas over the players of bitmask b, ascending.
+def _float_texts(column):
+    """Each float of a float64 column as _json_text writes it (all finite: repr, no type test)."""
+    if np.isfinite(column).all():
+        return list(map(float.__repr__, column.tolist()))
+    return [_json_text(v, "") for v in column.tolist()]
+
+
+def _subset_texts(n, prefix, sep=","):
+    """Entry b joins prefix + player with sep over the players of bitmask b, ascending.
 
     Built by doubling, as structures.subset_unions builds its table.
     """
     body = [""]
     for p in range(1, n + 1):
         tok = prefix + str(p)
-        body += [b + "," + tok if b else tok for b in body]
+        body += [b + sep + tok if b else tok for b in body]
     return body
 
 
@@ -194,34 +201,43 @@ def cmd_scheme_verify(args):
     scheme = _load_scheme(args.scheme)
     gamma = _load_structure(args.structure)
     report = verifier.verify(scheme, gamma, args.model, tolerance)
+    # subsets as _dump writes them in a record, as a csv field, or as str(PlayerSubset)
+    prefix, sep = {"json": ("\n        ", ","), "csv": ("", " "), "text": ("P", ",")}[args.format]
+    floats = _float_texts if args.format == "json" else (lambda col: list(map(_fmt, col.tolist())))
+    rows = zip(
+        _subset_texts(report.num_players, prefix, sep)[1:], report.classes.tolist(),
+        floats(report.s_a), floats(report.s_ra), floats(report.i_ra), report.ok.tolist(),
+    )
+    names = structures.CLASS_NAMES
     if args.format == "json":
-        out = _dump(verifier.report_to_dict(report))
+        doc = verifier._report_fields(report)
+        classes = [encode_basestring_ascii(name) for name in names]
+        records = [
+            f'{{\n      "class": {classes[c]},\n      "i_ra": {i_ra},\n      "pass": '
+            f'{"true" if ok else "false"},\n      "s_a": {s_a},\n      "s_ra": {s_ra},'
+            f'\n      "subset": [{subset}\n      ]\n    }}'
+            for subset, c, s_a, s_ra, i_ra, ok in rows
+        ]
+        doc["records"] = _Fragment("[\n    " + ",\n    ".join(records) + "\n  ]")
+        out = _dump(doc)
     elif args.format == "csv":
-        lines = ["subset;class;s_a;s_ra;i_ra;pass"]
-        for r in report.records:
-            subset = " ".join(str(p) for p in r.subset.players())
-            lines.append(
-                f"{subset};{r.classification};{_fmt(r.s_a)};{_fmt(r.s_ra)};"
-                f"{_fmt(r.i_ra)};{r.condition_pass}"
-            )
-        out = "\n".join(lines)
+        out = "\n".join(["subset;class;s_a;s_ra;i_ra;pass"] + [
+            f"{subset};{names[c]};{s_a};{s_ra};{i_ra};{ok}"
+            for subset, c, s_a, s_ra, i_ra, ok in rows
+        ])
     else:
-        lines = [
+        out = "\n".join([
             f"scheme {report.scheme}: verdict {report.verdict} "
             f"(requested {args.model}: {'pass' if report.meets_requested else 'FAIL'})",
             f"I(R:S)={_fmt(report.i_rs)}  S(S)={_fmt(report.s_s)}  "
             f"entropy balanced: {report.entropy_balanced}",
-        ]
-        for r in report.records:
-            lines.append(
-                f"  {str(r.subset):16s} {r.classification:10s} "
-                f"I(R:A)={_fmt(r.i_ra):14s} {'ok' if r.condition_pass else 'FAIL'}"
-            )
-        out = "\n".join(lines)
+        ] + [
+            f"  {'{' + subset + '}':16s} {names[c]:10s} I(R:A)={i_ra:14s} {'ok' if ok else 'FAIL'}"
+            for subset, c, _, _, i_ra, ok in rows
+        ])
     _emit(out, args.out)
     if not report.meets_requested:
-        witness = report.requested_witness
-        print(f"verification failure at subset {witness}", file=sys.stderr)
+        print(f"verification failure at subset {report.requested_witness}", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -329,11 +345,10 @@ def cmd_reconstruct(args):
         }
         doc = {"fidelities": [result.fidelity], "trace": trace}
     else:
-        rng = np.random.default_rng(args.seed)
-        # drawn as the protocol reads them, after it has checked its inputs
-        secrets = (protocols.random_secret(rng) for _ in range(args.trials))
+        # drawn a block at a time, as the protocol reads them
+        secrets = protocols.random_secrets(np.random.default_rng(args.seed), args.trials)
         if args.protocol == "circuit":
-            outcome = protocols.run_threshold34_circuit(secrets, acting, scheme)
+            outcome = protocols.run_threshold34_circuit(scheme, acting, secrets)
         else:
             outcome = protocols.run_block_measure_protocol(scheme, block, acting, secrets)
         doc = {

@@ -18,6 +18,7 @@ players.
 """
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +26,10 @@ import numpy as np
 from . import qstate
 from .qstate import PureState, RegisterLayout, check_norms, mutual_information, partial_trace
 from .schemes import (
+    _THRESHOLD34_BLOCK,
+    _block_images,
     apply_to_secret,
-    build_block_scheme,
+    block_structure,
     build_threshold34,
     distribute_purified,
     identity_assignment,
@@ -39,6 +42,8 @@ DECOUPLING_TOL = 1e-9
 #: bound.  A batch holds at most qstate.CUT_BATCH_ELEMENTS amplitudes at a
 #: time, so 13 particles run 4 secrets per chunk.
 MAX_MEASURE_PARTICLES = 13
+#: Secrets random_secrets draws per block: 32 KB of amplitudes.
+SECRET_DRAW_ROWS = 1024
 
 
 class ProtocolError(ValueError):
@@ -293,25 +298,25 @@ class ProtocolOutcome:
     trace: dict = field(default_factory=dict)
 
 
-def _secret_rows(secrets):
-    """The first secret, checked, and an iterator over the others.
+def _secret_blocks(secrets):
+    """secrets as an iterator of (k, 2) blocks, read lazily, with the first secret checked.
 
-    secrets is one (alpha, beta) pair or an iterable of them, read lazily:
-    the first is checked before the protocol's own checks and the others
-    as they are simulated, the order in which a loop over the secrets
-    would meet them.
+    secrets is one (alpha, beta) pair, an array-like of such rows, or an iterator of
+    either (random_secrets' blocks).  The first secret is checked before the protocol's
+    own checks and the others as they are simulated, as a loop over them would.
     """
-    rows = iter([secrets] if np.ndim(secrets) == 1 else secrets)
-    first = next(rows, None)
-    if first is None:
-        raise ProtocolError("no secrets given")
-    _secret_chunk([first])
-    return first, rows
+    blocks = secrets if isinstance(secrets, Iterator) else iter([secrets])
+    for block in blocks:
+        block = np.atleast_2d(np.asarray(block, dtype=np.complex128))
+        if len(block):
+            _secret_chunk(block[:1])
+            return itertools.chain([block], blocks)
+    raise ProtocolError("no secrets given")
 
 
 def _secret_chunk(rows):
-    """(T, 2) complex array of (alpha, beta) rows, each normalized within 1e-9."""
-    chunk = np.asarray(rows, dtype=np.complex128)
+    """(T, 2) complex array of (alpha, beta) rows or of one pair, each normalized within 1e-9."""
+    chunk = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
     if chunk.ndim != 2 or chunk.shape[1] != 2:
         raise ProtocolError("a secret is one (alpha, beta) pair of amplitudes")
     if not np.all(np.abs(np.abs(chunk[:, 0]) ** 2 + np.abs(chunk[:, 1]) ** 2 - 1.0) <= 1e-9):
@@ -319,13 +324,16 @@ def _secret_chunk(rows):
     return chunk
 
 
-def _chunks(first, rest, size):
-    """Checked chunks of at most size secrets: first, then the rest in order."""
-    rows = [first]
-    while rows:
-        rows += itertools.islice(rest, size - len(rows))
-        yield _secret_chunk(rows)
-        rows = list(itertools.islice(rest, size))
+def _chunks(blocks, size):
+    """Checked chunks of size secrets, the last one shorter, sliced from the blocks in order."""
+    rest = np.empty((0, 2), dtype=np.complex128)
+    for block in blocks:
+        rest = np.concatenate([rest, _secret_chunk(block)])
+        while len(rest) >= size:
+            yield rest[:size]
+            rest = rest[size:]
+    if len(rest):
+        yield rest
 
 
 def _secret_fidelities(amplitudes, layout, register, secrets):
@@ -359,7 +367,7 @@ class _BatchRun:
     last_states: list  # the last secret's state per branch, None where vacuous
 
 
-def _run_batch(compiled, images, first, rest, out_reg):
+def _run_batch(compiled, images, blocks, out_reg):
     """Push the secrets through the compiled protocol, one bounded chunk at a time.
 
     A chunk holds at most qstate.CUT_BATCH_ELEMENTS amplitudes.  Per
@@ -371,7 +379,7 @@ def _run_batch(compiled, images, first, rest, out_reg):
     size = max(1, qstate.CUT_BATCH_ELEMENTS // layout.dim)
     probabilities, fidelities, vacuous = [], [], []
     factorized = True
-    for chunk in _chunks(first, rest, size):
+    for chunk in _chunks(blocks, size):
         amps = chunk[:, 0:1] * images[0] + chunk[:, 1:2] * images[1]
         check_norms(np.linalg.norm(amps, axis=1))
         branches = simulate_protocol(compiled, amps)
@@ -443,21 +451,20 @@ _DOCUMENTED_RESIDUAL_NOTE = (
 )
 
 
-def run_threshold34_circuit(secrets, acting_set, scheme):
+def run_threshold34_circuit(scheme, acting_set, secrets):
     """Controlled-flip reconstruction circuit for an authorized triple of the threshold34 scheme.
 
     Stage one: the designated controller conditions flips on both other
     acting particles.  Stage two: those two particles jointly control a
     parity flip back onto the controller.  The secret ends on the output
-    particle with fidelity 1 and the residual factorizes.  secrets is one
-    (alpha, beta) pair or a batch of them; the circuit is one gather,
-    applied to all of them at once.  scheme must be build_threshold34()'s
-    scheme, with its identity assignment.
+    particle with fidelity 1 and the residual factorizes.  scheme must be
+    build_threshold34()'s scheme, with its identity assignment.  secrets
+    is one (alpha, beta) pair or a batch of them (see _secret_blocks); the
+    circuit is one gather, applied to all of them at once.
     """
-    first_secret, rest = _secret_rows(secrets)
-    reference = build_threshold34()
+    blocks = _secret_blocks(secrets)
     if scheme.num_particles != 4 or not np.allclose(
-        scheme.basis_images, reference.basis_images, atol=1e-12
+        scheme.basis_images, _block_images(4, _THRESHOLD34_BLOCK), atol=1e-12
     ):
         raise ProtocolError("circuit wiring is specific to the four-share threshold scheme")
     if scheme.assignment != identity_assignment(4):
@@ -476,7 +483,7 @@ def run_threshold34_circuit(secrets, acting_set, scheme):
     owner = {f"p{i}": f"P{i}" for i in range(1, 5)}
     compiled = compile_protocol(protocol, RegisterLayout(particle_labels(4)), owner)
     out_reg = f"p{output}"
-    run = _run_batch(compiled, scheme.basis_images, first_secret, rest, out_reg)
+    run = _run_batch(compiled, scheme.basis_images, blocks, out_reg)
     fidelities = run.fidelities[0].tolist()
     residual = _residual_ket(run.last_states[0], out_reg, *run.last_secret)
 
@@ -523,12 +530,11 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
             f"got {n}"
         )
     block = PlayerSubset.coerce(block, n)
-    reference, gamma = build_block_scheme(n, block)
-    if not np.allclose(scheme.basis_images, reference.basis_images, atol=1e-12):
+    if not np.allclose(scheme.basis_images, _block_images(n, block), atol=1e-12):
         raise ProtocolError("scheme images do not match the block construction for this block")
     if scheme.assignment != identity_assignment(n):
         raise ProtocolError("measure protocol assumes each player holds his own particle")
-    first_secret, rest = _secret_rows(secrets)
+    blocks = _secret_blocks(secrets)
 
     acting = PlayerSubset.coerce(acting_set, n)
     outsiders = acting.bits & ~block.bits
@@ -541,7 +547,7 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
             raise UnsupportedActingSetError(
                 f"{acting} is the co-block plus one insider; use the decoupling decoder"
             )
-        if not gamma.contains(acting):
+        if not block_structure(n, block).contains(acting):
             raise UnauthorizedSetError(f"{acting} is not authorized for this block scheme")
         raise UnsupportedActingSetError(
             f"{acting} is authorized but not of the form block + one outsider"
@@ -559,7 +565,7 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
     owner = {f"p{i}": f"P{i}" for i in range(1, n + 1)}
     compiled = compile_protocol(protocol, RegisterLayout(particle_labels(n)), owner)
     out_reg = f"p{first}"
-    run = _run_batch(compiled, scheme.basis_images, first_secret, rest, out_reg)
+    run = _run_batch(compiled, scheme.basis_images, blocks, out_reg)
     # fmin folds like min(worst, f) from worst = 1: a NaN fidelity leaves it alone
     worst = np.fmin.reduce(np.where(run.vacuous, 1.0, run.fidelities), axis=0, initial=1.0)
     fidelities = worst.tolist()
@@ -771,8 +777,14 @@ def attack_threshold34_pair23(secret, phase):
     )
 
 
-def random_secret(rng):
-    """One qubit drawn uniformly from the pure-state sphere via two angles."""
-    theta = np.arccos(1.0 - 2.0 * rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return (np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0))
+def random_secrets(rng, count):
+    """count qubits drawn uniformly from the pure-state sphere, in blocks of SECRET_DRAW_ROWS.
+
+    Each row is (cos(theta/2), e^(i phi) sin(theta/2)) with theta = arccos(1 - 2u),
+    phi = 2 pi u' and u, u' the generator's next two doubles, whatever the block size.
+    """
+    for start in range(0, count, SECRET_DRAW_ROWS):
+        u = rng.random(2 * min(SECRET_DRAW_ROWS, count - start))
+        theta = np.arccos(1.0 - 2.0 * u[0::2])
+        phi = 2.0 * np.pi * u[1::2]
+        yield np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1)

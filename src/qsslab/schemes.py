@@ -41,6 +41,7 @@ from .structures import (
 
 MAX_SEARCH_PARTICLES = 7
 DEALER = "DEALER"
+_THRESHOLD34_BLOCK = PlayerSubset(0b1100, 4)  # build_threshold34 is block(4, {3, 4})
 
 _log = logging.getLogger("qsslab.search")
 
@@ -165,31 +166,27 @@ def block_structure(n, block):
     return antichain_reduce(n, masks)
 
 
-def _pattern_index(block, n):
-    """Flat ket index with bit 1 exactly on the block's particles."""
-    idx = 0
-    for p in block.players():
-        idx |= 1 << (n - p)
-    return idx
+def _block_images(n, block):
+    """Images of |0> and |1> in block(n, block), block a PlayerSubset of n particles.
 
-
-def build_block_scheme(n, block):
-    """Scheme whose images superpose all-equal kets and the block pattern.
-
-    |0> maps to (|0..0> + |1..1>)/sqrt(2); |1> maps to (|x> + |~x>)/sqrt(2)
-    where x marks the block's particles.  Returns the scheme (identity
-    assignment) together with its access structure.
+    (|0..0> + |1..1>)/sqrt(2) and (|x> + |~x>)/sqrt(2), x having bit 1 on the block.
     """
-    if not 3 <= n <= MAX_QUBITS - 1:
-        raise SchemeError(f"block schemes are built for 3 <= n <= {MAX_QUBITS - 1}, got {n}")
-    block = PlayerSubset.coerce(block, n)
     if block.bits == 0 or block.bits == (1 << n) - 1:
         raise SchemeError("block must be a nonempty proper subset of the players")
     dim = 1 << n
+    x = sum(1 << (n - p) for p in block.players())
     images = np.zeros((2, dim), dtype=np.complex128)
     images[0, 0] = images[0, dim - 1] = 1 / np.sqrt(2)
-    x = _pattern_index(block, n)
     images[1, x] = images[1, (dim - 1) ^ x] = 1 / np.sqrt(2)
+    return images
+
+
+def build_block_scheme(n, block):
+    """The block scheme of _block_images, with the identity assignment, and its access structure."""
+    if not 3 <= n <= MAX_QUBITS - 1:
+        raise SchemeError(f"block schemes are built for 3 <= n <= {MAX_QUBITS - 1}, got {n}")
+    block = PlayerSubset.coerce(block, n)
+    images = _block_images(n, block)
     name = f"block(n={n},b={{{','.join(map(str, block.players()))}}})"
     scheme = SchemeSpec(n, images, identity_assignment(n), name=name)
     return scheme, block_structure(n, block)
@@ -204,7 +201,7 @@ def build_star_scheme(n, center):
 
 def build_threshold34():
     """The four-share scheme in which any three players recover the secret."""
-    scheme, _ = build_block_scheme(4, [3, 4])
+    scheme, _ = build_block_scheme(4, _THRESHOLD34_BLOCK)
     scheme.name = "threshold34"
     return scheme
 
@@ -371,7 +368,7 @@ def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
             evaluated += 1
             player_masks = [int(masks[row, j]) for j in range(n)]
             ev = verifier._evaluate(table, player_masks, target.class_codes, tolerance)
-            if not ev.failing:
+            if ev["ok"].all():
                 hit = row
                 break
     _log.debug(

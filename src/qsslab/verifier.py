@@ -95,7 +95,7 @@ class SubsetEntropyTable:
         self.computed = self.entries_read = 0
 
     def read(self, masks):
-        """(S(A), S(RA)) of each particle mask A as two float lists; S of no particles is 0.0.
+        """(S(A), S(RA)) of each particle mask A as two float arrays; S of no particles is 0.0.
 
         Missing entries of A and of its complement are computed in one
         cut_entropies call.
@@ -112,28 +112,25 @@ class SubsetEntropyTable:
             for i, bit in enumerate(self._bits):
                 keep |= (missing >> i & 1) * bit
             self._s[missing] = cut_entropies(self._state, keep)
-        return np.where(masks == 0, 0.0, self._s[masks]).tolist(), self._s[others].tolist()
+        return np.where(masks == 0, 0.0, self._s[masks]), self._s[others]
 
 
-@dataclass(frozen=True)
-class SubsetRecord:
-    """Entropy record of one player subset with its classification."""
-
-    subset: PlayerSubset
-    classification: str  # "authorized" | "A1" | "A2"
-    s_a: float
-    s_ra: float
-    i_ra: float
-    condition_pass: bool
-
-
-@dataclass
+@dataclass(eq=False)
 class VerificationReport:
+    """verify's verdicts.  Row b - 1 of the columns classes (codes into CLASS_NAMES), s_a,
+    s_ra, i_ra and ok (the generalized-model condition) is the player subset of bitmask b.
+    """
+
     scheme: str
     model: str
     i_rs: float
     s_s: float
-    records: list
+    num_players: int
+    classes: np.ndarray
+    s_a: np.ndarray
+    s_ra: np.ndarray
+    i_ra: np.ndarray
+    ok: np.ndarray
     verdict: str  # "perfect" | "generalized" | "fail"
     witness: PlayerSubset | None
     entropy_balanced: bool
@@ -142,55 +139,23 @@ class VerificationReport:
     requested_witness: PlayerSubset | None
 
 
-@dataclass(frozen=True)
-class _Evaluation:
-    """One player grouping of a scheme state, judged subset by subset."""
-
-    s_s: float
-    records: list
-    failing: list
-    verdict: str  # "perfect" | "generalized" | "fail"
-    mismatch: SubsetRecord | None  # first unauthorized subset at full correlation
-    worst_balance: float
-
-
 def _evaluate(table, player_masks, class_codes, tolerance):
-    """The entropy-condition pass behind verify and the search.
+    """The entropy-condition pass behind verify and the search, as VerificationReport fields.
 
     player_masks[i] is the particle bitmask of player i+1 and class_codes
     the claimed structure's class table (AccessStructure.class_codes).
-    Every nonempty player subset gets a record with its generalized-model
-    condition; the A2 entropy balance S(A) = S(complement of A) is measured
-    on the same table.
+    Returns s_s and the columns: every nonempty player subset's class,
+    S(A), S(RA), I(R:A) and generalized-model condition ok, computed with
+    the float operations of a per-subset pass, in its order.
     """
-    n = len(player_masks)
     # the unions include mask 0, whose S(RA) is the entropy of all particles: S(R)
     s_a_of, s_ra_of = table.read(subset_unions(player_masks))
-    s_s = s_ra_of[0]
-    i_rs = 2.0 * s_s
-    records = []
-    for bits, code in enumerate(class_codes.tolist()[1:], 1):
-        s_a, s_ra = s_a_of[bits], s_ra_of[bits]
-        i_ra = s_s + s_a - s_ra
-        if code == AUTHORIZED:
-            ok = abs(i_ra - i_rs) <= tolerance
-        else:
-            ok = i_ra <= s_s + tolerance
-        records.append(SubsetRecord(PlayerSubset(bits, n), CLASS_NAMES[code], s_a, s_ra, i_ra, ok))
-
-    unauthorized = [r for r in records if r.classification != "authorized"]
-    mismatch = next((r for r in unauthorized if abs(r.i_ra - i_rs) <= tolerance), None)
-    failing = [r for r in records if not r.condition_pass]
-    if failing:
-        verdict = "fail"
-    elif all(r.i_ra <= tolerance for r in unauthorized):
-        verdict = "perfect"
-    else:
-        verdict = "generalized"
-
-    full = (1 << n) - 1
-    devs = [abs(r.s_a - s_a_of[full ^ r.subset.bits]) for r in records if r.classification == "A2"]
-    return _Evaluation(s_s, records, failing, verdict, mismatch, max([0.0, *devs]))
+    s_s = float(s_ra_of[0])
+    classes, s_a, s_ra = class_codes[1:], s_a_of[1:], s_ra_of[1:]
+    i_ra = (s_s + s_a) - s_ra
+    ok = np.where(classes == AUTHORIZED, np.abs(i_ra - 2.0 * s_s) <= tolerance,
+                  i_ra <= s_s + tolerance)
+    return dict(s_s=s_s, classes=classes, s_a=s_a, s_ra=s_ra, i_ra=i_ra, ok=ok)
 
 
 def _report(table, scheme, gamma, model, tolerance):
@@ -201,40 +166,47 @@ def _report(table, scheme, gamma, model, tolerance):
     n = scheme.num_players
     if gamma.n != n:
         raise StructureError(f"structure is over {gamma.n} players but scheme has {n}")
-    codes = _admissible_classes(gamma)
-    ev = _evaluate(table, scheme.player_masks, codes, tolerance)
+    ev = _evaluate(table, scheme.player_masks, _admissible_classes(gamma), tolerance)
+    classes, s_a, i_ra, ok = ev["classes"], ev["s_a"], ev["i_ra"], ev["ok"]
+    i_rs = 2.0 * ev["s_s"]
+    authorized = classes == AUTHORIZED
+    failing = np.flatnonzero(~ok)
+    if failing.size:
+        verdict = "fail"
+    elif (i_ra[~authorized] <= tolerance).all():
+        verdict = "perfect"
+    else:
+        verdict = "generalized"
     # a perfect verdict over a structure with nonempty A2 would contradict the
     # feasibility theorem; reaching this means the numerics are inconsistent
-    if ev.verdict == "perfect" and (codes[1:] == A2).any():
+    if verdict == "perfect" and (classes == A2).any():
         raise VerificationError(
             "perfect verdict with nonempty A2 contradicts perfect-infeasibility"
         )
-    i_rs = 2.0 * ev.s_s
-    if ev.mismatch is not None:
-        raise StructuralMismatchError(ev.mismatch.subset, ev.mismatch.i_ra, i_rs)
+    mismatch = np.flatnonzero(~authorized & (np.abs(i_ra - i_rs) <= tolerance))
+    if mismatch.size:
+        row = int(mismatch[0])
+        raise StructuralMismatchError(PlayerSubset(row + 1, n), float(i_ra[row]), i_rs)
 
     if model == "perfect":
-        requested_fail = [
-            r
-            for r in ev.records
-            if (r.classification == "authorized" and not r.condition_pass)
-            or (r.classification != "authorized" and r.i_ra > tolerance)
-        ]
+        requested = np.flatnonzero(np.where(authorized, ~ok, i_ra > tolerance))
     else:
-        requested_fail = ev.failing
-
+        requested = failing
+    # row i's complement is row -2 - i, and no players have S = 0.0; fmax skips NaN as max() did
+    complement = np.append(s_a[-2::-1], 0.0)
+    worst = float(np.fmax.reduce(np.abs(s_a - complement)[classes == A2], initial=0.0))
     return VerificationReport(
         scheme=scheme.name or "scheme",
         model=model,
         i_rs=i_rs,
-        s_s=ev.s_s,
-        records=ev.records,
-        verdict=ev.verdict,
-        witness=ev.failing[0].subset if ev.failing else None,
-        entropy_balanced=ev.worst_balance <= tolerance,
-        worst_balance_deviation=ev.worst_balance,
-        meets_requested=not requested_fail,
-        requested_witness=requested_fail[0].subset if requested_fail else None,
+        num_players=n,
+        **ev,
+        verdict=verdict,
+        witness=PlayerSubset(int(failing[0]) + 1, n) if failing.size else None,
+        entropy_balanced=worst <= tolerance,
+        worst_balance_deviation=worst,
+        meets_requested=not requested.size,
+        requested_witness=PlayerSubset(int(requested[0]) + 1, n) if requested.size else None,
     )
 
 
@@ -254,8 +226,8 @@ def verify(scheme, gamma, model="generalized", tolerance=DEFAULT_TOLERANCE):
     return _report(table, scheme, gamma, model, tolerance)
 
 
-def report_to_dict(report):
-    """JSON-ready document of a verification report."""
+def _report_fields(report):
+    """report_to_dict's document without its records."""
     return {
         "scheme": report.scheme,
         "model": report.model,
@@ -269,19 +241,22 @@ def report_to_dict(report):
         "requested_witness": (
             list(report.requested_witness.players()) if report.requested_witness else None
         ),
-        "records": [
-            {
-                "subset": list(r.subset.players()),
-                "class": r.classification,
-                "s_a": r.s_a,
-                "s_ra": r.s_ra,
-                "i_ra": r.i_ra,
-                "pass": r.condition_pass,
-            }
-            for r in report.records
-        ],
         "deviations": [],
     }
+
+
+def report_to_dict(report):
+    """JSON-ready document of a verification report, one record per nonempty player subset."""
+    keys = ("class", "s_a", "s_ra", "i_ra", "pass")
+    columns = zip(
+        [CLASS_NAMES[code] for code in report.classes.tolist()], report.s_a.tolist(),
+        report.s_ra.tolist(), report.i_ra.tolist(), report.ok.tolist(),
+    )
+    records = [
+        {"subset": list(PlayerSubset(bits, report.num_players).players()), **dict(zip(keys, row))}
+        for bits, row in enumerate(columns, 1)
+    ]
+    return {**_report_fields(report), "records": records}
 
 
 def report_hash(report):

@@ -4,6 +4,7 @@ This is the simulation the protocols ran before they were batched: one
 secret at a time, every gate a conditional flip that builds a new state,
 every measurement collapsing a state into both branches.  The
 differential tests require the batched protocols to give the same bits.
+random_secret is the per-secret draw that random_secrets replaced.
 """
 
 from dataclasses import dataclass
@@ -141,12 +142,17 @@ def _outcome(fidelity, probabilities, **fields):
     )
 
 
-def threshold34_circuit(secret, acting_set, scheme=None):
+def random_secret(rng):
+    """One qubit drawn uniformly from the pure-state sphere via two angles."""
+    theta = np.arccos(1.0 - 2.0 * rng.uniform())
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    return (np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0))
+
+
+def threshold34_circuit(scheme, acting_set, secret):
     alpha, beta = complex(secret[0]), complex(secret[1])
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise ProtocolError("secret amplitudes are not normalized")
-    if scheme is None:
-        scheme = build_threshold34()
     reference = build_threshold34()
     if scheme.num_particles != 4 or not np.allclose(
         scheme.basis_images, reference.basis_images, atol=1e-12

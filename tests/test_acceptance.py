@@ -13,7 +13,7 @@ from qsslab.protocols import (
     decoupling_decoder,
     attack_threshold34_pair12,
     attack_threshold34_pair23,
-    random_secret,
+    random_secrets,
     run_block_measure_protocol,
     run_threshold34_circuit,
 )
@@ -36,7 +36,7 @@ from qsslab.structures import (
 )
 from qsslab.verifier import verify
 from reference_structures import brute_canonical
-from reference_verifier import register_entropy
+from reference_verifier import register_entropy, report_records
 
 SQ2 = 2**-0.5
 
@@ -69,7 +69,7 @@ def test_criterion_2_threshold34_entropy_profile():
     report = verify(scheme, threshold_structure(3, 4))
     assert report.i_rs == pytest.approx(2.0, abs=1e-9)
     assert report.s_s == pytest.approx(1.0, abs=1e-9)
-    for r in report.records:
+    for r in report_records(report):
         expected = {1: 0.0, 2: 1.0, 3: 2.0, 4: 2.0}[len(r.subset)]
         assert r.i_ra == pytest.approx(expected, abs=1e-9), str(r.subset)
     assert report.verdict == "generalized"
@@ -85,7 +85,7 @@ def test_criterion_3_block_scheme_verification_numbers():
     assert report.i_rs == pytest.approx(2.0, abs=1e-9)
     assert report.s_s == pytest.approx(1.0, abs=1e-9)
     values = {"authorized": 2.0, "A1": 0.0, "A2": 1.0}
-    for r in report.records:
+    for r in report_records(report):
         assert r.i_ra == pytest.approx(values[r.classification], abs=1e-9), str(r.subset)
     announce(3, time.perf_counter() - t0, "five-share block scheme: I = 2 / 0 / 1 per class")
 
@@ -153,15 +153,13 @@ def test_criterion_6_reconstruction_fidelities(constructed_schemes):
     rng = np.random.default_rng(42)
     threshold34 = build_threshold34()
     for acting in ((1, 3, 4), (2, 3, 4), (1, 2, 3), (1, 2, 4)):
-        for _ in range(20):
-            out = run_threshold34_circuit(random_secret(rng), acting, threshold34)
+        for secret in np.concatenate(list(random_secrets(rng, 20))):
+            out = run_threshold34_circuit(threshold34, acting, secret)
             assert out.fidelity >= 1.0 - 1e-9
     block_scheme, _ = build_block_scheme(5, [1, 2])
     for outsider in (3, 4, 5):
-        for _ in range(20):
-            out = run_block_measure_protocol(
-                block_scheme, [1, 2], [1, 2, outsider], random_secret(rng)
-            )
+        for secret in np.concatenate(list(random_secrets(rng, 20))):
+            out = run_block_measure_protocol(block_scheme, [1, 2], [1, 2, outsider], secret)
             assert out.fidelity >= 1.0 - 1e-9
     decoder_runs = 0
     for scheme, gamma in constructed_schemes:

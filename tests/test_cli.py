@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from qsslab import cli
 from qsslab.cli import main
 from qsslab.schemes import (
+    DEALER,
     SchemeSpec,
     build_block_scheme,
     build_threshold34,
     identity_assignment,
+    induce_structure,
     load_scheme,
     save_scheme,
 )
@@ -32,6 +34,7 @@ from qsslab.structures import (
     structure_to_dict,
     threshold_structure,
 )
+import reference_verifier as ref_verifier
 from reference_structures import brute_classes
 
 GOLDEN_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "tables.json"
@@ -357,6 +360,55 @@ class TestSchemeVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "fail"
         assert all(isinstance(r["pass"], bool) for r in doc["records"])
+
+
+def _verify_cases():
+    """(name, scheme, claimed structure, model, tolerance) for the renderer test."""
+    block, block_gamma = build_block_scheme(5, [1, 2])
+    base, base_gamma = build_block_scheme(5, [1, 2])
+    redistributed = SchemeSpec(
+        5, base.basis_images, {"P1": (2,), "P2": (3,), "P3": (4,), "P4": (5,), DEALER: (1,)},
+        name="redistributed",
+    )
+    images = np.zeros((2, 16), dtype=np.complex128)
+    images[0, 0b0000] = images[0, 0b1111] = 2**-0.5
+    images[1, 0b0011] = images[1, 0b1110] = 2**-0.5
+    corrupted = SchemeSpec(4, images, identity_assignment(4), name="corrupted")
+    rng = np.random.default_rng(16)
+    q, _ = np.linalg.qr(rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2)))
+    dense = SchemeSpec(4, q.T, identity_assignment(4), name="dense")
+    threshold34 = build_threshold34()
+    return [
+        ("block", block, block_gamma, "generalized", 1e-9),
+        ("block13", *build_block_scheme(13, [2, 5, 11]), "generalized", 1e-9),
+        ("redistributed", redistributed, induce_structure(redistributed, base_gamma),
+         "generalized", 1e-12),
+        ("failing", corrupted, threshold_structure(3, 4), "generalized", 1e-9),
+        ("dense", dense, threshold_structure(3, 4), "generalized", 1e-6),
+        ("perfect", threshold34, threshold_structure(3, 4), "perfect", 1e-9),
+        ("perfect_block", block, block_gamma, "perfect", 1e-6),
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("case", _verify_cases(), ids=lambda case: case[0])
+def test_scheme_verify_matches_reference_renderer(tmp_path, capsys, case, fmt):
+    """scheme verify's bytes against the per-subset reference report and renderer."""
+    _, scheme, gamma, model, tolerance = case
+    scheme_path = tmp_path / f"{scheme.name}.json"
+    scheme_path.write_text(json.dumps(save_scheme(scheme)))
+    gamma_path = tmp_path / "gamma.json"
+    gamma_path.write_text(json.dumps(structure_to_dict(gamma)))
+    code = main(["scheme", "verify", str(scheme_path), str(gamma_path), "--model", model,
+                 "--tolerance", repr(tolerance), "--format", fmt])
+    out, err = capsys.readouterr()
+    rep = ref_verifier.report(load_scheme(save_scheme(scheme), name=scheme.name), gamma,
+                              model, tolerance)
+    assert out == ref_verifier.render(rep, fmt) + "\n"
+    if rep.meets_requested:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (4, f"verification failure at subset {rep.requested_witness}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,8 @@ from qsslab.protocols import (
     attack_threshold34_pair23,
     compile_protocol,
     decoupling_decoder,
-    random_secret,
+    SECRET_DRAW_ROWS,
+    random_secrets,
     run_block_measure_protocol,
     run_threshold34_circuit,
     simulate_protocol,
@@ -41,8 +43,8 @@ THRESHOLD34 = build_threshold34()
 
 
 def seeded_secrets(count, seed=42):
-    rng = np.random.default_rng(seed)
-    return [random_secret(rng) for _ in range(count)]
+    """(count, 2) array of seeded random secrets."""
+    return np.concatenate(list(random_secrets(np.random.default_rng(seed), count)))
 
 
 def run_steps(state, *steps):
@@ -208,19 +210,19 @@ class TestProtocolLocality:
 
 class TestThreshold34Circuit:
     def test_basis_secret(self):
-        out = run_threshold34_circuit((1.0, 0.0), (1, 3, 4), THRESHOLD34)
+        out = run_threshold34_circuit(THRESHOLD34, (1, 3, 4), (1.0, 0.0))
         assert out.fidelity >= 1.0 - 1e-9
         assert out.output_register == "p1"
 
     @pytest.mark.parametrize("acting", TRIPLES)
     def test_random_secrets_full_fidelity(self, acting):
         for secret in seeded_secrets(20):
-            out = run_threshold34_circuit(secret, acting, THRESHOLD34)
+            out = run_threshold34_circuit(THRESHOLD34, acting, secret)
             assert out.fidelity >= 1.0 - 1e-9
             assert out.residual_factorized
 
     def test_residual_of_first_triple(self):
-        out = run_threshold34_circuit((0.6, 0.8), (1, 3, 4), THRESHOLD34)
+        out = run_threshold34_circuit(THRESHOLD34, (1, 3, 4), (0.6, 0.8))
         residual = {e["ket"]: e["re"] for e in out.trace["residual"]}
         assert residual["000"] == pytest.approx(SQ2, abs=1e-9)
         assert residual["110"] == pytest.approx(SQ2, abs=1e-9)
@@ -229,15 +231,15 @@ class TestThreshold34Circuit:
 
     def test_unauthorized_pair_rejected(self):
         with pytest.raises(UnauthorizedSetError):
-            run_threshold34_circuit((1.0, 0.0), (1, 2), THRESHOLD34)
+            run_threshold34_circuit(THRESHOLD34, (1, 2), (1.0, 0.0))
 
     def test_unnormalized_secret_rejected(self):
         with pytest.raises(ProtocolError, match="normalized"):
-            run_threshold34_circuit((1.0, 1.0), (1, 3, 4), THRESHOLD34)
+            run_threshold34_circuit(THRESHOLD34, (1, 3, 4), (1.0, 1.0))
 
     def test_nan_secret_rejected(self):
         with pytest.raises(ProtocolError, match="normalized"):
-            run_threshold34_circuit((float("nan"), 0.0), (1, 3, 4), THRESHOLD34)
+            run_threshold34_circuit(THRESHOLD34, (1, 3, 4), (float("nan"), 0.0))
         scheme, _ = build_block_scheme(5, [1, 2])
         with pytest.raises(ProtocolError, match="normalized"):
             run_block_measure_protocol(scheme, [1, 2], [1, 2, 3], (float("nan"), 0.0))
@@ -245,7 +247,7 @@ class TestThreshold34Circuit:
     def test_wrong_scheme_rejected(self):
         scheme, _ = build_block_scheme(4, [1])
         with pytest.raises(ProtocolError, match="four-share"):
-            run_threshold34_circuit((1.0, 0.0), (1, 3, 4), scheme=scheme)
+            run_threshold34_circuit(scheme, (1, 3, 4), (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +337,9 @@ class TestBatchedAgainstReference:
     @pytest.mark.parametrize("acting", TRIPLES)
     def test_circuit_triple(self, acting):
         secrets = seeded_secrets(256, seed=sum(acting))
-        out = run_threshold34_circuit(secrets, acting, THRESHOLD34)
-        assert_matches_reference(out, [ref.threshold34_circuit(s, acting) for s in secrets])
+        out = run_threshold34_circuit(THRESHOLD34, acting, secrets)
+        expected = [ref.threshold34_circuit(THRESHOLD34, acting, s) for s in secrets]
+        assert_matches_reference(out, expected)
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_measure_every_block(self, n):
@@ -358,9 +361,10 @@ class TestBatchedAgainstReference:
     def test_single_secret_is_a_batch_of_one(self):
         scheme, _ = build_block_scheme(5, [1, 2])
         for secret in seeded_secrets(3, seed=11):
-            single = run_threshold34_circuit(secret, (1, 3, 4), THRESHOLD34)
-            assert single == run_threshold34_circuit([secret], (1, 3, 4), THRESHOLD34)
-            assert_matches_reference(single, [ref.threshold34_circuit(secret, (1, 3, 4))])
+            single = run_threshold34_circuit(THRESHOLD34, (1, 3, 4), secret)
+            assert single == run_threshold34_circuit(THRESHOLD34, (1, 3, 4), [secret])
+            assert_matches_reference(
+                single, [ref.threshold34_circuit(THRESHOLD34, (1, 3, 4), secret)])
             single = run_block_measure_protocol(scheme, [1, 2], [1, 2, 4], secret)
             assert single == run_block_measure_protocol(scheme, [1, 2], [1, 2, 4], [secret])
             assert_matches_reference(
@@ -376,7 +380,7 @@ class TestBatchedAgainstReference:
 
         scheme, _ = build_block_scheme(5, [1, 2])
         with pytest.raises(UnauthorizedSetError):
-            run_threshold34_circuit(secrets(), (1, 2), THRESHOLD34)
+            run_threshold34_circuit(THRESHOLD34, (1, 2), secrets())
         with pytest.raises(UnauthorizedSetError):
             run_block_measure_protocol(scheme, [1, 2], [3, 4, 5], secrets())
         assert len(drawn) == 2  # the first secret of each call, checked before the set
@@ -384,16 +388,16 @@ class TestBatchedAgainstReference:
         assert len(drawn) == 7
         assert out == run_block_measure_protocol(scheme, [1, 2], [1, 2, 5], drawn[2:])
         with pytest.raises(ProtocolError, match="no secrets"):
-            run_threshold34_circuit(iter(()), (1, 3, 4), THRESHOLD34)
+            run_threshold34_circuit(THRESHOLD34, (1, 3, 4), iter(()))
 
     @pytest.mark.parametrize("budget_rows", (1, 3, 7))
     def test_chunks_that_do_not_divide_the_batch(self, monkeypatch, budget_rows):
         secrets = seeded_secrets(10, seed=budget_rows)
         scheme, _ = build_block_scheme(5, [2, 4])
-        whole_circuit = run_threshold34_circuit(secrets, (1, 2, 4), THRESHOLD34)
+        whole_circuit = run_threshold34_circuit(THRESHOLD34, (1, 2, 4), secrets)
         whole_measure = run_block_measure_protocol(scheme, [2, 4], [1, 2, 4], secrets)
         monkeypatch.setattr(qstate, "CUT_BATCH_ELEMENTS", budget_rows * 16)
-        assert run_threshold34_circuit(secrets, (1, 2, 4), THRESHOLD34) == whole_circuit
+        assert run_threshold34_circuit(THRESHOLD34, (1, 2, 4), secrets) == whole_circuit
         monkeypatch.setattr(qstate, "CUT_BATCH_ELEMENTS", budget_rows * 32)
         chunked = run_block_measure_protocol(scheme, [2, 4], [1, 2, 4], secrets)
         assert chunked == whole_measure
@@ -409,11 +413,11 @@ class TestBatchedAgainstReference:
             ((1.0, 1.0), (1, 2), block_scheme),
         ]
         for secret, acting, scheme in cases:
-            assert_same_error(lambda: run_threshold34_circuit(secret, acting, scheme=scheme),
-                              lambda: ref.threshold34_circuit(secret, acting, scheme=scheme))
+            assert_same_error(lambda: run_threshold34_circuit(scheme, acting, secret),
+                              lambda: ref.threshold34_circuit(scheme, acting, secret))
         with pytest.raises(ProtocolError, match="not normalized"):
-            run_threshold34_circuit([(1.0, 0.0), (0.6, 0.8), (0.6, 0.6)], (1, 3, 4),
-                                    THRESHOLD34)
+            run_threshold34_circuit(THRESHOLD34, (1, 3, 4),
+                                    [(1.0, 0.0), (0.6, 0.8), (0.6, 0.6)])
 
     def test_measure_errors_match(self):
         scheme, _ = build_block_scheme(5, [1, 2])
@@ -713,10 +717,59 @@ class TestOutputRegister:
         assert np.real(np.trace(rest @ rest)) == pytest.approx(0.5, abs=1e-12)
 
 
-class TestRandomSecret:
+class TestRandomSecrets:
     def test_normalized_and_deterministic(self):
         a1 = seeded_secrets(10, seed=5)
         a2 = seeded_secrets(10, seed=5)
-        assert a1 == a2
+        assert a1.tobytes() == a2.tobytes()
         for alpha, beta in a1:
             assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, SECRET_DRAW_ROWS + 37])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
+    def test_blocks_equal_the_scalar_draws_bit_for_bit(self, count, seed):
+        blocks = list(random_secrets(np.random.default_rng(seed), count))
+        assert [len(b) for b in blocks[:-1]] == [SECRET_DRAW_ROWS] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= SECRET_DRAW_ROWS
+        rng = np.random.default_rng(seed)
+        expected = np.array([ref.random_secret(rng) for _ in range(count)], dtype=np.complex128)
+        got = np.concatenate(blocks)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == expected.tobytes()
+
+    def test_blocks_are_drawn_as_they_are_read(self):
+        rng = np.random.default_rng(3)
+        blocks = random_secrets(rng, 3 * SECRET_DRAW_ROWS)
+        first = next(blocks)
+        # the generator has taken two doubles per secret of its first block only
+        probe = np.random.default_rng(3)
+        probe.random(2 * SECRET_DRAW_ROWS)
+        assert rng.random() == probe.random()
+        assert len(first) == SECRET_DRAW_ROWS
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 3, 4), (7,), (5, 1, 1, 3), (0, 4, 0, 6)])
+    def test_blocks_of_any_size_give_the_whole_batch(self, monkeypatch, sizes):
+        secrets = seeded_secrets(sum(sizes), seed=len(sizes))
+        bounds = np.cumsum((0,) + sizes)
+        blocks = [secrets[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        scheme, _ = build_block_scheme(5, [2, 4])
+        monkeypatch.setattr(qstate, "CUT_BATCH_ELEMENTS", 3 * 32)
+        assert (run_block_measure_protocol(scheme, [2, 4], [1, 2, 4], iter(blocks))
+                == run_block_measure_protocol(scheme, [2, 4], [1, 2, 4], secrets))
+        assert (run_threshold34_circuit(THRESHOLD34, (1, 2, 4), iter(blocks))
+                == run_threshold34_circuit(THRESHOLD34, (1, 2, 4), secrets))
+
+    def test_memory_stays_below_one_full_amplitude_array(self):
+        trials = 100_000
+        full_batch_bytes = trials * 16 * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            out = run_threshold34_circuit(
+                THRESHOLD34, (1, 2, 3), random_secrets(np.random.default_rng(9), trials)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out.fidelities) == trials
+        assert out.fidelity >= 1.0 - 1e-9
+        assert peak < full_batch_bytes, (peak, full_batch_bytes)

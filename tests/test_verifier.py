@@ -2,19 +2,34 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qsslab.schemes import DEALER, SchemeSpec, build_block_scheme, identity_assignment
+import reference_verifier as ref
+
+from qsslab.schemes import (
+    DEALER,
+    SchemeSpec,
+    build_block_scheme,
+    identity_assignment,
+    induce_structure,
+)
 from qsslab.structures import (
+    CLASS_NAMES,
     AccessStructure,
     PlayerSubset,
     StructureError,
     _adversary_masks,
+    antichain_reduce,
+    is_quantum_admissible,
     threshold_structure,
 )
 from qsslab.verifier import (
     StructuralMismatchError,
     SubsetEntropyTable,
+    VerificationError,
     _evaluate,
+    _report,
     matrix_to_dict,
     report_hash,
     report_to_dict,
@@ -22,13 +37,13 @@ from qsslab.verifier import (
 )
 from qsslab.qstate import ResourceLimitError
 from qsslab.schemes import distribute_purified
-from reference_verifier import entropy_profile, register_entropy
+from reference_verifier import entropy_profile, register_entropy, report_records
 
 
 def record_for(report, players):
     """The record of the subset of these players."""
-    bits = PlayerSubset.from_players(players, report.records[0].subset.n).bits
-    return next(r for r in report.records if r.subset.bits == bits)
+    bits = PlayerSubset.from_players(players, report.num_players).bits
+    return report_records(report)[bits - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +62,7 @@ class TestVerifyThreshold34:
         assert report.verdict == "generalized"
 
     def test_profile_by_subset_size(self, report):
-        for r in report.records:
+        for r in report_records(report):
             size = len(r.subset)
             if size >= 3:
                 assert r.classification == "authorized"
@@ -61,8 +76,8 @@ class TestVerifyThreshold34:
             assert r.condition_pass
 
     def test_report_complete(self, report):
-        assert len(report.records) == 15
-        assert sorted(r.subset.bits for r in report.records) == list(range(1, 16))
+        assert len(report_records(report)) == 15
+        assert sorted(r.subset.bits for r in report_records(report)) == list(range(1, 16))
 
     def test_perfect_model_fails_on_a_pair(self, threshold34_scheme, threshold34_gamma):
         report = verify(threshold34_scheme, threshold34_gamma, model="perfect")
@@ -76,8 +91,8 @@ class TestVerifyThreshold34:
         assert report.worst_balance_deviation <= 1e-9
 
     def test_unauthorized_complement_identity(self, report):
-        by_bits = {r.subset.bits: r for r in report.records}
-        for r in report.records:
+        by_bits = {r.subset.bits: r for r in report_records(report)}
+        for r in report_records(report):
             comp = r.subset.complement().bits
             if comp == 0:
                 continue
@@ -91,7 +106,7 @@ class TestVerifyBlockScheme:
         assert report.verdict == "generalized"
         assert report.i_rs == pytest.approx(2.0, abs=1e-9)
         assert report.s_s == pytest.approx(1.0, abs=1e-9)
-        for r in report.records:
+        for r in report_records(report):
             if r.classification == "authorized":
                 assert r.i_ra == pytest.approx(2.0, abs=1e-9)
             elif r.classification == "A1":
@@ -113,7 +128,7 @@ class TestVerifyFailures:
         report = verify(corrupted_scheme, threshold34_gamma)
         assert report.verdict == "fail"
         assert report.witness is not None
-        failing = [r for r in report.records if not r.condition_pass]
+        failing = [r for r in report_records(report) if not r.condition_pass]
         assert failing
         assert report.witness == failing[0].subset
         # the breakage shows as an authorized triple short of full correlation
@@ -184,7 +199,7 @@ class TestEntropyBalance:
 class TestEntropyProfile:
     def test_uniform_secret_matches_verify(self):
         scheme, gamma = build_block_scheme(5, [1, 2])
-        records = verify(scheme, gamma).records
+        records = report_records(verify(scheme, gamma))
         assert entropy_profile(scheme) == [(r.subset, r.s_a, r.s_ra, r.i_ra) for r in records]
 
     def test_biased_secret_scaling(self, threshold34_scheme, threshold34_gamma):
@@ -220,15 +235,15 @@ class TestEntropyTable:
         table = SubsetEntropyTable(distribute_purified(threshold34_scheme), 4)
         codes = threshold34_gamma.class_codes
         result = _evaluate(table, [0b0001, 0b0010, 0b0100, 0b1000], codes, 1e-9)
-        assert not result.failing
-        assert result.verdict == "generalized" and result.mismatch is None
+        assert result["ok"].all()
+        assert verify(threshold34_scheme, threshold34_gamma).verdict == "generalized"
 
     def test_generalized_checker_rejects_bad_grouping(self, threshold34_scheme):
         # claiming the star while the state realizes the threshold
         star = AccessStructure.from_sets(4, [[1, 2], [1, 3], [1, 4]])
         table = SubsetEntropyTable(distribute_purified(threshold34_scheme), 4)
         result = _evaluate(table, [0b0001, 0b0010, 0b0100, 0b1000], star.class_codes, 1e-9)
-        assert result.failing and result.verdict == "fail"
+        assert not result["ok"].all()
 
 
 class TestReportSerialization:
@@ -385,8 +400,8 @@ def test_thirteen_particle_block_scheme_verifies(monkeypatch):
     scheme, gamma = build_block_scheme(13, [2, 5, 7, 11])
     report = verify(scheme, gamma)
     assert report.verdict == "generalized"
-    assert len(report.records) == (1 << 13) - 1
-    authorized = [r for r in report.records if r.classification == "authorized"]
+    assert len(report_records(report)) == (1 << 13) - 1
+    authorized = [r for r in report_records(report) if r.classification == "authorized"]
     assert authorized
     for r in authorized:
         assert r.i_ra == pytest.approx(2.0, abs=1e-9), str(r.subset)
@@ -411,7 +426,7 @@ def test_record_entropies_keep_the_dense_path_bits_and_signs():
         for k in range(1, m // 2 + 1):
             scheme, gamma = build_block_scheme(m, range(1, k + 1))
             state = distribute_purified(scheme)
-            for r in verify(scheme, gamma).records:
+            for r in report_records(verify(scheme, gamma)):
                 regs = scheme.registers_of(r.subset.bits)
                 for value, dense in ((r.s_a, _dense_entropy(state, regs)),
                                      (r.s_ra, _dense_entropy(state, ("R",) + regs))):
@@ -472,16 +487,18 @@ def test_matrix_logs_the_route_of_every_row(caplog, feasibility_rows):
 
 
 def _outcome(check, *args):
+    """The report's document by repr (signed zeros kept) with its hash, or the mismatch message."""
     try:
-        return check(*args)
+        report = check(*args)
     except StructuralMismatchError as exc:
         return str(exc)
+    return repr(report_to_dict(report)), report_hash(report)
 
 
 def test_prepared_base_searches_equal_fresh_searches():
     from qsslab.schemes import PreparedBase, search_assignment
     from qsslab.structures import HYPERSTAR_CATALOG
-    from qsslab.verifier import _report, _search_bases
+    from qsslab.verifier import _search_bases
 
     hits = 0
     for m, block in _search_bases(3):
@@ -502,8 +519,6 @@ def test_prepared_base_searches_equal_fresh_searches():
                 _report, prepared.table, candidate, target, "generalized", 1e-9
             )
             assert from_table == _outcome(verify, candidate, target), (m, block, entry.number)
-            if not isinstance(from_table, str):
-                assert report_hash(from_table) == report_hash(verify(candidate, target))
     assert hits
 
 
@@ -527,9 +542,9 @@ def test_every_matrix_report_equals_a_fresh_verify(monkeypatch):
     monkeypatch.undo()
     assert len(reports) >= 14
     for args, result in reports:
-        assert result == _outcome(verify, *args), args[0].name
         if not isinstance(result, str):
-            assert report_hash(result) == report_hash(verify(*args))
+            result = repr(report_to_dict(result)), report_hash(result)
+        assert result == _outcome(verify, *args), args[0].name
 
 
 def test_matrix_prepares_each_base_once(monkeypatch, caplog):
@@ -581,3 +596,136 @@ def test_matrix_prepares_each_base_once(monkeypatch, caplog):
     # every built table computes each of its 2^m entries at most once
     assert 0 < computed <= sum(1 << int(name.split("n=")[1].split(",")[0]) for name in states)
     assert computed < read
+
+
+# ---------------------------------------------------------------------------
+# the columnar entropy-condition pass against the per-subset reference loop
+
+
+@st.composite
+def verify_cases(draw):
+    """(scheme, claimed admissible structure, model, tolerance) over at most 6 particles.
+
+    Images are a random isometry or a block scheme's, whose exact
+    correlations make structural mismatches and perfect verdicts reachable.
+    Particles go to players P1..Pn, or to the dealer when it is drawn.
+    """
+    m = draw(st.integers(2, 6))
+    base = None
+    if m >= 3 and draw(st.booleans()):
+        block = draw(st.integers(1, (1 << m) - 2))
+        scheme, base = build_block_scheme(m, PlayerSubset(block, m))
+        images = scheme.basis_images
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q, _ = np.linalg.qr(rng.normal(size=(1 << m, 2)) + 1j * rng.normal(size=(1 << m, 2)))
+        images = q.T
+    n = draw(st.integers(2, m))
+    dealer = draw(st.booleans())
+    holders = [f"P{i}" for i in range(1, n + 1)] + ([DEALER] if dealer else [])
+    owner = draw(st.lists(st.integers(0, len(holders) - 1), min_size=m, max_size=m))
+    assignment = {h: tuple(p + 1 for p in range(m) if owner[p] == j) for j, h in enumerate(holders)}
+    scheme = SchemeSpec(m, images, assignment, name="case")
+    if base is not None and draw(st.booleans()):
+        induced = induce_structure(scheme, base)  # the structure the scheme realizes
+        if induced.minimal_sets and is_quantum_admissible(induced):
+            return scheme, induced, draw(st.sampled_from(["generalized", "perfect"])), \
+                draw(st.sampled_from([1e-12, 1e-6]))
+    center = draw(st.integers(1, n)) if draw(st.booleans()) else None
+    masks = []
+    for _ in range(draw(st.integers(1, 4))):
+        if center:
+            players = {center} | draw(st.sets(st.integers(1, n), max_size=n - 1))
+        else:  # more than n/2 players, so any two sets meet
+            players = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(n // 2 + 1, n))]
+        masks.append(sum(1 << (p - 1) for p in players))
+    gamma = antichain_reduce(n, masks)
+    return scheme, gamma, draw(st.sampled_from(["generalized", "perfect"])), \
+        draw(st.sampled_from([1e-12, 1e-6]))
+
+
+def _reprs(values):
+    return [repr(v) for v in values]
+
+
+def _error(call):
+    try:
+        return None, call()
+    except VerificationError as exc:
+        return exc, None
+
+
+def assert_same_report(call, reference_call):
+    """A columnar report against the reference's, every float by repr, or the same error."""
+    error, report = _error(call)
+    ref_error, rep = _error(reference_call)
+    assert type(error) is type(ref_error)
+    if error is not None:
+        assert str(error) == str(ref_error)
+        if isinstance(error, StructuralMismatchError):
+            assert error.witness == ref_error.witness
+            assert repr(error.i_ra) == repr(ref_error.i_ra)
+            assert repr(error.i_rs) == repr(ref_error.i_rs)
+        return
+    got = report_records(report)
+    assert [r.subset for r in got] == [r.subset for r in rep.records]
+    for column in ("classification", "s_a", "s_ra", "i_ra", "condition_pass"):
+        assert _reprs(getattr(r, column) for r in got) == _reprs(
+            getattr(r, column) for r in rep.records), column
+    for field in ("scheme", "model", "verdict", "witness", "entropy_balanced",
+                  "meets_requested", "requested_witness"):
+        assert getattr(report, field) == getattr(rep, field), field
+    for field in ("i_rs", "s_s", "worst_balance_deviation"):
+        assert repr(getattr(report, field)) == repr(getattr(rep, field)), field
+    assert repr(sorted(report_to_dict(report).items())) == repr(sorted(ref.report_doc(rep).items()))
+    assert report_hash(report) == ref.report_hash(rep)
+
+
+@given(verify_cases())
+@example((build_block_scheme(5, [1, 2])[0], threshold_structure(3, 5), "generalized", 1e-12))
+@example((build_block_scheme(5, [1, 2])[0], build_block_scheme(5, [1, 2])[1], "perfect", 1e-6))
+@settings(max_examples=200, deadline=None)
+def test_columnar_pass_matches_the_reference_loop(case):
+    scheme, gamma, model, tolerance = case
+    codes = gamma.class_codes
+    table = SubsetEntropyTable(distribute_purified(scheme), scheme.num_particles)
+    ev = _evaluate(table, scheme.player_masks, codes, tolerance)
+    ref_table = SubsetEntropyTable(distribute_purified(scheme), scheme.num_particles)
+    want = ref.evaluate(ref_table, scheme.player_masks, codes, tolerance)
+    assert repr(ev["s_s"]) == repr(want.s_s)
+    assert [CLASS_NAMES[c] for c in ev["classes"]] == [r.classification for r in want.records]
+    for column in ("s_a", "s_ra", "i_ra"):
+        assert _reprs(ev[column].tolist()) == _reprs(getattr(r, column) for r in want.records)
+    assert ev["ok"].tolist() == [r.condition_pass for r in want.records]
+    assert_same_report(lambda: verify(scheme, gamma, model, tolerance),
+                       lambda: ref.report(scheme, gamma, model, tolerance))
+
+
+class FixedTable:
+    """SubsetEntropyTable's read over given entropies s[A], 0.0 for no particles."""
+
+    def __init__(self, s):
+        self._s = np.asarray(s, dtype=np.float64)
+
+    def read(self, masks):
+        masks = np.asarray(masks, dtype=np.int64)
+        return np.where(masks == 0, 0.0, self._s[masks]), self._s[(len(self._s) - 1) ^ masks]
+
+
+_GRID = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, float("nan")])
+
+
+@given(verify_cases(), st.lists(_GRID, min_size=64, max_size=64),
+       st.sampled_from([0.25, 0.5, 1e-9]))
+@example(  # the perfect model's I(R:A) > tolerance, with I(R:A) = 2 tolerance
+    (SchemeSpec(3, build_block_scheme(3, [1])[0].basis_images, {"P1": (2, 3), "P2": (1,)}),
+     AccessStructure.from_sets(2, [[1, 2]]), "perfect", 1e-12),
+    [0.0] * 7 + [0.5], 0.25,
+)
+@settings(max_examples=300, deadline=None)
+def test_columnar_pass_matches_the_reference_at_the_boundaries(case, entropies, tolerance):
+    """Entropies on a binary grid, signed zeros and NaN, at tolerances the grid hits exactly."""
+    scheme, gamma, model, _ = case
+    s = entropies[: 1 << scheme.num_particles]
+    assert_same_report(lambda: _report(FixedTable(s), scheme, gamma, model, tolerance),
+                       lambda: ref.report(scheme, gamma, model, tolerance, FixedTable(s)))
