@@ -9,14 +9,15 @@ The entropy of a subsystem of a pure state depends only on the Schmidt
 spectrum of the cut between the subsystem and the rest, so cut_entropies
 never forms a reduced state.  For a batch of cuts it splits the state's
 nonzero amplitudes into the kept and traced-out bits of their indices,
-scatters them into one stack of small coefficient matrices per number of
-kept registers, and diagonalizes the smaller Gram matrix of every cut in
+scatters them into one stack of small coefficient matrices per padded
+matrix shape, and diagonalizes the smaller Gram matrix of every cut in
 one stacked eigvalsh call, in batches of bounded size.  A four-term state
-gives at most 4 x 4 Gram matrices; a dense state gives at most the smaller
-side of the cut.  It is the one entropy path: mutual_information takes
-pure states only and reads its three cuts from it.  partial_trace and
-von_neumann_entropy are the dense reference that the tests compare against;
-partial_trace also gives attack_threshold34_pair23 its two-share states.
+gives at most 4 x 4 Gram matrices, in at most three shapes; a dense state
+gives at most the smaller side of the cut.  It is the one entropy path:
+mutual_information takes pure states only and reads its three cuts from
+it.  partial_trace (of a pure state) and von_neumann_entropy are the dense
+reference that the tests compare against; partial_trace also gives
+attack_threshold34_pair23 its two-share states.
 
 Entropy is base 2 throughout: a maximally mixed qubit has S = 1.
 """
@@ -201,34 +202,19 @@ def apply_isometry(state, target, new_labels, images):
 
 
 def partial_trace(state, keep):
-    """Reduced density matrix on the kept registers, in layout order."""
+    """Reduced density matrix of a pure state on the kept registers, in layout order."""
     keep = tuple(keep)
     if not keep:
         raise QStateError("keep at least one register")
-    if isinstance(state, PureState):
-        layout = state.layout
-        keep_ax = layout.axes(keep)
-        env_ax = tuple(a for a in range(layout.num_qubits) if a not in keep_ax)
-        k, e = len(keep_ax), len(env_ax)
-        t = state.tensor().transpose(keep_ax + env_ax).reshape(1 << k, 1 << e)
-        rho = t @ t.conj().T
-    elif isinstance(state, DensityMatrix):
-        if state.labels is None:
-            raise QStateError("density matrix has no register labels to trace over")
-        layout = RegisterLayout(state.labels)
-        keep_ax = layout.axes(keep)
-        env_ax = tuple(a for a in range(layout.num_qubits) if a not in keep_ax)
-        k, e = len(keep_ax), len(env_ax)
-        n = layout.num_qubits
-        order = keep_ax + env_ax
-        t = state.matrix.reshape((2,) * (2 * n))
-        t = t.transpose(order + tuple(n + a for a in order))
-        t = t.reshape(1 << k, 1 << e, 1 << k, 1 << e)
-        rho = np.einsum("iaja->ij", t)
-    else:
-        raise QStateError(f"cannot take partial trace of {type(state).__name__}")
+    if not isinstance(state, PureState):
+        raise QStateError(f"partial trace needs a PureState, got {type(state).__name__}")
+    layout = state.layout
+    keep_ax = layout.axes(keep)
+    env_ax = tuple(a for a in range(layout.num_qubits) if a not in keep_ax)
+    k, e = len(keep_ax), len(env_ax)
+    t = state.tensor().transpose(keep_ax + env_ax).reshape(1 << k, 1 << e)
     kept_labels = tuple(layout.labels[a] for a in keep_ax)
-    return DensityMatrix(rho, labels=kept_labels)
+    return DensityMatrix(t @ t.conj().T, labels=kept_labels)
 
 
 def _spectrum_entropy(values, dim):
@@ -304,25 +290,34 @@ def _subset_ranks(indices, masks, n):
 
 
 def _cut_group_entropies(indices, amps, masks, n, rows, cols, log2_dims):
-    """Entropies of cuts whose coefficient matrices fit (rows, cols), in one eigvalsh call.
+    """Entropies of cuts whose M is padded to (rows, cols), in one eigvalsh call.
 
-    Each cut's M is scattered with the smaller side of the cut as its rows,
-    zero-padded to (rows, cols); the spectrum of M M^dagger is the nonzero
-    spectrum of the reduced state.
+    The kept and traced-out bits of every cut are ranked in one pass.  Each
+    cut's M is scattered through one flat index with the side that has fewer
+    distinct values as its rows, zero-padded to (rows, cols); the spectrum
+    of M M^dagger is the nonzero spectrum of the reduced state.
     """
-    kept, n_kept = _subset_ranks(indices, masks, n)
-    traced, n_traced = _subset_ranks(indices, ((1 << n) - 1) ^ masks, n)
-    flip = (n_kept > n_traced)[:, None]
-    m = np.zeros((len(masks), rows, cols), dtype=np.complex128)
-    m[np.arange(len(masks))[:, None], np.where(flip, traced, kept),
-      np.where(flip, kept, traced)] = amps
+    b = len(masks)
+    ranks, distinct = _subset_ranks(indices, np.concatenate([masks, ((1 << n) - 1) ^ masks]), n)
+    flip = distinct[:b] > distinct[b:]
+    ranks[:b] *= np.where(flip, 1, cols)[:, None]
+    ranks[b:] *= np.where(flip, cols, 1)[:, None]
+    flat = ranks[:b] + ranks[b:]
+    flat += (np.arange(b) * (rows * cols))[:, None]
+    m = np.zeros(b * rows * cols, dtype=np.complex128)
+    m[flat] = amps
+    m = m.reshape(b, rows, cols)
     gram = m @ m.conj().transpose(0, 2, 1)
     return _spectrum_entropies(np.linalg.eigvalsh(gram), log2_dims)
 
 
-#: Most elements a temporary of cut_entropies may hold: a dense 14-qubit
-#: state is processed 2 cuts at a time, with temporaries of at most 512 KB.
+#: Most elements a temporary of cut_entropies may hold, counting a cut's
+#: padded M and the ranks of both its sides: a dense 14-qubit state is
+#: processed one cut at a time, with temporaries of at most 512 KB.
 CUT_BATCH_ELEMENTS = 1 << 15
+
+#: Set bits of each byte value; keep masks have at most MAX_QUBITS < 16 bits.
+_BYTE_POPCOUNTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
 
 def cut_entropies(state, keep_masks):
@@ -335,10 +330,11 @@ def cut_entropies(state, keep_masks):
     M[kept bits of x_i, traced-out bits of x_i], the kept and traced-out
     bits relabelled by their ascending rank; the nonzero spectrum of the
     reduced state M M^dagger equals that of M^dagger M, so the smaller of
-    the two is diagonalized.  Cuts with the same number of registers on
-    their smaller side share bounds on both sides of M; they are stacked
-    together and processed in batches of at most CUT_BATCH_ELEMENTS
-    elements per temporary.
+    the two is diagonalized.  With j registers on the smaller side of the
+    cut and s nonzero amplitudes, M is zero-padded to
+    (min(2^j, s), min(2^(n-j), s)).  Cuts with the same padded shape (a
+    four-term state has at most three) are stacked together and processed
+    in batches of at most CUT_BATCH_ELEMENTS elements per temporary.
     """
     masks = np.asarray(keep_masks, dtype=np.int64).reshape(-1)
     n = state.num_qubits
@@ -346,17 +342,18 @@ def cut_entropies(state, keep_masks):
         raise QStateError(f"keep masks must lie in [0, {1 << n}) for {n} registers")
     indices, amps = state.support
     size = len(indices)
-    counts = np.array([mask.bit_count() for mask in masks.tolist()], dtype=np.int64)
-    smaller = np.minimum(counts, n - counts)  # registers on the smaller side of each cut
+    counts = _BYTE_POPCOUNTS[masks & 0xFF] + _BYTE_POPCOUNTS[masks >> 8]
+    rows = np.minimum(1 << np.minimum(counts, n - counts), size)  # min(2^j, s) of each cut
     out = np.empty(masks.shape, dtype=np.float64)
-    for j in sorted(set(smaller.tolist())):
-        group = np.flatnonzero(smaller == j)
-        rows, cols = min(1 << j, size), min(1 << (n - j), size)
-        batch = max(1, CUT_BATCH_ELEMENTS // (rows * cols))  # rows * cols >= size
+    for r in sorted(set(rows.tolist())):
+        group = np.flatnonzero(rows == r)
+        # min(2^(n-j), s): 2^n // r is 2^(n-j) when r = 2^j, and at least s when r = s <= 2^j
+        c = min((1 << n) // r, size)
+        batch = max(1, CUT_BATCH_ELEMENTS // max(r * c, 2 * size))
         for start in range(0, len(group), batch):
             cuts = group[start : start + batch]
             out[cuts] = _cut_group_entropies(
-                indices, amps, masks[cuts], n, rows, cols, counts[cuts].astype(np.float64)
+                indices, amps, masks[cuts], n, r, c, counts[cuts].astype(np.float64)
             )
     return out
 

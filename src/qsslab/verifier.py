@@ -89,9 +89,10 @@ class SubsetEntropyTable:
         self._full = (1 << num_particles) - 1
         self._s = np.full(1 << num_particles, np.nan)
         n = state.num_qubits
-        self._bits = [
-            1 << (n - 1 - state.layout.axis(label)) for label in particle_labels(num_particles)
-        ]
+        self._bits = np.array(
+            [1 << (n - 1 - state.layout.axis(label)) for label in particle_labels(num_particles)],
+            dtype=np.int64,
+        )
         self.computed = self.entries_read = 0
 
     def read(self, masks):
@@ -108,9 +109,7 @@ class SubsetEntropyTable:
         self.computed += missing.size
         self.entries_read += 2 * masks.size
         if missing.size:
-            keep = np.zeros(missing.shape, dtype=np.int64)
-            for i, bit in enumerate(self._bits):
-                keep |= (missing >> i & 1) * bit
+            keep = (missing[:, None] >> np.arange(len(self._bits)) & 1) @ self._bits
             self._s[missing] = cut_entropies(self._state, keep)
         return np.where(masks == 0, 0.0, self._s[masks]), self._s[others]
 

@@ -4,7 +4,9 @@ verify only judges the maximally mixed secret.  entropy_profile runs the
 same entropy pass at any distribution, with every subset classed
 authorized, and returns (subset, S(A), S(RA), I(R:A)) tuples ordered by
 subset bitmask.  register_entropy reads one register list's entropy off a
-pure state through the cut oracle.
+pure state through the cut oracle.  trace_density_matrix traces registers
+out of a labelled density matrix, the input form partial_trace does not
+take.
 
 evaluate, report, report_doc and render are the verifier and the scheme
 verify renderer as they were written before the pass went columnar: one
@@ -20,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsslab.qstate import DEFAULT_TOLERANCE, _keep_mask, cut_entropies
+from qsslab.qstate import (
+    DEFAULT_TOLERANCE,
+    DensityMatrix,
+    RegisterLayout,
+    _keep_mask,
+    cut_entropies,
+)
 from qsslab.schemes import distribute_purified
 from qsslab.structures import (
     A2,
@@ -234,3 +242,18 @@ def entropy_profile(scheme, probabilities=(0.5, 0.5)):
 def register_entropy(state, regs):
     """Entropy of a pure state's reduced state on the given registers, as one cut."""
     return float(cut_entropies(state, [_keep_mask(state.layout, regs)])[0])
+
+
+def trace_density_matrix(dm, keep):
+    """Reduced state of a labelled density matrix on the kept registers, in label order."""
+    layout = RegisterLayout(dm.labels)
+    keep_ax = layout.axes(keep)
+    env_ax = tuple(a for a in range(layout.num_qubits) if a not in keep_ax)
+    k, e = len(keep_ax), len(env_ax)
+    n = layout.num_qubits
+    order = keep_ax + env_ax
+    t = dm.matrix.reshape((2,) * (2 * n))
+    t = t.transpose(order + tuple(n + a for a in order))
+    t = t.reshape(1 << k, 1 << e, 1 << k, 1 << e)
+    kept_labels = tuple(layout.labels[a] for a in keep_ax)
+    return DensityMatrix(np.einsum("iaja->ij", t), labels=kept_labels)

@@ -36,7 +36,7 @@ from qsslab.structures import (
 )
 from qsslab.verifier import verify
 from reference_structures import brute_canonical
-from reference_verifier import register_entropy, report_records
+from reference_verifier import register_entropy, report_records, trace_density_matrix
 
 SQ2 = 2**-0.5
 
@@ -254,7 +254,7 @@ def test_criterion_9_property_suites(constructed_schemes):
     state = distribute_purified(build_threshold34())
     rho_three = partial_trace(state, ("p1", "p2", "p3"))
     np.testing.assert_allclose(
-        partial_trace(rho_three, ("p1", "p2")).matrix,
+        trace_density_matrix(rho_three, ("p1", "p2")).matrix,
         partial_trace(state, ("p1", "p2")).matrix,
         atol=1e-12,
     )

@@ -16,7 +16,7 @@ from qsslab.qstate import (
     von_neumann_entropy,
 )
 from qsslab.qstate import _dense_ranks, _subset_ranks
-from reference_verifier import register_entropy
+from reference_verifier import register_entropy, trace_density_matrix
 
 SQ2 = 2**-0.5
 
@@ -224,7 +224,7 @@ class TestPartialTrace:
         state = distributed_state()
         one_step = partial_trace(state, ("p1", "p2"))
         rho_three = partial_trace(state, ("p1", "p2", "p3"))
-        two_step = partial_trace(rho_three, ("p1", "p2"))
+        two_step = trace_density_matrix(rho_three, ("p1", "p2"))
         np.testing.assert_allclose(one_step.matrix, two_step.matrix, atol=1e-12)
 
     def test_unknown_register(self):
@@ -234,6 +234,11 @@ class TestPartialTrace:
     def test_empty_keep_rejected(self):
         with pytest.raises(QStateError):
             partial_trace(bell_state(), ())
+
+    def test_density_matrix_rejected(self):
+        rho = partial_trace(bell_state(), ("a", "b"))
+        with pytest.raises(QStateError, match="needs a PureState"):
+            partial_trace(rho, ("a",))
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +399,15 @@ class TestSupportEntropy:
 
 
 class TestCutEntropies:
-    @pytest.mark.parametrize("which", ["block9", "dense10"])
+    @pytest.mark.parametrize("which", ["block9", "block13", "dense10"])
     def test_chunking_is_bit_identical(self, which, monkeypatch):
         import qsslab.qstate as qstate
         from qsslab.schemes import build_block_scheme, distribute_purified
 
         if which == "block9":
             state = distribute_purified(build_block_scheme(9, [2, 5, 7])[0])
+        elif which == "block13":  # 14 qubits, four terms
+            state = distribute_purified(build_block_scheme(13, [1, 2])[0])
         else:
             state = random_isometry_state(np.random.default_rng(5), 10)
         masks = np.arange(1 << state.num_qubits)
@@ -443,14 +450,35 @@ class TestCutEntropies:
             dense = von_neumann_entropy(partial_trace(almost_dense, regs))
             assert abs(register_entropy(almost_dense, regs) - dense) <= 1e-12
 
-    def test_matches_one_cut_at_a_time(self):
-        state = random_isometry_state(np.random.default_rng(8), 5)
-        labels = state.layout.labels
-        masks = list(range(1, 1 << len(labels)))
-        n = len(labels)
-        for mask, s in zip(masks, cut_entropies(state, masks).tolist()):
-            regs = tuple(labels[a] for a in range(n) if mask >> (n - 1 - a) & 1)
-            assert s == register_entropy(state, regs)
+    @staticmethod
+    def sparse_state(rng, num_qubits, terms):
+        amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+        support = rng.choice(1 << num_qubits, size=terms, replace=False)
+        amps[support] = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+        labels = tuple(f"q{i}" for i in range(num_qubits))
+        return PureState(RegisterLayout(labels), amps / np.linalg.norm(amps))
+
+    @pytest.mark.parametrize("which", ["dense6", "block13", "sparse6", "sparse12", "empty"])
+    def test_matches_one_cut_at_a_time(self, which):
+        from qsslab.schemes import build_block_scheme, distribute_purified
+
+        rng = np.random.default_rng(8)
+        if which == "block13":
+            state = distribute_purified(build_block_scheme(13, [1, 2])[0])
+            full = (1 << 14) - 1
+            masks = np.concatenate([[0, full], rng.choice(np.arange(1, full), 600, replace=False)])
+        elif which.startswith("sparse"):
+            # 6 terms on 9 qubits, 12 on 10: several smaller sides share one padded shape
+            terms = int(which[len("sparse") :])
+            state = self.sparse_state(rng, 9 if terms == 6 else 10, terms)
+            masks = np.arange(1 << state.num_qubits)
+        else:
+            state = random_isometry_state(rng, 5)
+            masks = np.arange(1 << 6 if which == "dense6" else 0)
+        batched = cut_entropies(state, masks)
+        single = np.array([cut_entropies(state, [mask])[0] for mask in masks.tolist()])
+        assert np.array_equal(batched, single)
+        assert np.array_equal(np.signbit(batched), np.signbit(single))
 
     def test_keeping_nothing_is_the_cut_of_keeping_everything(self):
         state = distributed_state()

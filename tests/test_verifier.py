@@ -35,7 +35,7 @@ from qsslab.verifier import (
     report_to_dict,
     verify,
 )
-from qsslab.qstate import ResourceLimitError
+from qsslab.qstate import PureState, RegisterLayout, ResourceLimitError, cut_entropies
 from qsslab.schemes import distribute_purified
 from reference_verifier import entropy_profile, register_entropy, report_records
 
@@ -231,6 +231,25 @@ class TestEntropyTable:
         assert s_r == pytest.approx(register_entropy(state, ("R",)), abs=1e-12)
         assert s_r + s_a - s_ra == pytest.approx(2.0, abs=1e-9)
 
+    def test_read_maps_particles_through_the_layout_order(self):
+        # R and the particles out of order: particle p is not the p-th register
+        rng = np.random.default_rng(23)
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        state = PureState(RegisterLayout(("p3", "R", "p1", "p2")), amps / np.linalg.norm(amps))
+        masks = np.arange(8)
+        s_a, s_ra = SubsetEntropyTable(state, 3).read(masks)
+
+        def cut(particles):
+            keep = sum(1 << (3 - state.layout.axis(f"p{p}")) for p in particles)
+            return cut_entropies(state, [keep])[0]
+
+        inside = [[p for p in (1, 2, 3) if mask >> (p - 1) & 1] for mask in masks.tolist()]
+        want_a = np.array([cut(ps) if ps else 0.0 for ps in inside])
+        want_ra = np.array([cut(set((1, 2, 3)) - set(ps)) for ps in inside])
+        for got, want in ((s_a, want_a), (s_ra, want_ra)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_generalized_checker_accepts_identity(self, threshold34_scheme, threshold34_gamma):
         table = SubsetEntropyTable(distribute_purified(threshold34_scheme), 4)
         codes = threshold34_gamma.class_codes
@@ -407,8 +426,9 @@ def test_thirteen_particle_block_scheme_verifies(monkeypatch):
         assert r.i_ra == pytest.approx(2.0, abs=1e-9), str(r.subset)
     # a four-term state: every spectrum comes from a Gram matrix of at most 4 x 4
     assert max(dims) <= 4
-    # the 2^13 cut entropies come from a few stacked calls, not one call per cut
-    assert len(dims) <= 30, len(dims)
+    # the 2^13 cut entropies come from one stack per padded shape (1 x 1, 2 x 2 and 4 x 4),
+    # the 4 x 4 stack in four batches of at most CUT_BATCH_ELEMENTS // 16 cuts
+    assert len(dims) <= 6, len(dims)
 
 
 def _dense_entropy(state, regs):
