@@ -254,56 +254,81 @@ def interchangeable_classes(scheme, base_gamma):
     return tuple(tuple(p + 1 for p in cls) for cls in classes)
 
 
-def _profile_rows(classes, num_particles, num_holders):
-    """Holder masks and grid row index of each profile's least concrete assignment.
+@functools.cache
+def _multisets(num_holders, size):
+    """Read-only int8 table of the holder multisets of a size, one per row, ascending.
+
+    Rows are in itertools.combinations_with_replacement order, that is,
+    lexicographic; the table depends on the two counts only.
+    """
+    count = math.comb(num_holders + size - 1, size)
+    rows = itertools.combinations_with_replacement(range(num_holders), size)
+    table = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int8, count=count * size)
+    table = table.reshape(count, size)
+    table.flags.writeable = False
+    return table
+
+
+def _class_choices(cls, num_particles, num_holders):
+    """Holder masks and grid-index terms of a class's choices, one per multiset of holders.
 
     A profile says how many particles of each class every holder gets.
     Its lexicographically least assignment gives the ascending particles
     of a class to the holders in ascending order, which is exactly one
-    multiset of holders per class from combinations_with_replacement.
-    The grid row index of an assignment h is sum_p h(p) * H^(m - p).
+    multiset of holders per class.  The grid row index of an assignment h
+    is sum_p h(p) * H^(m - p), the sum of its classes' terms.  The masks
+    are float64, exact below 2^53, so that unions are one BLAS matmul.
     """
-    masks = np.zeros((1, num_holders), dtype=np.int32)
-    index = np.zeros(1, dtype=np.int64)
-    for cls in classes:
-        choice = np.array(
-            list(itertools.combinations_with_replacement(range(num_holders), len(cls))),
-            dtype=np.int64,
-        )
-        cls_masks = np.zeros((len(choice), num_holders), dtype=np.int32)
-        rows = np.arange(len(choice))
-        for t, p in enumerate(cls):
-            cls_masks[rows, choice[:, t]] |= 1 << (p - 1)
-        weights = num_holders ** (num_particles - np.array(cls, dtype=np.int64))
-        masks = (masks[:, None, :] | cls_masks[None, :, :]).reshape(-1, num_holders)
-        index = (index[:, None] + (choice @ weights)[None, :]).reshape(-1)
-    return masks, index
+    choice = _multisets(num_holders, len(cls))
+    particles = np.array(cls, dtype=np.int64)
+    bits = np.broadcast_to(np.left_shift(1, particles - 1), choice.shape)
+    cells = choice + num_holders * np.arange(len(choice))[:, None]
+    masks = np.bincount(cells.ravel(), bits.ravel(), minlength=len(choice) * num_holders)
+    return masks.reshape(-1, num_holders), choice @ num_holders ** (num_particles - particles)
 
 
-def _induced_match_indices(masks, base_authorized, target):
-    """Row indices, ascending, whose induced player closure equals the target's.
+def _induced_matches(choices, base_authorized, target):
+    """Holder masks and grid indices, by ascending index, of the profiles inducing the target.
 
-    Row r's closure, base_authorized at the union of masks[r] over a
-    subset's players, and the target's are both monotone, so they agree on
-    every subset once they agree on the target's frontier: its minimal
-    authorized sets and its nonempty maximal unauthorized sets.  (The empty
-    set is unauthorized in both.)  The surviving rows are tested against one
-    frontier set at a time and compressed each time.
+    choices holds _class_choices for each class; a profile is one choice
+    per class, its holder masks the sum of theirs, and holders past the
+    target's players (DEALER) count toward no subset.  A profile's induced
+    closure, base_authorized at the union of its masks over a subset's
+    players, and the target's are both monotone, so they agree on every
+    subset once they agree on the target's frontier: its minimal
+    authorized sets and its nonempty maximal unauthorized sets.  (The
+    empty set is unauthorized in both.)  Each particle of a class goes to
+    one holder, so a set's union is the sum over classes of the class's
+    union, which is the sum over the set's holders.  The first frontier
+    set is tested on the whole product of choices, the others on the
+    profiles that pass it, and masks are summed for the matches only.
     """
-    rows = np.arange(masks.shape[0])
-    frontier = [(bits, True) for bits in target.masks()]
-    frontier += [(bits, False) for bits in _maximal_unauthorized(target).tolist()]
-    for bits, authorized in frontier:
-        union = np.bitwise_or.reduce(masks[:, _bit_positions(bits)], axis=1)
-        keep = base_authorized[union] == authorized
-        rows, masks = rows[keep], masks[keep]
-    return rows
+    num_holders = choices[0][0].shape[1]
+    frontier = np.array(target.masks() + tuple(_maximal_unauthorized(target).tolist()))
+    authorized = np.arange(frontier.size) < len(target.masks())
+    members = (frontier >> np.arange(num_holders)[:, None] & 1).astype(np.float64)
+    unions = [(masks @ members).astype(np.intp) for masks, _ in choices]
+    first = functools.reduce(np.add.outer, [union[:, 0] for union in unions]).ravel()
+    rows = np.flatnonzero(base_authorized.take(first) == authorized[0])
+    picks = np.unravel_index(rows, [len(union) for union in unions])
+    rest = _sum_picks([union[:, 1:] for union in unions], picks)
+    keep = (base_authorized.take(rest) == authorized[1:]).all(axis=1)
+    picks = [pick[keep] for pick in picks]
+    masks = _sum_picks([masks for masks, _ in choices], picks).astype(np.int64)
+    index = _sum_picks([index for _, index in choices], picks)
+    order = np.argsort(index)
+    return masks[order], index[order]
+
+
+def _sum_picks(tables, picks):
+    """Sum over classes of each class's table rows at its picks."""
+    return functools.reduce(np.add, [table.take(p, axis=0) for table, p in zip(tables, picks)])
 
 
 class PreparedBase:
     """A search base, a scheme with its structure over particles, and what searches on it share.
 
-    The interchangeable classes, the profile rows of each holder count and
+    The interchangeable classes, the class choices of each holder count and
     the subset-entropy table depend on the base only, not on the target or
     the assignment; each is computed when first needed and kept.
     """
@@ -312,16 +337,20 @@ class PreparedBase:
         if structure.n != scheme.num_particles:
             raise SchemeError("base structure must be over the scheme's particles")
         self.scheme, self.structure = scheme, structure
-        self._rows = {}
+        self._choices = {}
 
     @functools.cached_property
     def classes(self):
         return interchangeable_classes(self.scheme, self.structure)
 
-    def profile_rows(self, num_holders):
-        if num_holders not in self._rows:
-            self._rows[num_holders] = _profile_rows(self.classes, self.scheme.num_particles, num_holders)
-        return self._rows[num_holders]
+    def choices(self, num_holders):
+        """_class_choices of each class, in class order, for num_holders holders."""
+        if num_holders not in self._choices:
+            m = self.scheme.num_particles
+            self._choices[num_holders] = tuple(
+                _class_choices(cls, m, num_holders) for cls in self.classes
+            )
+        return self._choices[num_holders]
 
     @functools.cached_property
     def table(self):
@@ -357,31 +386,28 @@ def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
 
     n = target.n
     holders = [f"P{i}" for i in range(1, n + 1)] + ([DEALER] if allow_dealer else [])
-    masks, index = base.profile_rows(len(holders))
-    matches = _induced_match_indices(masks[:, :n], base.structure.authorized, target)
-    matches = matches[np.argsort(index[matches])]
+    choices = base.choices(len(holders))
+    matches, _ = _induced_matches(choices, base.structure.authorized, target)
     evaluated, hit = 0, None
     # two disjoint authorized sets would clone the secret: no scheme passes
-    if matches.size and is_quantum_admissible(target):
+    if len(matches) and is_quantum_admissible(target):
         table = base.table
-        for row in matches:
+        for row in matches.tolist():
             evaluated += 1
-            player_masks = [int(masks[row, j]) for j in range(n)]
-            ev = verifier._evaluate(table, player_masks, target.class_codes, tolerance)
+            ev = verifier._evaluate(table, row[:n], target.class_codes, tolerance)
             if ev["ok"].all():
                 hit = row
                 break
     _log.debug(
         "search %s for %s: classes %s, %d profile rows, %d induced matches, "
         "%d candidates evaluated, %s",
-        scheme.name or "scheme", target, base.classes, len(masks), matches.size, evaluated,
-        "hit" if hit is not None else "no hit",
+        scheme.name or "scheme", target, base.classes, math.prod(len(i) for _, i in choices),
+        len(matches), evaluated, "hit" if hit is not None else "no hit",
     )
     if hit is None:
         return None
     return {
-        holder: tuple(p + 1 for p in _bit_positions(int(masks[hit, j])))
-        for j, holder in enumerate(holders)
+        holder: tuple(p + 1 for p in _bit_positions(mask)) for holder, mask in zip(holders, hit)
     }
 
 

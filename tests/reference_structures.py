@@ -44,6 +44,16 @@ def brute_canonical(g):
     return best
 
 
+def up_closure_by_passes(n, masks):
+    """Bool table over the 2^n subsets, one OR pass per player on the bool entries."""
+    table = np.zeros(1 << n, dtype=bool)
+    table[list(masks)] = True
+    for i in range(n):
+        pairs = table.reshape(-1, 2, 1 << i)
+        pairs[:, 1] |= pairs[:, 0]
+    return table
+
+
 def permute_particles(scheme, perm):
     """The scheme with particle i relabeled perm[i-1] in its images and its assignment."""
     m = scheme.num_particles

@@ -1,6 +1,10 @@
+import functools
 import itertools
 import json
 import logging
+import math
+import operator
+import random
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from qsslab.schemes import (
     SchemeError,
 )
 from qsslab.structures import AccessStructure, PlayerSubset, is_quantum_admissible, subset_unions
+from reference_schemes import grid_matches, grid_search, profile_rows
 from reference_structures import permute_particles
 
 SQ2 = 2**-0.5
@@ -405,63 +410,135 @@ class TestSearchMatchesGridOracle:
         assert hits  # the comparison covers hits, not only exhausted searches
 
 
-def induced_match_indices_by_subsets(masks, base_authorized, target):
-    """The search filter over all 2^n player subsets: every row compared on every subset."""
-    union = subset_unions(masks[:, j] for j in range(target.n))
-    ok = np.ones(masks.shape[0], dtype=bool)
-    for bits in range(1, 1 << target.n):
-        ok &= base_authorized[union[bits]] == target.authorized[bits]
-    return np.nonzero(ok)[0]
+def _hyperstar(rng, n):
+    """A seeded antichain whose sets share a player and together cover all n players."""
+    edges = [e for e in range(1, 1 << n) if e & 1]
+    perm = rng.sample(range(n), n)
+    while True:
+        chosen = antichain_reduce(n, rng.sample(edges, rng.randint(1, 4))).masks()
+        if functools.reduce(operator.or_, chosen) == (1 << n) - 1:
+            relabeled = [sum(1 << perm[p] for p in range(n) if e >> p & 1) for e in chosen]
+            return AccessStructure.from_masks(n, sorted(relabeled))
+
+
+class TestSearchMatchesGridSearch:
+    """The product scan gives the materialized grid's matches, so the same first hit."""
+
+    @pytest.mark.parametrize("allow_dealer", [False, True])
+    @pytest.mark.parametrize(
+        "m, block", [(6, [1]), (6, [2, 5]), (6, [1, 3, 4]), (7, [3]), (7, [1, 6]), (7, [2, 4, 7])]
+    )
+    def test_block_bases(self, m, block, allow_dealer):
+        prepared = PreparedBase(*build_block_scheme(m, block))
+        rng = random.Random(f"{m}:{block}")
+        for n in (5, 6):
+            for _ in range(3):
+                target = _hyperstar(rng, n)
+                expected = grid_search(prepared, target, allow_dealer)
+                assert search_assignment(prepared, target, allow_dealer) == expected, str(target)
+
+    def test_seven_holder_grids(self):
+        # 6 players and the dealer: hyperstar targets, mostly out of reach, and
+        # the targets that seeded random assignments induce
+        rng = random.Random(5)
+        hits = 0
+        for m, block in ((7, [1, 2, 3]), (6, [1, 2])):
+            prepared = PreparedBase(*build_block_scheme(m, block))
+            targets = [_hyperstar(rng, 6) for _ in range(4)]
+            for _ in range(4):
+                holder = [rng.randrange(7) for _ in range(m)]
+                players = [sum(1 << p for p in range(m) if holder[p] == j) for j in range(6)]
+                induced = prepared.structure.authorized[subset_unions(players)]
+                targets.append(antichain_reduce(6, np.flatnonzero(induced).tolist()))
+            for target in targets:
+                expected = grid_search(prepared, target, True)
+                assert search_assignment(prepared, target, True) == expected, str(target)
+                hits += expected is not None
+        assert hits
+
+    @pytest.mark.parametrize("allow_dealer", [False, True])
+    def test_rotated_block(self, allow_dealer):
+        # singleton classes: the grid is the whole holder^particles grid
+        base = _rotated_block(6, [1, 2], seed=11)
+        prepared = PreparedBase(*base)
+        assert prepared.classes == tuple((p,) for p in range(1, 7))
+        rng = random.Random(11)
+        hits = 0
+        for n in (4, 5):
+            for _ in range(3):
+                target = _hyperstar(rng, n)
+                expected = grid_search(prepared, target, allow_dealer)
+                assert search_assignment(prepared, target, allow_dealer) == expected, str(target)
+                hits += expected is not None
+        assert hits
 
 
 @st.composite
-def filter_cases(draw):
-    """A base structure over m particles, rows of n holder masks that may share particles, a target.
+def scan_cases(draw):
+    """Classes over m particles, a holder count, a base structure and a target.
 
-    The target is empty, a random antichain, or the structure some row
-    induces, so that the comparison covers matching rows too.
+    The classes are one class, all singletons or a mixed partition of the
+    particles; the holder count is at most the largest that keeps the full
+    grid under 8000 rows.  The target, over 2 to holders players, is empty,
+    a random antichain or the structure some grid row induces, so that the
+    comparison covers matching rows too.
     """
     m = draw(st.integers(2, 7))
-    n = draw(st.integers(2, m))
+    kind = draw(st.sampled_from(["one", "singletons", "mixed"]))
+    particles = draw(st.permutations(range(1, m + 1)))
+    if kind == "one":
+        cuts = []
+    elif kind == "singletons":
+        cuts = list(range(1, m))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, m - 1))))
+    bounds = [0] + cuts + [m]
+    classes = sorted(tuple(sorted(particles[a:b])) for a, b in zip(bounds, bounds[1:]))
+    sizes = [
+        math.prod(math.comb(h + len(cls) - 1, len(cls)) for cls in classes) for h in range(2, 8)
+    ]
+    num_holders = draw(st.integers(2, 1 + sum(size <= 8000 for size in sizes)))
+    n = draw(st.integers(2, num_holders))
     base = antichain_reduce(m, draw(st.lists(st.integers(1, (1 << m) - 1), max_size=5)))
-    rows = draw(st.lists(
-        st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n), min_size=1, max_size=40
-    ))
-    masks = np.array(rows, dtype=np.int32)
     kind = draw(st.sampled_from(["empty", "random", "induced"]))
     if kind == "empty":
         target = AccessStructure(n, ())
     elif kind == "random":
         target = antichain_reduce(n, draw(st.lists(st.integers(1, (1 << n) - 1), max_size=4)))
     else:
-        row = masks[draw(st.integers(0, len(rows) - 1))]
-        union = subset_unions(int(h) for h in row)
+        masks, _ = profile_rows(classes, m, num_holders)
+        row = masks[draw(st.integers(0, len(masks) - 1))]
+        union = subset_unions(int(h) for h in row[:n])
         target = antichain_reduce(n, np.flatnonzero(base.authorized[union]).tolist())
-    return masks, base, target
+    return classes, m, num_holders, base, target
 
 
-@given(filter_cases())
+def _scan(classes, m, num_holders, base, target):
+    choices = tuple(schemes._class_choices(cls, m, num_holders) for cls in classes)
+    masks, index = schemes._induced_matches(choices, base.authorized, target)
+    return masks.tolist(), index.tolist()
+
+
+@given(scan_cases())
 @settings(max_examples=300, deadline=None)
 def test_frontier_filter_matches_subset_filter(case):
-    masks, base, target = case
-    expected = induced_match_indices_by_subsets(masks, base.authorized, target)
-    got = schemes._induced_match_indices(masks, base.authorized, target)
-    assert got.tolist() == expected.tolist()
+    classes, m, num_holders, base, target = case
+    masks, index = grid_matches(classes, m, num_holders, base.authorized, target)
+    assert _scan(*case) == (masks.tolist(), index.tolist())
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_frontier_filter_on_the_empty_target(n):
-    # no minimal sets: the only maximal unauthorized set is the full set
+    # no minimal sets: the only maximal unauthorized set is the full set, which
+    # stays unauthorized when the dealer holds particle 3 and at least one of 1, 2
     target = AccessStructure(n, ())
     base = AccessStructure.from_sets(4, [[1, 2], [3]])
-    rows = np.array(list(itertools.product([0, 0b0011, 0b0100, 0b1000], repeat=n)), dtype=np.int32)
-    expected = induced_match_indices_by_subsets(rows, base.authorized, target)
-    assert schemes._induced_match_indices(rows, base.authorized, target).tolist() == expected.tolist()
-    assert 0 < expected.size < len(rows)
+    classes = ((1, 2), (3,), (4,))
+    masks, index = grid_matches(classes, 4, n + 1, base.authorized, target)
+    assert _scan(classes, 4, n + 1, base, target) == (masks.tolist(), index.tolist())
+    assert 0 < len(index) < len(profile_rows(classes, 4, n + 1)[1])
 
 
-# ---------------------------------------------------------------------------
-# serialization
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -26,7 +26,7 @@ from qsslab.structures import (
     subset_unions,
     threshold_structure,
 )
-from reference_structures import brute_canonical, brute_classes
+from reference_structures import brute_canonical, brute_classes, up_closure_by_passes
 
 
 def gamma(n, sets):
@@ -633,6 +633,22 @@ def families(draw):
     """Random families of nonempty subset bitmasks on 2-10 players, nested members allowed."""
     n = draw(st.integers(2, 10))
     return n, draw(st.lists(st.integers(1, (1 << n) - 1), max_size=8))
+
+
+@given(st.integers(2, 16).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+))
+@example((2, [0b10]))
+@example((3, [0b001, 0b110]))
+@example((16, [0, 0xFFFF]))
+@settings(max_examples=150, deadline=None)
+def test_up_closure_matches_the_per_pass_loop(family):
+    # the word passes for players 1-3 against the bool passes, small tables padded
+    n, masks = family
+    table = structures._up_closure(n, masks)
+    expected = up_closure_by_passes(n, masks)
+    assert table.dtype == expected.dtype and table.shape == expected.shape
+    assert np.array_equal(table, expected)
 
 
 @given(families(), st.randoms(use_true_random=False))
