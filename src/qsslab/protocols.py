@@ -6,15 +6,17 @@ U_k with k = 2 - (i XOR j); the tables are fixed to U0 = U2 = identity
 and U1 = bit flip, so both cases reduce to conditional flips.
 
 A conditional flip whose controls are disjoint from its targets permutes
-the basis indices, so compile_protocol turns a protocol, once per call,
-into one gather index per measurement branch.  simulate_protocol runs a
-stacked (T, 2^n) block of amplitude vectors, one row per secret, through
-those gathers; the protocols feed it their batch of secrets in chunks of
-at most qstate.CUT_BATCH_ELEMENTS amplitudes, and nothing is stepped per
-secret.  Measurements are projective in the computational basis and both
-branches are enumerated exactly with their probabilities; nothing is
-sampled.  Protocol steps may only touch particles owned by the acting
-players.
+the basis indices, so _gather composes a list of gates, each given as its
+trace entry, into one gather index.  Every protocol here is such a gather
+around at most one computational-basis measurement: simulate_protocol
+applies the gather before it, takes both outcomes exactly with their
+probabilities (nothing is sampled) and applies each outcome's gather.  It
+runs a stacked (T, 2^n) block of amplitude vectors, one row per secret;
+the protocols feed it their batch of secrets in chunks of at most
+qstate.CUT_BATCH_ELEMENTS amplitudes, and nothing is stepped per secret.
+Both protocols refuse schemes whose players do not each hold their own
+particle and name only registers of the acting set, which they have
+checked, so every register a protocol touches belongs to an acting player.
 """
 
 import itertools
@@ -69,64 +71,7 @@ class DecouplingError(ProtocolError):
 
 
 # ---------------------------------------------------------------------------
-# protocol steps
-
-
-@dataclass(frozen=True)
-class GateStep:
-    """One conditional-flip gate on particle registers."""
-
-    kind: str  # "single_controlled" | "double_controlled" | "cnot" | "pauli_x"
-    controls: tuple
-    targets: tuple
-
-    def __post_init__(self):
-        expected = {
-            "single_controlled": (1, None),
-            "double_controlled": (2, 1),
-            "cnot": (1, 1),
-            "pauli_x": (0, 1),
-        }
-        if self.kind not in expected:
-            raise ProtocolError(f"unknown gate kind {self.kind!r}")
-        n_ctl, n_tgt = expected[self.kind]
-        if len(self.controls) != n_ctl or (n_tgt is not None and len(self.targets) != n_tgt):
-            raise ProtocolError(f"bad operand counts for {self.kind}: {self}")
-        if not self.targets:
-            raise ProtocolError("gate needs at least one target")
-        if set(self.controls) & set(self.targets):
-            raise ProtocolError(f"control and target registers overlap in {self}")
-
-    @property
-    def registers(self):
-        return self.controls + self.targets
-
-
-@dataclass(frozen=True)
-class MeasureStep:
-    """Computational-basis measurement, outcome announced classically."""
-
-    register: str
-
-
-@dataclass(frozen=True)
-class CorrectionStep:
-    """Gates applied conditionally on an earlier measurement outcome."""
-
-    register: str
-    on_outcome: dict
-
-    @property
-    def registers(self):
-        return tuple(
-            r for gates in self.on_outcome.values() for g in gates for r in g.registers
-        )
-
-
-@dataclass(frozen=True)
-class ReconstructionProtocol:
-    acting_players: PlayerSubset
-    steps: tuple
+# gathers
 
 
 def _bit_vector(layout, register):
@@ -134,145 +79,65 @@ def _bit_vector(layout, register):
     return (np.arange(layout.dim) >> shift) & 1
 
 
-def _gate_gather(layout, step):
-    """Gather index of a gate: the gated amplitudes are amplitudes[..., index].
+def _gather(layout, gates):
+    """Gather index of the gates applied in order: the gated amplitudes are amplitudes[..., index].
 
-    The gate flips its targets where its condition holds; the condition
-    reads only the controls, which the flip leaves alone, so the index is
-    an involution.
+    Each gate is its trace entry {"step": kind, "controls": ..., "targets": ...}
+    and flips its targets where its condition holds: always for "pauli_x",
+    on control bit 1 for "cnot" and "single_controlled", and for
+    "double_controlled" (U_{2 - i XOR j}) exactly where the two control bits
+    differ.  The condition reads only the controls, which the flip leaves
+    alone, so each gate's index is an involution.  None when there are no gates.
     """
-    if step.kind == "pauli_x":
-        cond = np.True_
-    elif step.kind in ("cnot", "single_controlled"):
-        cond = _bit_vector(layout, step.controls[0]) == 1
-    else:  # double control: U_{2 - i XOR j}, which flips exactly when the bits differ
-        cond = _bit_vector(layout, step.controls[0]) != _bit_vector(layout, step.controls[1])
     n = layout.num_qubits
-    flip = sum(1 << (n - 1 - layout.axis(t)) for t in step.targets)
     idx = np.arange(layout.dim)
-    return np.where(cond, idx ^ flip, idx)
-
-
-def _then(gather, step_gather):
-    """Gather of step_gather applied after gather (None: no gate yet)."""
-    return step_gather if gather is None else gather[step_gather]
-
-
-@dataclass(frozen=True)
-class _Path:
-    """One measurement branch of a compiled protocol.
-
-    Per measurement: the gather of the gates before it and the mask and
-    indices of its outcome; then the gather of the gates after the last one.
-    """
-
-    outcomes: dict
-    measurements: tuple  # ((gather or None, outcome mask, outcome indices), ...)
-    gather: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class CompiledProtocol:
-    """A protocol checked against its register owners and reduced to gathers."""
-
-    layout: RegisterLayout
-    paths: tuple
-    log: list
-
-
-def compile_protocol(protocol, layout, register_owner):
-    """Ownership checks, step log and one gather index per measurement branch.
-
-    register_owner maps each particle register to its holder; every gate
-    and measurement register must belong to an acting player, never the
-    dealer or an outsider.  Every measurement splits every branch, so a
-    branch that a secret cannot reach stays in the plan and is reported
-    as vacuous for that secret.
-    """
-    acting = {f"P{p}" for p in protocol.acting_players.players()}
-
-    def check_ownership(registers):
-        for reg in registers:
-            owner = register_owner.get(reg)
-            if owner not in acting:
-                raise ProtocolError(
-                    f"register {reg} belongs to {owner}, outside the acting set {sorted(acting)}"
-                )
-
-    paths = [({}, (), None)]
-    log = []
-    for step in protocol.steps:
-        if isinstance(step, GateStep):
-            check_ownership(step.registers)
-            gather = _gate_gather(layout, step)
-            paths = [(outcomes, meas, _then(g, gather)) for outcomes, meas, g in paths]
-            log.append({"step": step.kind, "controls": step.controls, "targets": step.targets})
-        elif isinstance(step, MeasureStep):
-            check_ownership((step.register,))
-            bits = _bit_vector(layout, step.register)
-            split = []
-            for outcomes, meas, g in paths:
-                for b in (0, 1):
-                    mask = bits == b
-                    split.append(({**outcomes, step.register: b},
-                                  meas + ((g, mask, np.flatnonzero(mask)),), None))
-            paths = split
-            log.append({"step": "measure_z", "register": step.register})
-        elif isinstance(step, CorrectionStep):
-            check_ownership(step.registers)
-            corrected = []
-            for outcomes, meas, g in paths:
-                for gate in step.on_outcome.get(outcomes.get(step.register), ()):
-                    g = _then(g, _gate_gather(layout, gate))
-                corrected.append((outcomes, meas, g))
-            paths = corrected
-            log.append({"step": "correction", "register": step.register})
+    gather = None
+    for gate in gates:
+        controls = gate["controls"]
+        if gate["step"] == "double_controlled":
+            cond = _bit_vector(layout, controls[0]) != _bit_vector(layout, controls[1])
+        elif controls:
+            cond = _bit_vector(layout, controls[0]) == 1
         else:
-            raise ProtocolError(f"unknown step {step!r}")
-    return CompiledProtocol(layout, tuple(_Path(*p) for p in paths), log)
+            cond = np.True_
+        flip = sum(1 << (n - 1 - layout.axis(t)) for t in gate["targets"])
+        step = np.where(cond, idx ^ flip, idx)
+        gather = step if gather is None else gather[step]
+    return gather
 
 
-@dataclass
-class Branch:
-    """One measurement branch over a batch; entry t belongs to row t of the input.
+def simulate_protocol(amplitudes, before, bits=None, after=(None, None)):
+    """Run a (T, 2^n) block of normalized amplitude vectors through gathers and one measurement.
 
-    A branch is vacuous for a row when one of its outcomes has probability
-    at most 1e-300 there: its probability is 0 and its amplitudes are
-    meaningless for that row.
+    The gather before (None: no gate) acts first.  With bits None that is
+    the whole protocol, one branch of probability 1.  Otherwise bits holds
+    the measured register's value at each basis index, both outcomes b are
+    taken exactly, and the gather after[b] acts on outcome b's collapsed
+    state.  Returns the (branches, T) probabilities, the per-branch (T, 2^n)
+    amplitudes and the (branches, T) vacuous flags: a branch is vacuous for
+    a row when its probability there is at most 1e-300, and then its
+    probability is 0 and its amplitudes are meaningless.  Gathers are taken
+    with np.take, which keeps rows contiguous, so each row's outcome
+    probability is summed in the same order as for a single vector.
     """
-
-    outcomes: dict
-    probabilities: np.ndarray
-    amplitudes: np.ndarray
-    vacuous: np.ndarray
-
-
-def simulate_protocol(compiled, amplitudes):
-    """Run a (T, 2^n) block of normalized amplitude vectors over all branches.
-
-    Gathers are taken with np.take, which keeps rows contiguous, so each
-    row's outcome probability is summed in the same order as for a single
-    vector.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-    branches = []
-    for path in compiled.paths:
-        amps = amplitudes
-        prob = np.ones(len(amps))
-        vacuous = np.zeros(len(amps), dtype=bool)
-        for gather, mask, indices in path.measurements:
-            if gather is not None:
-                amps = np.take(amps, gather, axis=1)
-            p = np.sum(np.abs(np.take(amps, indices, axis=1)) ** 2, axis=1)
-            zero = p <= 1e-300
-            amps = np.where(mask, amps, 0.0) / np.sqrt(np.where(zero, 1.0, p))[:, None]
-            check_norms(np.linalg.norm(amps, axis=1)[~zero])
-            prob = prob * np.where(zero, 0.0, p)
-            vacuous |= zero
-        if path.gather is not None:
-            amps = np.take(amps, path.gather, axis=1)
-        branches.append(Branch(path.outcomes, prob, amps, vacuous))
-    return branches
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if before is not None:
+        amps = np.take(amps, before, axis=1)
+    if bits is None:
+        return np.ones((1, len(amps))), [amps], np.zeros((1, len(amps)), dtype=bool)
+    probabilities, states, vacuous = [], [], []
+    for b, gather in zip((0, 1), after):
+        mask = bits == b
+        p = np.sum(np.abs(np.take(amps, np.flatnonzero(mask), axis=1)) ** 2, axis=1)
+        zero = p <= 1e-300
+        collapsed = np.where(mask, amps, 0.0) / np.sqrt(np.where(zero, 1.0, p))[:, None]
+        check_norms(np.linalg.norm(collapsed, axis=1)[~zero])
+        if gather is not None:
+            collapsed = np.take(collapsed, gather, axis=1)
+        probabilities.append(np.where(zero, 0.0, p))
+        states.append(collapsed)
+        vacuous.append(zero)
+    return np.array(probabilities), states, np.array(vacuous)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +223,6 @@ def _secret_fidelities(amplitudes, layout, register, secrets):
 class _BatchRun:
     """Per branch (rows) and secret (columns): probability, fidelity, vacuous flag."""
 
-    outcomes: list
     probabilities: np.ndarray
     fidelities: np.ndarray
     vacuous: np.ndarray
@@ -367,39 +231,36 @@ class _BatchRun:
     last_states: list  # the last secret's state per branch, None where vacuous
 
 
-def _run_batch(compiled, images, blocks, out_reg):
-    """Push the secrets through the compiled protocol, one bounded chunk at a time.
+def _run_batch(layout, images, blocks, out_reg, before, bits=None, after=(None, None)):
+    """Push the secrets through simulate_protocol, one bounded chunk at a time.
 
-    A chunk holds at most qstate.CUT_BATCH_ELEMENTS amplitudes.  Per
-    secret: the state norm of the encoded secret, the branch probabilities
-    (checked to sum to 1 within 1e-9), and each branch's fidelity and
-    purity flag.
+    before, bits and after are simulate_protocol's.  A chunk holds at most
+    qstate.CUT_BATCH_ELEMENTS amplitudes.  Per secret: the state norm of the
+    encoded secret, the branch probabilities (checked to sum to 1 within
+    1e-9), and each branch's fidelity and purity flag.
     """
-    layout = compiled.layout
     size = max(1, qstate.CUT_BATCH_ELEMENTS // layout.dim)
     probabilities, fidelities, vacuous = [], [], []
     factorized = True
     for chunk in _chunks(blocks, size):
         amps = chunk[:, 0:1] * images[0] + chunk[:, 1:2] * images[1]
         check_norms(np.linalg.norm(amps, axis=1))
-        branches = simulate_protocol(compiled, amps)
-        probs = np.array([br.probabilities for br in branches])
+        probs, states, empty = simulate_protocol(amps, before, bits, after)
         totals = probs.sum(axis=0)
         bad = np.flatnonzero(np.abs(totals - 1.0) > 1e-9)
         if bad.size:
             raise ProtocolError(f"branch probabilities sum to {totals[bad[0]]}, not 1")
         fids = []
-        for br in branches:
-            fid, pure = _secret_fidelities(br.amplitudes, layout, out_reg, chunk)
+        for branch, branch_empty in zip(states, empty):
+            fid, pure = _secret_fidelities(branch, layout, out_reg, chunk)
             fids.append(fid)
-            factorized = factorized and bool(np.all(pure | br.vacuous))
+            factorized = factorized and bool(np.all(pure | branch_empty))
         probabilities.append(probs)
         fidelities.append(np.array(fids))
-        vacuous.append(np.array([br.vacuous for br in branches]))
-    last_states = [None if br.vacuous[-1] else PureState(layout, br.amplitudes[-1])
-                   for br in branches]
+        vacuous.append(empty)
+    last_states = [None if branch_empty[-1] else PureState(layout, branch[-1])
+                   for branch, branch_empty in zip(states, empty)]
     return _BatchRun(
-        [br.outcomes for br in branches],
         np.concatenate(probabilities, axis=1),
         np.concatenate(fidelities, axis=1),
         np.concatenate(vacuous, axis=1),
@@ -468,22 +329,21 @@ def run_threshold34_circuit(scheme, acting_set, secrets):
     ):
         raise ProtocolError("circuit wiring is specific to the four-share threshold scheme")
     if scheme.assignment != identity_assignment(4):
-        raise ProtocolError("circuit wiring assumes each player holds his own particle")
+        raise ProtocolError("circuit wiring assumes each player holds their own particle")
     acting = PlayerSubset.coerce(acting_set, 4)
     key = frozenset(acting.players())
     if key not in _CIRCUIT_ROLES:
         raise UnauthorizedSetError(f"{acting} is not an authorized triple")
     controller, targets, output = _CIRCUIT_ROLES[key]
 
-    steps = (
-        GateStep("single_controlled", (f"p{controller}",), tuple(f"p{t}" for t in targets)),
-        GateStep("double_controlled", tuple(f"p{t}" for t in targets), (f"p{controller}",)),
-    )
-    protocol = ReconstructionProtocol(acting, steps)
-    owner = {f"p{i}": f"P{i}" for i in range(1, 5)}
-    compiled = compile_protocol(protocol, RegisterLayout(particle_labels(4)), owner)
+    stage_one = tuple(f"p{t}" for t in targets)
+    steps = [
+        {"step": "single_controlled", "controls": (f"p{controller}",), "targets": stage_one},
+        {"step": "double_controlled", "controls": stage_one, "targets": (f"p{controller}",)},
+    ]
+    layout = RegisterLayout(particle_labels(4))
     out_reg = f"p{output}"
-    run = _run_batch(compiled, scheme.basis_images, blocks, out_reg)
+    run = _run_batch(layout, scheme.basis_images, blocks, out_reg, _gather(layout, steps))
     fidelities = run.fidelities[0].tolist()
     residual = _residual_ket(run.last_states[0], out_reg, *run.last_secret)
 
@@ -493,7 +353,7 @@ def run_threshold34_circuit(scheme, acting_set, secrets):
     trace = {
         "protocol": "circuit",
         "acting": list(acting.players()),
-        "steps": compiled.log,
+        "steps": steps,
         "residual": _ket_doc(residual),
     }
     return ProtocolOutcome(
@@ -533,7 +393,7 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
     if not np.allclose(scheme.basis_images, _block_images(n, block), atol=1e-12):
         raise ProtocolError("scheme images do not match the block construction for this block")
     if scheme.assignment != identity_assignment(n):
-        raise ProtocolError("measure protocol assumes each player holds his own particle")
+        raise ProtocolError("measure protocol assumes each player holds their own particle")
     blocks = _secret_blocks(secrets)
 
     acting = PlayerSubset.coerce(acting_set, n)
@@ -555,22 +415,20 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
 
     members = block.players()
     first = members[0]
-    flips = tuple(GateStep("pauli_x", (), (f"p{p}",)) for p in members)
-    chain = tuple(GateStep("cnot", (f"p{first}",), (f"p{p}",)) for p in members[1:])
-    steps = (
-        MeasureStep(f"p{measurer}"),
-        CorrectionStep(f"p{measurer}", {1: flips}),
-    ) + chain
-    protocol = ReconstructionProtocol(acting, steps)
-    owner = {f"p{i}": f"P{i}" for i in range(1, n + 1)}
-    compiled = compile_protocol(protocol, RegisterLayout(particle_labels(n)), owner)
+    measured = f"p{measurer}"
+    flips = [{"step": "pauli_x", "controls": (), "targets": (f"p{p}",)} for p in members]
+    chain = [{"step": "cnot", "controls": (f"p{first}",), "targets": (f"p{p}",)}
+             for p in members[1:]]
+    layout = RegisterLayout(particle_labels(n))
     out_reg = f"p{first}"
-    run = _run_batch(compiled, scheme.basis_images, blocks, out_reg)
+    after = (_gather(layout, chain), _gather(layout, flips + chain))
+    run = _run_batch(layout, scheme.basis_images, blocks, out_reg, None,
+                     _bit_vector(layout, measured), after)
     # fmin folds like min(worst, f) from worst = 1: a NaN fidelity leaves it alone
     worst = np.fmin.reduce(np.where(run.vacuous, 1.0, run.fidelities), axis=0, initial=1.0)
     fidelities = worst.tolist()
 
-    keys = [str(outcomes[f"p{measurer}"]) for outcomes in run.outcomes]
+    keys = ("0", "1")
     probabilities = {key: float(p) for key, p in zip(keys, run.probabilities[:, -1])}
     branch_fidelities = {
         key: float(f)
@@ -581,7 +439,8 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
         "protocol": "measure",
         "acting": list(acting.players()),
         "measurer": measurer,
-        "steps": compiled.log,
+        "steps": [{"step": "measure_z", "register": measured},
+                  {"step": "correction", "register": measured}] + chain,
         "branches": {key: _ket_doc(state) for key, state in zip(keys, run.last_states)},
     }
     return ProtocolOutcome(
@@ -706,7 +565,7 @@ class PairAttackReport:
 
 
 def attack_threshold34_pair12(secret):
-    """P1 applies a flip controlled on his particle onto P2's; P2 measures.
+    """P1 applies a flip controlled on their particle onto P2's; P2 measures.
 
     The outcome-1 branch has probability exactly zero; the outcome-0
     collapse leaves P1, P3, P4 holding a state still entangled with the
@@ -714,18 +573,15 @@ def attack_threshold34_pair12(secret):
     """
     alpha, beta = complex(secret[0]), complex(secret[1])
     state = apply_to_secret(build_threshold34(), alpha, beta)
-    protocol = ReconstructionProtocol(
-        PlayerSubset.from_players([1, 2], 4),
-        (GateStep("cnot", ("p1",), ("p2",)), MeasureStep("p2")),
-    )
-    owner = {f"p{i}": f"P{i}" for i in range(1, 5)}
-    compiled = compile_protocol(protocol, state.layout, owner)
-    branches = simulate_protocol(compiled, state.amplitudes[None])
-    probs = {str(br.outcomes["p2"]): float(br.probabilities[0]) for br in branches}
+    layout = state.layout
+    cnot = {"step": "cnot", "controls": ("p1",), "targets": ("p2",)}
+    probabilities, states, vacuous = simulate_protocol(
+        state.amplitudes[None], _gather(layout, [cnot]), _bit_vector(layout, "p2"))
+    probs = {"0": float(probabilities[0, 0]), "1": float(probabilities[1, 0])}
     residual = None
-    if not branches[0].vacuous[0]:
+    if not vacuous[0, 0]:
         # p2 collapsed to |0>: slice it out to expose the (p1,p3,p4) factor
-        t = branches[0].amplitudes[0].reshape((2,) * 4)
+        t = states[0][0].reshape((2,) * 4)
         residual = PureState(RegisterLayout(("p1", "p3", "p4")), t[:, 0, :, :].reshape(-1))
     notes = []
     if probs["1"] <= 1e-12:

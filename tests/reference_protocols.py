@@ -4,6 +4,9 @@ This is the simulation the protocols ran before they were batched: one
 secret at a time, every gate a conditional flip that builds a new state,
 every measurement collapsing a state into both branches.  The
 differential tests require the batched protocols to give the same bits.
+The step types and the interpreter, with its check that every register
+belongs to an acting player, are the engine the protocols ran on before
+they were reduced to gathers.
 random_secret is the per-secret draw that random_secrets replaced.
 """
 
@@ -14,12 +17,8 @@ import numpy as np
 from qsslab.protocols import (
     _CIRCUIT_ROLES,
     _DOCUMENTED_RESIDUAL_NOTE,
-    CorrectionStep,
-    GateStep,
-    MeasureStep,
     ProtocolError,
     ProtocolOutcome,
-    ReconstructionProtocol,
     UnauthorizedSetError,
     UnsupportedActingSetError,
     _ket_doc,
@@ -33,6 +32,46 @@ from qsslab.schemes import (
     identity_assignment,
 )
 from qsslab.structures import PlayerSubset
+
+
+@dataclass(frozen=True)
+class GateStep:
+    """One conditional-flip gate on particle registers."""
+
+    kind: str  # "single_controlled" | "double_controlled" | "cnot" | "pauli_x"
+    controls: tuple
+    targets: tuple
+
+    @property
+    def registers(self):
+        return self.controls + self.targets
+
+
+@dataclass(frozen=True)
+class MeasureStep:
+    """Computational-basis measurement, outcome announced classically."""
+
+    register: str
+
+
+@dataclass(frozen=True)
+class CorrectionStep:
+    """Gates applied conditionally on an earlier measurement outcome."""
+
+    register: str
+    on_outcome: dict
+
+    @property
+    def registers(self):
+        return tuple(
+            r for gates in self.on_outcome.values() for g in gates for r in g.registers
+        )
+
+
+@dataclass(frozen=True)
+class ReconstructionProtocol:
+    acting_players: PlayerSubset
+    steps: tuple
 
 
 def _conditional_flip(state, target, condition):
@@ -159,7 +198,7 @@ def threshold34_circuit(scheme, acting_set, secret):
     ):
         raise ProtocolError("circuit wiring is specific to the four-share threshold scheme")
     if scheme.assignment != identity_assignment(4):
-        raise ProtocolError("circuit wiring assumes each player holds his own particle")
+        raise ProtocolError("circuit wiring assumes each player holds their own particle")
     acting = PlayerSubset.coerce(acting_set, 4)
     key = frozenset(acting.players())
     if key not in _CIRCUIT_ROLES:
@@ -201,7 +240,7 @@ def block_measure_protocol(scheme, block, acting_set, secret):
     if not np.allclose(scheme.basis_images, reference.basis_images, atol=1e-12):
         raise ProtocolError("scheme images do not match the block construction for this block")
     if scheme.assignment != identity_assignment(n):
-        raise ProtocolError("measure protocol assumes each player holds his own particle")
+        raise ProtocolError("measure protocol assumes each player holds their own particle")
     alpha, beta = complex(secret[0]), complex(secret[1])
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise ProtocolError("secret amplitudes are not normalized")

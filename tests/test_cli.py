@@ -80,6 +80,15 @@ def write_pair_scheme(tmp_path):
     return str(path)
 
 
+def write_redistributed_scheme(tmp_path):
+    """block(5, {1, 2}) with particle 1 at the dealer and P1..P4 holding particles 2..5."""
+    doc = save_scheme(build_block_scheme(5, [1, 2])[0])
+    doc["assignment"] = {"P1": [2], "P2": [3], "P3": [4], "P4": [5], "DEALER": [1]}
+    path = tmp_path / "redist.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def write_structure(tmp_path, name, players, sets):
     path = tmp_path / name
     path.write_text(json.dumps({"players": players, "minimal_authorized": sets}))
@@ -672,6 +681,7 @@ class TestTables:
         ["assign", "search", "--target", "GAMMA", "--scheme", "SCHEME"],
         ["reconstruct", "PAIR", "--set", "1,2", "--protocol", "measure", "--block", "1"],
         ["reconstruct", "PAIR", "--set", "1,2", "--protocol", "circuit"],
+        ["reconstruct", "REDIST", "--set", "1,2,3", "--protocol", "measure", "--block", "1,2"],
         ["reconstruct", "SCHEME", "--set", "1,3,4", "--seed", "-1"],
         ["scheme", "verify", "SCHEME", "GAMMA", "--out", "MISSING/report.txt"],
         ["structure", "check", "MISSING"],
@@ -684,6 +694,7 @@ def test_input_error_exit2_one_line(tmp_path, threshold34_files, capsys, argv):
         "SCHEME": scheme,
         "GAMMA": gamma,
         "PAIR": write_pair_scheme(tmp_path),
+        "REDIST": write_redistributed_scheme(tmp_path),
         "DIR": str(tmp_path),
     }
     argv = [paths.get(a, a.replace("MISSING", str(tmp_path / "missing"))) for a in argv]

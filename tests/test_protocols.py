@@ -9,16 +9,14 @@ from qsslab import qstate
 from qsslab.protocols import (
     MAX_MEASURE_PARTICLES,
     DecouplingError,
-    GateStep,
-    MeasureStep,
     ProtocolError,
-    ReconstructionProtocol,
     UnauthorizedSetError,
     UnsupportedActingSetError,
+    _bit_vector,
+    _gather,
     _secret_fidelities,
     attack_threshold34_pair12,
     attack_threshold34_pair23,
-    compile_protocol,
     decoupling_decoder,
     SECRET_DRAW_ROWS,
     random_secrets,
@@ -47,82 +45,82 @@ def seeded_secrets(count, seed=42):
     return np.concatenate(list(random_secrets(np.random.default_rng(seed), count)))
 
 
-def run_steps(state, *steps):
-    """Branches of the steps on one state whose registers all belong to player 1."""
-    protocol = ReconstructionProtocol(PlayerSubset.from_players([1], 2), steps)
-    owner = {label: "P1" for label in state.layout.labels}
-    return simulate_protocol(compile_protocol(protocol, state.layout, owner),
-                             state.amplitudes[None])
+def gate(kind, controls, targets):
+    """A gate as _gather takes it: its trace entry."""
+    return {"step": kind, "controls": controls, "targets": targets}
 
 
-def apply_gates(state, *steps):
-    (branch,) = run_steps(state, *steps)
-    return PureState(state.layout, branch.amplitudes[0])
+def apply_gates(state, *gates):
+    _, (amps,), _ = simulate_protocol(state.amplitudes[None], _gather(state.layout, gates))
+    return PureState(state.layout, amps[0])
+
+
+def measure(state, register):
+    """(probabilities, states, vacuous) of measuring one register of one state."""
+    return simulate_protocol(state.amplitudes[None], None, _bit_vector(state.layout, register))
+
+
+def reference_gate(g):
+    return ref.GateStep(g["step"], g["controls"], g["targets"])
 
 
 # ---------------------------------------------------------------------------
 # gate steps
 
 
-class TestGateSteps:
-    def test_kind_validation(self):
-        with pytest.raises(ProtocolError, match="unknown gate"):
-            GateStep("toffoli", ("a", "b"), ("c",))
-        with pytest.raises(ProtocolError, match="operand"):
-            GateStep("cnot", ("a", "b"), ("c",))
-        with pytest.raises(ProtocolError, match="overlap"):
-            GateStep("cnot", ("a",), ("a",))
+GATES = [
+    gate("pauli_x", (), ("b",)),
+    gate("cnot", ("a",), ("c",)),
+    gate("single_controlled", ("d",), ("a", "b")),
+    gate("double_controlled", ("a", "d"), ("c",)),
+]
 
+
+def random_state(seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=16) + 1j * rng.normal(size=16)
+    return PureState(RegisterLayout(("a", "b", "c", "d")), raw / np.linalg.norm(raw))
+
+
+class TestGateSteps:
     def test_cnot_action(self):
         state = PureState(RegisterLayout(("a", "b")), [0, 0, 1, 0])  # |10>
-        out = apply_gates(state, GateStep("cnot", ("a",), ("b",)))
+        out = apply_gates(state, gate("cnot", ("a",), ("b",)))
         np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
 
     def test_double_control_flips_on_differing_bits(self):
         # |011>: controls a=0, b=1 differ, so the target c flips
         state = PureState(RegisterLayout(("a", "b", "c")), [0, 0, 0, 1, 0, 0, 0, 0])
-        out = apply_gates(state, GateStep("double_controlled", ("a", "b"), ("c",)))
+        out = apply_gates(state, gate("double_controlled", ("a", "b"), ("c",)))
         np.testing.assert_allclose(out.amplitudes, [0, 0, 1, 0, 0, 0, 0, 0], atol=1e-15)
         # |110>: controls equal, nothing happens
         state = PureState(RegisterLayout(("a", "b", "c")), [0, 0, 0, 0, 0, 0, 1, 0])
-        out = apply_gates(state, GateStep("double_controlled", ("a", "b"), ("c",)))
+        out = apply_gates(state, gate("double_controlled", ("a", "b"), ("c",)))
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_every_step_is_an_involution(self):
-        rng = np.random.default_rng(23)
-        raw = rng.normal(size=16) + 1j * rng.normal(size=16)
-        state = PureState(RegisterLayout(("a", "b", "c", "d")), raw / np.linalg.norm(raw))
-        steps = [
-            GateStep("pauli_x", (), ("b",)),
-            GateStep("cnot", ("a",), ("c",)),
-            GateStep("single_controlled", ("d",), ("a", "b")),
-            GateStep("double_controlled", ("a", "d"), ("c",)),
-        ]
-        for step in steps:
-            twice = apply_gates(state, step, step)
+        state = random_state(23)
+        for g in GATES:
+            assert _gather(state.layout, [g, g]).tolist() == list(range(16))
+            twice = apply_gates(state, g, g)
             np.testing.assert_array_equal(twice.amplitudes, state.amplitudes)
 
     def test_gates_match_the_per_state_reference(self):
-        rng = np.random.default_rng(29)
-        raw = rng.normal(size=16) + 1j * rng.normal(size=16)
-        state = PureState(RegisterLayout(("a", "b", "c", "d")), raw / np.linalg.norm(raw))
-        steps = [
-            GateStep("pauli_x", (), ("b",)),
-            GateStep("cnot", ("a",), ("c",)),
-            GateStep("single_controlled", ("d",), ("a", "b")),
-            GateStep("double_controlled", ("a", "d"), ("c",)),
-        ]
+        state = random_state(29)
         expected = state
-        for step in steps:
-            expected = ref.apply_gate_step(expected, step)
-        np.testing.assert_array_equal(apply_gates(state, *steps).amplitudes, expected.amplitudes)
+        for g in GATES:
+            expected = ref.apply_gate_step(expected, reference_gate(g))
+        np.testing.assert_array_equal(apply_gates(state, *GATES).amplitudes, expected.amplitudes)
+
+    def test_no_gates_is_no_gather(self):
+        assert _gather(RegisterLayout(("a", "b")), []) is None
 
     def test_gates_leave_other_marginals_alone(self):
         scheme, _ = build_block_scheme(5, [1, 2])
         state = apply_to_secret(scheme, 0.6, 0.8)
         before = partial_trace(state, ("p4", "p5")).matrix
         stepped = apply_gates(
-            state, GateStep("cnot", ("p1",), ("p2",)), GateStep("pauli_x", (), ("p3",))
+            state, gate("cnot", ("p1",), ("p2",)), gate("pauli_x", (), ("p3",))
         )
         after = partial_trace(stepped, ("p4", "p5")).matrix
         np.testing.assert_allclose(before, after, atol=1e-12)
@@ -131,26 +129,27 @@ class TestGateSteps:
 class TestMeasureStep:
     def test_branches_of_plus_state(self):
         state = PureState(RegisterLayout(("a",)), [SQ2, SQ2])
-        branches = run_steps(state, MeasureStep("a"))
-        assert [br.outcomes["a"] for br in branches] == [0, 1]
-        assert [br.probabilities[0] for br in branches] == pytest.approx([0.5, 0.5], abs=1e-12)
+        probabilities, states, vacuous = measure(state, "a")
+        assert probabilities.shape == (2, 1) and len(states) == 2
+        assert probabilities[:, 0].tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert not vacuous.any()
 
     def test_zero_probability_branch_reported(self):
         state = PureState(RegisterLayout(("a",)), [1.0, 0.0])
-        branches = run_steps(state, MeasureStep("a"))
-        assert branches[1].probabilities[0] == 0.0 and branches[1].vacuous[0]
-        assert not branches[0].vacuous[0]
+        probabilities, _, vacuous = measure(state, "a")
+        assert probabilities[1, 0] == 0.0 and vacuous[1, 0]
+        assert not vacuous[0, 0]
 
     def test_collapse_of_distributed_block_state(self):
         # measuring p3 on the five-share block state collapses the shares
         # to (a|00>+b|11>)|000> or (a|11>+b|00>)|111>
         scheme, _ = build_block_scheme(5, [1, 2])
         state = apply_to_secret(scheme, 0.6, 0.8)
-        branches = run_steps(state, MeasureStep("p3"))
-        kets0 = dict(PureState(state.layout, branches[0].amplitudes[0]).ket_terms())
+        _, states, _ = measure(state, "p3")
+        kets0 = dict(PureState(state.layout, states[0][0]).ket_terms())
         assert kets0["00000"] == pytest.approx(0.6, abs=1e-12)
         assert kets0["11000"] == pytest.approx(0.8, abs=1e-12)
-        kets1 = dict(PureState(state.layout, branches[1].amplitudes[0]).ket_terms())
+        kets1 = dict(PureState(state.layout, states[1][0]).ket_terms())
         assert kets1["11111"] == pytest.approx(0.6, abs=1e-12)
         assert kets1["00111"] == pytest.approx(0.8, abs=1e-12)
 
@@ -158,50 +157,78 @@ class TestMeasureStep:
         # row 0 never yields a = 1, row 1 does half the time
         layout = RegisterLayout(("a", "b"))
         block = np.array([[SQ2, SQ2, 0, 0], [0.5, 0.5, 0.5, 0.5]], dtype=np.complex128)
-        steps = (MeasureStep("a"), GateStep("cnot", ("a",), ("b",)))
+        cnot = gate("cnot", ("a",), ("b",))
+        after = _gather(layout, [cnot])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            protocol = ReconstructionProtocol(PlayerSubset.from_players([1], 2), steps)
-            compiled = compile_protocol(protocol, layout, {"a": "P1", "b": "P1"})
-            branches = simulate_protocol(compiled, block)
+            probabilities, states, vacuous = simulate_protocol(
+                block, None, _bit_vector(layout, "a"), (after, after))
             fid, pure = _secret_fidelities(
-                branches[1].amplitudes, layout, "b", np.array([[1, 0], [1, 0]], dtype=complex)
+                states[1], layout, "b", np.array([[1, 0], [1, 0]], dtype=complex)
             )
-        assert branches[1].vacuous.tolist() == [True, False]
-        assert branches[1].probabilities.tolist() == [0.0, 0.5]
-        assert branches[0].probabilities.tolist() == pytest.approx([1.0, 0.5], abs=1e-15)
+        assert vacuous[1].tolist() == [True, False]
+        assert probabilities[1].tolist() == [0.0, 0.5]
+        assert probabilities[0].tolist() == pytest.approx([1.0, 0.5], abs=1e-15)
+        protocol = ref.ReconstructionProtocol(
+            PlayerSubset.from_players([1], 2), (ref.MeasureStep("a"), reference_gate(cnot)))
         for row, state in enumerate(PureState(layout, amps) for amps in block):
             branch_states = ref.simulate_protocol(protocol, state, {"a": "P1", "b": "P1"})[0]
-            for br, ref_br in zip(branches, branch_states):
-                assert br.probabilities[row] == ref_br.probability
+            for b, ref_br in enumerate(branch_states):
+                assert probabilities[b, row] == ref_br.probability
                 if ref_br.state is not None:
-                    np.testing.assert_array_equal(br.amplitudes[row], ref_br.state.amplitudes)
+                    np.testing.assert_array_equal(states[b][row], ref_br.state.amplitudes)
         assert fid[1] == pytest.approx(0.5, abs=1e-12) and pure[1]  # b is left in |+>
 
 
-class TestProtocolLocality:
-    def test_outsider_register_rejected(self):
-        scheme, _ = build_block_scheme(5, [1, 2])
-        state = apply_to_secret(scheme, 1.0, 0.0)
-        protocol = ReconstructionProtocol(
-            PlayerSubset.from_players([1, 2, 3], 5),
-            (GateStep("cnot", ("p1",), ("p4",)),),
-        )
-        owner = {f"p{i}": f"P{i}" for i in range(1, 6)}
-        with pytest.raises(ProtocolError, match="outside the acting set"):
-            compile_protocol(protocol, state.layout, owner)
+def trace_registers(trace):
+    """Every register a protocol trace's steps name: controls, targets and measured registers."""
+    registers = set()
+    for step in trace["steps"]:
+        registers.update(step.get("controls", ()), step.get("targets", ()))
+        if "register" in step:
+            registers.add(step["register"])
+    return registers
 
-    def test_dealer_register_rejected(self):
-        scheme, _ = build_block_scheme(5, [1, 2])
-        state = apply_to_secret(scheme, 1.0, 0.0)
-        protocol = ReconstructionProtocol(
-            PlayerSubset.from_players([1, 2, 3], 5),
-            (MeasureStep("p5"),),
+
+class TestProtocolLocality:
+    """The protocols touch only particles of acting players, with no check at run time."""
+
+    @pytest.mark.parametrize("acting", TRIPLES)
+    def test_circuit_names_only_acting_registers(self, acting):
+        out = run_threshold34_circuit(THRESHOLD34, acting, (0.6, 0.8))
+        held = THRESHOLD34.registers_of(PlayerSubset.from_players(acting, 4).bits)
+        assert held == tuple(f"p{i}" for i in acting)
+        assert trace_registers(out.trace) == set(held)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_measure_names_only_acting_registers(self, n):
+        cases = 0
+        for bits in range(1, (1 << n) - 1):
+            block = PlayerSubset(bits, n)
+            scheme, _ = build_block_scheme(n, block)
+            for outsider in sorted(set(range(1, n + 1)) - set(block.players())):
+                acting = PlayerSubset(bits | 1 << (outsider - 1), n)
+                out = run_block_measure_protocol(scheme, block, acting, (0.6, 0.8))
+                held = scheme.registers_of(acting.bits)
+                assert held == tuple(f"p{i}" for i in acting.players())
+                assert trace_registers(out.trace) <= set(held)
+                assert f"p{outsider}" in trace_registers(out.trace)
+                cases += 1
+        assert cases == n * 2 ** (n - 1) - n  # 1,755 acting sets over n = 3..8
+
+    def test_protocols_refuse_a_non_identity_assignment(self):
+        swapped = SchemeSpec(4, THRESHOLD34.basis_images,
+                             {"P1": (2,), "P2": (1,), "P3": (3,), "P4": (4,)})
+        for acting in TRIPLES:
+            with pytest.raises(ProtocolError, match="each player holds their own particle"):
+                run_threshold34_circuit(swapped, acting, (0.6, 0.8))
+        base, _ = build_block_scheme(5, [1, 2])
+        redistributed = SchemeSpec(
+            5, base.basis_images,
+            {"P1": (2,), "P2": (3,), "P3": (4,), "P4": (5,), "DEALER": (1,)},
         )
-        owner = {f"p{i}": f"P{i}" for i in range(1, 5)}
-        owner["p5"] = "DEALER"
-        with pytest.raises(ProtocolError, match="outside the acting set"):
-            compile_protocol(protocol, state.layout, owner)
+        with pytest.raises(ProtocolError, match="each player holds their own particle"):
+            run_block_measure_protocol(redistributed, [1, 2], [1, 2, 3], (0.6, 0.8))
 
 
 # ---------------------------------------------------------------------------
