@@ -127,7 +127,8 @@ def _subset_texts(n, prefix, sep=","):
     body = [""]
     for p in range(1, n + 1):
         tok = prefix + str(p)
-        body += [b + sep + tok if b else tok for b in body]
+        tail = sep + tok
+        body += [tok] + [b + tail for b in body[1:]]
     return body
 
 
@@ -161,7 +162,9 @@ def cmd_structure_check(args):
     n = gamma.n
     a1, a2 = (masks.tolist() for masks in structures._adversary_masks(gamma))
     law = structures.check_complement_law(gamma)
-    feas = structures.perfect_feasibility(gamma)
+    # perfect schemes exist iff A2 is empty, as structures.perfect_feasibility decides
+    witness = structures.PlayerSubset(a2[0], n) if a2 else None
+    verdict = "infeasible" if a2 else "feasible"
     if args.format == "json":
         # each subset as _dump writes a list of player numbers under a top-level key
         body = _subset_texts(n, "\n      ")
@@ -179,20 +182,19 @@ def cmd_structure_check(args):
             "a1": a1_text,
             "a2": a2_text,
             "complement_law": law.holds,
-            "perfect": "feasible" if feas.feasible else "infeasible",
-            "perfect_witness": feas.witness.players() if feas.witness else None,
+            "perfect": verdict,
+            "perfect_witness": witness.players() if witness else None,
         }
         print(_dump(doc))
     else:
-        verdict = "feasible" if feas.feasible else "infeasible"
         print(f"admissible; |A1|={len(a1)} |A2|={len(a2)}; perfect: {verdict}")
         # each subset as str(PlayerSubset) writes it
         body = _subset_texts(n, "P")
         for name, masks in (("A1", a1), ("A2", a2)):
             print(f"{name}:", "{" + "}, {".join([body[b] for b in masks]) + "}" if masks else "(empty)")
         print(f"complement law: {'holds' if law.holds else f'fails at {law.counterexample}'}")
-        if feas.witness:
-            print(f"perfect-infeasibility witness: {feas.witness}")
+        if witness:
+            print(f"perfect-infeasibility witness: {witness}")
     return EXIT_OK
 
 

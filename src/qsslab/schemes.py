@@ -30,6 +30,7 @@ from .qstate import (
     purify_secret,
 )
 from .structures import (
+    AccessStructure,
     PlayerSubset,
     _bit_positions,
     _json_int,
@@ -155,15 +156,22 @@ def distribute_purified(scheme, probabilities=(0.5, 0.5)):
 
 
 def block_structure(n, block):
-    """Authorized sets: the block plus one outsider, or the co-block plus one insider."""
+    """Authorized sets: the block plus one outsider, or the co-block plus one insider.
+
+    The minimal sets are listed directly.  Two sets of this family are
+    nested only when one is the full set, which is in the family when the
+    block or the co-block is one player and then contains every other set;
+    so the family less the full set is the antichain, and the full set is
+    minimal only when it is alone (n = 2).
+    """
     block = PlayerSubset.coerce(block, n)
-    masks = []
-    comp = block.complement().bits
-    for pos in _bit_positions(comp):
-        masks.append(block.bits | (1 << pos))
-    for pos in _bit_positions(block.bits):
-        masks.append(comp | (1 << pos))
-    return antichain_reduce(n, masks)
+    full = (1 << n) - 1
+    comp = full ^ block.bits
+    masks = {block.bits | (1 << pos) for pos in _bit_positions(comp)}
+    masks.update(comp | (1 << pos) for pos in _bit_positions(block.bits))
+    if len(masks) > 1:
+        masks.discard(full)
+    return AccessStructure.from_masks(n, masks)
 
 
 def _block_images(n, block):
@@ -223,14 +231,16 @@ def induce_structure(scheme, base_gamma):
 
 
 def _is_transposition_symmetric(scheme, base_masks, i, j):
-    """Whether swapping particles i and j (0-based) fixes the images and the base masks."""
-    m = scheme.num_particles
-    tensor = scheme.basis_images.reshape((2,) + (2,) * m)
-    if not np.array_equal(np.swapaxes(tensor, 1 + i, 1 + j), tensor):
-        return False
+    """Whether swapping particles i and j (0-based) fixes the base masks and the images.
+
+    The masks, a handful of ints, are tested first: most pairs fail on them.
+    """
     swap = (1 << i) | (1 << j)
     swapped = {bm ^ swap if (bm >> i ^ bm >> j) & 1 else bm for bm in base_masks}
-    return swapped == set(base_masks)
+    if swapped != set(base_masks):
+        return False
+    tensor = scheme.basis_images.reshape((2,) + (2,) * scheme.num_particles)
+    return np.array_equal(np.swapaxes(tensor, 1 + i, 1 + j), tensor)
 
 
 def interchangeable_classes(scheme, base_gamma):
@@ -300,20 +310,25 @@ def _induced_matches(choices, base_authorized, target):
     empty set is unauthorized in both.)  Each particle of a class goes to
     one holder, so a set's union is the sum over classes of the class's
     union, which is the sum over the set's holders.  The first frontier
-    set is tested on the whole product of choices, the others on the
-    profiles that pass it, and masks are summed for the matches only.
+    set is tested on the whole product of choices; each other set in turn
+    on the profiles that passed the sets before it, until none is left.
+    Masks are summed for the matches only.
     """
     num_holders = choices[0][0].shape[1]
     frontier = np.array(target.masks() + tuple(_maximal_unauthorized(target).tolist()))
     authorized = np.arange(frontier.size) < len(target.masks())
     members = (frontier >> np.arange(num_holders)[:, None] & 1).astype(np.float64)
-    unions = [(masks @ members).astype(np.intp) for masks, _ in choices]
-    first = functools.reduce(np.add.outer, [union[:, 0] for union in unions]).ravel()
+    # per class, one row per frontier set, one column per choice
+    unions = [(members.T @ masks.T).astype(np.intp) for masks, _ in choices]
+    first = functools.reduce(np.add.outer, [union[0] for union in unions]).ravel()
     rows = np.flatnonzero(base_authorized.take(first) == authorized[0])
-    picks = np.unravel_index(rows, [len(union) for union in unions])
-    rest = _sum_picks([union[:, 1:] for union in unions], picks)
-    keep = (base_authorized.take(rest) == authorized[1:]).all(axis=1)
-    picks = [pick[keep] for pick in picks]
+    picks = np.unravel_index(rows, [union.shape[1] for union in unions])
+    for k in range(1, frontier.size):
+        if not len(picks[0]):
+            break
+        at = _sum_picks([union[k] for union in unions], picks)
+        keep = base_authorized.take(at) == authorized[k]
+        picks = [pick[keep] for pick in picks]
     masks = _sum_picks([masks for masks, _ in choices], picks).astype(np.int64)
     index = _sum_picks([index for _, index in choices], picks)
     order = np.argsort(index)

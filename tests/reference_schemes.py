@@ -4,7 +4,9 @@ Every profile row is built in full, as one (rows x holders) table of
 holder masks, and compared with the target on all 2^n player subsets.
 The library's search scans the product of per-class holder choices and
 tests the target's frontier only; both must give the same matches in the
-same order, and so the same first hit.
+same order, and so the same first hit.  The block structures that the
+library lists in closed form are built here by reducing their whole
+family to its minimal sets.
 """
 
 import itertools
@@ -14,7 +16,13 @@ import numpy as np
 from qsslab import verifier
 from qsslab.qstate import DEFAULT_TOLERANCE
 from qsslab.schemes import DEALER
-from qsslab.structures import _bit_positions, is_quantum_admissible, subset_unions
+from qsslab.structures import (
+    PlayerSubset,
+    _bit_positions,
+    antichain_reduce,
+    is_quantum_admissible,
+    subset_unions,
+)
 
 
 def profile_rows(classes, num_particles, num_holders):
@@ -78,3 +86,12 @@ def grid_search(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
                 for holder, mask in zip(holders, row)
             }
     return None
+
+
+def block_structure(n, block):
+    """Minimal sets of the block plus each outsider and the co-block plus each insider."""
+    block = PlayerSubset.coerce(block, n)
+    comp = block.complement().bits
+    masks = [block.bits | (1 << pos) for pos in _bit_positions(comp)]
+    masks += [comp | (1 << pos) for pos in _bit_positions(block.bits)]
+    return antichain_reduce(n, masks)

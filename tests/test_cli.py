@@ -213,6 +213,16 @@ def test_structure_check_matches_reference(tmp_path_factory, gamma, fmt):
     assert out.getvalue() == structure_check_reference(gamma, fmt)
 
 
+# the prefixes and separators of structure check (json, text) and scheme verify (json, csv, text)
+@pytest.mark.parametrize("prefix, sep", [("\n      ", ","), ("P", ","), ("\n        ", ","), ("", " ")])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_subset_texts_join_each_subset(n, prefix, sep):
+    expect = [
+        sep.join(prefix + str(p) for p in PlayerSubset(b, n).players()) for b in range(1 << n)
+    ]
+    assert cli._subset_texts(n, prefix, sep) == expect
+
+
 # ---------------------------------------------------------------------------
 # the JSON writer against json.dumps
 

@@ -32,7 +32,14 @@ from qsslab.schemes import (
     search_assignment,
     SchemeError,
 )
-from qsslab.structures import AccessStructure, PlayerSubset, is_quantum_admissible, subset_unions
+from qsslab.structures import (
+    AccessStructure,
+    PlayerSubset,
+    _maximal_unauthorized,
+    is_quantum_admissible,
+    subset_unions,
+)
+import reference_schemes
 from reference_schemes import grid_matches, grid_search, profile_rows
 from reference_structures import permute_particles
 
@@ -527,6 +534,62 @@ def test_frontier_filter_matches_subset_filter(case):
     assert _scan(*case) == (masks.tolist(), index.tolist())
 
 
+def _frontier_survivors(classes, m, num_holders, base, target):
+    """Profiles of the full grid that agree with the target on the first k frontier sets, per k."""
+    masks, _ = profile_rows(classes, m, num_holders)
+    frontier = target.masks() + tuple(_maximal_unauthorized(target).tolist())
+    union = subset_unions(masks[:, j] for j in range(target.n))
+    ok = np.ones(len(masks), dtype=bool)
+    counts = []
+    for bits in frontier:
+        ok &= base.authorized[union[bits]] == target.authorized[bits]
+        counts.append(int(ok.sum()))
+    return len(masks), counts
+
+
+@pytest.mark.parametrize(
+    "classes, m, num_holders, base, target, emptied",
+    [
+        # no dealer, so every profile gives the players all particles and the full
+        # player set is authorized; any nonempty holding is authorized too, so each
+        # maximal unauthorized set keeps only the profile that leaves it empty
+        (
+            ((1, 2, 3),), 3, 2,
+            AccessStructure.from_sets(3, [[1], [2], [3]]), AccessStructure.from_sets(2, [[1, 2]]),
+            True,
+        ),
+        (
+            ((1, 2, 3, 4),), 4, 3, AccessStructure.from_sets(4, [[1], [2], [3], [4]]),
+            AccessStructure.from_sets(3, [[1, 2, 3]]), True,
+        ),
+        # hits: the threshold34 base realizes itself; star4 on one-particle blocks with
+        # the dealer, where the base has no full set
+        (
+            ((1, 2), (3, 4)), 4, 4, block_structure(4, [3, 4]), block_structure(4, [3, 4]),
+            False,
+        ),
+        (
+            ((1,), (2, 3, 4, 5)), 5, 5, block_structure(5, [1]),
+            AccessStructure.from_sets(4, [[1, 2], [1, 3], [1, 4]]), False,
+        ),
+        (
+            ((1,), (2, 3, 4, 5, 6, 7)), 7, 5, block_structure(7, [1]),
+            AccessStructure.from_sets(4, [[1, 2], [1, 3], [1, 4]]), False,
+        ),
+    ],
+)
+def test_frontier_filter_edges(classes, m, num_holders, base, target, emptied):
+    total, counts = _frontier_survivors(classes, m, num_holders, base, target)
+    if emptied:
+        # the first frontier set keeps every profile and a later one removes the rest
+        assert counts[0] == total and counts[-1] == 0
+    else:
+        assert counts[-1] > 0 and len(counts) > 1
+    masks, index = grid_matches(classes, m, num_holders, base.authorized, target)
+    assert _scan(classes, m, num_holders, base, target) == (masks.tolist(), index.tolist())
+    assert len(index) == counts[-1]
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_frontier_filter_on_the_empty_target(n):
     # no minimal sets: the only maximal unauthorized set is the full set, which
@@ -606,4 +669,25 @@ class TestHelpers:
     def test_block_structure_matches_builder(self):
         for n, block in ((5, [1, 2]), (6, [1, 2, 3]), (4, [2])):
             _, gamma = build_block_scheme(n, block)
-            assert block_structure(n, PlayerSubset.from_players(block, n)).masks() == gamma.masks()
+            assert reference_schemes.block_structure(n, block).masks() == gamma.masks()
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_block_structure_matches_reference_on_every_block(n):
+    # every bitmask: the builders' nonempty proper blocks, and the empty and full ones
+    # that block_structure also accepts; n = 2 leaves the full set alone
+    for bits in range(1 << n):
+        block = PlayerSubset(bits, n)
+        expect = reference_schemes.block_structure(n, block).masks()
+        assert block_structure(n, block).masks() == expect, block
+    assert block_structure(2, [1]).masks() == (0b11,)
+
+
+@pytest.mark.parametrize("n", range(10, 14))
+def test_block_structure_matches_reference_on_random_blocks(n):
+    rng = random.Random(n)
+    blocks = [[1], [n], list(range(2, n + 1)), list(range(1, n))]  # one-particle block, co-block
+    blocks += [sorted(rng.sample(range(1, n + 1), rng.randint(1, n - 1))) for _ in range(20)]
+    for block in blocks:
+        expect = reference_schemes.block_structure(n, block).masks()
+        assert block_structure(n, block).masks() == expect, block
