@@ -162,7 +162,7 @@ def cmd_structure_check(args):
     n = gamma.n
     a1, a2 = (masks.tolist() for masks in structures._adversary_masks(gamma))
     law = structures.check_complement_law(gamma)
-    # perfect schemes exist iff A2 is empty, as structures.perfect_feasibility decides
+    # pure perfect schemes exist iff A2 is empty, as structures.perfect_feasibility decides
     witness = structures.PlayerSubset(a2[0], n) if a2 else None
     verdict = "infeasible" if a2 else "feasible"
     if args.format == "json":

@@ -190,15 +190,11 @@ def _secret_chunk(rows):
 
 
 def _chunks(blocks, size):
-    """Checked chunks of size secrets, the last one shorter, sliced from the blocks in order."""
-    rest = np.empty((0, 2), dtype=np.complex128)
+    """Checked chunks of at most size secrets, sliced from each block in order."""
     for block in blocks:
-        rest = np.concatenate([rest, _secret_chunk(block)])
-        while len(rest) >= size:
-            yield rest[:size]
-            rest = rest[size:]
-    if len(rest):
-        yield rest
+        block = _secret_chunk(block)
+        for start in range(0, len(block), size):
+            yield block[start:start + size]
 
 
 def _secret_fidelities(amplitudes, layout, register, secrets):

@@ -11,7 +11,7 @@ A structure is quantum-admissible when no two authorized sets are disjoint
 (two disjoint authorized sets could each reconstruct the secret, cloning
 it).  The adversary structure splits into A1 (unauthorized sets disjoint
 from some authorized set) and A2 (unauthorized sets meeting every
-authorized set); A2 is exactly the obstruction to perfect schemes.
+authorized set); A2 is exactly the obstruction to pure perfect schemes.
 """
 
 import functools
@@ -299,14 +299,14 @@ def check_complement_law(gamma):
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    """Whether a perfect scheme can exist for the structure."""
+    """Whether a pure perfect scheme can exist for the structure."""
 
     feasible: bool
     witness: PlayerSubset | None = None
 
 
 def perfect_feasibility(gamma):
-    """Perfect schemes exist iff A2 is empty; a witness from A2 is returned otherwise."""
+    """Pure perfect schemes exist iff A2 is empty; a witness from A2 is returned otherwise."""
     a2 = _adversary_masks(gamma)[1]
     if a2.size:
         return FeasibilityVerdict(False, PlayerSubset(int(a2[0]), gamma.n))

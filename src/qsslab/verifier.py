@@ -49,11 +49,7 @@ from .structures import (
 _log = logging.getLogger("qsslab.matrix")
 
 
-class VerificationError(Exception):
-    """Verification could not be carried out."""
-
-
-class StructuralMismatchError(VerificationError):
+class StructuralMismatchError(Exception):
     """The scheme realizes a different access structure than claimed.
 
     Raised when an unauthorized subset attains full correlation with the
@@ -176,12 +172,6 @@ def _report(table, scheme, gamma, model, tolerance):
         verdict = "perfect"
     else:
         verdict = "generalized"
-    # a perfect verdict over a structure with nonempty A2 would contradict the
-    # feasibility theorem; reaching this means the numerics are inconsistent
-    if verdict == "perfect" and (classes == A2).any():
-        raise VerificationError(
-            "perfect verdict with nonempty A2 contradicts perfect-infeasibility"
-        )
     mismatch = np.flatnonzero(~authorized & (np.abs(i_ra - i_rs) <= tolerance))
     if mismatch.size:
         row = int(mismatch[0])
@@ -318,7 +308,7 @@ def _try_assignment(base, assignment, target, name, tolerance):
 def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
     """Reproduce the perfect/generalized feasibility verdicts for the catalog, one MatrixRow each.
 
-    Perfect feasibility comes from the A2 test; generalized feasibility is
+    Pure perfect feasibility comes from the A2 test; generalized feasibility is
     re-established constructively: direct star schemes where the structure
     is a star, documented redistribution recipes where available (re-checked,
     with failures flagged and corrected by search), and otherwise an

@@ -31,7 +31,6 @@ from qsslab.qstate import (
 )
 from qsslab.schemes import distribute_purified
 from qsslab.structures import (
-    A2,
     AUTHORIZED,
     CLASS_NAMES,
     PlayerSubset,
@@ -39,7 +38,7 @@ from qsslab.structures import (
     _admissible_classes,
     subset_unions,
 )
-from qsslab.verifier import StructuralMismatchError, SubsetEntropyTable, VerificationError
+from qsslab.verifier import StructuralMismatchError, SubsetEntropyTable
 
 
 @dataclass(frozen=True)
@@ -122,10 +121,6 @@ def report(scheme, gamma, model="generalized", tolerance=DEFAULT_TOLERANCE, tabl
     if table is None:
         table = SubsetEntropyTable(distribute_purified(scheme), scheme.num_particles)
     ev = evaluate(table, scheme.player_masks, codes, tolerance)
-    if ev.verdict == "perfect" and (codes[1:] == A2).any():
-        raise VerificationError(
-            "perfect verdict with nonempty A2 contradicts perfect-infeasibility"
-        )
     i_rs = 2.0 * ev.s_s
     if ev.mismatch is not None:
         raise StructuralMismatchError(ev.mismatch.subset, ev.mismatch.i_ra, i_rs)

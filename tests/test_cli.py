@@ -35,6 +35,7 @@ from qsslab.structures import (
     threshold_structure,
 )
 import reference_verifier as ref_verifier
+from reference_stabilizer import five_qubit_scheme
 from reference_structures import brute_classes
 
 GOLDEN_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "tables.json"
@@ -381,6 +382,10 @@ class TestSchemeVerify:
         assert all(isinstance(r["pass"], bool) for r in doc["records"])
 
 
+#: The five-qubit code with P1..P4 holding one qubit each and qubit 5 kept by the dealer.
+FIVE_DEALER = {"P1": [1], "P2": [2], "P3": [3], "P4": [4], "DEALER": [5]}
+
+
 def _verify_cases():
     """(name, scheme, claimed structure, model, tolerance) for the renderer test."""
     block, block_gamma = build_block_scheme(5, [1, 2])
@@ -406,6 +411,7 @@ def _verify_cases():
         ("dense", dense, threshold_structure(3, 4), "generalized", 1e-6),
         ("perfect", threshold34, threshold_structure(3, 4), "perfect", 1e-9),
         ("perfect_block", block, block_gamma, "perfect", 1e-6),
+        ("five_dealer", five_qubit_scheme(FIVE_DEALER), threshold_structure(3, 4), "perfect", 1e-9),
     ]
 
 
@@ -428,6 +434,59 @@ def test_scheme_verify_matches_reference_renderer(tmp_path, capsys, case, fmt):
         assert (code, err) == (0, "")
     else:
         assert (code, err) == (4, f"verification failure at subset {rep.requested_witness}\n")
+
+
+# ---------------------------------------------------------------------------
+# perfect mixed schemes: the five-qubit code with particles kept by the dealer
+
+
+def write_doc(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def verify_doc(capsys, scheme_path, gamma_path, model):
+    """scheme verify's exit code and JSON document; stderr must stay empty."""
+    code = main(["scheme", "verify", scheme_path, gamma_path, "--model", model, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, json.loads(out)
+
+
+class TestPerfectMixedSchemes:
+    @pytest.mark.parametrize("model", ["perfect", "generalized"])
+    def test_five_qubit_code_with_a_dealer_over_threshold34(self, tmp_path, capsys, model):
+        scheme = write_doc(tmp_path, "five.json", save_scheme(five_qubit_scheme(FIVE_DEALER)))
+        gamma = write_doc(tmp_path, "g.json", structure_to_dict(threshold_structure(3, 4)))
+        code, doc = verify_doc(capsys, scheme, gamma, model)
+        assert (code, doc["verdict"], doc["meets_requested"]) == (0, "perfect", True)
+
+    def test_assign_search_hit_verifies(self, tmp_path, capsys):
+        five = write_doc(tmp_path, "five.json", save_scheme(five_qubit_scheme(identity_assignment(5))))
+        base = write_doc(tmp_path, "base.json", structure_to_dict(threshold_structure(3, 5)))
+        target = write_doc(tmp_path, "target.json", structure_to_dict(threshold_structure(3, 4)))
+        argv = ["assign", "search", "--scheme", five, "--base", base, "--target", target]
+        assert main(argv + ["--allow-dealer"]) == 0
+        assignment = json.loads(capsys.readouterr().out)["assignment"]
+        assert assignment == FIVE_DEALER
+        found = write_doc(tmp_path, "found.json", save_scheme(five_qubit_scheme(assignment)))
+        for model in ("perfect", "generalized"):
+            code, doc = verify_doc(capsys, found, target, model)
+            assert (code, doc["verdict"]) == (0, "perfect")
+
+    @pytest.mark.parametrize("number, assignment", [
+        (1, {"P1": [1, 2], "P2": [3, 4], "DEALER": [5]}),
+        (2, {"P1": [1, 2], "P2": [3], "P3": [4], "DEALER": [5]}),
+        (3, {"P1": [1], "P2": [2], "P3": [3], "DEALER": [4, 5]}),
+    ])
+    def test_catalog_rows_without_a_pure_perfect_scheme(self, tmp_path, capsys, number, assignment):
+        gamma = next(entry.structure for entry in HYPERSTAR_CATALOG if entry.number == number)
+        assert not perfect_feasibility(gamma).feasible  # A2 is nonempty
+        scheme = write_doc(tmp_path, "five.json", save_scheme(five_qubit_scheme(assignment)))
+        code, doc = verify_doc(capsys, scheme, write_doc(tmp_path, "g.json", structure_to_dict(gamma)),
+                               "perfect")
+        assert (code, doc["verdict"]) == (0, "perfect")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,18 @@ from qsslab.qstate import (
     von_neumann_entropy,
 )
 from qsslab.qstate import _dense_ranks, _subset_ranks
+from qsslab.schemes import build_block_scheme, distribute_purified, identity_assignment
+from qsslab.structures import PlayerSubset
+from reference_stabilizer import (
+    FIVE_QUBIT_GENERATORS,
+    FIVE_QUBIT_PURIFIED_CHECKS,
+    block_generators,
+    five_qubit_images,
+    five_qubit_scheme,
+    pauli_matrix,
+    stabilizer_entropy,
+    subspace_entropy,
+)
 from reference_verifier import register_entropy, trace_density_matrix
 
 SQ2 = 2**-0.5
@@ -402,7 +414,6 @@ class TestCutEntropies:
     @pytest.mark.parametrize("which", ["block9", "block13", "dense10"])
     def test_chunking_is_bit_identical(self, which, monkeypatch):
         import qsslab.qstate as qstate
-        from qsslab.schemes import build_block_scheme, distribute_purified
 
         if which == "block9":
             state = distribute_purified(build_block_scheme(9, [2, 5, 7])[0])
@@ -436,8 +447,6 @@ class TestCutEntropies:
             self.assert_ranks_match_argsort(state)
 
     def test_sparse_ranks_keep_the_sort(self):
-        from qsslab.schemes import build_block_scheme, distribute_purified
-
         sparse = distribute_purified(build_block_scheme(7, [2, 5])[0])
         amps = random_isometry_state(np.random.default_rng(4), 5).amplitudes.copy()
         amps[9] = 0.0  # one zero amplitude: the support is no longer every index
@@ -460,8 +469,6 @@ class TestCutEntropies:
 
     @pytest.mark.parametrize("which", ["dense6", "block13", "sparse6", "sparse12", "empty"])
     def test_matches_one_cut_at_a_time(self, which):
-        from qsslab.schemes import build_block_scheme, distribute_purified
-
         rng = np.random.default_rng(8)
         if which == "block13":
             state = distribute_purified(build_block_scheme(13, [1, 2])[0])
@@ -510,3 +517,43 @@ def test_entropy_inequalities_on_random_isometries(seed, m):
     assert abs(s_a - register_entropy(state, ("R",) + rest)) <= 1e-9
     assert s_ab <= s_a + s_b + 1e-9  # subadditivity
     assert abs(s_a - s_b) <= s_ab + 1e-9  # Araki-Lieb
+
+
+# ---------------------------------------------------------------------------
+# every cut of block, star, threshold34 and five-qubit states against exact GF(2) entropies
+
+
+def assert_every_cut_is_exact(state, exact):
+    masks = np.arange(1 << state.num_qubits)
+    want = np.array([exact(mask) for mask in masks.tolist()], dtype=np.float64)
+    np.testing.assert_allclose(cut_entropies(state, masks), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, block", [
+    (13, (1,)), (13, (1, 2)), (13, (3, 7, 11)),  # 2^14 cuts each
+    (4, (3, 4)),  # threshold34
+    (5, (1,)),  # star(n=5, center=1)
+])
+def test_block_cuts_match_gf2_ranks(m, block):
+    generators = block_generators(m, block)
+    state = distribute_purified(build_block_scheme(m, block)[0])
+    assert_every_cut_is_exact(state, lambda mask: subspace_entropy(generators, mask))
+
+
+@given(st.integers(3, 12).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, (1 << m) - 2))))
+@settings(max_examples=30, deadline=None)
+def test_random_block_cuts_match_gf2_ranks(case):
+    m, bits = case
+    block = PlayerSubset(bits, m).players()
+    generators = block_generators(m, block)
+    state = distribute_purified(build_block_scheme(m, block)[0])
+    assert_every_cut_is_exact(state, lambda mask: subspace_entropy(generators, mask))
+
+
+def test_five_qubit_cuts_match_the_stabilizer_ranks():
+    images = five_qubit_images()
+    for word in FIVE_QUBIT_GENERATORS:  # the code space holds both logical states
+        assert np.allclose(pauli_matrix(word) @ images.T, images.T, rtol=0, atol=1e-15)
+    state = distribute_purified(five_qubit_scheme(identity_assignment(5)))
+    assert_every_cut_is_exact(
+        state, lambda mask: stabilizer_entropy(FIVE_QUBIT_PURIFIED_CHECKS, 6, mask))

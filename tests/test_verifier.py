@@ -1,20 +1,28 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_verifier as ref
+from reference_stabilizer import five_qubit_images, five_qubit_scheme
 
+from qsslab import cli
 from qsslab.schemes import (
     DEALER,
+    PreparedBase,
     SchemeSpec,
     build_block_scheme,
     identity_assignment,
     induce_structure,
+    save_scheme,
+    search_assignment,
 )
 from qsslab.structures import (
+    A2,
     CLASS_NAMES,
     AccessStructure,
     PlayerSubset,
@@ -22,12 +30,12 @@ from qsslab.structures import (
     _adversary_masks,
     antichain_reduce,
     is_quantum_admissible,
+    structure_to_dict,
     threshold_structure,
 )
 from qsslab.verifier import (
     StructuralMismatchError,
     SubsetEntropyTable,
-    VerificationError,
     _evaluate,
     _report,
     matrix_to_dict,
@@ -622,35 +630,15 @@ def test_matrix_prepares_each_base_once(monkeypatch, caplog):
 # the columnar entropy-condition pass against the per-subset reference loop
 
 
-@st.composite
-def verify_cases(draw):
-    """(scheme, claimed admissible structure, model, tolerance) over at most 6 particles.
-
-    Images are a random isometry or a block scheme's, whose exact
-    correlations make structural mismatches and perfect verdicts reachable.
-    Particles go to players P1..Pn, or to the dealer when it is drawn.
-    """
-    m = draw(st.integers(2, 6))
-    base = None
-    if m >= 3 and draw(st.booleans()):
-        block = draw(st.integers(1, (1 << m) - 2))
-        scheme, base = build_block_scheme(m, PlayerSubset(block, m))
-        images = scheme.basis_images
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        q, _ = np.linalg.qr(rng.normal(size=(1 << m, 2)) + 1j * rng.normal(size=(1 << m, 2)))
-        images = q.T
-    n = draw(st.integers(2, m))
-    dealer = draw(st.booleans())
+def _assignment(draw, m, n, dealer):
+    """A random assignment of m particles to P1..Pn, and to the dealer when it takes part."""
     holders = [f"P{i}" for i in range(1, n + 1)] + ([DEALER] if dealer else [])
     owner = draw(st.lists(st.integers(0, len(holders) - 1), min_size=m, max_size=m))
-    assignment = {h: tuple(p + 1 for p in range(m) if owner[p] == j) for j, h in enumerate(holders)}
-    scheme = SchemeSpec(m, images, assignment, name="case")
-    if base is not None and draw(st.booleans()):
-        induced = induce_structure(scheme, base)  # the structure the scheme realizes
-        if induced.minimal_sets and is_quantum_admissible(induced):
-            return scheme, induced, draw(st.sampled_from(["generalized", "perfect"])), \
-                draw(st.sampled_from([1e-12, 1e-6]))
+    return {h: tuple(p + 1 for p in range(m) if owner[p] == j) for j, h in enumerate(holders)}
+
+
+def _admissible_structure(draw, n):
+    """A random admissible structure on n players: sets through one center, or majorities."""
     center = draw(st.integers(1, n)) if draw(st.booleans()) else None
     masks = []
     for _ in range(draw(st.integers(1, 4))):
@@ -659,7 +647,44 @@ def verify_cases(draw):
         else:  # more than n/2 players, so any two sets meet
             players = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(n // 2 + 1, n))]
         masks.append(sum(1 << (p - 1) for p in players))
-    gamma = antichain_reduce(n, masks)
+    return antichain_reduce(n, masks)
+
+
+def _realized_structure(scheme, base):
+    """The structure the scheme's assignment induces on base, or None if empty or inadmissible."""
+    induced = induce_structure(scheme, base)
+    return induced if induced.minimal_sets and is_quantum_admissible(induced) else None
+
+
+@st.composite
+def verify_cases(draw, dealer=None):
+    """(scheme, claimed admissible structure, model, tolerance) over at most 6 particles.
+
+    Images are a random isometry, a block scheme's or the five-qubit code's,
+    whose exact correlations make structural mismatches and perfect verdicts
+    reachable.  Particles go to players P1..Pn, or to the dealer when it is
+    drawn; dealer=False or True fixes whether it takes part.
+    """
+    m = draw(st.integers(2, 6))
+    base = None
+    if m == 5 and draw(st.booleans()):
+        images, base = five_qubit_images(), threshold_structure(3, 5)
+    elif m >= 3 and draw(st.booleans()):
+        block = draw(st.integers(1, (1 << m) - 2))
+        scheme, base = build_block_scheme(m, PlayerSubset(block, m))
+        images = scheme.basis_images
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q, _ = np.linalg.qr(rng.normal(size=(1 << m, 2)) + 1j * rng.normal(size=(1 << m, 2)))
+        images = q.T
+    n = draw(st.integers(2, m))
+    dealer = draw(st.booleans()) if dealer is None else dealer
+    scheme = SchemeSpec(m, images, _assignment(draw, m, n, dealer), name="case")
+    gamma = None
+    if base is not None and draw(st.booleans()):
+        gamma = _realized_structure(scheme, base)
+    if gamma is None:
+        gamma = _admissible_structure(draw, n)
     return scheme, gamma, draw(st.sampled_from(["generalized", "perfect"])), \
         draw(st.sampled_from([1e-12, 1e-6]))
 
@@ -671,7 +696,7 @@ def _reprs(values):
 def _error(call):
     try:
         return None, call()
-    except VerificationError as exc:
+    except StructuralMismatchError as exc:
         return exc, None
 
 
@@ -682,10 +707,9 @@ def assert_same_report(call, reference_call):
     assert type(error) is type(ref_error)
     if error is not None:
         assert str(error) == str(ref_error)
-        if isinstance(error, StructuralMismatchError):
-            assert error.witness == ref_error.witness
-            assert repr(error.i_ra) == repr(ref_error.i_ra)
-            assert repr(error.i_rs) == repr(ref_error.i_rs)
+        assert error.witness == ref_error.witness
+        assert repr(error.i_ra) == repr(ref_error.i_ra)
+        assert repr(error.i_rs) == repr(ref_error.i_rs)
         return
     got = report_records(report)
     assert [r.subset for r in got] == [r.subset for r in rep.records]
@@ -749,3 +773,74 @@ def test_columnar_pass_matches_the_reference_at_the_boundaries(case, entropies, 
     s = entropies[: 1 << scheme.num_particles]
     assert_same_report(lambda: _report(FixedTable(s), scheme, gamma, model, tolerance),
                        lambda: ref.report(scheme, gamma, model, tolerance, FixedTable(s)))
+
+
+# ---------------------------------------------------------------------------
+# one judge: verify holds a scheme to the entropy conditions alone, as the search does
+
+
+@given(verify_cases(dealer=False))
+@settings(max_examples=200, deadline=None)
+def test_pure_schemes_are_never_perfect_over_a_nonempty_a2(case):
+    """With every particle at a player, I(R:B) + I(R:Bbar) = 2 S(R) for B and Bbar in A2.
+
+    S(R) = 1 for the maximally mixed secret, so both terms cannot be within
+    the tolerance of 0.
+    """
+    scheme, gamma, model, tolerance = case
+    assume((gamma.class_codes == A2).any())
+    try:
+        report = verify(scheme, gamma, model, tolerance)
+    except StructuralMismatchError:
+        return
+    assert report.verdict != "perfect"
+
+
+@st.composite
+def search_cases(draw):
+    """(PreparedBase, admissible target, allow_dealer) over block bases, m = 3..7, or the five-qubit code.
+
+    Half the targets are induced by a random assignment the search may use,
+    so hits are common; the others are random admissible structures.
+    """
+    if draw(st.integers(0, 5)) == 0:
+        base = PreparedBase(five_qubit_scheme(identity_assignment(5)), threshold_structure(3, 5))
+    else:
+        m = draw(st.integers(3, 7))
+        base = PreparedBase(*build_block_scheme(m, PlayerSubset(draw(st.integers(1, (1 << m) - 2)), m)))
+    m = base.scheme.num_particles
+    allow_dealer = draw(st.booleans())
+    n = draw(st.integers(2, min(m, 5)))  # at most 6^7 profiles, with the dealer
+    target = None
+    if draw(st.booleans()):
+        scheme = SchemeSpec(m, base.scheme.basis_images, _assignment(draw, m, n, allow_dealer))
+        target = _realized_structure(scheme, base.structure)
+    if target is None:
+        target = _admissible_structure(draw, n)
+    return base, target, allow_dealer
+
+
+@given(search_cases())
+@settings(max_examples=150, deadline=None)
+def test_every_search_hit_verifies(case):
+    base, target, allow_dealer = case
+    assignment = search_assignment(base, target, allow_dealer)
+    if assignment is None:
+        return
+    found = SchemeSpec(base.scheme.num_particles, base.scheme.basis_images, assignment)
+    assert verify(found, target).verdict != "fail"
+
+
+@given(verify_cases(dealer=True))
+@settings(max_examples=100, deadline=None)
+def test_scheme_verify_exits_without_a_traceback(tmp_path_factory, case):
+    scheme, gamma, model, tolerance = case
+    workdir = tmp_path_factory.getbasetemp() / "judge"
+    workdir.mkdir(exist_ok=True)
+    scheme_path, gamma_path = workdir / "scheme.json", workdir / "gamma.json"
+    scheme_path.write_text(json.dumps(save_scheme(scheme)))
+    gamma_path.write_text(json.dumps(structure_to_dict(gamma)))
+    argv = ["scheme", "verify", str(scheme_path), str(gamma_path), "--model", model,
+            "--tolerance", repr(tolerance), "--format", "json", "--out", str(workdir / "out.json")]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in {0, 3, 4}
