@@ -347,7 +347,7 @@ def cmd_reconstruct(args):
         }
         doc = {"fidelities": [result.fidelity], "trace": trace}
     else:
-        # drawn a block at a time, as the protocol reads them
+        # one (trials, 2) array; above protocols.MAX_TRIALS nothing is drawn (exit 5)
         secrets = protocols.random_secrets(np.random.default_rng(args.seed), args.trials)
         if args.protocol == "circuit":
             outcome = protocols.run_threshold34_circuit(scheme, acting, secrets)

@@ -12,15 +12,14 @@ around at most one computational-basis measurement: simulate_protocol
 applies the gather before it, takes both outcomes exactly with their
 probabilities (nothing is sampled) and applies each outcome's gather.  It
 runs a stacked (T, 2^n) block of amplitude vectors, one row per secret;
-the protocols feed it their batch of secrets in chunks of at most
-qstate.CUT_BATCH_ELEMENTS amplitudes, and nothing is stepped per secret.
+the protocols take their secrets as one (T, 2) array and feed it in
+chunks of at most qstate.CUT_BATCH_ELEMENTS amplitudes, and nothing is
+stepped per secret.
 Both protocols refuse schemes whose players do not each hold their own
 particle and name only registers of the acting set, which they have
 checked, so every register a protocol touches belongs to an acting player.
 """
 
-import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +43,9 @@ DECOUPLING_TOL = 1e-9
 #: bound.  A batch holds at most qstate.CUT_BATCH_ELEMENTS amplitudes at a
 #: time, so 13 particles run 4 secrets per chunk.
 MAX_MEASURE_PARTICLES = 13
-#: Secrets random_secrets draws per block: 32 KB of amplitudes.
-SECRET_DRAW_ROWS = 1024
+#: Most secrets random_secrets draws.  The secrets, their fidelities and the
+#: per-branch arrays grow with the count: 10^6 circuit trials take about 250 MB.
+MAX_TRIALS = 1_000_000
 
 
 class ProtocolError(ValueError):
@@ -163,38 +163,19 @@ class ProtocolOutcome:
     trace: dict = field(default_factory=dict)
 
 
-def _secret_blocks(secrets):
-    """secrets as an iterator of (k, 2) blocks, read lazily, with the first secret checked.
-
-    secrets is one (alpha, beta) pair, an array-like of such rows, or an iterator of
-    either (random_secrets' blocks).  The first secret is checked before the protocol's
-    own checks and the others as they are simulated, as a loop over them would.
-    """
-    blocks = secrets if isinstance(secrets, Iterator) else iter([secrets])
-    for block in blocks:
-        block = np.atleast_2d(np.asarray(block, dtype=np.complex128))
-        if len(block):
-            _secret_chunk(block[:1])
-            return itertools.chain([block], blocks)
-    raise ProtocolError("no secrets given")
-
-
-def _secret_chunk(rows):
-    """(T, 2) complex array of (alpha, beta) rows or of one pair, each normalized within 1e-9."""
-    chunk = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
-    if chunk.ndim != 2 or chunk.shape[1] != 2:
+def _secret_array(secrets):
+    """(T, 2) complex array of one (alpha, beta) pair or of T >= 1 rows, each normalized within 1e-9."""
+    try:
+        array = np.atleast_2d(np.asarray(secrets, dtype=np.complex128))
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"secrets are not an array of amplitudes: {exc}") from exc
+    if not len(array):
+        raise ProtocolError("no secrets given")
+    if array.ndim != 2 or array.shape[1] != 2:
         raise ProtocolError("a secret is one (alpha, beta) pair of amplitudes")
-    if not np.all(np.abs(np.abs(chunk[:, 0]) ** 2 + np.abs(chunk[:, 1]) ** 2 - 1.0) <= 1e-9):
+    if not np.all(np.abs(np.abs(array[:, 0]) ** 2 + np.abs(array[:, 1]) ** 2 - 1.0) <= 1e-9):
         raise ProtocolError("secret amplitudes are not normalized")
-    return chunk
-
-
-def _chunks(blocks, size):
-    """Checked chunks of at most size secrets, sliced from each block in order."""
-    for block in blocks:
-        block = _secret_chunk(block)
-        for start in range(0, len(block), size):
-            yield block[start:start + size]
+    return array
 
 
 def _secret_fidelities(amplitudes, layout, register, secrets):
@@ -227,8 +208,8 @@ class _BatchRun:
     last_states: list  # the last secret's state per branch, None where vacuous
 
 
-def _run_batch(layout, images, blocks, out_reg, before, bits=None, after=(None, None)):
-    """Push the secrets through simulate_protocol, one bounded chunk at a time.
+def _run_batch(layout, images, secrets, out_reg, before, bits=None, after=(None, None)):
+    """Push the (T, 2) secrets through simulate_protocol, one bounded chunk of rows at a time.
 
     before, bits and after are simulate_protocol's.  A chunk holds at most
     qstate.CUT_BATCH_ELEMENTS amplitudes.  Per secret: the state norm of the
@@ -238,7 +219,8 @@ def _run_batch(layout, images, blocks, out_reg, before, bits=None, after=(None, 
     size = max(1, qstate.CUT_BATCH_ELEMENTS // layout.dim)
     probabilities, fidelities, vacuous = [], [], []
     factorized = True
-    for chunk in _chunks(blocks, size):
+    for start in range(0, len(secrets), size):
+        chunk = secrets[start:start + size]
         amps = chunk[:, 0:1] * images[0] + chunk[:, 1:2] * images[1]
         check_norms(np.linalg.norm(amps, axis=1))
         probs, states, empty = simulate_protocol(amps, before, bits, after)
@@ -261,7 +243,7 @@ def _run_batch(layout, images, blocks, out_reg, before, bits=None, after=(None, 
         np.concatenate(fidelities, axis=1),
         np.concatenate(vacuous, axis=1),
         factorized,
-        chunk[-1],
+        secrets[-1],
         last_states,
     )
 
@@ -316,10 +298,10 @@ def run_threshold34_circuit(scheme, acting_set, secrets):
     parity flip back onto the controller.  The secret ends on the output
     particle with fidelity 1 and the residual factorizes.  scheme must be
     build_threshold34()'s scheme, with its identity assignment.  secrets
-    is one (alpha, beta) pair or a batch of them (see _secret_blocks); the
-    circuit is one gather, applied to all of them at once.
+    is one (alpha, beta) pair or a (T, 2) array of them, checked before the
+    scheme; the circuit is one gather, applied to all of them at once.
     """
-    blocks = _secret_blocks(secrets)
+    secrets = _secret_array(secrets)
     if scheme.num_particles != 4 or not np.allclose(
         scheme.basis_images, _block_images(4, _THRESHOLD34_BLOCK), atol=1e-12
     ):
@@ -339,7 +321,7 @@ def run_threshold34_circuit(scheme, acting_set, secrets):
     ]
     layout = RegisterLayout(particle_labels(4))
     out_reg = f"p{output}"
-    run = _run_batch(layout, scheme.basis_images, blocks, out_reg, _gather(layout, steps))
+    run = _run_batch(layout, scheme.basis_images, secrets, out_reg, _gather(layout, steps))
     fidelities = run.fidelities[0].tolist()
     residual = _residual_ket(run.last_states[0], out_reg, *run.last_secret)
 
@@ -376,8 +358,8 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
     particle then disentangles the rest, leaving the secret there.  Sets
     of the form co-block + one insider are authorized too but have no
     wiring here and are routed to the decoupling decoder.  secrets is one
-    (alpha, beta) pair or a batch of them; each secret's fidelity is that
-    of its worst reachable branch, capped at 1.
+    (alpha, beta) pair or a (T, 2) array of them, checked after the scheme;
+    each secret's fidelity is that of its worst reachable branch, capped at 1.
     """
     n = scheme.num_particles
     if not 3 <= n <= MAX_MEASURE_PARTICLES:
@@ -390,7 +372,7 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
         raise ProtocolError("scheme images do not match the block construction for this block")
     if scheme.assignment != identity_assignment(n):
         raise ProtocolError("measure protocol assumes each player holds their own particle")
-    blocks = _secret_blocks(secrets)
+    secrets = _secret_array(secrets)
 
     acting = PlayerSubset.coerce(acting_set, n)
     outsiders = acting.bits & ~block.bits
@@ -418,7 +400,7 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
     layout = RegisterLayout(particle_labels(n))
     out_reg = f"p{first}"
     after = (_gather(layout, chain), _gather(layout, flips + chain))
-    run = _run_batch(layout, scheme.basis_images, blocks, out_reg, None,
+    run = _run_batch(layout, scheme.basis_images, secrets, out_reg, None,
                      _bit_vector(layout, measured), after)
     # fmin folds like min(worst, f) from worst = 1: a NaN fidelity leaves it alone
     worst = np.fmin.reduce(np.where(run.vacuous, 1.0, run.fidelities), axis=0, initial=1.0)
@@ -630,13 +612,15 @@ def attack_threshold34_pair23(secret, phase):
 
 
 def random_secrets(rng, count):
-    """count qubits drawn uniformly from the pure-state sphere, in blocks of SECRET_DRAW_ROWS.
+    """(count, 2) array of qubits drawn uniformly from the pure-state sphere.
 
     Each row is (cos(theta/2), e^(i phi) sin(theta/2)) with theta = arccos(1 - 2u),
-    phi = 2 pi u' and u, u' the generator's next two doubles, whatever the block size.
+    phi = 2 pi u' and u, u' the generator's next two doubles.  A count above
+    MAX_TRIALS raises qstate.ResourceLimitError before anything is drawn.
     """
-    for start in range(0, count, SECRET_DRAW_ROWS):
-        u = rng.random(2 * min(SECRET_DRAW_ROWS, count - start))
-        theta = np.arccos(1.0 - 2.0 * u[0::2])
-        phi = 2.0 * np.pi * u[1::2]
-        yield np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1)
+    if count > MAX_TRIALS:
+        raise qstate.ResourceLimitError(f"at most {MAX_TRIALS} trials supported, got {count}")
+    u = rng.random(2 * count)
+    theta = np.arccos(1.0 - 2.0 * u[0::2])
+    phi = 2.0 * np.pi * u[1::2]
+    return np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1)

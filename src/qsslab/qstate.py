@@ -217,20 +217,10 @@ def partial_trace(state, keep):
     return DensityMatrix(t @ t.conj().T, labels=kept_labels)
 
 
-def _spectrum_entropy(values, dim):
-    """-sum lambda log2 lambda of a density spectrum, clamped to [0, log2 dim]."""
-    if values.min() < EIGENVALUE_FLOOR:
-        raise QStateError(f"density matrix has eigenvalue {values.min()} below floor")
-    lam = values[values > ZERO_EIGENVALUE_CUT]
-    s = float(-(lam * np.log2(lam)).sum())
-    return min(max(s, 0.0), float(np.log2(dim)))
-
-
 def _spectrum_entropies(values, log2_dims):
-    """_spectrum_entropy of each row of a stack of spectra, row c of log2 dimension log2_dims[c].
+    """-sum lambda log2 lambda of each density spectrum row c, clamped to [0, log2_dims[c]].
 
-    Below 8 eigenvalues the sum runs in the same order and gives the same
-    bits; the clamp keeps Python's max/min semantics, so a pure cut stays -0.0.
+    The clamp keeps Python's max/min semantics, so a pure cut stays -0.0.
     """
     low = values.min()
     if low < EIGENVALUE_FLOOR:
@@ -244,7 +234,7 @@ def _spectrum_entropies(values, log2_dims):
 
 def von_neumann_entropy(dm):
     """S(rho) = -sum lambda_i log2 lambda_i, in bits."""
-    return _spectrum_entropy(np.linalg.eigvalsh(dm.matrix), dm.dim)
+    return float(_spectrum_entropies(np.linalg.eigvalsh(dm.matrix)[None], np.log2(dm.dim))[0])
 
 
 def _dense_ranks(values):

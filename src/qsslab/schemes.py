@@ -473,7 +473,10 @@ def load_scheme(data, name=""):
                 ket = entry["ket"]
                 if len(ket) != m or set(ket) - {"0", "1"}:
                     raise SchemeError(f"bad ket {ket!r} for {m} particles")
-                re, im = float(entry["re"]), float(entry["im"])
+                re, im = entry["re"], entry["im"]
+                if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (re, im)):
+                    raise SchemeError(f"amplitude of ket {ket} is not a JSON number")
+                re, im = float(re), float(im)
                 if not (math.isfinite(re) and math.isfinite(im)):
                     raise SchemeError(f"amplitude of ket {ket} is not finite")
                 images[b, int(ket, 2)] = complex(re, im)

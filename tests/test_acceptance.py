@@ -153,12 +153,12 @@ def test_criterion_6_reconstruction_fidelities(constructed_schemes):
     rng = np.random.default_rng(42)
     threshold34 = build_threshold34()
     for acting in ((1, 3, 4), (2, 3, 4), (1, 2, 3), (1, 2, 4)):
-        for secret in np.concatenate(list(random_secrets(rng, 20))):
+        for secret in random_secrets(rng, 20):
             out = run_threshold34_circuit(threshold34, acting, secret)
             assert out.fidelity >= 1.0 - 1e-9
     block_scheme, _ = build_block_scheme(5, [1, 2])
     for outsider in (3, 4, 5):
-        for secret in np.concatenate(list(random_secrets(rng, 20))):
+        for secret in random_secrets(rng, 20):
             out = run_block_measure_protocol(block_scheme, [1, 2], [1, 2, outsider], secret)
             assert out.fidelity >= 1.0 - 1e-9
     decoder_runs = 0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qsslab import cli
 from qsslab.cli import main
+from qsslab.protocols import MAX_TRIALS
 from qsslab.schemes import (
     DEALER,
     SchemeSpec,
@@ -692,6 +693,27 @@ class TestReconstruct:
         assert lines[0].startswith("trial 1: fidelity ")
         assert lines[-1].startswith("min fidelity: ")
 
+    @pytest.mark.parametrize("protocol", ["circuit", "measure"])
+    def test_trials_over_the_cap_exit5(self, tmp_path, threshold34_files, capsys, protocol):
+        scheme, _ = threshold34_files
+        if protocol == "measure":
+            scheme = str(tmp_path / "block5.json")
+            assert main(["build", "block", "--n", "5", "--b", "1,2", "--out", scheme]) == 0
+        argv = ["reconstruct", scheme, "--set", "1,2,3", "--protocol", protocol, "--block", "1,2",
+                "--trials", str(MAX_TRIALS + 1)]
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("resource limit: ")
+
+    def test_decoder_draws_nothing_whatever_the_trials(self, threshold34_files, capsys):
+        scheme, _ = threshold34_files
+        argv = ["reconstruct", scheme, "--set", "1,3,4", "--protocol", "decoder",
+                "--trials", str(MAX_TRIALS + 1), "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["fidelities"][0] >= 1.0 - 1e-9
+
     def test_unauthorized_circuit_set(self, threshold34_files):
         scheme, _ = threshold34_files
         assert main(["reconstruct", scheme, "--set", "1,2", "--protocol", "circuit"]) == 2
@@ -801,6 +823,8 @@ def _first_entry(**changes):
         ("scheme", _first_entry(ket=1111)),
         ("scheme", _first_entry(re="x")),
         ("scheme", _first_entry(re=float("nan"))),
+        ("scheme", _first_entry(re=True, im=False)),
+        ("scheme", _first_entry(re="1.0", im="0")),
         ("structure", {"players": 4, "minimal_authorized": [["1", 2, 3], [1, 4]]}),
         ("structure", {"players": 4, "minimal_authorized": [[1.0, 2, 3], [1, 4]]}),
         ("structure", {"players": 4, "minimal_authorized": [[None, 2, 3], [1, 4]]}),

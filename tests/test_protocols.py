@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 import reference_protocols as ref
 
-from qsslab import qstate
+from qsslab import protocols, qstate
 from qsslab.protocols import (
     MAX_MEASURE_PARTICLES,
+    MAX_TRIALS,
     DecouplingError,
     ProtocolError,
     UnauthorizedSetError,
@@ -18,7 +20,6 @@ from qsslab.protocols import (
     attack_threshold34_pair12,
     attack_threshold34_pair23,
     decoupling_decoder,
-    SECRET_DRAW_ROWS,
     random_secrets,
     run_block_measure_protocol,
     run_threshold34_circuit,
@@ -42,7 +43,7 @@ THRESHOLD34 = build_threshold34()
 
 def seeded_secrets(count, seed=42):
     """(count, 2) array of seeded random secrets."""
-    return np.concatenate(list(random_secrets(np.random.default_rng(seed), count)))
+    return random_secrets(np.random.default_rng(seed), count)
 
 
 def gate(kind, controls, targets):
@@ -397,25 +398,47 @@ class TestBatchedAgainstReference:
             assert_matches_reference(
                 single, [ref.block_measure_protocol(scheme, [1, 2], [1, 2, 4], secret)])
 
-    def test_secrets_are_read_after_the_checks(self):
-        drawn = []
-
-        def secrets():
-            for secret in seeded_secrets(5):
-                drawn.append(secret)
-                yield secret
-
+    def test_secrets_are_checked_once_before_the_set(self):
         scheme, _ = build_block_scheme(5, [1, 2])
+        secrets = seeded_secrets(5)
         with pytest.raises(UnauthorizedSetError):
-            run_threshold34_circuit(THRESHOLD34, (1, 2), secrets())
+            run_threshold34_circuit(THRESHOLD34, (1, 2), secrets)
         with pytest.raises(UnauthorizedSetError):
-            run_block_measure_protocol(scheme, [1, 2], [3, 4, 5], secrets())
-        assert len(drawn) == 2  # the first secret of each call, checked before the set
-        out = run_block_measure_protocol(scheme, [1, 2], [1, 2, 5], secrets())
-        assert len(drawn) == 7
-        assert out == run_block_measure_protocol(scheme, [1, 2], [1, 2, 5], drawn[2:])
-        with pytest.raises(ProtocolError, match="no secrets"):
-            run_threshold34_circuit(THRESHOLD34, (1, 3, 4), iter(()))
+            run_block_measure_protocol(scheme, [1, 2], [3, 4, 5], secrets)
+        unnormalized = np.concatenate([secrets, [(1.0, 1.0)]])
+        with pytest.raises(ProtocolError, match="not normalized"):
+            run_threshold34_circuit(THRESHOLD34, (1, 2), unnormalized)
+        with pytest.raises(ProtocolError, match="not normalized"):
+            run_block_measure_protocol(scheme, [1, 2], [3, 4, 5], unnormalized)
+        with pytest.raises(ProtocolError, match="no secrets given"):
+            run_threshold34_circuit(THRESHOLD34, (1, 3, 4), np.empty((0, 2)))
+        with pytest.raises(ProtocolError, match="no secrets given"):
+            run_block_measure_protocol(scheme, [1, 2], [1, 2, 5], np.empty((0, 2)))
+
+    def test_iterators_are_refused(self):
+        scheme, _ = build_block_scheme(5, [1, 2])
+        with pytest.raises(ProtocolError):
+            run_threshold34_circuit(THRESHOLD34, (1, 3, 4), iter(seeded_secrets(3)))
+        with pytest.raises(ProtocolError):
+            run_block_measure_protocol(scheme, [1, 2], [1, 2, 5], (s for s in seeded_secrets(3)))
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 3, 4), (7,), (5, 1, 1, 3), (3, 3, 3)])
+    def test_a_batch_is_the_runs_over_its_slices(self, monkeypatch, sizes):
+        secrets = seeded_secrets(sum(sizes), seed=len(sizes))
+        bounds = np.cumsum((0,) + sizes)
+        slices = [secrets[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        scheme, _ = build_block_scheme(5, [2, 4])
+        monkeypatch.setattr(qstate, "CUT_BATCH_ELEMENTS", 3 * 32)
+        for run in (lambda s: run_block_measure_protocol(scheme, [2, 4], [1, 2, 4], s),
+                    lambda s: run_threshold34_circuit(THRESHOLD34, (1, 2, 4), s)):
+            parts = [run(s) for s in slices]
+            fidelities = [f for part in parts for f in part.fidelities]
+            assert run(secrets) == dataclasses.replace(
+                parts[-1],
+                fidelity=min(fidelities),
+                fidelities=fidelities,
+                residual_factorized=all(part.residual_factorized for part in parts),
+            )
 
     @pytest.mark.parametrize("budget_rows", (1, 3, 7))
     def test_chunks_that_do_not_divide_the_batch(self, monkeypatch, budget_rows):
@@ -752,39 +775,27 @@ class TestRandomSecrets:
         for alpha, beta in a1:
             assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("count", [1, 63, 64, 65, SECRET_DRAW_ROWS + 37])
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 1061, 3001])
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
-    def test_blocks_equal_the_scalar_draws_bit_for_bit(self, count, seed):
-        blocks = list(random_secrets(np.random.default_rng(seed), count))
-        assert [len(b) for b in blocks[:-1]] == [SECRET_DRAW_ROWS] * (len(blocks) - 1)
-        assert 1 <= len(blocks[-1]) <= SECRET_DRAW_ROWS
+    def test_secrets_equal_the_scalar_draws_bit_for_bit(self, count, seed):
+        got = random_secrets(np.random.default_rng(seed), count)
         rng = np.random.default_rng(seed)
         expected = np.array([ref.random_secret(rng) for _ in range(count)], dtype=np.complex128)
-        got = np.concatenate(blocks)
-        assert got.dtype == np.complex128
+        assert got.shape == (count, 2) and got.dtype == np.complex128
         assert got.tobytes() == expected.tobytes()
 
-    def test_blocks_are_drawn_as_they_are_read(self):
+    def test_over_the_cap_nothing_is_drawn(self):
         rng = np.random.default_rng(3)
-        blocks = random_secrets(rng, 3 * SECRET_DRAW_ROWS)
-        first = next(blocks)
-        # the generator has taken two doubles per secret of its first block only
-        probe = np.random.default_rng(3)
-        probe.random(2 * SECRET_DRAW_ROWS)
-        assert rng.random() == probe.random()
-        assert len(first) == SECRET_DRAW_ROWS
+        state = rng.bit_generator.state
+        with pytest.raises(qstate.ResourceLimitError, match=f"at most {MAX_TRIALS} trials"):
+            random_secrets(rng, MAX_TRIALS + 1)
+        assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("sizes", [(1, 2, 3, 4), (7,), (5, 1, 1, 3), (0, 4, 0, 6)])
-    def test_blocks_of_any_size_give_the_whole_batch(self, monkeypatch, sizes):
-        secrets = seeded_secrets(sum(sizes), seed=len(sizes))
-        bounds = np.cumsum((0,) + sizes)
-        blocks = [secrets[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        scheme, _ = build_block_scheme(5, [2, 4])
-        monkeypatch.setattr(qstate, "CUT_BATCH_ELEMENTS", 3 * 32)
-        assert (run_block_measure_protocol(scheme, [2, 4], [1, 2, 4], iter(blocks))
-                == run_block_measure_protocol(scheme, [2, 4], [1, 2, 4], secrets))
-        assert (run_threshold34_circuit(THRESHOLD34, (1, 2, 4), iter(blocks))
-                == run_threshold34_circuit(THRESHOLD34, (1, 2, 4), secrets))
+    def test_the_cap_itself_is_drawn(self, monkeypatch):
+        monkeypatch.setattr(protocols, "MAX_TRIALS", 5)
+        assert random_secrets(np.random.default_rng(3), 5).shape == (5, 2)
+        with pytest.raises(qstate.ResourceLimitError):
+            random_secrets(np.random.default_rng(3), 6)
 
     def test_memory_stays_below_one_full_amplitude_array(self):
         trials = 100_000
