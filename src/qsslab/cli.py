@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 input error, 3 structural mismatch,
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -155,9 +154,11 @@ def _tolerance(args):
 def cmd_structure_check(args):
     gamma = _load_structure(args.path)
     if not structures.is_quantum_admissible(gamma):
-        # two authorized sets are disjoint exactly when two minimal ones are
-        pairs = itertools.combinations(gamma.minimal_sets, 2)
-        a, b = next((a, b) for a, b in pairs if a.bits & b.bits == 0)
+        # two authorized sets are disjoint exactly when two minimal ones are; the first
+        # minimal set with an authorized complement has all its disjoint partners after it
+        full = (1 << gamma.n) - 1
+        a = gamma.minimal_sets[int(np.argmax(gamma.authorized[full ^ np.array(gamma.masks())]))]
+        b = next(b for b in gamma.minimal_sets if a.bits & b.bits == 0)
         raise CliError(f"disjoint authorized sets {a} and {b}: not quantum-admissible", EXIT_INPUT)
     n = gamma.n
     a1, a2 = (masks.tolist() for masks in structures._adversary_masks(gamma))

@@ -16,8 +16,8 @@ the protocols take their secrets as one (T, 2) array and feed it in
 chunks of at most qstate.CUT_BATCH_ELEMENTS amplitudes, and nothing is
 stepped per secret.
 Both protocols refuse schemes whose players do not each hold their own
-particle and name only registers of the acting set, which they have
-checked, so every register a protocol touches belongs to an acting player.
+particle, and wire every authorized set from its own players, so every
+register a protocol touches belongs to an acting player.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +30,6 @@ from .schemes import (
     _THRESHOLD34_BLOCK,
     _block_images,
     apply_to_secret,
-    block_structure,
     build_threshold34,
     distribute_purified,
     identity_assignment,
@@ -42,7 +41,7 @@ DECOUPLING_TOL = 1e-9
 #: Largest block scheme the measure protocol simulates: the build_block_scheme
 #: bound.  A batch holds at most qstate.CUT_BATCH_ELEMENTS amplitudes at a
 #: time, so 13 particles run 4 secrets per chunk.
-MAX_MEASURE_PARTICLES = 13
+MAX_MEASURE_PARTICLES = qstate.MAX_QUBITS - 1
 #: Most secrets random_secrets draws.  The secrets, their fidelities and the
 #: per-branch arrays grow with the count: 10^6 circuit trials take about 250 MB.
 MAX_TRIALS = 1_000_000
@@ -54,10 +53,6 @@ class ProtocolError(ValueError):
 
 class UnauthorizedSetError(ProtocolError):
     """The acting set cannot reconstruct the secret."""
-
-
-class UnsupportedActingSetError(ProtocolError):
-    """Authorized, but this protocol has no wiring for the set."""
 
 
 class DecouplingError(ProtocolError):
@@ -274,8 +269,8 @@ def _ket_doc(state):
 # ---------------------------------------------------------------------------
 # circuit reconstruction for the four-share threshold scheme
 
-# acting triple -> (controller, stage-one targets, output particle); fixed
-# wiring validated by the fidelity-1 requirement
+# authorized triple -> (controller, stage-one targets, output particle), fixed
+# wiring validated by the fidelity-1 requirement; a set runs the first it holds
 _CIRCUIT_ROLES = {
     frozenset({1, 3, 4}): (3, (1, 4), 1),
     frozenset({2, 3, 4}): (3, (2, 4), 2),
@@ -291,12 +286,13 @@ _DOCUMENTED_RESIDUAL_NOTE = (
 
 
 def run_threshold34_circuit(scheme, acting_set, secrets):
-    """Controlled-flip reconstruction circuit for an authorized triple of the threshold34 scheme.
+    """Controlled-flip reconstruction circuit for an authorized set of the threshold34 scheme.
 
-    Stage one: the designated controller conditions flips on both other
-    acting particles.  Stage two: those two particles jointly control a
-    parity flip back onto the controller.  The secret ends on the output
-    particle with fidelity 1 and the residual factorizes.  scheme must be
+    The set runs the first _CIRCUIT_ROLES triple it holds; a fourth player
+    idles.  Stage one: the triple's controller conditions flips on its other
+    two particles.  Stage two: those two jointly control a parity flip back
+    onto the controller.  The secret ends on the output particle with
+    fidelity 1 and the residual factorizes.  scheme must be
     build_threshold34()'s scheme, with its identity assignment.  secrets
     is one (alpha, beta) pair or a (T, 2) array of them, checked before the
     scheme; the circuit is one gather, applied to all of them at once.
@@ -309,8 +305,8 @@ def run_threshold34_circuit(scheme, acting_set, secrets):
     if scheme.assignment != identity_assignment(4):
         raise ProtocolError("circuit wiring assumes each player holds their own particle")
     acting = PlayerSubset.coerce(acting_set, 4)
-    key = frozenset(acting.players())
-    if key not in _CIRCUIT_ROLES:
+    key = next((t for t in _CIRCUIT_ROLES if t <= set(acting.players())), None)
+    if key is None:
         raise UnauthorizedSetError(f"{acting} is not an authorized triple")
     controller, targets, output = _CIRCUIT_ROLES[key]
 
@@ -351,15 +347,17 @@ def run_threshold34_circuit(scheme, acting_set, secrets):
 
 
 def run_block_measure_protocol(scheme, block, acting_set, secrets):
-    """Measurement protocol for acting sets of the form block + one outsider.
+    """Measurement protocol for any authorized set of a block scheme.
 
-    The outsider measures their particle and announces the bit; on outcome
-    1 every block particle is flipped; a flip chain from the first block
-    particle then disentangles the rest, leaving the secret there.  Sets
-    of the form co-block + one insider are authorized too but have no
-    wiring here and are routed to the decoupling decoder.  secrets is one
-    (alpha, beta) pair or a (T, 2) array of them, checked after the scheme;
-    each secret's fidelity is that of its worst reachable branch, capped at 1.
+    block(n, b) and block(n, ~b) have the same images, so the protocol wires
+    the block, or else its complement: the first side the acting set holds
+    whole along with another player (a set with neither is unauthorized).
+    The lowest other player measures and announces the bit, and the rest
+    idle; on outcome 1 every particle of the side is flipped, then a flip
+    chain from its first particle disentangles the rest, leaving the secret
+    there.  secrets is one (alpha, beta) pair or a (T, 2) array of them,
+    checked after the scheme; each secret's fidelity is that of its worst
+    reachable branch, capped at 1.
     """
     n = scheme.num_particles
     if not 3 <= n <= MAX_MEASURE_PARTICLES:
@@ -375,23 +373,13 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
     secrets = _secret_array(secrets)
 
     acting = PlayerSubset.coerce(acting_set, n)
-    outsiders = acting.bits & ~block.bits
-    if acting.bits | block.bits == acting.bits and outsiders.bit_count() == 1:
-        measurer = outsiders.bit_length()
-    else:
-        comp = block.complement()
-        insiders = acting.bits & ~comp.bits
-        if acting.bits | comp.bits == acting.bits and insiders.bit_count() == 1:
-            raise UnsupportedActingSetError(
-                f"{acting} is the co-block plus one insider; use the decoupling decoder"
-            )
-        if not block_structure(n, block).contains(acting):
-            raise UnauthorizedSetError(f"{acting} is not authorized for this block scheme")
-        raise UnsupportedActingSetError(
-            f"{acting} is authorized but not of the form block + one outsider"
-        )
+    side = next((s for s in (block, block.complement())
+                 if acting.bits & s.bits == s.bits and acting.bits != s.bits), None)
+    if side is None:
+        raise UnauthorizedSetError(f"{acting} is not authorized for this block scheme")
 
-    members = block.players()
+    members = side.players()
+    measurer = min(set(acting.players()) - set(members))
     first = members[0]
     measured = f"p{measurer}"
     flips = [{"step": "pauli_x", "controls": (), "targets": (f"p{p}",)} for p in members]

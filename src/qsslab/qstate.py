@@ -120,11 +120,8 @@ class PureState:
     def ket_terms(self, cut=1e-12):
         """(bitstring, amplitude) pairs of the significant components."""
         n = self.num_qubits
-        return [
-            (format(i, f"0{n}b"), self.amplitudes[i])
-            for i in range(self.layout.dim)
-            if abs(self.amplitudes[i]) > cut
-        ]
+        indices = np.flatnonzero(np.abs(self.amplitudes) > cut)
+        return [(format(i, f"0{n}b"), a) for i, a in zip(indices.tolist(), self.amplitudes[indices])]
 
     def __repr__(self):
         terms = ", ".join(f"|{b}>: {a:.4g}" for b, a in self.ket_terms(1e-6))

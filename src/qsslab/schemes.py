@@ -430,15 +430,12 @@ def save_scheme(scheme):
     """Serialize a scheme to the JSON document structure."""
     m = scheme.num_particles
     images = {}
-    for b in (0, 1):
-        entries = []
-        for idx in range(1 << m):
-            amp = scheme.basis_images[b, idx]
-            if abs(amp) > 1e-15:
-                entries.append(
-                    {"ket": format(idx, f"0{m}b"), "re": float(amp.real), "im": float(amp.imag)}
-                )
-        images[str(b)] = entries
+    for b, image in enumerate(scheme.basis_images):
+        indices = np.flatnonzero(np.abs(image) > 1e-15)
+        images[str(b)] = [
+            {"ket": format(idx, f"0{m}b"), "re": float(amp.real), "im": float(amp.imag)}
+            for idx, amp in zip(indices.tolist(), image[indices])
+        ]
     return {
         "num_particles": m,
         "secret_dim": 2,

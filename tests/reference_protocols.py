@@ -20,7 +20,6 @@ from qsslab.protocols import (
     ProtocolError,
     ProtocolOutcome,
     UnauthorizedSetError,
-    UnsupportedActingSetError,
     _ket_doc,
     _residual_ket,
 )
@@ -200,9 +199,10 @@ def threshold34_circuit(scheme, acting_set, secret):
     if scheme.assignment != identity_assignment(4):
         raise ProtocolError("circuit wiring assumes each player holds their own particle")
     acting = PlayerSubset.coerce(acting_set, 4)
-    key = frozenset(acting.players())
-    if key not in _CIRCUIT_ROLES:
+    if len(acting.players()) < 3:
         raise UnauthorizedSetError(f"{acting} is not an authorized triple")
+    # the first triple of the wiring table that the set holds
+    key = [t for t in _CIRCUIT_ROLES if t <= set(acting.players())][0]
     controller, targets, output = _CIRCUIT_ROLES[key]
     steps = (
         GateStep("single_controlled", (f"p{controller}",), tuple(f"p{t}" for t in targets)),
@@ -245,22 +245,14 @@ def block_measure_protocol(scheme, block, acting_set, secret):
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise ProtocolError("secret amplitudes are not normalized")
     acting = PlayerSubset.coerce(acting_set, n)
-    outsiders = acting.bits & ~block.bits
-    if acting.bits | block.bits == acting.bits and outsiders.bit_count() == 1:
-        measurer = outsiders.bit_length()
-    else:
-        comp = block.complement()
-        insiders = acting.bits & ~comp.bits
-        if acting.bits | comp.bits == acting.bits and insiders.bit_count() == 1:
-            raise UnsupportedActingSetError(
-                f"{acting} is the co-block plus one insider; use the decoupling decoder"
-            )
-        if not gamma.contains(acting):
-            raise UnauthorizedSetError(f"{acting} is not authorized for this block scheme")
-        raise UnsupportedActingSetError(
-            f"{acting} is authorized but not of the form block + one outsider"
-        )
+    if not gamma.contains(acting):
+        raise UnauthorizedSetError(f"{acting} is not authorized for this block scheme")
+    # an authorized set holds the block or the co-block, and a player beyond it
+    held = set(acting.players())
     members = block.players()
+    if not set(members) <= held:
+        members = block.complement().players()
+    measurer = min(held - set(members))
     first = members[0]
     flips = tuple(GateStep("pauli_x", (), (f"p{p}",)) for p in members)
     chain = tuple(GateStep("cnot", (f"p{first}",), (f"p{p}",)) for p in members[1:])

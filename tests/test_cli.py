@@ -152,6 +152,37 @@ class TestStructureCheck:
         assert (str(a), str(b)) == ("{P1,P2,P3,P4,P5,P6}", "{P7,P8,P9,P10,P11,P12}")
 
 
+@st.composite
+def non_admissible_structures(draw):
+    """Structures on 2-10 players with two disjoint minimal sets among random others."""
+    n = draw(st.integers(2, 10))
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(1, full), max_size=12))
+    a = draw(st.integers(1, full - 1))
+    b = (draw(st.integers(1, full)) & ~a) or full ^ a
+    # reduction keeps a subset of a and of b, which stay disjoint
+    return antichain_reduce(n, masks + [a, b])
+
+
+@given(non_admissible_structures())
+# 3,003 pairwise meeting 8-sets of P1..P14 sort before the disjoint pair through P15 and P16
+@example(AccessStructure.from_sets(
+    16, [list(c) for c in itertools.combinations(range(1, 15), 8)]
+    + [[*range(1, 8), 15], [*range(8, 15), 16]]))
+@settings(max_examples=80, deadline=None)
+def test_structure_check_names_the_first_disjoint_pair(tmp_path_factory, gamma):
+    a, b = next(
+        (a, b) for a, b in itertools.combinations(gamma.minimal_sets, 2) if not a.bits & b.bits
+    )
+    path = tmp_path_factory.getbasetemp() / "non_admissible.json"
+    path.write_text(json.dumps(structure_to_dict(gamma)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["structure", "check", str(path)]) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"error: disjoint authorized sets {a} and {b}: not quantum-admissible\n"
+
+
 def structure_check_reference(gamma, fmt):
     """structure check's stdout, built through PlayerSubset objects and json.dumps.
 
@@ -616,6 +647,19 @@ class TestReconstruct:
         doc = json.loads(capsys.readouterr().out)
         assert min(doc["fidelities"]) >= 1.0 - 1e-9
 
+    def test_measure_co_block_set_prints_what_the_co_block_prints(self, tmp_path, capsys):
+        # block(5, {1, 2}) is block(5, {3, 4, 5}); {P1,P3,P4,P5} holds the co-block whole
+        out = tmp_path / "block.json"
+        assert main(["build", "block", "--n", "5", "--b", "1,2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        argv = ["reconstruct", str(out), "--set", "1,3,4,5", "--protocol", "measure",
+                "--trials", "20", "--format", "json", "--block"]
+        assert main(argv + ["3,4,5"]) == 0
+        co_block = capsys.readouterr().out
+        assert main(argv + ["1,2"]) == 0
+        assert capsys.readouterr().out == co_block
+        assert min(json.loads(co_block)["fidelities"]) >= 1.0 - 1e-9
+
     def test_measure_protocol_keeps_its_size_limit(self, tmp_path, capsys):
         # 14 particles loads, but the measure simulation stops at the 13 of build_block_scheme
         path = write_over_budget_scheme(tmp_path)
@@ -717,6 +761,15 @@ class TestReconstruct:
     def test_unauthorized_circuit_set(self, threshold34_files):
         scheme, _ = threshold34_files
         assert main(["reconstruct", scheme, "--set", "1,2", "--protocol", "circuit"]) == 2
+
+    def test_circuit_full_set(self, threshold34_files, capsys):
+        scheme, _ = threshold34_files
+        assert main(
+            ["reconstruct", scheme, "--set", "1,2,3,4", "--trials", "20", "--format", "json"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["fidelities"]) == 20 and min(doc["fidelities"]) >= 1.0 - 1e-9
+        assert doc["trace"]["acting"] == [1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from qsslab.protocols import (
     DecouplingError,
     ProtocolError,
     UnauthorizedSetError,
-    UnsupportedActingSetError,
     _bit_vector,
     _gather,
     _secret_fidelities,
@@ -257,9 +256,27 @@ class TestThreshold34Circuit:
         assert len(residual) == 2
         assert any("(|000>+|110>)" in note for note in out.deviations)
 
+    def test_full_set_runs_the_first_triple(self):
+        secrets = seeded_secrets(16, seed=4)
+        full = run_threshold34_circuit(THRESHOLD34, (1, 2, 3, 4), secrets)
+        triple = run_threshold34_circuit(THRESHOLD34, (1, 3, 4), secrets)
+        assert full.trace["acting"] == [1, 2, 3, 4]
+        assert full == dataclasses.replace(triple, trace={**triple.trace, "acting": [1, 2, 3, 4]})
+        assert full.fidelity >= 1.0 - 1e-9 and full.residual_factorized
+
     def test_unauthorized_pair_rejected(self):
         with pytest.raises(UnauthorizedSetError):
             run_threshold34_circuit(THRESHOLD34, (1, 2), (1.0, 0.0))
+
+    def test_only_sets_of_three_or_more_reconstruct(self):
+        for bits in range(16):
+            acting = PlayerSubset(bits, 4)
+            if bits.bit_count() >= 3:
+                out = run_threshold34_circuit(THRESHOLD34, acting, seeded_secrets(4, seed=bits))
+                assert out.fidelity >= 1.0 - 1e-9 and out.residual_factorized
+            else:
+                with pytest.raises(UnauthorizedSetError, match="not an authorized triple"):
+                    run_threshold34_circuit(THRESHOLD34, acting, (0.6, 0.8))
 
     def test_unnormalized_secret_rejected(self):
         with pytest.raises(ProtocolError, match="normalized"):
@@ -309,15 +326,42 @@ class TestBlockMeasureProtocol:
         assert out.fidelity >= 1.0 - 1e-9
         assert min(out.branch_fidelities.values()) >= 1.0 - 1e-9
 
-    def test_co_block_routed_to_decoder(self):
+    def test_co_block_plus_insider_runs_on_the_co_block(self):
+        # block(5, {1, 2}) and block(5, {3, 4, 5}) are one scheme: the same run, bit for bit
         scheme, _ = build_block_scheme(5, [1, 2])
-        with pytest.raises(UnsupportedActingSetError, match="decoder"):
-            run_block_measure_protocol(scheme, [1, 2], [1, 3, 4, 5], (1.0, 0.0))
+        secrets = seeded_secrets(20, seed=3)
+        out = run_block_measure_protocol(scheme, [1, 2], [1, 3, 4, 5], secrets)
+        assert out == run_block_measure_protocol(scheme, [3, 4, 5], [1, 3, 4, 5], secrets)
+        assert out.fidelity >= 1.0 - 1e-9 and out.residual_factorized
+        assert out.trace["measurer"] == 1 and out.output_register == "p3"
+
+    def test_further_players_stay_idle(self):
+        scheme, _ = build_block_scheme(6, [2, 5])
+        out = run_block_measure_protocol(scheme, [2, 5], [1, 2, 3, 5, 6], seeded_secrets(8))
+        assert out.fidelity >= 1.0 - 1e-9 and out.residual_factorized
+        assert out.trace["measurer"] == 1
+        assert trace_registers(out.trace) == {"p1", "p2", "p5"}
 
     def test_unauthorized_set_rejected(self):
         scheme, _ = build_block_scheme(5, [1, 2])
         with pytest.raises(UnauthorizedSetError):
             run_block_measure_protocol(scheme, [1, 2], [3, 4, 5], (1.0, 0.0))
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_every_acting_set_of_every_block(self, n):
+        secrets = seeded_secrets(3, seed=n)
+        for block_bits in range(1, (1 << n) - 1):
+            block = PlayerSubset(block_bits, n)
+            scheme, gamma = build_block_scheme(n, block)
+            for bits in range(1 << n):
+                acting = PlayerSubset(bits, n)
+                if gamma.contains(acting):
+                    out = run_block_measure_protocol(scheme, block, acting, secrets)
+                    assert out.fidelity >= 1.0 - 1e-9, (block, acting)
+                    assert out.residual_factorized, (block, acting)
+                else:
+                    with pytest.raises(UnauthorizedSetError):
+                        run_block_measure_protocol(scheme, block, acting, secrets)
 
     def test_star_block_single_member(self):
         scheme, _ = build_block_scheme(4, [1])
@@ -362,7 +406,7 @@ def assert_same_error(call, reference_call):
 
 
 class TestBatchedAgainstReference:
-    @pytest.mark.parametrize("acting", TRIPLES)
+    @pytest.mark.parametrize("acting", TRIPLES + ((1, 2, 3, 4),))
     def test_circuit_triple(self, acting):
         secrets = seeded_secrets(256, seed=sum(acting))
         out = run_threshold34_circuit(THRESHOLD34, acting, secrets)
@@ -473,8 +517,7 @@ class TestBatchedAgainstReference:
         scheme, _ = build_block_scheme(5, [1, 2])
         cases = [
             ([1, 2], [3, 4, 5], (1.0, 0.0)),  # unauthorized
-            ([1, 2], [1, 3, 4, 5], (1.0, 0.0)),  # co-block plus one insider
-            ([1, 2], [1, 2, 3, 4], (1.0, 0.0)),  # authorized, no wiring
+            ([1, 2], [1, 2], (1.0, 0.0)),  # the block alone
             ([1, 2], [1, 2, 3], (1.0, 1.0)),  # unnormalized
             ([1, 3], [1, 2, 3], (1.0, 0.0)),  # scheme of another block
             ([1, 3], [3, 4, 5], (1.0, 1.0)),
@@ -484,6 +527,20 @@ class TestBatchedAgainstReference:
                 lambda: run_block_measure_protocol(scheme, block, acting, secret),
                 lambda: ref.block_measure_protocol(scheme, block, acting, secret),
             )
+
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_measure_every_authorized_set(self, n):
+        # co-block plus insider sets and supersets included, such as {1, 3, 4, 5} and
+        # {1, 2, 3, 4} with block {1, 2} at n = 5
+        for bits in range(1, (1 << n) - 1):
+            block = list(PlayerSubset(bits, n).players())
+            scheme, gamma = build_block_scheme(n, block)
+            for acting_bits in np.flatnonzero(gamma.authorized).tolist():
+                acting = list(PlayerSubset(acting_bits, n).players())
+                secret = seeded_secrets(1, seed=bits * 64 + acting_bits)
+                out = run_block_measure_protocol(scheme, block, acting, secret)
+                expected = [ref.block_measure_protocol(scheme, block, acting, secret[0])]
+                assert_matches_reference(out, expected)
 
     def test_measure_size_limit_is_the_block_scheme_bound(self):
         assert MAX_MEASURE_PARTICLES == 13
