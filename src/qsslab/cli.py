@@ -420,7 +420,15 @@ def _add_common(parser, formats=(), *, tolerance=False, out=False):
         parser.add_argument("--out", default=None)
 
 
-def build_parser():
+def build_parser(leaves=None):
+    """The qsslab parser; leaves, when given, gets each subcommand's parser by its command words."""
+    leaves = {} if leaves is None else leaves
+
+    def add_leaf(sub, name, **kwargs):
+        leaf = sub.add_parser(name, **kwargs)
+        leaves[tuple(leaf.prog.split()[1:])] = leaf  # prog is "qsslab" and the words
+        return leaf
+
     parser = argparse.ArgumentParser(
         prog="qsslab",
         description="Construct, simulate, and verify quantum secret sharing schemes",
@@ -429,21 +437,21 @@ def build_parser():
 
     p_structure = sub.add_parser("structure", help="access-structure analyses")
     structure_sub = p_structure.add_subparsers(dest="action", required=True)
-    p_check = structure_sub.add_parser("check", help="admissibility and adversary partition")
+    p_check = add_leaf(structure_sub, "check", help="admissibility and adversary partition")
     p_check.add_argument("path")
     _add_common(p_check, ("text", "json"))
     p_check.set_defaults(func=cmd_structure_check)
 
     p_scheme = sub.add_parser("scheme", help="scheme analyses")
     scheme_sub = p_scheme.add_subparsers(dest="action", required=True)
-    p_verify = scheme_sub.add_parser("verify", help="verify a scheme against a structure")
+    p_verify = add_leaf(scheme_sub, "verify", help="verify a scheme against a structure")
     p_verify.add_argument("scheme")
     p_verify.add_argument("structure")
     p_verify.add_argument("--model", choices=["perfect", "generalized"], default="generalized")
     _add_common(p_verify, ("text", "json", "csv"), tolerance=True, out=True)
     p_verify.set_defaults(func=cmd_scheme_verify)
 
-    p_build = sub.add_parser("build", help="construct a scheme family member")
+    p_build = add_leaf(sub, "build", help="construct a scheme family member")
     p_build.add_argument("family", choices=["threshold34", "block", "star"])
     p_build.add_argument("--n", type=int, default=None)
     p_build.add_argument("--b", default=None, help="block players, e.g. 1,2")
@@ -453,12 +461,12 @@ def build_parser():
 
     p_assign = sub.add_parser("assign", help="particle redistribution")
     assign_sub = p_assign.add_subparsers(dest="action", required=True)
-    p_induce = assign_sub.add_parser("induce", help="induced structure of an assignment")
+    p_induce = add_leaf(assign_sub, "induce", help="induced structure of an assignment")
     p_induce.add_argument("--scheme", required=True)
     p_induce.add_argument("--base", required=True, help="structure over the particles")
     _add_common(p_induce, out=True)
     p_induce.set_defaults(func=cmd_assign_induce)
-    p_search = assign_sub.add_parser("search", help="search assignments realizing a target")
+    p_search = add_leaf(assign_sub, "search", help="search assignments realizing a target")
     p_search.add_argument("--target", required=True)
     p_search.add_argument("--scheme", default=None)
     p_search.add_argument("--base", default=None)
@@ -468,12 +476,12 @@ def build_parser():
     _add_common(p_search, tolerance=True, out=True)
     p_search.set_defaults(func=cmd_assign_search)
 
-    p_enum = sub.add_parser("enumerate", help="hyperstar isomorphism classes")
+    p_enum = add_leaf(sub, "enumerate", help="hyperstar isomorphism classes")
     p_enum.add_argument("--max-n", type=int, default=5)
     _add_common(p_enum, ("text", "json", "csv"), out=True)
     p_enum.set_defaults(func=cmd_enumerate)
 
-    p_rec = sub.add_parser("reconstruct", help="run a reconstruction protocol")
+    p_rec = add_leaf(sub, "reconstruct", help="run a reconstruction protocol")
     p_rec.add_argument("scheme")
     p_rec.add_argument("--set", required=True, help="acting players, e.g. 1,3,4")
     p_rec.add_argument("--protocol", choices=["circuit", "measure", "decoder"], default="circuit")
@@ -483,7 +491,7 @@ def build_parser():
     _add_common(p_rec, ("text", "json"), out=True)
     p_rec.set_defaults(func=cmd_reconstruct)
 
-    p_tables = sub.add_parser("tables", help="catalog feasibility matrix")
+    p_tables = add_leaf(sub, "tables", help="catalog feasibility matrix")
     p_tables.add_argument("--out-dir", default=None)
     _add_common(p_tables, ("json", "csv"), tolerance=True)
     p_tables.set_defaults(func=cmd_tables)
@@ -492,12 +500,20 @@ def build_parser():
 
 @functools.cache
 def _parser():
-    """The parser, built once per process: parse_args keeps no state between calls."""
-    return build_parser()
+    """The parser and its leaves, built once per process: parsing keeps no state between calls."""
+    leaves = {}
+    return build_parser(leaves), leaves
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser, leaves = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # as the three-level parse does: the rest of argv after a subcommand's words to that
+    # subcommand's parser, and any arguments it leaves over to the root parser's error
+    words = next((w for w in (tuple(argv[:1]), tuple(argv[:2])) if w in leaves), ())
+    args, extras = leaves.get(words, parser).parse_known_args(argv[len(words):])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except CliError as exc:

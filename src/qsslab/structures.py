@@ -3,9 +3,9 @@
 Players are numbered 1..n; a subset of players is a bitmask with bit i-1
 standing for player Pi.  An access structure is stored as the antichain of
 its minimal authorized sets.  Whether a subset is authorized is decided in
-one place, a bool table over the 2^n subsets (AccessStructure.authorized,
-the up-closure of the minimal sets); membership, admissibility, the A1/A2
-classes and the minimal sets of derived structures all read such a table.
+one place, the up-closure of the minimal sets: an int whose bit b stands for
+subset b, unpacked into a bool table (AccessStructure.authorized) for the
+admissibility check, the A1/A2 classes and the structures derived from it.
 
 A structure is quantum-admissible when no two authorized sets are disjoint
 (two disjoint authorized sets could each reconstruct the secret, cloning
@@ -58,33 +58,43 @@ def subset_unions(masks):
     return union
 
 
+@functools.cache
+def _lacking(n):
+    """Per player i+1, the int whose bit b is set when subset b lacks the player: runs of 2^i bits."""
+    full = (1 << (1 << n)) - 1
+    return tuple(full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n))
+
+
+def _bool_table(n, bits):
+    """Bool table over the 2^n subsets from an int over them: entry b is bit b."""
+    raw = np.frombuffer(bits.to_bytes(max(1, 1 << n >> 3), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=1 << n, bitorder="little").view(bool)
+
+
 def _up_closure(n, masks):
-    """Bool table over the 2^n subsets: True where the subset contains one of the masks."""
-    # pass i ORs each subset without player i+1 into the same subset with it.  The
-    # passes for players 1-3 move runs of 1, 2 and 4 entries inside each 8-entry
-    # word: a shift by 8 << i bits, kept on the bytes whose index has bit i set.
-    table = np.zeros(max(1 << n, 8), dtype=bool)
-    table[list(masks)] = True
-    words = table.view("<u8")
-    for i, keep in zip(range(n), (0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)):
-        words |= (words << np.uint64(8 << i)) & np.uint64(keep)
-    for i in range(3, n):
-        pairs = table.reshape(-1, 2, 1 << i)
-        pairs[:, 1] |= pairs[:, 0]
-    return table[: 1 << n]
+    """The subsets containing a member of a family of bitmasks, and those strictly containing one.
+
+    Each is an int over the 2^n subsets, bit b standing for subset b.  Pass i
+    moves each subset without player i+1 onto the same subset with it, a shift by 2^i.
+    """
+    closed, above = 0, 0
+    for m in masks:
+        closed |= 1 << m
+    for i, lacking in enumerate(_lacking(n)):
+        moved = (closed & lacking) << (1 << i)
+        closed |= moved
+        above |= moved
+    return closed, above
 
 
 def antichain_reduce(n, masks):
     """Structure whose minimal sets are the minimal elements of a family of subset bitmasks.
 
-    A subset is minimal when it lies in the family's up-closure and no
-    subset one player smaller does.
+    A subset is minimal when it lies in the family's up-closure and
+    strictly contains no member.
     """
-    closed = _up_closure(n, masks)
-    minimal = closed.copy()
-    for i in range(n):
-        minimal.reshape(-1, 2, 1 << i)[:, 1] &= ~closed.reshape(-1, 2, 1 << i)[:, 0]
-    return AccessStructure.from_masks(n, np.flatnonzero(minimal).tolist())
+    closed, above = _up_closure(n, masks)
+    return AccessStructure.from_masks(n, np.flatnonzero(_bool_table(n, closed ^ above)).tolist())
 
 
 def _maximal_unauthorized(gamma):
@@ -94,11 +104,11 @@ def _maximal_unauthorized(gamma):
     one-player extension of it is authorized (the full set qualifies when
     it is unauthorized, having no extension).
     """
-    table = gamma.authorized
-    maximal = ~table
-    for i in range(gamma.n):
-        maximal.reshape(-1, 2, 1 << i)[:, 0] &= table.reshape(-1, 2, 1 << i)[:, 1]
-    return np.flatnonzero(maximal[1:]) + 1
+    unauthorized = ((1 << (1 << gamma.n)) - 2) & ~gamma._closure
+    extendable = 0
+    for i, lacking in enumerate(_lacking(gamma.n)):
+        extendable |= (unauthorized >> (1 << i)) & lacking
+    return np.flatnonzero(_bool_table(gamma.n, unauthorized & ~extendable))
 
 
 @dataclass(frozen=True, order=True)
@@ -171,13 +181,6 @@ def _first_nested_pair(masks):
     return None
 
 
-def _one_player_less(masks):
-    """Every mask with one of its players removed, as one int64 array."""
-    m = np.array(masks, dtype=np.int64)[:, None]
-    bits = np.left_shift(1, np.arange(MAX_PLAYERS, dtype=np.int64))
-    return (m ^ bits)[(m & bits) != 0]
-
-
 #: Subset classes by their code in AccessStructure.class_codes
 CLASS_NAMES = ("authorized", "A1", "A2")
 AUTHORIZED, A1, A2 = 0, 1, 2
@@ -199,9 +202,11 @@ class AccessStructure:
                 raise StructureError("minimal authorized set must be nonempty")
         object.__setattr__(self, "minimal_sets", tuple(sorted(sets, key=lambda s: s.bits)))
         masks = self.masks()
-        # an antichain has no duplicate, and no mask less one of its players contains
-        # another mask; the pair walk only names the offending pair
-        if len(set(masks)) < len(masks) or self.authorized[_one_player_less(masks)].any():
+        closed, above = _up_closure(self.n, masks)
+        object.__setattr__(self, "_closure", closed)  # an int, bit b for subset b
+        # the masks are an antichain exactly when each is a minimal element of their
+        # up-closure; the pair walk only names the offending pair
+        if (closed ^ above).bit_count() < len(masks):
             masks = [s.bits for s in sets]
             a, b = (PlayerSubset(masks[i], self.n) for i in _first_nested_pair(masks))
             raise StructureError(
@@ -223,7 +228,7 @@ class AccessStructure:
     @functools.cached_property
     def authorized(self):
         """Read-only bool table by bitmask: True where the subset contains a minimal set."""
-        table = _up_closure(self.n, self.masks())
+        table = _bool_table(self.n, self._closure)
         table.flags.writeable = False
         return table
 
@@ -244,7 +249,7 @@ class AccessStructure:
         """Monotone-closure membership: some minimal set is inside s."""
         if s.n != self.n:
             raise StructureError(f"player-count mismatch: {s.n} vs {self.n}")
-        return bool(self.authorized[s.bits])
+        return bool(self._closure >> s.bits & 1)
 
     def __str__(self):
         return "{" + ", ".join(str(s) for s in self.minimal_sets) + "}"

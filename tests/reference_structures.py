@@ -44,14 +44,43 @@ def brute_canonical(g):
     return best
 
 
-def up_closure_by_passes(n, masks):
-    """Bool table over the 2^n subsets, one OR pass per player on the bool entries."""
-    table = np.zeros(1 << n, dtype=bool)
-    table[list(masks)] = True
+def closure_by_definition(n, family):
+    """Bool tables over the 2^n subsets: those containing a member of family, and those strictly.
+
+    Every subset is tested against every member at once.
+    """
+    subsets = np.arange(1 << n, dtype=np.int64)[:, None]
+    members = np.array(sorted(set(family)), dtype=np.int64)
+    inside = (subsets & members) == members
+    return inside.any(axis=1), (inside & (subsets != members)).any(axis=1)
+
+
+def table_bits(table):
+    """A bool table over the subsets as one int: bit b is entry b."""
+    return int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
+
+
+def minimal_by_definition(family):
+    """The members of family that contain no other member, ascending and once each."""
+    return sorted({m for m in family if not any(o != m and o & m == o for o in family)})
+
+
+def maximal_unauthorized_by_definition(n, minimal):
+    """Nonempty subsets outside the up-closure of minimal whose one-player extensions are all in it."""
+    authorized = closure_by_definition(n, minimal)[0]
+    subsets = np.arange(1, 1 << n)
+    keep = ~authorized[subsets]
     for i in range(n):
-        pairs = table.reshape(-1, 2, 1 << i)
-        pairs[:, 1] |= pairs[:, 0]
-    return table
+        keep &= (subsets >> i & 1).astype(bool) | authorized[subsets | 1 << i]
+    return subsets[keep].tolist()
+
+
+def first_nested_pair_by_loop(masks):
+    """First (i, j), i < j, in itertools.combinations order with masks[i], masks[j] nested or equal."""
+    for (i, a), (j, b) in itertools.combinations(enumerate(masks), 2):
+        if a & b in (a, b):
+            return i, j
+    return None
 
 
 def permute_particles(scheme, perm):

@@ -986,6 +986,100 @@ def test_parser_is_built_once_and_stays_reusable(threshold34_files, capsys):
     assert cli._parser() is cli._parser()
 
 
+# ---------------------------------------------------------------------------
+# main's parse: straight to the subcommand's parser, as the three-level parse
+
+
+_LEAF_WORDS = [
+    ["structure", "check"], ["scheme", "verify"], ["build"], ["assign", "induce"],
+    ["assign", "search"], ["enumerate"], ["reconstruct"], ["tables"],
+]
+# the positionals and required options each subcommand needs to parse
+_LEAF_NEEDS = {
+    "check": ["g.json"], "verify": ["s.json", "g.json"], "build": ["block"],
+    "induce": ["--scheme", "s.json", "--base", "g.json"], "search": ["--target", "g.json"],
+    "enumerate": [], "reconstruct": ["s.json", "--set", "1,2"], "tables": [],
+}
+_OPTIONS = [
+    "-h", "--help", "--format", "--tolerance", "--out", "--model", "--n", "--b", "--center",
+    "--scheme", "--base", "--target", "--base-n", "--base-b", "--allow-dealer", "--max-n",
+    "--set", "--protocol", "--trials", "--block", "--seed", "--out-dir",
+]
+_TOKENS = sorted({w for words in _LEAF_WORDS for w in words}) + _OPTIONS + [
+    "threshold34", "block", "json", "csv", "perfect", "decoder", "1", "-1", "1,2", "1e-9",
+    "g.json", "--", "-", "--he", "--fo", "--bogus", "-x", "--format=json", "", "nope",
+]
+
+
+def parse_both(argv, monkeypatch, capsys):
+    """main's parse and build_parser().parse_args on argv: [(exit code, stdout, stderr, fields)].
+
+    Both run on one fresh parser whose subcommands record their namespace
+    instead of running.  fields is that namespace without the subparser
+    dests command and action, which only the three-level parse sets, or
+    None when the parse exits.
+    """
+    leaves = {}
+    parser = cli.build_parser(leaves)
+    seen = []
+    for leaf in leaves.values():
+        leaf.set_defaults(func=lambda args: seen.append(args) or 0)
+    monkeypatch.setattr(cli, "_parser", lambda: (parser, leaves))
+
+    def three_levels(argv):
+        args = parser.parse_args(argv)
+        return args.func(args)
+
+    runs = []
+    for parse in (main, three_levels):
+        seen.clear()
+        try:
+            code = parse(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        fields = [{k: v for k, v in vars(args).items() if k not in ("command", "action")}
+                  for args in seen]
+        runs.append((code, *capsys.readouterr(), fields))
+    return runs
+
+
+def _fixed_argvs():
+    leaves = [words + _LEAF_NEEDS[words[-1]] for words in _LEAF_WORDS]
+    yield from ([], ["-h"], ["--he"], ["--help"], ["nope"], ["--"], ["--", "tables"])
+    for group in ("structure", "scheme", "assign"):
+        # bare group words, help and abbreviated help at the group level, unknown actions
+        yield from ([group], [group, "-h"], [group, "--he"], [group, "nope"], [group, "--"])
+    # options before the command word go to the root parser
+    yield from (["-h", "tables"], ["--format", "json", "tables"], ["--he", "enumerate"])
+    yield ["structure", "--format", "json", "check", "g.json"]
+    for words, argv in zip(_LEAF_WORDS, leaves):
+        yield argv
+        yield from (words + ["-h"], words + ["--he"], argv + ["-h"], argv + ["--he"])
+        yield from (argv + ["--bogus"], argv + ["--bogus", "x", "--", "y"], argv + ["extra"])
+        yield from (words + ["--"] + argv[len(words):], argv + ["--"], argv + ["--", "--x"])
+        # missing positionals and required options
+        yield words
+    yield from (["tables", "check"], ["enumerate", "--max-n"], ["build", "cube"])
+    yield ["reconstruct", "s.json", "--set", "1", "--protocol", "nope"]
+
+
+@pytest.mark.parametrize("argv", list(_fixed_argvs()), ids=" ".join)
+def test_main_parses_as_the_three_level_parse(argv, monkeypatch, capsys):
+    direct, three_levels = parse_both(argv, monkeypatch, capsys)
+    assert direct == three_levels
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from([[], *_LEAF_WORDS, ["structure"], ["assign"]]),
+    st.lists(st.sampled_from(_TOKENS), max_size=6),
+)
+def test_main_parses_random_argv_as_the_three_level_parse(monkeypatch, capsys, words, rest):
+    direct, three_levels = parse_both(words + rest, monkeypatch, capsys)
+    assert direct == three_levels
+
+
 @st.composite
 def _documents(draw):
     """A scheme and a structure document: valid, redistributed or with one field corrupted."""

@@ -26,7 +26,15 @@ from qsslab.structures import (
     subset_unions,
     threshold_structure,
 )
-from reference_structures import brute_canonical, brute_classes, up_closure_by_passes
+from reference_structures import (
+    brute_canonical,
+    brute_classes,
+    closure_by_definition,
+    first_nested_pair_by_loop,
+    maximal_unauthorized_by_definition,
+    minimal_by_definition,
+    table_bits,
+)
 
 
 def gamma(n, sets):
@@ -87,13 +95,6 @@ class TestAccessStructure:
     def test_minimal_sets_sorted_by_mask(self):
         g = gamma(4, [[1, 4], [1, 2, 3]])
         assert [s.players() for s in g.minimal_sets] == [(1, 2, 3), (1, 4)]
-
-
-def first_nested_pair_by_loop(masks):
-    for (i, a), (j, b) in itertools.combinations(enumerate(masks), 2):
-        if a & b in (a, b):
-            return i, j
-    return None
 
 
 @given(
@@ -643,12 +644,87 @@ def families(draw):
 @example((16, [0, 0xFFFF]))
 @settings(max_examples=150, deadline=None)
 def test_up_closure_matches_the_per_pass_loop(family):
-    # the word passes for players 1-3 against the bool passes, small tables padded
+    # the int passes against the definition, small tables shorter than one byte
     n, masks = family
-    table = structures._up_closure(n, masks)
-    expected = up_closure_by_passes(n, masks)
+    closed, above = structures._up_closure(n, masks)
+    expected, expected_above = closure_by_definition(n, masks)
+    assert (closed, above) == (table_bits(expected), table_bits(expected_above))
+    table = structures._bool_table(n, closed)
     assert table.dtype == expected.dtype and table.shape == expected.shape
     assert np.array_equal(table, expected)
+
+
+def check_bitset_passes(n, family):
+    """The int passes on family against their definitions: closure, minimal sets, refusals, maxima."""
+    closed, above = closure_by_definition(n, family)
+    assert structures._up_closure(n, family) == (table_bits(closed), table_bits(above))
+    minimal = minimal_by_definition(family)
+    assert antichain_reduce(n, family).masks() == tuple(minimal)
+    pair = first_nested_pair_by_loop(family)
+    if pair is not None:
+        a, b = (list(PlayerSubset(family[i], n).players()) for i in pair)
+        with pytest.raises(StructureError) as info:
+            AccessStructure.from_masks(n, family)
+        assert str(info.value) == f"not an antichain: {a} and {b} are nested or equal"
+        return
+    g = AccessStructure.from_masks(n, family)
+    table = g.authorized
+    assert table.dtype == bool and table.shape == (1 << n,) and not table.flags.writeable
+    assert np.array_equal(table, closed)
+    expected = maximal_unauthorized_by_definition(n, minimal)
+    assert structures._maximal_unauthorized(g).tolist() == expected
+
+
+def small_families(n):
+    """Every family of at most two nonempty subsets in either order, duplicates included.
+
+    On 2 and 3 players, whose tables are shorter than one byte, every
+    family of distinct subsets as well.
+    """
+    subsets = range(1, 1 << n)
+    yield []
+    for r in (1, 2):
+        yield from map(list, itertools.product(subsets, repeat=r))
+    if n <= 3:
+        for r in range(3, len(subsets) + 1):
+            yield from map(list, itertools.combinations(subsets, r))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bitset_passes_match_the_definitions_on_every_small_family(n):
+    for family in small_families(n):
+        check_bitset_passes(n, family)
+
+
+@given(st.integers(2, structures.MAX_PLAYERS).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=8))
+))
+@example((16, [0xFFFF]))
+@example((16, [0x00FF, 0xFF00, 0x0FF0]))
+@example((16, [0x8001, 0x0003, 0x8001]))
+@settings(max_examples=100, deadline=None)
+def test_bitset_passes_match_the_definitions_on_random_families(case):
+    n, family = case
+    check_bitset_passes(n, family)
+    # random members of many players are seldom nested: check the antichain they reduce to
+    check_bitset_passes(n, minimal_by_definition(family))
+
+
+@pytest.mark.parametrize(
+    "n, sets, message",
+    [
+        (2, [[1], [1, 2]], "[1] and [1, 2] are nested or equal"),
+        (3, [[2, 3], [1], [2, 3]], "[2, 3] and [2, 3] are nested or equal"),
+        (3, [[1, 3], [2, 3], [1, 2, 3], [1]], "[1, 3] and [1, 2, 3] are nested or equal"),
+        (4, [[1, 2, 3], [3, 4], [1, 2]], "[1, 2, 3] and [1, 2] are nested or equal"),
+        (16, [[1, 16], [2, 15], list(range(1, 17))],
+         "[1, 16] and [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16] are nested or equal"),
+    ],
+)
+def test_antichain_refusals_name_the_first_pair(n, sets, message):
+    with pytest.raises(StructureError) as info:
+        gamma(n, sets)
+    assert str(info.value) == "not an antichain: " + message
 
 
 @given(families(), st.randoms(use_true_random=False))
