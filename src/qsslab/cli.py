@@ -56,11 +56,27 @@ def _load_scheme(path):
         raise CliError(f"bad scheme {path}: {exc}", EXIT_INPUT) from None
 
 
-def _emit(text, out):
+def _emit(pieces, out):
+    """Write the pieces with one writelines: to the file out, or else to sys.stdout as it is now.
+
+    stdout gets a final line break; the file gets one unless the text ends with one.
+    """
     if out:
-        Path(out).write_text(text + ("" if text.endswith("\n") else "\n"))
+        ends = next((p for p in reversed(pieces) if p), "").endswith("\n")
+        with Path(out).open("w") as f:  # Path.write_text's mode and encoding
+            f.writelines(pieces if ends else pieces + ["\n"])
     else:
-        print(text)
+        sys.stdout.writelines(pieces + ["\n"])
+
+
+def _lines(lines):
+    """The pieces of "\n".join(lines): runs of 1024 joined lines and the breaks between them.
+
+    A write call per line would cost more than joining the lines of a run.
+    """
+    pieces = ["\n"] * (2 * -(-len(lines) // 1024) - 1)
+    pieces[::2] = ["\n".join(lines[i:i + 1024]) for i in range(0, len(lines), 1024)]
+    return pieces
 
 
 #: json's own rules for the scalars _dump leaves to it: NaN and the
@@ -68,67 +84,107 @@ def _emit(text, out):
 _encode_scalar = json.JSONEncoder().encode
 
 
-class _Fragment(str):
-    """JSON text that _dump writes as it stands, already indented for the depth it sits at."""
+class _Fragment(list):
+    """Pieces of JSON text that _dump splices in as they stand, indented for their depth."""
 
 
 def _dump(doc):
-    """doc exactly as json.dumps(doc, indent=2, sort_keys=True) writes it.
+    """doc exactly as json.dumps(doc, indent=2, sort_keys=True) writes it, as a list of str pieces.
 
     On CPython json only uses its C encoder without an indent; with one,
     every item passes up through nested Python generators.  This writer
-    joins each container's items instead.  Keys must be str; values json
-    cannot encode raise TypeError, as they do in json.  A _Fragment is
-    written as it stands.
+    joins each container of scalars into one piece instead and appends
+    the rest to one list, a _Fragment's pieces by reference, so no text
+    is copied again once it is a piece.  Keys must be str; values json
+    cannot encode raise TypeError, as they do in json.
     """
-    return _json_text(doc, "\n")
+    pieces = []
+    _json_text(doc, "\n", "", pieces)
+    return pieces
 
 
-def _json_text(value, newline):
-    """value as _dump writes it nested at one level, newline being the line break and its indent."""
+def _scalar_text(value):
+    """A scalar as _dump writes it; None for a container."""
     if isinstance(value, str):
-        if type(value) is _Fragment:
-            return value
         return encode_basestring_ascii(value)
     cls = type(value)
     if cls is int or (cls is float and math.isfinite(value)):
         return cls.__repr__(value)
-    if cls is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        # exact ints, most of the leaves the CLI prints, skip the call
-        items = [repr(v) if type(v) is int else _json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if cls is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    return None if isinstance(value, (list, tuple, dict)) else _encode_scalar(value)
+
+
+def _json_text(value, newline, head, out):
+    """Append head, then value as _dump writes it after the line break newline, to out."""
+    if type(value) is _Fragment:
+        out.append(head)
+        out += value
+        return
+    if not isinstance(value, (list, tuple, dict)):
+        out.append(head + _scalar_text(value))
+        return
+    keys, items, opening, closing = None, value, "[", "]"
     if isinstance(value, dict):
-        items = [
-            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-            for k, v in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-    return _encode_scalar(value)
+        pairs = sorted(value.items())
+        keys = [encode_basestring_ascii(k) + ": " for k, _ in pairs]
+        items, opening, closing = [v for _, v in pairs], "{", "}"
+    if not items:
+        out.append(head + opening + closing)
+        return
+    inner = newline + "  "
+    # exact ints, most of the leaves the CLI prints, skip the call
+    texts = [repr(v) if type(v) is int else _scalar_text(v) for v in items]
+    if None in texts:  # containers among the items: each item after its own head
+        for i, (v, key) in enumerate(zip(items, keys or [""] * len(items))):
+            _json_text(v, inner, ("," if i else head + opening) + inner + key, out)
+        out.append(newline + closing)
+        return
+    if keys:
+        texts = list(map(str.__add__, keys, texts))
+    texts[0] = head + opening + inner + texts[0]
+    texts[-1] += newline + closing
+    out.append(("," + inner).join(texts))
 
 
 def _float_texts(column):
-    """Each float of a float64 column as _json_text writes it (all finite: repr, no type test)."""
+    """Each float of a float64 column as _dump writes it (all finite: repr, no type test)."""
     if np.isfinite(column).all():
         return list(map(float.__repr__, column.tolist()))
-    return [_json_text(v, "") for v in column.tolist()]
+    return [_scalar_text(v) for v in column.tolist()]
 
 
-def _subset_texts(n, prefix, sep=","):
-    """Entry b joins prefix + player with sep over the players of bitmask b, ascending.
+def _subset_texts(n, prefix, sep=",", first=1):
+    """Entry b joins prefix + player with sep over players first + i for the bits i of b, ascending.
 
     Built by doubling, as structures.subset_unions builds its table.
     """
     body = [""]
-    for p in range(1, n + 1):
+    for p in range(first, n + 1):
         tok = prefix + str(p)
         tail = sep + tok
         body += [tok] + [b + tail for b in body[1:]]
     return body
+
+
+def _joined_subsets(n, masks, prefix, joiner):
+    """Pieces of joiner.join over the _subset_texts of an ascending bitmask array.
+
+    Subsets sharing their players above n // 2 are joined by those players' text, after their
+    lower players' text and a comma, so no string is built per subset.
+    """
+    k = n // 2
+    low = _subset_texts(k, prefix)
+    # each subset's lower players' text, with a comma when it has higher players too
+    lows = np.array([low, [""] + [t + "," for t in low[1:]]], dtype=object)
+    lows = lows[np.minimum(masks >> k, 1), masks & ((1 << k) - 1)].tolist()
+    # the subsets with high players h are masks[starts[h]:starts[h + 1]]
+    starts = np.searchsorted(masks, np.arange((1 << (n - k)) + 1) << k).tolist()
+    pieces = []
+    for high, a, b in zip(_subset_texts(n, prefix, ",", k + 1), starts, starts[1:]):
+        if a < b:
+            pieces += [(high + joiner).join(lows[a:b]), high, joiner]
+    return pieces[:-1]
 
 
 def _parse_players(raw):
@@ -161,20 +217,16 @@ def cmd_structure_check(args):
         b = next(b for b in gamma.minimal_sets if a.bits & b.bits == 0)
         raise CliError(f"disjoint authorized sets {a} and {b}: not quantum-admissible", EXIT_INPUT)
     n = gamma.n
-    a1, a2 = (masks.tolist() for masks in structures._adversary_masks(gamma))
+    a1, a2 = structures._adversary_masks(gamma)
     law = structures.check_complement_law(gamma)
     # pure perfect schemes exist iff A2 is empty, as structures.perfect_feasibility decides
-    witness = structures.PlayerSubset(a2[0], n) if a2 else None
-    verdict = "infeasible" if a2 else "feasible"
+    witness = structures.PlayerSubset(int(a2[0]), n) if len(a2) else None
+    verdict = "infeasible" if len(a2) else "feasible"
     if args.format == "json":
         # each subset as _dump writes a list of player numbers under a top-level key
-        body = _subset_texts(n, "\n      ")
         a1_text, a2_text = (
-            _Fragment(
-                "[\n    [" + "\n    ],\n    [".join([body[b] for b in masks]) + "\n    ]\n  ]"
-                if masks else "[]"
-            )
-            for masks in (a1, a2)
+            _Fragment(["[\n    [", *_joined_subsets(n, bits, "\n      ", "\n    ],\n    ["),
+                       "\n    ]\n  ]"]) if len(bits) else [] for bits in (a1, a2)
         )
         doc = {
             "players": n,
@@ -186,16 +238,17 @@ def cmd_structure_check(args):
             "perfect": verdict,
             "perfect_witness": witness.players() if witness else None,
         }
-        print(_dump(doc))
+        pieces = _dump(doc)
     else:
-        print(f"admissible; |A1|={len(a1)} |A2|={len(a2)}; perfect: {verdict}")
+        pieces = [f"admissible; |A1|={len(a1)} |A2|={len(a2)}; perfect: {verdict}"]
         # each subset as str(PlayerSubset) writes it
-        body = _subset_texts(n, "P")
-        for name, masks in (("A1", a1), ("A2", a2)):
-            print(f"{name}:", "{" + "}, {".join([body[b] for b in masks]) + "}" if masks else "(empty)")
-        print(f"complement law: {'holds' if law.holds else f'fails at {law.counterexample}'}")
+        for name, bits in (("A1", a1), ("A2", a2)):
+            text = ["{", *_joined_subsets(n, bits, "P", "}, {"), "}"] if len(bits) else ["(empty)"]
+            pieces += [f"\n{name}: ", *text]
+        pieces += ["\ncomplement law: ", "holds" if law.holds else f"fails at {law.counterexample}"]
         if witness:
-            print(f"perfect-infeasibility witness: {witness}")
+            pieces.append(f"\nperfect-infeasibility witness: {witness}")
+    _emit(pieces, None)
     return EXIT_OK
 
 
@@ -221,15 +274,15 @@ def cmd_scheme_verify(args):
             f'\n      "subset": [{subset}\n      ]\n    }}'
             for subset, c, s_a, s_ra, i_ra, ok in rows
         ]
-        doc["records"] = _Fragment("[\n    " + ",\n    ".join(records) + "\n  ]")
+        doc["records"] = _Fragment(["[\n    ", ",\n    ".join(records), "\n  ]"])
         out = _dump(doc)
     elif args.format == "csv":
-        out = "\n".join(["subset;class;s_a;s_ra;i_ra;pass"] + [
+        out = _lines(["subset;class;s_a;s_ra;i_ra;pass"] + [
             f"{subset};{names[c]};{s_a};{s_ra};{i_ra};{ok}"
             for subset, c, s_a, s_ra, i_ra, ok in rows
         ])
     else:
-        out = "\n".join([
+        out = _lines([
             f"scheme {report.scheme}: verdict {report.verdict} "
             f"(requested {args.model}: {'pass' if report.meets_requested else 'FAIL'})",
             f"I(R:S)={_fmt(report.i_rs)}  S(S)={_fmt(report.s_s)}  "
@@ -313,14 +366,14 @@ def cmd_enumerate(args):
         for row in rows:
             sets = " ".join("".join(map(str, s)) for s in row["minimal_authorized"])
             lines.append(f"{row['players']};{sets};{row['catalog_no'] or '-'}")
-        out = "\n".join(lines)
+        out = _lines(lines)
     else:
         lines = []
         for row in rows:
             sets = ", ".join("{" + ",".join(map(str, s)) + "}" for s in row["minimal_authorized"])
             tag = f"catalog No.{row['catalog_no']}" if row["catalog_no"] else "beyond catalog"
             lines.append(f"n={row['players']}  {sets}  [{tag}]")
-        out = "\n".join(lines)
+        out = _lines(lines)
     _emit(out, args.out)
     return EXIT_OK
 
@@ -367,7 +420,7 @@ def cmd_reconstruct(args):
     else:
         lines = [f"trial {i}: fidelity {_fmt(f)}" for i, f in enumerate(fidelities, 1)]
         lines.append(f"min fidelity: {_fmt(min(fidelities))}")
-        out = "\n".join(lines)
+        out = _lines(lines)
     _emit(out, args.out)
     return EXIT_OK
 
@@ -392,17 +445,14 @@ def cmd_tables(args):
             f"{row['scheme'] or '-'};{assignment};{row['report_hash'] or '-'};"
             f"{' | '.join(row['notes']) or '-'}"
         )
-    csv_text = "\n".join(csv_lines)
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "feasibility.json").write_text(_dump(doc) + "\n")
-        (out_dir / "feasibility.csv").write_text(csv_text + "\n")
-        print(f"wrote {out_dir / 'feasibility.json'} and {out_dir / 'feasibility.csv'}")
-    elif args.format == "csv":
-        print(csv_text)
+        _emit(_dump(doc), out_dir / "feasibility.json")
+        _emit(_lines(csv_lines), out_dir / "feasibility.csv")
+        _emit([f"wrote {out_dir / 'feasibility.json'} and {out_dir / 'feasibility.csv'}"], None)
     else:
-        print(_dump(doc))
+        _emit(_lines(csv_lines) if args.format == "csv" else _dump(doc), None)
     return EXIT_OK
 
 

@@ -94,7 +94,11 @@ def antichain_reduce(n, masks):
     strictly contains no member.
     """
     closed, above = _up_closure(n, masks)
-    return AccessStructure.from_masks(n, np.flatnonzero(_bool_table(n, closed ^ above)).tolist())
+    minimal = np.flatnonzero(_bool_table(n, closed ^ above)).tolist()
+    gamma = AccessStructure.__new__(AccessStructure)
+    object.__setattr__(gamma, "_closure", closed)  # the family's: no closure, no antichain check
+    gamma.__init__(n, tuple(PlayerSubset(m, n) for m in minimal))
+    return gamma
 
 
 def _maximal_unauthorized(gamma):
@@ -201,6 +205,8 @@ class AccessStructure:
             if s.bits == 0:
                 raise StructureError("minimal authorized set must be nonempty")
         object.__setattr__(self, "minimal_sets", tuple(sorted(sets, key=lambda s: s.bits)))
+        if "_closure" in self.__dict__:  # handed over by antichain_reduce
+            return
         masks = self.masks()
         closed, above = _up_closure(self.n, masks)
         object.__setattr__(self, "_closure", closed)  # an int, bit b for subset b
@@ -476,14 +482,24 @@ def load_structure(data):
         raise StructureError(f"missing or bad field: {exc}") from exc
     if not isinstance(raw_sets, list) or not raw_sets:
         raise StructureError("minimal_authorized must be a nonempty list of player lists")
+    bit_of = {p: 1 << (p - 1) for p in range(1, min(n, MAX_PLAYERS) + 1)}  # n is refused above
     subsets = []
     for raw in raw_sets:
         if not isinstance(raw, list) or not raw:
             raise StructureError(f"minimal set {raw!r} is empty or not a list")
-        try:
-            subsets.append(PlayerSubset.from_players([_json_int(p) for p in raw], n))
+        bits, outside = 0, []
+        try:  # one pass; a non-integer anywhere in the set is named before a player out of range
+            for p in raw:
+                p = p if type(p) is int else _json_int(p)
+                if p in bit_of:
+                    bits |= bit_of[p]
+                elif not 1 <= p <= n:
+                    outside.append(p)
         except TypeError:
             raise StructureError(f"minimal set {raw!r} holds a non-integer player") from None
+        if outside:
+            raise StructureError(f"player {outside[0]} out of range 1..{n}")
+        subsets.append(PlayerSubset(bits, n))
     return AccessStructure(n, tuple(subsets))
 
 

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 
 from qsslab.schemes import SchemeSpec
+from qsslab.structures import AccessStructure, PlayerSubset, StructureError, _json_int
 
 
 def brute_classes(g):
@@ -97,3 +98,30 @@ def permute_particles(scheme, perm):
         for holder, particles in scheme.assignment.items()
     }
     return SchemeSpec(m, images, assignment, name=f"{scheme.name}~perm")
+
+
+def load_structure_reference(data):
+    """The structure loader as it was before it built masks in one pass, for differential tests.
+
+    Each set's players go through _json_int as a list, then through
+    PlayerSubset.from_players: type errors first, then the first player
+    out of range, then the player count.
+    """
+    if not isinstance(data, dict):
+        raise StructureError("structure document must be a JSON object")
+    try:
+        n = _json_int(data["players"])
+        raw_sets = data["minimal_authorized"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise StructureError(f"missing or bad field: {exc}") from exc
+    if not isinstance(raw_sets, list) or not raw_sets:
+        raise StructureError("minimal_authorized must be a nonempty list of player lists")
+    subsets = []
+    for raw in raw_sets:
+        if not isinstance(raw, list) or not raw:
+            raise StructureError(f"minimal set {raw!r} is empty or not a list")
+        try:
+            subsets.append(PlayerSubset.from_players([_json_int(p) for p in raw], n))
+        except TypeError:
+            raise StructureError(f"minimal set {raw!r} holds a non-integer player") from None
+    return AccessStructure(n, tuple(subsets))

@@ -256,6 +256,32 @@ def test_subset_texts_join_each_subset(n, prefix, sep):
     assert cli._subset_texts(n, prefix, sep) == expect
 
 
+@pytest.mark.parametrize("first", [1, 3, 7])
+def test_subset_texts_from_a_first_player(first):
+    """Entry b names players first + i for the bits i of b."""
+    expect = [",".join(f"P{first + i}" for i in range(4) if b >> i & 1) for b in range(16)]
+    assert cli._subset_texts(first + 3, "P", ",", first) == expect
+
+
+@given(st.integers(2, 13).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=300)
+)))
+@example((2, {1}))
+@example((2, {2}))
+@example((5, set(range(1, 32))))
+@example((12, {1 << 6, (1 << 6) + 1, 1 << 11, 4095}))  # high players alone, then with low ones
+@settings(max_examples=150, deadline=None)
+def test_joined_subsets_join_the_subset_texts(family):
+    """Joined by groups of shared high players, as the table of every subset joins them."""
+    n, masks = family
+    masks = np.array(sorted(masks), dtype=np.int64)
+    for prefix, joiner in (("\n      ", "\n    ],\n    ["), ("P", "}, {")):
+        table = cli._subset_texts(n, prefix)
+        pieces = cli._joined_subsets(n, masks, prefix, joiner)
+        assert "".join(pieces) == joiner.join(table[b] for b in masks.tolist())
+        assert len(pieces) <= 3 << (n - n // 2)  # a few pieces per group, not one per subset
+
+
 # ---------------------------------------------------------------------------
 # the JSON writer against json.dumps
 
@@ -292,7 +318,9 @@ _JSON_DOCS = st.recursive(
 @example({"pass": True, "fail": False, "witness": None, "rows": [{"ok": True}]})
 @settings(max_examples=300, deadline=None)
 def test_dump_matches_json_dumps(doc):
-    assert cli._dump(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    pieces = cli._dump(doc)
+    assert all(type(p) is str for p in pieces)
+    assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 _SUBSET_LISTS = st.lists(st.lists(st.integers(1, 16), min_size=1, max_size=5).map(tuple), max_size=5)
@@ -308,14 +336,54 @@ _SUBSET_LISTS = st.lists(st.lists(st.integers(1, 16), min_size=1, max_size=5).ma
 @example([(1,)], [None, None, None], [])
 @settings(max_examples=200, deadline=None)
 def test_dump_writes_fragments_as_their_value(value, path, sibling):
-    """A _Fragment of _dump(value), indented for depth len(path) (None: a list level, str: a dict key)."""
+    """A _Fragment of _dump(value)'s pieces, indented for depth len(path) (None: a list level, str: a dict key)."""
     def nest(leaf):
         for step in reversed(path):
             leaf = [sibling, leaf] if step is None else {step: leaf, step + "~": sibling}
         return leaf
 
-    fragment = cli._Fragment(cli._dump(value).replace("\n", "\n" + "  " * len(path)))
-    assert cli._dump(nest(fragment)) == json.dumps(nest(value), indent=2, sort_keys=True)
+    fragment = cli._Fragment([p.replace("\n", "\n" + "  " * len(path)) for p in cli._dump(value)])
+    pieces = cli._dump(nest(fragment))
+    assert "".join(pieces) == json.dumps(nest(value), indent=2, sort_keys=True)
+    # spliced by reference: the fragment's own str objects, in order, nothing copied
+    assert [p for p in pieces if any(p is q for q in fragment)] == list(fragment)
+
+
+@pytest.mark.parametrize("path", [[], [None], ["a"], [None, "b", None], ["x", "y", "z"]])
+def test_fragment_pieces_come_back_by_identity(path):
+    """Each str of a fragment, however large, is one of _dump's pieces, the same object."""
+    rows = [f"{i}" * 3 for i in range(2000)]
+    fragment = cli._Fragment(["[", ",".join(rows), "]"])
+    doc = fragment
+    for step in reversed(path):
+        doc = [1, doc] if step is None else {step: doc, "other": [1.5, None]}
+    pieces = cli._dump(doc)
+    spliced = [p for p in pieces if any(p is q for q in fragment)]
+    assert len(spliced) == 3 and all(p is q for p, q in zip(spliced, fragment))
+
+
+def test_scalar_containers_stay_one_piece():
+    """A container of scalars is one piece; a document around a large one adds only a few."""
+    assert cli._dump([1, 2.5, "a", True, None]) == [json.dumps([1, 2.5, "a", True, None], indent=2)]
+    doc = {"fidelities": [0.5] * 10_000, "trace": {"protocol": "circuit"}, "n": 3}
+    pieces = cli._dump(doc)
+    assert len(pieces) <= 6
+    assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("pieces", [[], [""], ["a"], ["{", "\n", "}"], ["x\n"], ["x\n", ""]])
+def test_emit_writes_to_the_stdout_of_the_call(tmp_path, pieces):
+    """stdout is looked up when _emit runs, and always gets a final line break; --out files
+    get one unless the text ends with one."""
+    text = "".join(pieces)
+    for _ in range(2):  # a fresh redirect each time
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(list(pieces), None)
+        assert out.getvalue() == text + "\n"
+    path = tmp_path / "out.txt"
+    cli._emit(list(pieces), str(path))
+    assert path.read_text() == text + ("" if text.endswith("\n") else "\n")
 
 
 @pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, np.bool_(True), np.bool_(False), object()])
@@ -810,6 +878,67 @@ class TestTables:
 
 
 # ---------------------------------------------------------------------------
+# --out and --out-dir files hold the bytes stdout shows
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture()
+def out_inputs(tmp_path, threshold34_files):
+    scheme, gamma = threshold34_files
+    block = str(tmp_path / "block5.json")
+    assert main(["build", "block", "--n", "5", "--b", "1,2", "--out", block]) == 0
+    block_gamma = write_doc(tmp_path, "block5_gamma.json", json.loads(Path(block).read_text())["realizes"])
+    target = write_structure(tmp_path, "target4.json", 4, [[1, 2, 3], [1, 4]])
+    star = write_structure(tmp_path, "star4.json", 4, [[1, 2], [1, 3], [1, 4]])
+    return {"SCHEME": scheme, "GAMMA": gamma, "BLOCK": block, "BLOCK_GAMMA": block_gamma,
+            "TARGET": target, "STAR": star}
+
+
+_OUT_CALLS = [
+    *(["scheme", "verify", "BLOCK", "BLOCK_GAMMA", "--format", fmt] for fmt in ("text", "json", "csv")),
+    *(["scheme", "verify", "SCHEME", "GAMMA", "--model", "perfect", "--format", fmt]  # exit 4
+      for fmt in ("text", "json", "csv")),
+    ["build", "threshold34"],
+    ["build", "block", "--n", "6", "--b", "2,5"],
+    ["build", "star", "--n", "5", "--center", "3"],
+    ["assign", "induce", "--scheme", "BLOCK", "--base", "BLOCK_GAMMA"],
+    ["assign", "search", "--target", "TARGET", "--base-n", "6", "--base-b", "1,2,3", "--allow-dealer"],
+    ["assign", "search", "--target", "STAR", "--base-n", "4", "--base-b", "3,4", "--allow-dealer"],
+    *(["enumerate", "--max-n", "5", "--format", fmt] for fmt in ("text", "json", "csv")),
+    *(["reconstruct", "SCHEME", "--set", "1,3,4", "--trials", "1500", "--format", fmt]
+      for fmt in ("text", "json")),
+    *(["reconstruct", "BLOCK", "--set", "1,3,4,5", "--protocol", "measure", "--block", "1,2",
+       "--trials", "7", "--format", fmt] for fmt in ("text", "json")),
+    *(["reconstruct", "BLOCK", "--set", "3,1,2", "--protocol", "decoder", "--format", fmt]
+      for fmt in ("text", "json")),
+]
+
+
+@pytest.mark.parametrize("argv", _OUT_CALLS, ids=lambda argv: " ".join(argv))
+def test_out_file_holds_what_stdout_shows(tmp_path, out_inputs, argv):
+    argv = [out_inputs.get(a, a) for a in argv]
+    code, shown, err = run_cli(argv)
+    path = tmp_path / "out.txt"
+    assert run_cli(argv + ["--out", str(path)]) == (code, "", err)
+    assert shown.endswith("\n") and path.read_bytes() == shown.encode()
+
+
+def test_out_dir_files_hold_what_stdout_shows(tmp_path):
+    code, message, _ = run_cli(["tables", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert message == f"wrote {tmp_path / 'feasibility.json'} and {tmp_path / 'feasibility.csv'}\n"
+    for fmt in ("json", "csv"):
+        assert (tmp_path / f"feasibility.{fmt}").read_text() == run_cli(["tables", "--format", fmt])[1]
+
+
+# ---------------------------------------------------------------------------
 # input errors end in exit 2 and one diagnostic line, never a traceback
 
 
@@ -883,6 +1012,8 @@ def _first_entry(**changes):
         ("structure", {"players": 4, "minimal_authorized": [[None, 2, 3], [1, 4]]}),
         ("structure", {"players": float("inf"), "minimal_authorized": [[1, 2]]}),
         ("structure", {"players": 3, "minimal_authorized": [[True, 2], [2, 3]]}),
+        # a player in range of a huge player count: refused by the count, with no bit built
+        ("structure", {"players": 10**20, "minimal_authorized": [[10**19]]}),
         ("scheme", _scheme_doc(assignment={"P1": [1.5], "P2": [2], "P3": [3], "P4": [4]})),
         ("scheme", _scheme_doc(assignment={"P1": [True], "P2": [2], "P3": [3], "P4": [4]})),
     ],

@@ -31,6 +31,7 @@ from reference_structures import (
     brute_classes,
     closure_by_definition,
     first_nested_pair_by_loop,
+    load_structure_reference,
     maximal_unauthorized_by_definition,
     minimal_by_definition,
     table_bits,
@@ -727,6 +728,31 @@ def test_antichain_refusals_name_the_first_pair(n, sets, message):
     assert str(info.value) == "not an antichain: " + message
 
 
+@given(st.integers(2, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=10))
+))
+@example((2, []))
+@example((3, [0b111, 0b111]))
+@example((8, [0xFF, 0x01, 0x03, 0x80]))
+@settings(max_examples=200, deadline=None)
+def test_antichain_reduce_hands_over_the_family_closure(family):
+    """The reduced structure equals from_masks of the minimal members, its closure included."""
+    n, masks = family
+    g = antichain_reduce(n, masks)
+    expected = AccessStructure.from_masks(n, minimal_by_definition(masks))
+    assert g == expected and g.minimal_sets == expected.minimal_sets
+    assert g._closure == expected._closure
+    assert np.array_equal(g.authorized, expected.authorized)
+    assert all(type(s.bits) is int for s in g.minimal_sets)
+
+
+def test_antichain_reduce_keeps_the_constructor_refusals():
+    with pytest.raises(StructureError, match="must be nonempty"):
+        antichain_reduce(3, [0, 0b011])
+    with pytest.raises(StructureError, match="player count"):
+        antichain_reduce(17, [1])
+
+
 @given(families(), st.randoms(use_true_random=False))
 @example((4, [0b0011, 0b1100]), None)
 @example((3, []), None)
@@ -831,3 +857,72 @@ class TestStructureJson:
     def test_rejects_missing_field(self):
         with pytest.raises(StructureError):
             load_structure({"players": 3})
+
+
+def outcome(load, doc):
+    """A loader's structure, with its closure, or the type and message of what it raised."""
+    try:
+        g = load(doc)
+    except Exception as exc:  # noqa: BLE001 - the reference decides what may be raised
+        return type(exc), str(exc)
+    return g, g._closure
+
+
+# one player entry each of the kinds a JSON document can hold, valid or not
+_PLAYER_ENTRIES = st.one_of(
+    st.integers(-2, 18),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-2, max_value=18),
+    st.sampled_from([1.0, 2.0, "1", "x", None, [1], [], {"p": 1}, 10**30, -(10**30)]),
+)
+
+
+@given(
+    st.one_of(st.integers(-1, 18), st.sampled_from([True, 2.0, "4", None, 10**20])),
+    st.lists(st.one_of(st.lists(_PLAYER_ENTRIES, max_size=5), st.just([]), st.just(7)),
+             max_size=5),
+)
+@example(4, [[1, 2], [1, True]])
+@example(4, [[1, 2.0]])
+@example(4, [[1, "2"]])
+@example(4, [[0, 1]])
+@example(4, [[5]])
+@example(4, [[1, 2], []])
+@example(4, [[1, [2]]])
+@example(4, [[0, "x"]])  # the non-integer is named before the player out of range
+@example(4, [[5, 0]])  # the first player out of range is named
+@example(20, [[18, 19]])  # in range, so the player count is what is refused
+@example(20, [[18, 21]])
+@example(1, [[1]])
+@example(0, [[1]])
+@example(4, [[1, 2], [1, 2, 3]])
+@example(4, [[1, 2], [2, 1]])
+@settings(max_examples=400, deadline=None)
+def test_load_structure_matches_the_reference_loader(players, sets):
+    """Valid and malformed documents: the same structure and closure, or the same error and message."""
+    doc = {"players": players, "minimal_authorized": sets}
+    assert outcome(load_structure, doc) == outcome(load_structure_reference, doc)
+
+
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(1, n), min_size=1, max_size=n), min_size=1, max_size=6)
+)))
+@settings(max_examples=200, deadline=None)
+def test_load_structure_matches_the_reference_on_valid_documents(family):
+    n, sets = family
+    doc = {"players": n, "minimal_authorized": sets}
+    assert outcome(load_structure, doc) == outcome(load_structure_reference, doc)
+
+
+def test_player_count_is_refused_before_a_player_bit_is_built():
+    """A player in range of a huge player count gets no bit (the reference loader shifts one)."""
+    doc = {"players": 10**20, "minimal_authorized": [[10**19]]}
+    with pytest.raises(StructureError, match=r"^player count must be in \[2, 16\], got 10{20}$"):
+        load_structure(doc)
+
+
+def test_load_structure_of_many_sets_matches_the_reference():
+    doc = {"players": 12, "minimal_authorized": [list(c) for c in itertools.combinations(range(1, 13), 7)]}
+    g = load_structure(doc)
+    assert (g, g._closure) == outcome(load_structure_reference, doc)
+    assert g == threshold_structure(7, 12)
