@@ -69,16 +69,6 @@ def _emit(pieces, out):
         sys.stdout.writelines(pieces + ["\n"])
 
 
-def _lines(lines):
-    """The pieces of "\n".join(lines): runs of 1024 joined lines and the breaks between them.
-
-    A write call per line would cost more than joining the lines of a run.
-    """
-    pieces = ["\n"] * (2 * -(-len(lines) // 1024) - 1)
-    pieces[::2] = ["\n".join(lines[i:i + 1024]) for i in range(0, len(lines), 1024)]
-    return pieces
-
-
 #: json's own rules for the scalars _dump leaves to it: NaN and the
 #: infinities, and subclasses of int and float such as numpy.float64
 _encode_scalar = json.JSONEncoder().encode
@@ -277,12 +267,12 @@ def cmd_scheme_verify(args):
         doc["records"] = _Fragment(["[\n    ", ",\n    ".join(records), "\n  ]"])
         out = _dump(doc)
     elif args.format == "csv":
-        out = _lines(["subset;class;s_a;s_ra;i_ra;pass"] + [
+        out = ["\n".join(["subset;class;s_a;s_ra;i_ra;pass"] + [
             f"{subset};{names[c]};{s_a};{s_ra};{i_ra};{ok}"
             for subset, c, s_a, s_ra, i_ra, ok in rows
-        ])
+        ])]
     else:
-        out = _lines([
+        out = ["\n".join([
             f"scheme {report.scheme}: verdict {report.verdict} "
             f"(requested {args.model}: {'pass' if report.meets_requested else 'FAIL'})",
             f"I(R:S)={_fmt(report.i_rs)}  S(S)={_fmt(report.s_s)}  "
@@ -290,7 +280,7 @@ def cmd_scheme_verify(args):
         ] + [
             f"  {'{' + subset + '}':16s} {names[c]:10s} I(R:A)={i_ra:14s} {'ok' if ok else 'FAIL'}"
             for subset, c, _, _, i_ra, ok in rows
-        ])
+        ])]
     _emit(out, args.out)
     if not report.meets_requested:
         print(f"verification failure at subset {report.requested_witness}", file=sys.stderr)
@@ -366,14 +356,14 @@ def cmd_enumerate(args):
         for row in rows:
             sets = " ".join("".join(map(str, s)) for s in row["minimal_authorized"])
             lines.append(f"{row['players']};{sets};{row['catalog_no'] or '-'}")
-        out = _lines(lines)
+        out = ["\n".join(lines)]
     else:
         lines = []
         for row in rows:
             sets = ", ".join("{" + ",".join(map(str, s)) + "}" for s in row["minimal_authorized"])
             tag = f"catalog No.{row['catalog_no']}" if row["catalog_no"] else "beyond catalog"
             lines.append(f"n={row['players']}  {sets}  [{tag}]")
-        out = _lines(lines)
+        out = ["\n".join(lines)]
     _emit(out, args.out)
     return EXIT_OK
 
@@ -420,7 +410,7 @@ def cmd_reconstruct(args):
     else:
         lines = [f"trial {i}: fidelity {_fmt(f)}" for i, f in enumerate(fidelities, 1)]
         lines.append(f"min fidelity: {_fmt(min(fidelities))}")
-        out = _lines(lines)
+        out = ["\n".join(lines)]
     _emit(out, args.out)
     return EXIT_OK
 
@@ -449,10 +439,10 @@ def cmd_tables(args):
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         _emit(_dump(doc), out_dir / "feasibility.json")
-        _emit(_lines(csv_lines), out_dir / "feasibility.csv")
+        _emit(["\n".join(csv_lines)], out_dir / "feasibility.csv")
         _emit([f"wrote {out_dir / 'feasibility.json'} and {out_dir / 'feasibility.csv'}"], None)
     else:
-        _emit(_lines(csv_lines) if args.format == "csv" else _dump(doc), None)
+        _emit(["\n".join(csv_lines)] if args.format == "csv" else _dump(doc), None)
     return EXIT_OK
 
 

@@ -8,6 +8,12 @@ and are traced out during verification.
 
 Particle p occupies register "p<p>"; particle 1 is the most significant
 bit of an image ket, matching the register layout convention.
+
+A subset-entropy table holds one entropy per particle bitmask, filled in
+bulk by qstate.cut_entropies; since the global state is pure, S(RA) is
+read as the entropy of the particles outside A.  Re-grouping particles
+under different player assignments (the redistribution search) costs
+table reads only.
 """
 
 import functools
@@ -27,9 +33,11 @@ from .qstate import (
     RegisterLayout,
     ResourceLimitError,
     apply_isometry,
+    cut_entropies,
     purify_secret,
 )
 from .structures import (
+    AUTHORIZED,
     AccessStructure,
     PlayerSubset,
     _bit_positions,
@@ -340,6 +348,68 @@ def _sum_picks(tables, picks):
     return functools.reduce(np.add, [table.take(p, axis=0) for table, p in zip(tables, picks)])
 
 
+class SubsetEntropyTable:
+    """Subsystem entropies of the purified scheme state, one float per particle bitmask.
+
+    The global state over (R, particles) is pure, so S(RA) is the entropy
+    of the particles outside A and one array over particle masks holds
+    both S(A) and S(RA); NaN marks an entry not yet computed.  S(R) is the
+    entry of all particles, which a read of mask 0 returns as its S(RA).
+    Any player grouping only changes which unions are read, so entries are
+    shared across assignments.  The reference is register "R" of the
+    purified secret.  computed and entries_read count entries filled and
+    looked up.
+    """
+
+    def __init__(self, state, num_particles):
+        self._state = state
+        self._full = (1 << num_particles) - 1
+        self._s = np.full(1 << num_particles, np.nan)
+        n = state.num_qubits
+        self._bits = np.array(
+            [1 << (n - 1 - state.layout.axis(label)) for label in particle_labels(num_particles)],
+            dtype=np.int64,
+        )
+        self.computed = self.entries_read = 0
+
+    def read(self, masks):
+        """(S(A), S(RA)) of each particle mask A as two float arrays; S of no particles is 0.0.
+
+        Missing entries of A and of its complement are computed in one
+        cut_entropies call.
+        """
+        masks = np.asarray(masks, dtype=np.int64)
+        others = self._full ^ masks
+        wanted = np.zeros(self._s.shape, dtype=bool)
+        wanted[masks] = wanted[others] = True
+        missing = np.flatnonzero(wanted & np.isnan(self._s))
+        self.computed += missing.size
+        self.entries_read += 2 * masks.size
+        if missing.size:
+            keep = (missing[:, None] >> np.arange(len(self._bits)) & 1) @ self._bits
+            self._s[missing] = cut_entropies(self._state, keep)
+        return np.where(masks == 0, 0.0, self._s[masks]), self._s[others]
+
+
+def _evaluate(table, player_masks, class_codes, tolerance):
+    """The entropy-condition pass behind verify and the search, as VerificationReport fields.
+
+    player_masks[i] is the particle bitmask of player i+1 and class_codes
+    the claimed structure's class table (AccessStructure.class_codes).
+    Returns s_s and the columns: every nonempty player subset's class,
+    S(A), S(RA), I(R:A) and generalized-model condition ok, computed with
+    the float operations of a per-subset pass, in its order.
+    """
+    # the unions include mask 0, whose S(RA) is the entropy of all particles: S(R)
+    s_a_of, s_ra_of = table.read(subset_unions(player_masks))
+    s_s = float(s_ra_of[0])
+    classes, s_a, s_ra = class_codes[1:], s_a_of[1:], s_ra_of[1:]
+    i_ra = (s_s + s_a) - s_ra
+    ok = np.where(classes == AUTHORIZED, np.abs(i_ra - 2.0 * s_s) <= tolerance,
+                  i_ra <= s_s + tolerance)
+    return dict(s_s=s_s, classes=classes, s_a=s_a, s_ra=s_ra, i_ra=i_ra, ok=ok)
+
+
 class PreparedBase:
     """A search base, a scheme with its structure over particles, and what searches on it share.
 
@@ -369,10 +439,8 @@ class PreparedBase:
 
     @functools.cached_property
     def table(self):
-        """The verifier's SubsetEntropyTable of the base's images."""
-        from . import verifier  # deferred: verifier builds on schemes
-
-        return verifier.SubsetEntropyTable(distribute_purified(self.scheme), self.scheme.num_particles)
+        """The SubsetEntropyTable of the base's images."""
+        return SubsetEntropyTable(distribute_purified(self.scheme), self.scheme.num_particles)
 
 
 def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
@@ -397,8 +465,6 @@ def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
         raise SchemeError(
             f"search needs target players <= particles <= {MAX_SEARCH_PARTICLES}"
         )
-    from . import verifier  # deferred: verifier builds on schemes
-
     n = target.n
     holders = [f"P{i}" for i in range(1, n + 1)] + ([DEALER] if allow_dealer else [])
     choices = base.choices(len(holders))
@@ -409,7 +475,7 @@ def search_assignment(base, target, allow_dealer, tolerance=DEFAULT_TOLERANCE):
         table = base.table
         for row in matches.tolist():
             evaluated += 1
-            ev = verifier._evaluate(table, row[:n], target.class_codes, tolerance)
+            ev = _evaluate(table, row[:n], target.class_codes, tolerance)
             if ev["ok"].all():
                 hit = row
                 break

@@ -94,11 +94,7 @@ def antichain_reduce(n, masks):
     strictly contains no member.
     """
     closed, above = _up_closure(n, masks)
-    minimal = np.flatnonzero(_bool_table(n, closed ^ above)).tolist()
-    gamma = AccessStructure.__new__(AccessStructure)
-    object.__setattr__(gamma, "_closure", closed)  # the family's: no closure, no antichain check
-    gamma.__init__(n, tuple(PlayerSubset(m, n) for m in minimal))
-    return gamma
+    return AccessStructure.from_masks(n, np.flatnonzero(_bool_table(n, closed ^ above)).tolist())
 
 
 def _maximal_unauthorized(gamma):
@@ -205,8 +201,6 @@ class AccessStructure:
             if s.bits == 0:
                 raise StructureError("minimal authorized set must be nonempty")
         object.__setattr__(self, "minimal_sets", tuple(sorted(sets, key=lambda s: s.bits)))
-        if "_closure" in self.__dict__:  # handed over by antichain_reduce
-            return
         masks = self.masks()
         closed, above = _up_closure(self.n, masks)
         object.__setattr__(self, "_closure", closed)  # an int, bit b for subset b

@@ -6,12 +6,6 @@ subset A, the quantities S(A), S(RA), I(R:A) are computed.  Authorized
 sets must reach full correlation I(R:A) = I(R:S); unauthorized sets are
 held to the generalized bound I(R:A) <= S(S), or to I(R:A) = 0 under the
 perfect model.
-
-A subset-entropy table holds one entropy per particle bitmask, filled in
-bulk by qstate.cut_entropies; since the global state is pure, S(RA) is
-read as the entropy of the particles outside A.  Re-grouping particles
-under different player assignments (the redistribution search) costs
-table reads only.
 """
 
 import hashlib
@@ -21,15 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import DEFAULT_TOLERANCE, cut_entropies
+from .qstate import DEFAULT_TOLERANCE
 from . import schemes
 from .schemes import (
     PreparedBase,
     SchemeSpec,
+    SubsetEntropyTable,
+    _evaluate,
     build_block_scheme,
     distribute_purified,
     induce_structure,
-    particle_labels,
     search_assignment,
 )
 from .structures import (
@@ -42,7 +37,6 @@ from .structures import (
     StructureError,
     _admissible_classes,
     perfect_feasibility,
-    subset_unions,
 )
 
 
@@ -67,49 +61,6 @@ class StructuralMismatchError(Exception):
         )
 
 
-class SubsetEntropyTable:
-    """Subsystem entropies of the purified scheme state, one float per particle bitmask.
-
-    The global state over (R, particles) is pure, so S(RA) is the entropy
-    of the particles outside A and one array over particle masks holds
-    both S(A) and S(RA); NaN marks an entry not yet computed.  S(R) is the
-    entry of all particles, which a read of mask 0 returns as its S(RA).
-    Any player grouping only changes which unions are read, so entries are
-    shared across assignments.  The reference is register "R" of the
-    purified secret.  computed and entries_read count entries filled and
-    looked up.
-    """
-
-    def __init__(self, state, num_particles):
-        self._state = state
-        self._full = (1 << num_particles) - 1
-        self._s = np.full(1 << num_particles, np.nan)
-        n = state.num_qubits
-        self._bits = np.array(
-            [1 << (n - 1 - state.layout.axis(label)) for label in particle_labels(num_particles)],
-            dtype=np.int64,
-        )
-        self.computed = self.entries_read = 0
-
-    def read(self, masks):
-        """(S(A), S(RA)) of each particle mask A as two float arrays; S of no particles is 0.0.
-
-        Missing entries of A and of its complement are computed in one
-        cut_entropies call.
-        """
-        masks = np.asarray(masks, dtype=np.int64)
-        others = self._full ^ masks
-        wanted = np.zeros(self._s.shape, dtype=bool)
-        wanted[masks] = wanted[others] = True
-        missing = np.flatnonzero(wanted & np.isnan(self._s))
-        self.computed += missing.size
-        self.entries_read += 2 * masks.size
-        if missing.size:
-            keep = (missing[:, None] >> np.arange(len(self._bits)) & 1) @ self._bits
-            self._s[missing] = cut_entropies(self._state, keep)
-        return np.where(masks == 0, 0.0, self._s[masks]), self._s[others]
-
-
 @dataclass(eq=False)
 class VerificationReport:
     """verify's verdicts.  Row b - 1 of the columns classes (codes into CLASS_NAMES), s_a,
@@ -132,25 +83,6 @@ class VerificationReport:
     worst_balance_deviation: float
     meets_requested: bool
     requested_witness: PlayerSubset | None
-
-
-def _evaluate(table, player_masks, class_codes, tolerance):
-    """The entropy-condition pass behind verify and the search, as VerificationReport fields.
-
-    player_masks[i] is the particle bitmask of player i+1 and class_codes
-    the claimed structure's class table (AccessStructure.class_codes).
-    Returns s_s and the columns: every nonempty player subset's class,
-    S(A), S(RA), I(R:A) and generalized-model condition ok, computed with
-    the float operations of a per-subset pass, in its order.
-    """
-    # the unions include mask 0, whose S(RA) is the entropy of all particles: S(R)
-    s_a_of, s_ra_of = table.read(subset_unions(player_masks))
-    s_s = float(s_ra_of[0])
-    classes, s_a, s_ra = class_codes[1:], s_a_of[1:], s_ra_of[1:]
-    i_ra = (s_s + s_a) - s_ra
-    ok = np.where(classes == AUTHORIZED, np.abs(i_ra - 2.0 * s_s) <= tolerance,
-                  i_ra <= s_s + tolerance)
-    return dict(s_s=s_s, classes=classes, s_a=s_a, s_ra=s_ra, i_ra=i_ra, ok=ok)
 
 
 def _report(table, scheme, gamma, model, tolerance):
@@ -290,6 +222,28 @@ def _search_bases(target_n):
             yield m, tuple(range(1, k + 1))
 
 
+def _routes(entry, prepared, tolerance):
+    """Each realization route of a catalog entry as (label, base, assignment, scheme name), in order.
+
+    The direct star with its own assignment, the documented recipe, then one search per
+    _search_bases base, whose assignment is its hit or None; prepared(m, block) gives the bases.
+    """
+    if entry.number in DIRECT_STARS:
+        n, center = DIRECT_STARS[entry.number]
+        base = prepared(n, (center,))
+        name = f"star(n={n},center={center})"
+        yield f"direct star {name}", base, base.scheme.assignment, name
+    if entry.number in DOCUMENTED_ASSIGNMENTS:
+        (m, block), assignment = DOCUMENTED_ASSIGNMENTS[entry.number]
+        base = prepared(m, block)
+        yield (f"documented recipe over {base.scheme.name}", base, assignment,
+               f"{base.scheme.name} via documented assignment")
+    for m, block in _search_bases(entry.structure.n):
+        base = prepared(m, block)
+        hit = search_assignment(base, entry.structure, allow_dealer=True, tolerance=tolerance)
+        yield f"search base (m={m}, k={len(block)})", base, hit, f"{base.scheme.name} via search"
+
+
 def _try_assignment(base, assignment, target, name, tolerance):
     """Realization check of every matrix route on a PreparedBase: induce the target, then verify."""
     candidate = SchemeSpec(base.scheme.num_particles, base.scheme.basis_images, assignment, name)
@@ -309,13 +263,14 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
     """Reproduce the perfect/generalized feasibility verdicts for the catalog, one MatrixRow each.
 
     Pure perfect feasibility comes from the A2 test; generalized feasibility is
-    re-established constructively: direct star schemes where the structure
-    is a star, documented redistribution recipes where available (re-checked,
-    with failures flagged and corrected by search), and otherwise an
-    exhaustive assignment search over block-scheme bases with at most
-    schemes.MAX_SEARCH_PARTICLES particles, the search's own cap.  Absence
-    of a construction is reported as "unknown".  Each block base (m, block),
-    stars included, is prepared once per call and shared by every route.
+    re-established constructively, by the first of _routes whose assignment
+    passes _try_assignment: a direct star scheme where the structure is a
+    star, a documented redistribution recipe where available (a rejected
+    one is noted and corrected by search), then an exhaustive assignment
+    search over block-scheme bases with at most schemes.MAX_SEARCH_PARTICLES
+    particles, the search's own cap.  Absence of a construction is reported
+    as "unknown".  Each block base (m, block), stars included, is prepared
+    once per call and shared by every route.
     """
     rows, bases, searches = [], {}, 0
 
@@ -340,37 +295,19 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
         )
 
         result, tried = None, []
-        if entry.number in DIRECT_STARS:
-            n, center = DIRECT_STARS[entry.number]
-            base = prepared(n, (center,))
-            name = f"star(n={n},center={center})"
-            tried.append(f"direct star {name}")
-            result, _ = _try_assignment(base, base.scheme.assignment, gamma, name, tolerance)
-
-        if result is None and entry.number in DOCUMENTED_ASSIGNMENTS:
-            (m, block), assignment = DOCUMENTED_ASSIGNMENTS[entry.number]
-            base = prepared(m, block)
-            tried.append(f"documented recipe over {base.scheme.name}")
-            result, failure = _try_assignment(
-                base, assignment, gamma, f"{base.scheme.name} via documented assignment", tolerance,
-            )
-            if failure:
+        for label, base, assignment, name in _routes(entry, prepared, tolerance):
+            tried.append(label)
+            searches += label.startswith("search")
+            if assignment is None:
+                continue
+            result, failure = _try_assignment(base, assignment, gamma, name, tolerance)
+            if result is not None:
+                break
+            if label.startswith("documented"):
                 row.notes.append(
                     f"row {entry.number}: documented assignment {assignment} over "
                     f"{base.scheme.name} rejected ({failure}); corrected by search"
                 )
-
-        if result is None:
-            for m, block in _search_bases(gamma.n):
-                tried.append(f"search base (m={m}, k={len(block)})")
-                base = prepared(m, block)
-                searches += 1
-                assignment = search_assignment(base, gamma, allow_dealer=True, tolerance=tolerance)
-                if assignment is not None:
-                    result, _ = _try_assignment(
-                        base, assignment, gamma, f"{base.scheme.name} via search", tolerance,
-                    )
-                    break
 
         route = tried[-1] if result else f"none of {len(tried)} routes: {'; '.join(tried)}"
         _log.debug("row %d %s: %s", entry.number, gamma, route)

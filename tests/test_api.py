@@ -1,12 +1,16 @@
-"""Every public name of the package has a caller in the package itself.
+"""Every public name of the package has a caller in the package itself, and the modules layer.
 
 A name counts as called when some module under src/qsslab other than
 __init__.py reads it (an ast Name or Attribute in load context) outside
 the top-level definition that binds it.  Docstrings, comments, imports and
 tests do not count.
+
+The modules import each other at module level only, and their imports
+form no cycle: each module builds on the ones below it.
 """
 
 import ast
+import graphlib
 import types
 from pathlib import Path
 
@@ -71,3 +75,41 @@ def test_reads_of_a_name_inside_its_own_definition_do_not_count():
         "def user():\n    return obj.helper\n"
     )
     assert read_names(tree) == {"n", "obj", "helper"}
+
+
+def package_trees():
+    """Module name -> ast of each module under src/qsslab, __init__ included."""
+    paths = sorted(SRC.glob("*.py"))
+    return {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+
+
+def package_imports(tree):
+    """Package modules a module imports: x of `from .x import ...` and of `from . import x`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+    return found
+
+
+def test_no_import_sits_inside_a_function():
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    nested = {
+        f"{name}.py:{node.lineno}"
+        for name, tree in package_trees().items()
+        for function in ast.walk(tree) if isinstance(function, functions)
+        for node in ast.walk(function) if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    assert sorted(nested) == []
+
+
+def test_the_package_import_graph_is_acyclic():
+    graph = {name: package_imports(tree) for name, tree in package_trees().items()}
+    # both relative forms are read: `from . import x` and `from .x import y`
+    assert graph["cli"] >= {"protocols", "qstate", "schemes", "structures", "verifier"}
+    assert graph["verifier"] >= {"qstate", "schemes", "structures"}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+

@@ -392,6 +392,7 @@ def test_block_scheme_cuts_match_partial_trace():
 
 
 def test_matrix_entropies_are_bit_equal_to_partial_trace(monkeypatch):
+    import qsslab.schemes as schemes
     import qsslab.verifier as verifier
     from qsslab.qstate import cut_entropies, partial_trace, von_neumann_entropy
 
@@ -402,7 +403,7 @@ def test_matrix_entropies_are_bit_equal_to_partial_trace(monkeypatch):
         seen.append((state, list(keep_masks), values))
         return values
 
-    monkeypatch.setattr(verifier, "cut_entropies", recording)
+    monkeypatch.setattr(schemes, "cut_entropies", recording)
     verifier.feasibility_matrix()
     assert seen
     for state, keep_masks, values in seen:
@@ -508,6 +509,39 @@ def test_matrix_logs_the_route_of_every_row(caplog, feasibility_rows):
             assert route == f"documented recipe over {row.scheme_name.split(' via')[0]}"
         else:
             assert route == f"direct star {row.scheme_name}"
+
+
+def test_routes_of_every_catalog_row():
+    """A row's fixed routes, with the route tables' assignments, then one search per base in order."""
+    from qsslab.structures import HYPERSTAR_CATALOG
+    from qsslab.verifier import DIRECT_STARS, DOCUMENTED_ASSIGNMENTS, _routes, _search_bases
+
+    bases = {}
+
+    def prepared(m, block):
+        if (m, block) not in bases:
+            bases[m, block] = PreparedBase(*build_block_scheme(m, block))
+        return bases[m, block]
+
+    for entry in HYPERSTAR_CATALOG:
+        routes = list(_routes(entry, prepared, 1e-9))
+        fixed = []
+        if entry.number in (2, 4, 8):
+            n, center = DIRECT_STARS[entry.number]
+            name = f"star(n={n},center={center})"
+            fixed.append((f"direct star {name}", bases[n, (center,)], identity_assignment(n), name))
+        if entry.number in (5, 7, 13, 14):
+            (m, block), recipe = DOCUMENTED_ASSIGNMENTS[entry.number]
+            name = bases[m, block].scheme.name
+            fixed.append((f"documented recipe over {name}", bases[m, block], recipe,
+                          f"{name} via documented assignment"))
+        searches = [
+            (f"search base (m={m}, k={len(block)})", bases[m, block],
+             search_assignment(bases[m, block], entry.structure, allow_dealer=True),
+             f"{bases[m, block].scheme.name} via search")
+            for m, block in _search_bases(entry.structure.n)
+        ]
+        assert routes == fixed + searches, entry.number
 
 
 # ---------------------------------------------------------------------------
