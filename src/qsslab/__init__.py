@@ -36,7 +36,6 @@ from .structures import (
     AccessStructure,
     PlayerSubset,
     catalog_number,
-    check_complement_law,
     enumerate_hyperstars,
     is_quantum_admissible,
     load_structure,

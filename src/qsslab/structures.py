@@ -12,6 +12,8 @@ A structure is quantum-admissible when no two authorized sets are disjoint
 it).  The adversary structure splits into A1 (unauthorized sets disjoint
 from some authorized set) and A2 (unauthorized sets meeting every
 authorized set); A2 is exactly the obstruction to pure perfect schemes.
+The complement law holds by these definitions: an A1 set's complement is
+authorized; an A2 set's is unauthorized, its own complement too, so it is A2.
 """
 
 import functools
@@ -245,12 +247,6 @@ class AccessStructure:
         codes.flags.writeable = False
         return codes
 
-    def contains(self, s):
-        """Monotone-closure membership: some minimal set is inside s."""
-        if s.n != self.n:
-            raise StructureError(f"player-count mismatch: {s.n} vs {self.n}")
-        return bool(self._closure >> s.bits & 1)
-
     def __str__(self):
         return "{" + ", ".join(str(s) for s in self.minimal_sets) + "}"
 
@@ -274,32 +270,6 @@ def _adversary_masks(gamma):
     """
     codes = _admissible_classes(gamma)[1:]
     return np.flatnonzero(codes == A1) + 1, np.flatnonzero(codes == A2) + 1
-
-
-@dataclass(frozen=True)
-class ComplementLawResult:
-    """Outcome of the complement-classification check.
-
-    holds is True when the complement of every A1 member is authorized and
-    the complement of every A2 member is again in A2.  On failure,
-    counterexample carries the first offending subset and clause names the
-    violated half ("a1" or "a2").
-    """
-
-    holds: bool
-    counterexample: PlayerSubset | None = None
-    clause: str | None = None
-
-
-def check_complement_law(gamma):
-    """Machine-check that complements of A1 members are authorized and A2 is closed under complement."""
-    codes = _admissible_classes(gamma)
-    # entry b of the reversed table is the class of b's complement
-    for clause, cls, complement_cls in (("a1", A1, AUTHORIZED), ("a2", A2, A2)):
-        bad = np.flatnonzero((codes[1:] == cls) & (codes[::-1][1:] != complement_cls))
-        if bad.size:
-            return ComplementLawResult(False, PlayerSubset(int(bad[0]) + 1, gamma.n), clause)
-    return ComplementLawResult(True)
 
 
 @dataclass(frozen=True)
@@ -476,7 +446,8 @@ def load_structure(data):
         raise StructureError(f"missing or bad field: {exc}") from exc
     if not isinstance(raw_sets, list) or not raw_sets:
         raise StructureError("minimal_authorized must be a nonempty list of player lists")
-    bit_of = {p: 1 << (p - 1) for p in range(1, min(n, MAX_PLAYERS) + 1)}  # n is refused above
+    # at most MAX_PLAYERS entries whatever n is; the first set refuses an n out of range
+    bit_of = {p: 1 << (p - 1) for p in range(1, min(n, MAX_PLAYERS) + 1)}
     subsets = []
     for raw in raw_sets:
         if not isinstance(raw, list) or not raw:

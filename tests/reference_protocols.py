@@ -245,7 +245,7 @@ def block_measure_protocol(scheme, block, acting_set, secret):
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise ProtocolError("secret amplitudes are not normalized")
     acting = PlayerSubset.coerce(acting_set, n)
-    if not gamma.contains(acting):
+    if not gamma.authorized[acting.bits]:
         raise UnauthorizedSetError(f"{acting} is not authorized for this block scheme")
     # an authorized set holds the block or the co-block, and a player beyond it
     held = set(acting.players())

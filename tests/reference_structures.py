@@ -31,6 +31,13 @@ def brute_classes(g):
     return authorized, a1, a2
 
 
+def complement_law_by_definition(g):
+    """The complement law on brute_classes(g): A1 complements are authorized, A2 is closed."""
+    authorized, a1, a2 = map(set, brute_classes(g))
+    full = (1 << g.n) - 1
+    return all(full ^ bits in authorized for bits in a1) and all(full ^ bits in a2 for bits in a2)
+
+
 def brute_canonical(g):
     """Full n!-permutation minimum, the definition canonical_key must match."""
 

@@ -3,13 +3,15 @@
 A name counts as called when some module under src/qsslab other than
 __init__.py reads it (an ast Name or Attribute in load context) outside
 the top-level definition that binds it.  Docstrings, comments, imports and
-tests do not count.
+tests do not count.  The public methods of exported classes are held to
+the same rule.
 
 The modules import each other at module level only, and their imports
 form no cycle: each module builds on the ones below it.
 """
 
 import ast
+import functools
 import graphlib
 import types
 from pathlib import Path
@@ -51,6 +53,17 @@ def public_names():
     }
 
 
+def public_methods():
+    """Each public method or property of an exported class, as its key "Class.name" -> name."""
+    kinds = (types.FunctionType, classmethod, staticmethod, property, functools.cached_property)
+    return {
+        f"{name}.{attr}": attr
+        for name in public_names() if isinstance(cls := getattr(qsslab, name), type)
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and isinstance(value, kinds)
+    }
+
+
 def called_names():
     found = set()
     for path in sorted(SRC.glob("*.py")):
@@ -61,6 +74,11 @@ def called_names():
 
 def test_every_public_name_has_a_caller_in_the_package():
     assert sorted(public_names() - called_names() - UNCALLED.keys()) == []
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller_in_the_package():
+    called = called_names()
+    assert sorted(key for key, attr in public_methods().items() if attr not in called) == []
 
 
 def test_the_uncalled_list_names_only_exported_names_without_a_caller():

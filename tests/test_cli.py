@@ -30,14 +30,13 @@ from qsslab.structures import (
     PlayerSubset,
     _adversary_masks,
     antichain_reduce,
-    check_complement_law,
     perfect_feasibility,
     structure_to_dict,
     threshold_structure,
 )
 import reference_verifier as ref_verifier
 from reference_stabilizer import five_qubit_scheme
-from reference_structures import brute_classes
+from reference_structures import brute_classes, complement_law_by_definition
 
 GOLDEN_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "tables.json"
 
@@ -192,7 +191,8 @@ def structure_check_reference(gamma, fmt):
     a1_masks, a2_masks = brute_classes(gamma)[1:]
     assert [masks.tolist() for masks in _adversary_masks(gamma)] == [a1_masks, a2_masks]
     a1, a2 = ([PlayerSubset(b, gamma.n) for b in masks] for masks in (a1_masks, a2_masks))
-    law = check_complement_law(gamma)
+    # the library prints the law as holding; the reference prints it so only when it does
+    law = complement_law_by_definition(gamma)
     feas = perfect_feasibility(gamma)
     if fmt == "json":
         doc = {
@@ -201,7 +201,7 @@ def structure_check_reference(gamma, fmt):
             "admissible": True,
             "a1": [list(s.players()) for s in a1],
             "a2": [list(s.players()) for s in a2],
-            "complement_law": law.holds,
+            "complement_law": law,
             "perfect": "feasible" if feas.feasible else "infeasible",
             "perfect_witness": list(feas.witness.players()) if feas.witness else None,
         }
@@ -211,7 +211,7 @@ def structure_check_reference(gamma, fmt):
         f"admissible; |A1|={len(a1)} |A2|={len(a2)}; perfect: {verdict}",
         "A1: " + (", ".join(str(s) for s in a1) or "(empty)"),
         "A2: " + (", ".join(str(s) for s in a2) or "(empty)"),
-        f"complement law: {'holds' if law.holds else f'fails at {law.counterexample}'}",
+        f"complement law: {'holds' if law else 'fails'}",
     ]
     if feas.witness:
         lines.append(f"perfect-infeasibility witness: {feas.witness}")
@@ -236,6 +236,8 @@ def admissible_structures(draw):
 @given(admissible_structures(), st.sampled_from(["json", "text"]))
 @example(threshold_structure(7, 12), "json")
 @example(threshold_structure(7, 12), "text")
+@example(threshold_structure(3, 5), "json")  # A2 empty: feasible, with no witness
+@example(threshold_structure(3, 5), "text")
 @settings(max_examples=60, deadline=None)
 def test_structure_check_matches_reference(tmp_path_factory, gamma, fmt):
     path = tmp_path_factory.getbasetemp() / "structure_check.json"

@@ -17,7 +17,6 @@ from qsslab.structures import (
     antichain_reduce,
     canonical_key,
     catalog_number,
-    check_complement_law,
     enumerate_hyperstars,
     is_quantum_admissible,
     load_structure,
@@ -30,6 +29,7 @@ from reference_structures import (
     brute_canonical,
     brute_classes,
     closure_by_definition,
+    complement_law_by_definition,
     first_nested_pair_by_loop,
     load_structure_reference,
     maximal_unauthorized_by_definition,
@@ -131,19 +131,15 @@ def test_antichain_check_names_first_pair_in_combinations_order(family, block):
 class TestClosure:
     def test_superset_of_minimal(self):
         g = gamma(3, [[1, 2]])
-        assert g.contains(subset([1, 2, 3], 3))
+        assert g.authorized[subset([1, 2, 3], 3).bits]
 
     def test_pair_outside_closure(self):
         g = gamma(4, [[1, 2, 3], [1, 4]])  # catalog No.5
-        assert not g.contains(subset([1, 2], 4))
+        assert not g.authorized[subset([1, 2], 4).bits]
 
     def test_threshold_triple(self):
         g = threshold_structure(3, 4)
-        assert g.contains(subset([2, 3, 4], 4))
-
-    def test_player_count_mismatch(self):
-        with pytest.raises(StructureError, match="mismatch"):
-            gamma(3, [[1, 2]]).contains(subset([1, 2], 4))
+        assert g.authorized[subset([2, 3, 4], 4).bits]
 
 
 class TestAdmissibility:
@@ -188,16 +184,7 @@ class TestAdversaryPartition:
 
 
 # ---------------------------------------------------------------------------
-# complement law and perfect feasibility
-
-
-class TestComplementLaw:
-    def test_threshold34(self):
-        assert check_complement_law(threshold_structure(3, 4)).holds
-
-    def test_two_star_on_three(self):
-        # {1} and {2,3} are mutual complements inside A2
-        assert check_complement_law(gamma(3, [[1, 2], [1, 3]])).holds
+# perfect feasibility
 
 
 class TestPerfectFeasibility:
@@ -508,7 +495,7 @@ def test_subset_unions_match_bruteforce_on_columns(n, rows, seed):
 def test_partition_totality(g):
     a1, a2 = adversary_masks(g)
     closure = sum(
-        1 for bits in range(1, 1 << g.n) if g.contains(PlayerSubset(bits, g.n))
+        1 for bits in range(1, 1 << g.n) if g.authorized[bits]
     )
     assert len(a1) + len(a2) + closure == (1 << g.n) - 1
     for bits in a1:
@@ -520,7 +507,9 @@ def test_partition_totality(g):
 @given(admissible_structures())
 @settings(max_examples=120, deadline=None)
 def test_complement_law_always_holds(g):
-    assert check_complement_law(g).holds
+    # structure check prints the law as holding; test_subset_classes_match_bruteforce
+    # ties class_codes to this partition
+    assert complement_law_by_definition(g)
 
 
 @given(admissible_structures())
@@ -572,62 +561,6 @@ def test_maximal_unauthorized_matches_bruteforce(g):
 def class_names(g):
     """g's class table by name, as CLASS_NAMES spells each code."""
     return [CLASS_NAMES[code] for code in g.class_codes.tolist()]
-
-
-def complement_law_by_loop(g):
-    """check_complement_law as a loop over every subset's class name."""
-    classes, full = class_names(g), (1 << g.n) - 1
-    for clause, cls, complement_cls in (("a1", "A1", "authorized"), ("a2", "A2", "A2")):
-        for bits in range(1, full + 1):
-            if classes[bits] == cls and classes[full ^ bits] != complement_cls:
-                return structures.ComplementLawResult(False, PlayerSubset(bits, g.n), clause)
-    return structures.ComplementLawResult(True)
-
-
-def with_class_codes(g, patch):
-    """A copy of g whose class table is g's with patch (bitmask -> code) applied."""
-    codes = g.class_codes.copy()
-    for bits, code in patch.items():
-        codes[bits] = code
-    patched = AccessStructure(g.n, g.minimal_sets)
-    patched.__dict__["class_codes"] = codes
-    return patched
-
-
-_ADMISSIBLE = [threshold_structure(3, 4), threshold_structure(2, 3), gamma(5, [[1, 2, 3], [1, 4, 5]])]
-
-
-@pytest.mark.parametrize("g", _ADMISSIBLE, ids=str)
-def test_complement_law_fails_each_clause_as_the_loop(g):
-    full, codes = (1 << g.n) - 1, g.class_codes
-    a1, a2 = (np.flatnonzero(codes[1:] == c) + 1 for c in (structures.A1, structures.A2))
-    patches = [{}]
-    # an A1 set whose complement is not authorized fails clause a1
-    patches += [{full ^ int(b): structures.A1} for b in a1[-2:]]
-    # an A2 set whose complement is authorized fails clause a2 only
-    patches += [{full ^ int(b): structures.AUTHORIZED} for b in a2[-2:]]
-    clauses = set()
-    for patch in patches:
-        patched = with_class_codes(g, patch)
-        result = check_complement_law(patched)
-        assert result == complement_law_by_loop(patched), patch
-        clauses.add(result.clause)
-    assert clauses == ({None, "a1", "a2"} if a2.size else {None, "a1"})
-
-
-@given(
-    st.sampled_from(_ADMISSIBLE).flatmap(
-        lambda g: st.tuples(
-            st.just(g),
-            st.dictionaries(st.integers(0, (1 << g.n) - 1), st.integers(0, 2), max_size=4),
-        )
-    )
-)
-@settings(max_examples=150, deadline=None)
-def test_complement_law_matches_the_loop_on_patched_tables(case):
-    g, patch = case
-    patched = with_class_codes(g, patch)
-    assert check_complement_law(patched) == complement_law_by_loop(patched)
 
 
 @st.composite
@@ -768,7 +701,6 @@ def test_authorized_table_matches_bruteforce(family, rnd):
     for bits in range(1 << n):
         expected = any(m & bits == m for m in masks)
         assert g.authorized[bits] == expected, bits
-        assert g.contains(PlayerSubset(bits, n)) == expected, bits
     assert is_quantum_admissible(g) == all(a & b for a, b in itertools.combinations(minimal, 2))
     with pytest.raises(ValueError):
         g.authorized[0] = True
@@ -816,10 +748,8 @@ def test_structure_analyses_classify_once(monkeypatch):
     spied = functools.cached_property(spy)
     spied.__set_name__(AccessStructure, "class_codes")
     monkeypatch.setattr(AccessStructure, "class_codes", spied)
-    monkeypatch.setattr(AccessStructure, "contains", lambda *_: pytest.fail("contains called"))
     g = gamma(5, [[1, 2, 3], [1, 4, 5]])
     a2 = structures._adversary_masks(g)[1]
-    assert check_complement_law(g).holds
     assert perfect_feasibility(g).witness == PlayerSubset(int(a2[0]), g.n)
     assert calls == [g]
 

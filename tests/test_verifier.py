@@ -216,7 +216,7 @@ class TestEntropyProfile:
         profile = entropy_profile(threshold34_scheme, (p, 1 - p))
         assert len(profile) == 15
         for subset, _, _, i_ra in profile:
-            if threshold34_gamma.contains(subset):
+            if threshold34_gamma.authorized[subset.bits]:
                 expected = 2 * h  # recoverable sets keep the full correlation
             elif len(subset) == 2:
                 expected = h  # unavoidable sets hold exactly the secret entropy
