@@ -33,9 +33,14 @@ def brute_classes(g):
 
 def complement_law_by_definition(g):
     """The complement law on brute_classes(g): A1 complements are authorized, A2 is closed."""
-    authorized, a1, a2 = map(set, brute_classes(g))
-    full = (1 << g.n) - 1
-    return all(full ^ bits in authorized for bits in a1) and all(full ^ bits in a2 for bits in a2)
+    return complement_law_holds(g.n, *brute_classes(g))
+
+
+def complement_law_holds(n, authorized, a1, a2):
+    """Whether every A1 complement is authorized and every A2 complement is A2, on bitmask lists."""
+    authorized, a2_set = set(authorized), set(a2)
+    full = (1 << n) - 1
+    return all(full ^ bits in authorized for bits in a1) and all(full ^ bits in a2_set for bits in a2)
 
 
 def brute_canonical(g):

@@ -30,6 +30,7 @@ from reference_structures import (
     brute_classes,
     closure_by_definition,
     complement_law_by_definition,
+    complement_law_holds,
     first_nested_pair_by_loop,
     load_structure_reference,
     maximal_unauthorized_by_definition,
@@ -92,6 +93,10 @@ class TestAccessStructure:
             match=r"^not an antichain: \[1, 2, 3, 4, 5, 6, 8\] and \[1, 2, 3, 4, 5, 6, 8, 9\] ",
         ):
             gamma(12, sets + [[1, 2, 3, 4, 5, 6, 8, 9]])
+
+    def test_rejects_member_over_another_player_count(self):
+        with pytest.raises(StructureError, match=r"^set \{P1,P2\} has player count 4, expected 3$"):
+            AccessStructure(3, (subset([1, 2], 4),))
 
     def test_minimal_sets_sorted_by_mask(self):
         g = gamma(4, [[1, 4], [1, 2, 3]])
@@ -184,7 +189,36 @@ class TestAdversaryPartition:
 
 
 # ---------------------------------------------------------------------------
-# perfect feasibility
+# complement law (on the partition by definition) and perfect feasibility
+
+
+class TestComplementLaw:
+    def test_threshold34(self):
+        assert complement_law_by_definition(threshold_structure(3, 4))
+
+    def test_two_star_on_three(self):
+        # {1} and {2,3} are mutual complements inside A2
+        g = gamma(3, [[1, 2], [1, 3]])
+        assert brute_classes(g)[2] == [0b001, 0b110]
+        assert complement_law_by_definition(g)
+
+
+@pytest.mark.parametrize(
+    "g", [threshold_structure(3, 4), threshold_structure(2, 3), gamma(5, [[1, 2, 3], [1, 4, 5]])], ids=str
+)
+def test_complement_law_reference_fails_each_clause(g):
+    # structure_check_reference prints the law from this helper, so each clause must be able to fail
+    authorized, a1, a2 = brute_classes(g)
+    full = (1 << g.n) - 1
+    assert complement_law_holds(g.n, authorized, a1, a2)
+    # an A1 set whose complement is moved out of the authorized sets fails the A1 clause
+    for bits in a1[-2:]:
+        moved = [m for m in authorized if m != full ^ bits]
+        assert not complement_law_holds(g.n, moved, a1 + [full ^ bits], a2)
+    # an A2 set whose complement is moved into the authorized sets fails the A2 clause
+    for bits in a2[-2:]:
+        moved = [m for m in a2 if m != full ^ bits]
+        assert not complement_law_holds(g.n, authorized + [full ^ bits], a1, moved)
 
 
 class TestPerfectFeasibility:
