@@ -57,14 +57,13 @@ def _load_scheme(path):
 
 
 def _emit(pieces, out):
-    """Write the pieces with one writelines: to the file out, or else to sys.stdout as it is now.
+    """Write the pieces and a final line break with one writelines.
 
-    stdout gets a final line break; the file gets one unless the text ends with one.
+    The target is the file out, or else sys.stdout as it is now.
     """
     if out:
-        ends = next((p for p in reversed(pieces) if p), "").endswith("\n")
         with Path(out).open("w") as f:  # Path.write_text's mode and encoding
-            f.writelines(pieces if ends else pieces + ["\n"])
+            f.writelines(pieces + ["\n"])
     else:
         sys.stdout.writelines(pieces + ["\n"])
 

@@ -199,7 +199,6 @@ class _BatchRun:
     fidelities: np.ndarray
     vacuous: np.ndarray
     factorized: bool
-    last_secret: np.ndarray
     last_states: list  # the last secret's state per branch, None where vacuous
 
 
@@ -238,7 +237,6 @@ def _run_batch(layout, images, secrets, out_reg, before, bits=None, after=(None,
         np.concatenate(fidelities, axis=1),
         np.concatenate(vacuous, axis=1),
         factorized,
-        secrets[-1],
         last_states,
     )
 
@@ -319,7 +317,7 @@ def run_threshold34_circuit(scheme, acting_set, secrets):
     out_reg = f"p{output}"
     run = _run_batch(layout, scheme.basis_images, secrets, out_reg, _gather(layout, steps))
     fidelities = run.fidelities[0].tolist()
-    residual = _residual_ket(run.last_states[0], out_reg, *run.last_secret)
+    residual = _residual_ket(run.last_states[0], out_reg, *secrets[-1])
 
     deviations = []
     if key == frozenset({1, 3, 4}):
@@ -496,8 +494,6 @@ def decoupling_decoder(state, a_regs):
                 raise ProtocolError("relative states degenerate; decoder construction failed")
             kept.append(vec / norm)
             targets.append(i * junk + k)
-    if len(kept) > dim_a:
-        raise ProtocolError("more relative states than the acting space can hold")
     if max(targets) >= dim_a or len(set(targets)) < len(targets):
         raise ProtocolError("relative states do not fit (output qubit) x (junk) on the acting set")
 

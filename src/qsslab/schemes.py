@@ -110,26 +110,18 @@ class SchemeSpec:
     def num_players(self):
         return sum(1 for h in self.assignment if h != DEALER)
 
-    def particles_of(self, player_bits):
-        """Sorted particle indices jointly held by the players in the bitmask."""
-        out = []
-        for pos in _bit_positions(player_bits):
-            out.extend(self.assignment.get(f"P{pos + 1}", ()))
-        return tuple(sorted(out))
-
-    def particle_mask(self, player):
-        mask = 0
-        for p in self.assignment.get(player, ()):
-            mask |= 1 << (p - 1)
-        return mask
-
     @property
     def player_masks(self):
         """Particle bitmask of each player P1..Pn, in player order."""
-        return [self.particle_mask(f"P{i}") for i in range(1, self.num_players + 1)]
+        return [
+            sum(1 << (p - 1) for p in self.assignment[f"P{i}"])
+            for i in range(1, self.num_players + 1)
+        ]
 
     def registers_of(self, player_bits):
-        return tuple(f"p{p}" for p in self.particles_of(player_bits))
+        """Registers of the particles jointly held by the players in the bitmask, ascending."""
+        held = sum(m for pos, m in enumerate(self.player_masks) if player_bits >> pos & 1)
+        return tuple(f"p{p + 1}" for p in _bit_positions(held))
 
     def __eq__(self, other):
         if not isinstance(other, SchemeSpec):

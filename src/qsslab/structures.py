@@ -48,6 +48,12 @@ def _json_int(value):
     return operator.index(value)
 
 
+def _check_player_count(n):
+    """Refuse a player count outside [2, MAX_PLAYERS], before anything sized by 2^n is built."""
+    if not 2 <= n <= MAX_PLAYERS:
+        raise StructureError(f"player count must be in [2, {MAX_PLAYERS}], got {n}")
+
+
 def subset_unions(masks):
     """Table of unions: entry b is the OR of masks[i] over the set bits i of b.
 
@@ -79,6 +85,7 @@ def _up_closure(n, masks):
     Each is an int over the 2^n subsets, bit b standing for subset b.  Pass i
     moves each subset without player i+1 onto the same subset with it, a shift by 2^i.
     """
+    _check_player_count(n)
     closed, above = 0, 0
     for m in masks:
         closed |= 1 << m
@@ -121,8 +128,7 @@ class PlayerSubset:
     n: int
 
     def __post_init__(self):
-        if not 2 <= self.n <= MAX_PLAYERS:
-            raise StructureError(f"player count must be in [2, {MAX_PLAYERS}], got {self.n}")
+        _check_player_count(self.n)
         if not 0 <= self.bits < (1 << self.n):
             raise StructureError(f"bitmask {self.bits:#x} out of range for n={self.n}")
 
@@ -161,25 +167,19 @@ class PlayerSubset:
         return "{" + ",".join(f"P{p}" for p in self.players()) + "}"
 
 
-#: Mask pairs compared per block of rows in _first_nested_pair (8 MB of int64)
-_PAIR_BLOCK = 1 << 20
-
-
 def _first_nested_pair(masks):
     """First (i, j), i < j, in itertools.combinations order with masks[i], masks[j] nested or equal.
 
-    One pair matrix over the masks, read in row-major order on its upper
-    triangle; built a block of rows at a time, so memory stays bounded
-    however many masks an input lists.  None when the masks are an antichain.
+    One numpy pass per mask i over the masks after it, so memory stays
+    O(len(masks)).  None when the masks are an antichain.
     """
     m = np.array(masks, dtype=np.int64)
-    rows = max(1, _PAIR_BLOCK // max(1, len(m)))
-    for start in range(0, len(m), rows):
-        block = m[start:start + rows, None]
-        meet = block & m
-        hits = np.argwhere(np.triu((meet == block) | (meet == m), start + 1))
-        if len(hits):
-            return start + int(hits[0, 0]), int(hits[0, 1])
+    for i in range(len(m) - 1):
+        rest = m[i + 1:]
+        meet = rest & m[i]
+        hits = np.flatnonzero((meet == m[i]) | (meet == rest))
+        if hits.size:
+            return i, i + 1 + int(hits[0])
     return None
 
 
@@ -296,10 +296,7 @@ def threshold_structure(k, n):
         raise StructureError(
             f"(({k},{n})) is not quantum-admissible: two disjoint {k}-subsets exist"
         )
-    sets = [
-        PlayerSubset.from_players(c, n) for c in itertools.combinations(range(1, n + 1), k)
-    ]
-    return AccessStructure(n, tuple(sets))
+    return AccessStructure.from_sets(n, itertools.combinations(range(1, n + 1), k))
 
 
 @functools.cache
@@ -446,8 +443,8 @@ def load_structure(data):
         raise StructureError(f"missing or bad field: {exc}") from exc
     if not isinstance(raw_sets, list) or not raw_sets:
         raise StructureError("minimal_authorized must be a nonempty list of player lists")
-    # at most MAX_PLAYERS entries whatever n is; the first set refuses an n out of range
-    bit_of = {p: 1 << (p - 1) for p in range(1, min(n, MAX_PLAYERS) + 1)}
+    _check_player_count(n)
+    bit_of = {p: 1 << (p - 1) for p in range(1, n + 1)}
     subsets = []
     for raw in raw_sets:
         if not isinstance(raw, list) or not raw:
@@ -458,7 +455,7 @@ def load_structure(data):
                 p = p if type(p) is int else _json_int(p)
                 if p in bit_of:
                     bits |= bit_of[p]
-                elif not 1 <= p <= n:
+                else:
                     outside.append(p)
         except TypeError:
             raise StructureError(f"minimal set {raw!r} holds a non-integer player") from None

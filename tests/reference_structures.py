@@ -10,7 +10,13 @@ import itertools
 import numpy as np
 
 from qsslab.schemes import SchemeSpec
-from qsslab.structures import AccessStructure, PlayerSubset, StructureError, _json_int
+from qsslab.structures import (
+    MAX_PLAYERS,
+    AccessStructure,
+    PlayerSubset,
+    StructureError,
+    _json_int,
+)
 
 
 def brute_classes(g):
@@ -115,9 +121,9 @@ def permute_particles(scheme, perm):
 def load_structure_reference(data):
     """The structure loader as it was before it built masks in one pass, for differential tests.
 
-    Each set's players go through _json_int as a list, then through
-    PlayerSubset.from_players: type errors first, then the first player
-    out of range, then the player count.
+    The player count is checked first.  Each set's players then go through
+    _json_int as a list, then through PlayerSubset.from_players: type
+    errors first, then the first player out of range.
     """
     if not isinstance(data, dict):
         raise StructureError("structure document must be a JSON object")
@@ -128,6 +134,8 @@ def load_structure_reference(data):
         raise StructureError(f"missing or bad field: {exc}") from exc
     if not isinstance(raw_sets, list) or not raw_sets:
         raise StructureError("minimal_authorized must be a nonempty list of player lists")
+    if not 2 <= n <= MAX_PLAYERS:
+        raise StructureError(f"player count must be in [2, {MAX_PLAYERS}], got {n}")
     subsets = []
     for raw in raw_sets:
         if not isinstance(raw, list) or not raw:

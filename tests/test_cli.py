@@ -375,8 +375,7 @@ def test_scalar_containers_stay_one_piece():
 
 @pytest.mark.parametrize("pieces", [[], [""], ["a"], ["{", "\n", "}"], ["x\n"], ["x\n", ""]])
 def test_emit_writes_to_the_stdout_of_the_call(tmp_path, pieces):
-    """stdout is looked up when _emit runs, and always gets a final line break; --out files
-    get one unless the text ends with one."""
+    """stdout is looked up when _emit runs; stdout and --out files always get a final line break."""
     text = "".join(pieces)
     for _ in range(2):  # a fresh redirect each time
         out = io.StringIO()
@@ -385,7 +384,7 @@ def test_emit_writes_to_the_stdout_of_the_call(tmp_path, pieces):
         assert out.getvalue() == text + "\n"
     path = tmp_path / "out.txt"
     cli._emit(list(pieces), str(path))
-    assert path.read_text() == text + ("" if text.endswith("\n") else "\n")
+    assert path.read_text() == text + "\n"
 
 
 @pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, np.bool_(True), np.bool_(False), object()])
@@ -978,6 +977,45 @@ def test_input_error_exit2_one_line(tmp_path, threshold34_files, capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def write_one_player_scheme(tmp_path):
+    """A two-particle scheme with particle 1 at P1 and particle 2 at the dealer."""
+    doc = {**json.loads(Path(write_pair_scheme(tmp_path)).read_text()),
+           "assignment": {"P1": [1], "DEALER": [2]}}
+    return write_doc(tmp_path, "one_player.json", doc)
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["reconstruct", "SCHEME", "--set", "1,x"],
+         "error: expected comma-separated player numbers, got '1,x'"),
+        (["reconstruct", "SCHEME", "--set", ","], "error: empty player list ','"),
+        (["reconstruct", "REDIST", "--set", "1,3,4,5", "--protocol", "measure"],
+         "error: --block is required for the measure protocol"),
+        (["structure", "check", "PLAYERS0"],
+         "error: bad structure PLAYERS0: player count must be in [2, 16], got 0"),
+        # one player is below the structures' player count, whether P1 is authorized or not
+        (["assign", "induce", "--scheme", "ONE", "--base", "PAIR_GAMMA"],
+         "error: player count must be in [2, 16], got 1"),
+        (["assign", "induce", "--scheme", "ONE", "--base", "P1_GAMMA"],
+         "error: player count must be in [2, 16], got 1"),
+    ],
+)
+def test_refusal_exit2_exact_line(tmp_path, threshold34_files, argv, line):
+    paths = {
+        "SCHEME": threshold34_files[0],
+        "REDIST": write_redistributed_scheme(tmp_path),
+        "PLAYERS0": write_structure(tmp_path, "players0.json", 0, [[1]]),
+        "ONE": write_one_player_scheme(tmp_path),
+        "PAIR_GAMMA": write_structure(tmp_path, "pair_gamma.json", 2, [[1, 2]]),
+        "P1_GAMMA": write_structure(tmp_path, "p1_gamma.json", 2, [[1]]),
+    }
+    code, out, err = run_cli([paths.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err == line.replace("PLAYERS0", paths["PLAYERS0"]) + "\n"
 
 
 def _scheme_doc(**changes):

@@ -868,3 +868,26 @@ class TestRandomSecrets:
         assert len(out.fidelities) == trials
         assert out.fidelity >= 1.0 - 1e-9
         assert peak < full_batch_bytes, (peak, full_batch_bytes)
+
+
+# ---------------------------------------------------------------------------
+# refusals name what is wrong
+
+
+def _reference_off_its_eigenbasis():
+    """threshold34 with an unevenly mixed secret, its reference turned by a Hadamard."""
+    state = distribute_purified(THRESHOLD34, (0.8, 0.2))
+    hadamard = np.array([[1, 1], [1, -1]]) * SQ2
+    return PureState(state.layout, (hadamard @ state.amplitudes.reshape(2, -1)).reshape(-1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_threshold34_circuit(THRESHOLD34, [1, 3, 4], np.full((2, 3), 3**-0.5)),
+     "a secret is one (alpha, beta) pair of amplitudes"),
+    (lambda: decoupling_decoder(_reference_off_its_eigenbasis(), ("p1", "p2", "p3")),
+     "reference is not stored in its eigenbasis"),
+], ids=["secret shape", "reference basis"])
+def test_refusal_message(call, message):
+    with pytest.raises(ProtocolError) as info:
+        call()
+    assert str(info.value) == message

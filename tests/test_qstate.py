@@ -557,3 +557,26 @@ def test_five_qubit_cuts_match_the_stabilizer_ranks():
     state = distribute_purified(five_qubit_scheme(identity_assignment(5)))
     assert_every_cut_is_exact(
         state, lambda mask: stabilizer_entropy(FIVE_QUBIT_PURIFIED_CHECKS, 6, mask))
+
+
+# ---------------------------------------------------------------------------
+# refusals name what is wrong
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RegisterLayout(()), "layout needs at least one register"),
+    (lambda: PureState(RegisterLayout(("a",)), np.ones(3)),
+     "amplitude vector has shape (3,), expected (2,)"),
+    (lambda: DensityMatrix(np.ones((2, 3))), "density matrix must be square, got shape (2, 3)"),
+    (lambda: DensityMatrix(np.eye(2) / 2, labels=("a", "b")),
+     "label count does not match matrix dimension"),
+    (lambda: apply_isometry(PureState(RegisterLayout(("a",)), [1, 0]), "a", ("b", "c"), np.eye(2)),
+     "image table has shape (2, 2), expected (2, 4)"),
+    (lambda: von_neumann_entropy(DensityMatrix(np.diag([1.5, -0.5]))),
+     "density matrix has eigenvalue -0.5 below floor"),
+], ids=["empty layout", "amplitude shape", "non-square", "label count", "image shape",
+        "negative eigenvalue"])
+def test_refusal_message(call, message):
+    with pytest.raises(QStateError) as info:
+        call()
+    assert str(info.value) == message

@@ -152,7 +152,8 @@ class TestSchemeSpec:
             {"P1": (2,), "P2": (3,), "P3": (4,), "P4": (5,), DEALER: (1,)},
         )
         assert redist.num_players == 4
-        assert redist.particles_of(0b1111) == (2, 3, 4, 5)
+        assert redist.player_masks == [0b10, 0b100, 0b1000, 0b10000]
+        assert redist.registers_of(0b1111) == ("p2", "p3", "p4", "p5")
 
 
 # ---------------------------------------------------------------------------
@@ -691,3 +692,34 @@ def test_block_structure_matches_reference_on_random_blocks(n):
     for block in blocks:
         expect = reference_schemes.block_structure(n, block).masks()
         assert block_structure(n, block).masks() == expect, block
+
+
+# ---------------------------------------------------------------------------
+# refusals name what is wrong
+
+
+def _threshold34_doc(**changes):
+    return {**save_scheme(build_threshold34()), **changes}
+
+
+_KET0 = save_scheme(build_threshold34())["basis_images"]["0"]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SchemeSpec(1, np.eye(2), {DEALER: (1,)}), "assignment needs at least one player"),
+    (lambda: SchemeSpec(2, np.eye(2, 4), {"P1": (1,), "P2": (3,)}), "particle 3 out of range 1..2"),
+    (lambda: SchemeSpec(2, np.eye(2), {"P1": (1,), "P2": (2,)}),
+     "basis images must have shape (2, 4), got (2, 2)"),
+    (lambda: load_scheme(_threshold34_doc(secret_dim=3)),
+     "missing or bad field: only secret_dim = 2 is supported"),
+    (lambda: load_scheme(_threshold34_doc(basis_images={"0": _KET0})),
+     "no image entries for basis ket |1>"),
+    (lambda: load_scheme(_threshold34_doc(
+        basis_images={"0": _KET0, "1": [{"ket": "0000", "re": 0.0, "im": 0.0}]})),
+     "image of |1> is the zero vector"),
+], ids=["dealer only", "particle range", "image shape", "secret_dim", "no |1> entries",
+        "zero image"])
+def test_refusal_message(call, message):
+    with pytest.raises(SchemeError) as info:
+        call()
+    assert str(info.value) == message

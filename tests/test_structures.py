@@ -65,6 +65,10 @@ class TestPlayerSubset:
         with pytest.raises(StructureError):
             subset([5], 4)
 
+    def test_out_of_range_bitmask(self):
+        with pytest.raises(StructureError, match=r"^bitmask 0x8 out of range for n=3$"):
+            PlayerSubset(8, 3)
+
     def test_coerce(self):
         s = subset([1, 3], 4)
         assert PlayerSubset.coerce(s, 4) is s
@@ -107,26 +111,22 @@ class TestAccessStructure:
     st.integers(2, 8).flatmap(
         lambda n: st.lists(st.integers(1, (1 << n) - 1), max_size=12).map(lambda ms: (n, ms))
     ),
-    st.sampled_from([1, 24, 60, 1 << 20]),
 )
-@example((3, [0b011, 0b110, 0b111, 0b001]), 1 << 20)
-@example((2, []), 1 << 20)
+@example((3, [0b011, 0b110, 0b111, 0b001]))
+@example((2, []))
 @settings(max_examples=200, deadline=None)
-def test_antichain_check_names_first_pair_in_combinations_order(family, block):
+def test_antichain_check_names_first_pair_in_combinations_order(family):
     n, masks = family
     expected = first_nested_pair_by_loop(masks)
-    with pytest.MonkeyPatch.context() as mp:
-        # one row per block, a few rows per block, or every row in one block
-        mp.setattr(structures, "_PAIR_BLOCK", block)
-        assert structures._first_nested_pair(masks) == expected
-        if expected is None:
-            assert AccessStructure.from_masks(n, masks).masks() == tuple(sorted(masks))
-        else:
-            a, b = (PlayerSubset(masks[i], n).players() for i in expected)
-            message = f"not an antichain: {list(a)} and {list(b)} are nested or equal"
-            with pytest.raises(StructureError) as info:
-                AccessStructure.from_masks(n, masks)
-            assert str(info.value) == message
+    assert structures._first_nested_pair(masks) == expected
+    if expected is None:
+        assert AccessStructure.from_masks(n, masks).masks() == tuple(sorted(masks))
+    else:
+        a, b = (PlayerSubset(masks[i], n).players() for i in expected)
+        message = f"not an antichain: {list(a)} and {list(b)} are nested or equal"
+        with pytest.raises(StructureError) as info:
+            AccessStructure.from_masks(n, masks)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -883,6 +883,34 @@ def test_player_count_is_refused_before_a_player_bit_is_built():
     doc = {"players": 10**20, "minimal_authorized": [[10**19]]}
     with pytest.raises(StructureError, match=r"^player count must be in \[2, 16\], got 10{20}$"):
         load_structure(doc)
+
+
+@pytest.mark.parametrize("players, sets", [(0, [[1]]), (1, [[1]]), (20, [[18, 21]])])
+def test_load_structure_names_the_player_count_first(players, sets):
+    """An out-of-range player count is refused before any player of the sets is read."""
+    doc = {"players": players, "minimal_authorized": sets}
+    message = f"player count must be in [2, 16], got {players}"
+    for load in (load_structure, load_structure_reference):
+        with pytest.raises(StructureError) as info:
+            load(doc)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [0, 1, 17])
+@pytest.mark.parametrize("build", [
+    lambda n: AccessStructure(n, ()),
+    lambda n: AccessStructure.from_masks(n, []),
+    lambda n: antichain_reduce(n, []),
+    lambda n: PlayerSubset(0, n),
+], ids=["constructor", "from_masks", "antichain_reduce", "subset"])
+def test_player_count_is_checked_before_any_closure_is_built(monkeypatch, build, n):
+    def refuse(n):
+        raise AssertionError(f"a 2^{n}-subset closure was started")
+
+    monkeypatch.setattr(structures, "_lacking", refuse)
+    with pytest.raises(StructureError) as info:
+        build(n)
+    assert str(info.value) == f"player count must be in [2, 16], got {n}"
 
 
 def test_load_structure_of_many_sets_matches_the_reference():

@@ -31,6 +31,7 @@ from qsslab.structures import (
     antichain_reduce,
     is_quantum_admissible,
     structure_to_dict,
+    subset_unions,
     threshold_structure,
 )
 from qsslab.verifier import (
@@ -477,8 +478,9 @@ def test_s_with_ref_is_the_entropy_of_the_other_particles(m):
         scheme = SchemeSpec(m, base.basis_images, assignment)
         state = distribute_purified(scheme)
         table = SubsetEntropyTable(state, m)
+        unions = subset_unions(scheme.player_masks)
         for subset, _, s_ra, _ in entropy_profile(scheme):
-            mask = sum(1 << (p - 1) for p in scheme.particles_of(subset.bits))
+            mask = unions[subset.bits]
             regs = scheme.registers_of(subset.bits)
             others = tuple(f"p{p}" for p in range(1, m + 1) if not mask >> (p - 1) & 1)
             assert s_ra == table.read([mask])[1][0]
