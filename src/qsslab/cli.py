@@ -136,13 +136,6 @@ def _json_text(value, newline, head, out):
     out.append(("," + inner).join(texts))
 
 
-def _float_texts(column):
-    """Each float of a float64 column as _dump writes it (all finite: repr, no type test)."""
-    if np.isfinite(column).all():
-        return list(map(float.__repr__, column.tolist()))
-    return [_scalar_text(v) for v in column.tolist()]
-
-
 def _subset_texts(n, prefix, sep=",", first=1):
     """Entry b joins prefix + player with sep over players first + i for the bits i of b, ascending.
 
@@ -218,8 +211,7 @@ def cmd_structure_check(args):
                        "\n    ]\n  ]"]) if len(bits) else [] for bits in (a1, a2)
         )
         doc = {
-            "players": n,
-            "minimal_authorized": [s.players() for s in gamma.minimal_sets],
+            **structures.structure_to_dict(gamma),
             "admissible": True,
             "a1": a1_text,
             "a2": a2_text,
@@ -248,10 +240,13 @@ def cmd_scheme_verify(args):
     report = verifier.verify(scheme, gamma, args.model, tolerance)
     # subsets as _dump writes them in a record, as a csv field, or as str(PlayerSubset)
     prefix, sep = {"json": ("\n        ", ","), "csv": ("", " "), "text": ("P", ",")}[args.format]
-    floats = _float_texts if args.format == "json" else (lambda col: list(map(_fmt, col.tolist())))
+    # every entropy is finite (SchemeSpec refuses non-finite images, and a NaN eigenvalue
+    # gets no weight), so repr is how _dump writes each float
+    text = float.__repr__ if args.format == "json" else _fmt
+    s_a, s_ra, i_ra = (map(text, col.tolist()) for col in (report.s_a, report.s_ra, report.i_ra))
     rows = zip(
         _subset_texts(report.num_players, prefix, sep)[1:], report.classes.tolist(),
-        floats(report.s_a), floats(report.s_ra), floats(report.i_ra), report.ok.tolist(),
+        s_a, s_ra, i_ra, report.ok.tolist(),
     )
     names = structures.CLASS_NAMES
     if args.format == "json":
@@ -339,15 +334,10 @@ def cmd_assign_search(args):
 
 def cmd_enumerate(args):
     classes = structures.enumerate_hyperstars(args.max_n)
-    rows = []
-    for n, gamma in classes:
-        rows.append(
-            {
-                "players": n,
-                "minimal_authorized": [list(s.players()) for s in gamma.minimal_sets],
-                "catalog_no": structures.catalog_number(gamma),
-            }
-        )
+    rows = [
+        {**structures.structure_to_dict(gamma), "catalog_no": structures.catalog_number(gamma)}
+        for _, gamma in classes
+    ]
     if args.format == "json":
         out = _dump({"classes": rows})
     elif args.format == "csv":
@@ -415,8 +405,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_tables(args):
-    rows = verifier.feasibility_matrix(tolerance=_tolerance(args))
-    doc = verifier.matrix_to_dict(rows)
+    doc = verifier.feasibility_matrix(tolerance=_tolerance(args))
     csv_lines = ["no;players;structure;pqss;gqss;scheme;assignment;report_hash;notes"]
     for row in doc["rows"]:
         sets = " ".join("".join(map(str, s)) for s in row["structure"])

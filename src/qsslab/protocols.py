@@ -522,7 +522,6 @@ def decoupling_decoder(state, a_regs):
 class PairAttackReport:
     branch_probabilities: dict
     outcome0_residual: PureState | None
-    outcome1_probability: float
     deviations: list = field(default_factory=list)
 
 
@@ -554,7 +553,6 @@ def attack_threshold34_pair12(secret):
     return PairAttackReport(
         branch_probabilities=probs,
         outcome0_residual=residual,
-        outcome1_probability=probs["1"],
         deviations=notes,
     )
 

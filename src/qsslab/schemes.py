@@ -512,6 +512,8 @@ def load_scheme(data, name=""):
             raise SchemeError("only secret_dim = 2 is supported")
         raw_images = data["basis_images"]
         raw_assignment = data["assignment"]
+    except SchemeError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemeError(f"missing or bad field: {exc}") from exc
     if m < 1:

@@ -272,20 +272,10 @@ def _adversary_masks(gamma):
     return np.flatnonzero(codes == A1) + 1, np.flatnonzero(codes == A2) + 1
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    """Whether a pure perfect scheme can exist for the structure."""
-
-    feasible: bool
-    witness: PlayerSubset | None = None
-
-
 def perfect_feasibility(gamma):
-    """Pure perfect schemes exist iff A2 is empty; a witness from A2 is returned otherwise."""
+    """The first A2 set as a PlayerSubset, or None: pure perfect schemes exist iff A2 is empty."""
     a2 = _adversary_masks(gamma)[1]
-    if a2.size:
-        return FeasibilityVerdict(False, PlayerSubset(int(a2[0]), gamma.n))
-    return FeasibilityVerdict(True)
+    return PlayerSubset(int(a2[0]), gamma.n) if a2.size else None
 
 
 def threshold_structure(k, n):

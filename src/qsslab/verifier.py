@@ -11,7 +11,7 @@ perfect model.
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +32,11 @@ from .structures import (
     AUTHORIZED,
     CLASS_NAMES,
     HYPERSTAR_CATALOG,
-    AccessStructure,
     PlayerSubset,
     StructureError,
     _admissible_classes,
     perfect_feasibility,
+    structure_to_dict,
 )
 
 
@@ -197,20 +197,6 @@ DOCUMENTED_ASSIGNMENTS = {
 DIRECT_STARS = {2: (3, 1), 4: (4, 1), 8: (5, 1)}
 
 
-@dataclass
-class MatrixRow:
-    number: int
-    players: int
-    structure: AccessStructure
-    pqss_feasible: bool
-    pqss_witness: PlayerSubset | None
-    gqss: str  # "verified" | "unknown"
-    scheme_name: str | None
-    assignment: dict | None
-    report_hash: str | None
-    notes: list = field(default_factory=list)
-
-
 def _search_bases(target_n):
     """Block-scheme bases scanned for redistribution, smallest first.
 
@@ -260,7 +246,7 @@ def _try_assignment(base, assignment, target, name, tolerance):
 
 
 def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
-    """Reproduce the perfect/generalized feasibility verdicts for the catalog, one MatrixRow each.
+    """Reproduce the perfect/generalized feasibility verdicts for the catalog, one row document each.
 
     Pure perfect feasibility comes from the A2 test; generalized feasibility is
     re-established constructively, by the first of _routes whose assignment
@@ -270,7 +256,8 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
     search over block-scheme bases with at most schemes.MAX_SEARCH_PARTICLES
     particles, the search's own cap.  Absence of a construction is reported
     as "unknown".  Each block base (m, block), stars included, is prepared
-    once per call and shared by every route.
+    once per call and shared by every route.  Returns {"rows": [...]}, the
+    document tables prints.
     """
     rows, bases, searches = [], {}, 0
 
@@ -281,18 +268,19 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
 
     for entry in HYPERSTAR_CATALOG:
         gamma = entry.structure
-        feas = perfect_feasibility(gamma)
-        row = MatrixRow(
-            number=entry.number,
-            players=gamma.n,
-            structure=gamma,
-            pqss_feasible=feas.feasible,
-            pqss_witness=feas.witness,
-            gqss="unknown",
-            scheme_name=None,
-            assignment=None,
-            report_hash=None,
-        )
+        witness = perfect_feasibility(gamma)
+        row = {
+            "no": entry.number,
+            "players": gamma.n,
+            "structure": structure_to_dict(gamma)["minimal_authorized"],
+            "pqss": "feasible" if witness is None else "infeasible",
+            "pqss_witness": list(witness.players()) if witness else None,
+            "gqss": "unknown",
+            "scheme": None,
+            "assignment": None,
+            "report_hash": None,
+            "notes": [],
+        }
 
         result, tried = None, []
         for label, base, assignment, name in _routes(entry, prepared, tolerance):
@@ -304,7 +292,7 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
             if result is not None:
                 break
             if label.startswith("documented"):
-                row.notes.append(
+                row["notes"].append(
                     f"row {entry.number}: documented assignment {assignment} over "
                     f"{base.scheme.name} rejected ({failure}); corrected by search"
                 )
@@ -313,10 +301,12 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
         _log.debug("row %d %s: %s", entry.number, gamma, route)
         if result is not None:
             scheme, report = result
-            row.gqss = "verified"
-            row.scheme_name = scheme.name
-            row.assignment = {h: list(ps) for h, ps in scheme.assignment.items()}
-            row.report_hash = report_hash(report)
+            row.update(
+                gqss="verified",
+                scheme=scheme.name,
+                assignment={h: list(ps) for h, ps in scheme.assignment.items()},
+                report_hash=report_hash(report),
+            )
         rows.append(row)
     # a cached_property is in the instance dict once computed
     tables = [vars(base)["table"] for base in bases.values() if "table" in vars(base)]
@@ -325,24 +315,4 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
         len(bases), searches, sum(tb.computed for tb in tables),
         sum(tb.entries_read for tb in tables),
     )
-    return rows
-
-
-def matrix_to_dict(rows):
-    return {
-        "rows": [
-            {
-                "no": row.number,
-                "players": row.players,
-                "structure": [list(s.players()) for s in row.structure.minimal_sets],
-                "pqss": "feasible" if row.pqss_feasible else "infeasible",
-                "pqss_witness": list(row.pqss_witness.players()) if row.pqss_witness else None,
-                "gqss": row.gqss,
-                "scheme": row.scheme_name,
-                "assignment": row.assignment,
-                "report_hash": row.report_hash,
-                "notes": list(row.notes),
-            }
-            for row in rows
-        ]
-    }
+    return {"rows": rows}

@@ -45,4 +45,4 @@ def constructed_schemes():
 def feasibility_rows():
     from qsslab.verifier import feasibility_matrix
 
-    return feasibility_matrix()
+    return feasibility_matrix()["rows"]

@@ -120,12 +120,12 @@ def test_criterion_4_theorem_machine_checks():
                 1 for bits in range(1, 1 << n) if gamma.authorized[bits]
             )
             assert len(a1) + len(a2) + closure == (1 << n) - 1
-            assert perfect_feasibility(gamma).feasible == (not a2.size)
+            assert (perfect_feasibility(gamma) is None) == (not a2.size)
             checked += 1
     for k in range(2, 6):
-        assert perfect_feasibility(threshold_structure(k, 2 * k - 1)).feasible
+        assert perfect_feasibility(threshold_structure(k, 2 * k - 1)) is None
         for n in range(k, 2 * k - 1):
-            assert not perfect_feasibility(threshold_structure(k, n)).feasible
+            assert perfect_feasibility(threshold_structure(k, n)) is not None
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     announce(4, elapsed, f"complement law, partition totality, feasibility on {checked} structures; threshold law for k <= 5")
@@ -182,17 +182,17 @@ def test_criterion_7_feasibility_matrix():
     t0 = time.perf_counter()
     matrix = feasibility_matrix()
     elapsed = time.perf_counter() - t0
-    rows = {row.number: row for row in matrix}
+    rows = {row["no"]: row for row in matrix["rows"]}
     assert len(rows) == 16
-    for row in matrix:
-        assert not row.pqss_feasible
-        assert row.pqss_witness is not None
+    for row in matrix["rows"]:
+        assert row["pqss"] == "infeasible"
+        assert row["pqss_witness"] is not None
     for number in (1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16):
-        assert rows[number].gqss == "verified", number
+        assert rows[number]["gqss"] == "verified", number
     for number in (9, 10):
-        assert rows[number].gqss == "unknown", number
-    assert any("rejected" in note for note in rows[5].notes)
-    assert rows[5].assignment is not None
+        assert rows[number]["gqss"] == "unknown", number
+    assert any("rejected" in note for note in rows[5]["notes"])
+    assert rows[5]["assignment"] is not None
     assert elapsed < 120.0
     announce(7, elapsed, "16/16 perfect-infeasible; generalized verified except 9 and 10 unknown; row-5 recipe corrected")
 
@@ -263,7 +263,7 @@ def test_criterion_9_property_suites(constructed_schemes):
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
     # attack scenarios: collapse state and the vacuous outcome-1 branch
     report = attack_threshold34_pair12((0.6, 0.8))
-    assert report.outcome1_probability == 0.0
+    assert report.branch_probabilities["1"] == 0.0
     kets = {b: a for b, a in report.outcome0_residual.ket_terms()}
     assert kets["000"] == pytest.approx(0.6 * SQ2, abs=1e-12)
     assert kets["111"] == pytest.approx(0.6 * SQ2, abs=1e-12)

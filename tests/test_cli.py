@@ -193,7 +193,7 @@ def structure_check_reference(gamma, fmt):
     a1, a2 = ([PlayerSubset(b, gamma.n) for b in masks] for masks in (a1_masks, a2_masks))
     # the library prints the law as holding; the reference prints it so only when it does
     law = complement_law_by_definition(gamma)
-    feas = perfect_feasibility(gamma)
+    witness = perfect_feasibility(gamma)
     if fmt == "json":
         doc = {
             "players": gamma.n,
@@ -202,19 +202,19 @@ def structure_check_reference(gamma, fmt):
             "a1": [list(s.players()) for s in a1],
             "a2": [list(s.players()) for s in a2],
             "complement_law": law,
-            "perfect": "feasible" if feas.feasible else "infeasible",
-            "perfect_witness": list(feas.witness.players()) if feas.witness else None,
+            "perfect": "feasible" if witness is None else "infeasible",
+            "perfect_witness": list(witness.players()) if witness else None,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    verdict = "feasible" if feas.feasible else "infeasible"
+    verdict = "feasible" if witness is None else "infeasible"
     lines = [
         f"admissible; |A1|={len(a1)} |A2|={len(a2)}; perfect: {verdict}",
         "A1: " + (", ".join(str(s) for s in a1) or "(empty)"),
         "A2: " + (", ".join(str(s) for s in a2) or "(empty)"),
         f"complement law: {'holds' if law else 'fails'}",
     ]
-    if feas.witness:
-        lines.append(f"perfect-infeasibility witness: {feas.witness}")
+    if witness:
+        lines.append(f"perfect-infeasibility witness: {witness}")
     return "\n".join(lines) + "\n"
 
 
@@ -583,7 +583,7 @@ class TestPerfectMixedSchemes:
     ])
     def test_catalog_rows_without_a_pure_perfect_scheme(self, tmp_path, capsys, number, assignment):
         gamma = next(entry.structure for entry in HYPERSTAR_CATALOG if entry.number == number)
-        assert not perfect_feasibility(gamma).feasible  # A2 is nonempty
+        assert perfect_feasibility(gamma) is not None  # A2 is nonempty
         scheme = write_doc(tmp_path, "five.json", save_scheme(five_qubit_scheme(assignment)))
         code, doc = verify_doc(capsys, scheme, write_doc(tmp_path, "g.json", structure_to_dict(gamma)),
                                "perfect")

@@ -761,7 +761,7 @@ class TestPairAttacks:
     def test_outcome_one_never_happens(self):
         for secret in seeded_secrets(5, seed=3):
             report = attack_threshold34_pair12(secret)
-            assert report.outcome1_probability == 0.0
+            assert report.branch_probabilities["1"] == 0.0
             assert any("probability exactly 0" in note for note in report.deviations)
 
     def test_collapse_state(self):

@@ -223,21 +223,21 @@ def test_complement_law_reference_fails_each_clause(g):
 
 class TestPerfectFeasibility:
     def test_threshold34_infeasible_with_pair_witness(self):
-        verdict = perfect_feasibility(threshold_structure(3, 4))
-        assert not verdict.feasible
-        assert len(verdict.witness) == 2
+        witness = perfect_feasibility(threshold_structure(3, 4))
+        assert witness is not None
+        assert len(witness) == 2
 
     def test_threshold23_feasible(self):
-        assert perfect_feasibility(threshold_structure(2, 3)).feasible
+        assert perfect_feasibility(threshold_structure(2, 3)) is None
 
     def test_catalog_all_infeasible(self):
         for entry in HYPERSTAR_CATALOG:
-            assert not perfect_feasibility(entry.structure).feasible, entry.number
+            assert perfect_feasibility(entry.structure) is not None, entry.number
 
     def test_matches_a2_emptiness(self):
         for entry in HYPERSTAR_CATALOG:
             a2 = adversary_masks(entry.structure)[1]
-            assert perfect_feasibility(entry.structure).feasible == (not a2)
+            assert (perfect_feasibility(entry.structure) is None) == (not a2)
 
 
 class TestThresholdStructure:
@@ -263,9 +263,9 @@ class TestThresholdStructure:
     def test_threshold_law(self):
         # k = 1 would need a single player, below the subset domain floor
         for k in range(2, 6):
-            assert perfect_feasibility(threshold_structure(k, 2 * k - 1)).feasible
+            assert perfect_feasibility(threshold_structure(k, 2 * k - 1)) is None
             for n in range(k, 2 * k - 1):
-                assert not perfect_feasibility(threshold_structure(k, n)).feasible
+                assert perfect_feasibility(threshold_structure(k, n)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +549,7 @@ def test_complement_law_always_holds(g):
 @given(admissible_structures())
 @settings(max_examples=60, deadline=None)
 def test_feasible_iff_a2_empty(g):
-    assert perfect_feasibility(g).feasible == (not adversary_masks(g)[1])
+    assert (perfect_feasibility(g) is None) == (not adversary_masks(g)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +784,7 @@ def test_structure_analyses_classify_once(monkeypatch):
     monkeypatch.setattr(AccessStructure, "class_codes", spied)
     g = gamma(5, [[1, 2, 3], [1, 4, 5]])
     a2 = structures._adversary_masks(g)[1]
-    assert perfect_feasibility(g).witness == PlayerSubset(int(a2[0]), g.n)
+    assert perfect_feasibility(g) == PlayerSubset(int(a2[0]), g.n)
     assert calls == [g]
 
 

@@ -39,7 +39,6 @@ from qsslab.verifier import (
     SubsetEntropyTable,
     _evaluate,
     _report,
-    matrix_to_dict,
     report_hash,
     report_to_dict,
     verify,
@@ -299,52 +298,52 @@ class TestFeasibilityMatrix:
     def test_every_row_perfect_infeasible(self, feasibility_rows):
         assert len(feasibility_rows) == 16
         for row in feasibility_rows:
-            assert not row.pqss_feasible, row.number
-            assert row.pqss_witness is not None
+            assert row["pqss"] == "infeasible", row["no"]
+            assert row["pqss_witness"] is not None
 
     def test_gqss_verdicts(self, feasibility_rows):
         expected_unknown = {9, 10}
         for row in feasibility_rows:
-            if row.number in expected_unknown:
-                assert row.gqss == "unknown", row.number
-                assert row.assignment is None
+            if row["no"] in expected_unknown:
+                assert row["gqss"] == "unknown", row["no"]
+                assert row["assignment"] is None
             else:
-                assert row.gqss == "verified", row.number
-                assert row.assignment is not None
-                assert row.report_hash is not None
+                assert row["gqss"] == "verified", row["no"]
+                assert row["assignment"] is not None
+                assert row["report_hash"] is not None
 
     def test_documented_assignment_rows(self, feasibility_rows):
-        rows = {row.number: row for row in feasibility_rows}
-        assert rows[7].assignment == {
+        rows = {row["no"]: row for row in feasibility_rows}
+        assert rows[7]["assignment"] == {
             "P1": [2], "P2": [3], "P3": [4], "P4": [5], DEALER: [1]
         }
-        assert rows[13].assignment == {
+        assert rows[13]["assignment"] == {
             "P1": [1, 4], "P2": [2], "P3": [3], "P4": [5], "P5": [6]
         }
-        assert rows[14].assignment == {
+        assert rows[14]["assignment"] == {
             "P1": [1, 5], "P2": [2, 4], "P3": [3], "P4": [6], "P5": [7]
         }
 
     def test_row5_discrepancy_flagged(self, feasibility_rows):
-        rows = {row.number: row for row in feasibility_rows}
-        assert any("rejected" in note for note in rows[5].notes)
-        assert rows[5].gqss == "verified"
+        rows = {row["no"]: row for row in feasibility_rows}
+        assert any("rejected" in note for note in rows[5]["notes"])
+        assert rows[5]["gqss"] == "verified"
 
     def test_verified_assignments_revalidate(self, feasibility_rows):
         for row in feasibility_rows:
-            if row.gqss != "verified":
+            if row["gqss"] != "verified":
                 continue
-            name = row.scheme_name
+            name = row["scheme"]
             assert name is not None
             if name.startswith("star"):
                 continue
             n = int(name.split("n=")[1].split(",")[0])
             block = [int(x) for x in name.split("b={")[1].split("}")[0].split(",")]
             base_scheme, base_gamma = build_block_scheme(n, block)
-            assignment = {h: tuple(ps) for h, ps in row.assignment.items()}
+            assignment = {h: tuple(ps) for h, ps in row["assignment"].items()}
             rebuilt = SchemeSpec(n, base_scheme.basis_images, assignment)
-            report = verify(rebuilt, row.structure)
-            assert report.verdict == "generalized", row.number
+            report = verify(rebuilt, AccessStructure.from_sets(row["players"], row["structure"]))
+            assert report.verdict == "generalized", row["no"]
 
     def test_tolerance_reaches_every_route(self, monkeypatch):
         import qsslab.verifier as verifier
@@ -370,9 +369,27 @@ class TestFeasibilityMatrix:
         assert max(m for m, _ in _search_bases(3)) == 6
 
     def test_matrix_document(self, feasibility_rows):
-        doc = matrix_to_dict(feasibility_rows)
-        assert len(doc["rows"]) == 16
-        json.dumps(doc)
+        assert len(feasibility_rows) == 16
+        keys = ["no", "players", "structure", "pqss", "pqss_witness", "gqss", "scheme",
+                "assignment", "report_hash", "notes"]
+        assert all(list(row) == keys for row in feasibility_rows)
+        json.dumps({"rows": feasibility_rows})
+
+    @pytest.mark.parametrize("claim, failure", [
+        ([[1, 2]], "induced structure matches but correlations do not: unauthorized subset "
+                   "{P1,P3} attains full correlation I(R:A)=2.000000000 = I(R:S)=2.000000000; "
+                   "claimed structure mismatches the scheme"),
+        ([[1, 2], [1, 3], [2, 3]], "generalized conditions fail at {P2,P3}"),
+    ], ids=["mismatch", "conditions fail"])
+    def test_realization_check_refusals(self, claim, failure):
+        from qsslab.verifier import _try_assignment
+
+        # the claim is the base's structure, so the identity assignment induces it and only
+        # the verification of the block scheme b = {1} on 3 particles can refuse it
+        scheme, _ = build_block_scheme(3, [1])
+        claim = AccessStructure.from_sets(3, claim)
+        base = PreparedBase(scheme, claim)
+        assert _try_assignment(base, identity_assignment(3), claim, "x", 1e-9) == (None, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +517,17 @@ def test_matrix_logs_the_route_of_every_row(caplog, feasibility_rows):
     assert summary.startswith("matrix: ")
     assert len(events) == len(feasibility_rows)
     for message, row in zip(events, feasibility_rows):
-        assert message.startswith(f"row {row.number} ")
+        assert message.startswith(f"row {row['no']} ")
         route = message.split(": ", 1)[1]
-        if row.gqss == "unknown":
+        if row["gqss"] == "unknown":
             assert route.startswith("none of 8 routes: ") and "search base (m=7, k=3)" in route
-        elif "via search" in row.scheme_name:
-            m = row.scheme_name.split("n=")[1].split(",")[0]
+        elif "via search" in row["scheme"]:
+            m = row["scheme"].split("n=")[1].split(",")[0]
             assert route.startswith(f"search base (m={m}, k=")
-        elif "via documented" in row.scheme_name:
-            assert route == f"documented recipe over {row.scheme_name.split(' via')[0]}"
+        elif "via documented" in row["scheme"]:
+            assert route == f"documented recipe over {row['scheme'].split(' via')[0]}"
         else:
-            assert route == f"direct star {row.scheme_name}"
+            assert route == f"direct star {row['scheme']}"
 
 
 def test_routes_of_every_catalog_row():
@@ -641,12 +658,12 @@ def test_matrix_prepares_each_base_once(monkeypatch, caplog):
 
     # a row runs its search bases in order up to the one that realizes it, or all of them
     expected_searches = 0
-    for row in matrix:
-        names = [build_block_scheme(m, block)[0].name for m, block in verifier._search_bases(row.players)]
-        if row.gqss == "unknown":
+    for row in matrix["rows"]:
+        names = [build_block_scheme(m, block)[0].name for m, block in verifier._search_bases(row["players"])]
+        if row["gqss"] == "unknown":
             expected_searches += len(names)
-        elif row.scheme_name.endswith(" via search"):
-            expected_searches += names.index(row.scheme_name.split(" via")[0]) + 1
+        elif row["scheme"].endswith(" via search"):
+            expected_searches += names.index(row["scheme"].split(" via")[0]) + 1
     summary = [r.getMessage() for r in caplog.records if r.name == "qsslab.matrix"][-1]
     found = re.fullmatch(
         r"matrix: (\d+) bases prepared, (\d+) searches, "
