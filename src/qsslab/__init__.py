@@ -23,7 +23,6 @@ from .qstate import (
 from .schemes import (
     SchemeSpec,
     build_block_scheme,
-    build_star_scheme,
     build_threshold34,
     distribute_purified,
     induce_structure,

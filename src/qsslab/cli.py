@@ -283,16 +283,14 @@ def cmd_scheme_verify(args):
 
 
 def cmd_build(args):
-    needed = {"threshold34": (), "block": ("n", "b"), "star": ("n", "center")}[args.family]
+    needed = {"threshold34": (), "block": ("n", "b")}[args.family]
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
         raise CliError(f"build {args.family} needs {' and '.join(missing)}", EXIT_INPUT)
     if args.family == "threshold34":
         scheme = schemes.build_threshold34()
-    elif args.family == "block":
-        scheme, gamma = schemes.build_block_scheme(args.n, _parse_players(args.b))
     else:
-        scheme, gamma = schemes.build_star_scheme(args.n, args.center)
+        scheme, gamma = schemes.build_block_scheme(args.n, _parse_players(args.b))
     doc = schemes.save_scheme(scheme)
     if args.family != "threshold34":
         doc["realizes"] = structures.structure_to_dict(gamma)
@@ -480,10 +478,9 @@ def build_parser(leaves=None):
     p_verify.set_defaults(func=cmd_scheme_verify)
 
     p_build = add_leaf(sub, "build", help="construct a scheme family member")
-    p_build.add_argument("family", choices=["threshold34", "block", "star"])
+    p_build.add_argument("family", choices=["threshold34", "block"])
     p_build.add_argument("--n", type=int, default=None)
     p_build.add_argument("--b", default=None, help="block players, e.g. 1,2")
-    p_build.add_argument("--center", type=int, default=None)
     p_build.add_argument("--out", default=None)
     p_build.set_defaults(func=cmd_build)
 

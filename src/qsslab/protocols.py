@@ -38,10 +38,6 @@ from .schemes import (
 from .structures import PlayerSubset
 
 DECOUPLING_TOL = 1e-9
-#: Largest block scheme the measure protocol simulates: the build_block_scheme
-#: bound.  A batch holds at most qstate.CUT_BATCH_ELEMENTS amplitudes at a
-#: time, so 13 particles run 4 secrets per chunk.
-MAX_MEASURE_PARTICLES = qstate.MAX_QUBITS - 1
 #: Most secrets random_secrets draws.  The secrets, their fidelities and the
 #: per-branch arrays grow with the count: 10^6 circuit trials take about 250 MB.
 MAX_TRIALS = 1_000_000
@@ -353,18 +349,15 @@ def run_block_measure_protocol(scheme, block, acting_set, secrets):
     The lowest other player measures and announces the bit, and the rest
     idle; on outcome 1 every particle of the side is flipped, then a flip
     chain from its first particle disentangles the rest, leaving the secret
-    there.  secrets is one (alpha, beta) pair or a (T, 2) array of them,
+    there.  The scheme and block are bounded as build_block_scheme bounds
+    them.  secrets is one (alpha, beta) pair or a (T, 2) array of them,
     checked after the scheme; each secret's fidelity is that of its worst
     reachable branch, capped at 1.
     """
     n = scheme.num_particles
-    if not 3 <= n <= MAX_MEASURE_PARTICLES:
-        raise ProtocolError(
-            f"the measure protocol is simulated for 3 <= n <= {MAX_MEASURE_PARTICLES} particles, "
-            f"got {n}"
-        )
+    reference = _block_images(n, block)
     block = PlayerSubset.coerce(block, n)
-    if not np.allclose(scheme.basis_images, _block_images(n, block), atol=1e-12):
+    if not np.allclose(scheme.basis_images, reference, atol=1e-12):
         raise ProtocolError("scheme images do not match the block construction for this block")
     if scheme.assignment != identity_assignment(n):
         raise ProtocolError("measure protocol assumes each player holds their own particle")

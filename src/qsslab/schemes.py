@@ -100,8 +100,9 @@ class SchemeSpec:
             raise SchemeError(
                 f"basis images must have shape (2, {1 << self.num_particles}), got {images.shape}"
             )
-        gram = images @ images.conj().T
-        if not np.max(np.abs(gram - np.eye(2))) <= ISOMETRY_TOL:  # NaN fails too
+        # finite first: an inf entry would make the Gram product warn (inf * 0) before the refusal
+        if not (np.isfinite(images).all()
+                and np.max(np.abs(images @ images.conj().T - np.eye(2))) <= ISOMETRY_TOL):
             raise SchemeError("basis images are not orthonormal: not an isometry")
         self.basis_images = images
         self.assignment = _validate_assignment(self.assignment, self.num_particles)
@@ -175,10 +176,15 @@ def block_structure(n, block):
 
 
 def _block_images(n, block):
-    """Images of |0> and |1> in block(n, block), block a PlayerSubset of n particles.
+    """Images of |0> and |1> in block(n, block), block a player list or PlayerSubset.
 
     (|0..0> + |1..1>)/sqrt(2) and (|x> + |~x>)/sqrt(2), x having bit 1 on the block.
+    Every block scheme is built here, so this refuses what the family does
+    not cover: n outside 3..13, or a block that is empty or every player.
     """
+    if not 3 <= n <= MAX_QUBITS - 1:
+        raise SchemeError(f"block schemes are built for 3 <= n <= {MAX_QUBITS - 1}, got {n}")
+    block = PlayerSubset.coerce(block, n)
     if block.bits == 0 or block.bits == (1 << n) - 1:
         raise SchemeError("block must be a nonempty proper subset of the players")
     dim = 1 << n
@@ -191,20 +197,11 @@ def _block_images(n, block):
 
 def build_block_scheme(n, block):
     """The block scheme of _block_images, with the identity assignment, and its access structure."""
-    if not 3 <= n <= MAX_QUBITS - 1:
-        raise SchemeError(f"block schemes are built for 3 <= n <= {MAX_QUBITS - 1}, got {n}")
-    block = PlayerSubset.coerce(block, n)
     images = _block_images(n, block)
+    block = PlayerSubset.coerce(block, n)
     name = f"block(n={n},b={{{','.join(map(str, block.players()))}}})"
     scheme = SchemeSpec(n, images, identity_assignment(n), name=name)
     return scheme, block_structure(n, block)
-
-
-def build_star_scheme(n, center):
-    """Scheme for the star structure: authorized sets are {center, j} pairs."""
-    scheme, gamma = build_block_scheme(n, [center])
-    scheme.name = f"star(n={n},center={center})"
-    return scheme, gamma
 
 
 def build_threshold34():
@@ -512,16 +509,11 @@ def load_scheme(data, name=""):
             raise SchemeError("only secret_dim = 2 is supported")
         raw_images = data["basis_images"]
         raw_assignment = data["assignment"]
-    except SchemeError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemeError(f"missing or bad field: {exc}") from exc
-    if m < 1:
-        raise SchemeError(f"num_particles must be at least 1, got {m}")
-    if m > MAX_QUBITS:
-        raise ResourceLimitError(f"{m} particles exceed {MAX_QUBITS} qubits")
-    images = np.zeros((2, 1 << m), dtype=np.complex128)
-    try:
+        if m < 1:
+            raise SchemeError(f"num_particles must be at least 1, got {m}")
+        if m > MAX_QUBITS:
+            raise ResourceLimitError(f"{m} particles exceed {MAX_QUBITS} qubits")
+        images = np.zeros((2, 1 << m), dtype=np.complex128)
         for b in (0, 1):
             entries = raw_images.get(str(b))
             if not entries:
@@ -547,7 +539,7 @@ def load_scheme(data, name=""):
             if abs(norm - 1.0) > 1e-12:  # keep exact serializations bit-identical
                 images[b] /= norm
         assignment = {h: tuple(_json_int(p) for p in ps) for h, ps in raw_assignment.items()}
-    except SchemeError:
+    except (SchemeError, ResourceLimitError):  # both are ValueErrors, refused in their own words
         raise
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemeError(f"missing or bad field: {exc}") from exc

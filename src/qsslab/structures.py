@@ -369,49 +369,38 @@ def enumerate_hyperstars(max_n):
     return out
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A numbered hyperstar class with at most five players."""
-
-    number: int
-    structure: AccessStructure
-
-
-def _entry(number, n, sets):
-    return CatalogEntry(number, AccessStructure.from_sets(n, sets))
-
-
-#: The sixteen hyperstar classes on 2..5 players used by the feasibility matrix.
+#: The sixteen hyperstar classes on 2..5 players used by the feasibility matrix;
+#: catalog No. k is entry k - 1.
 HYPERSTAR_CATALOG = (
-    _entry(1, 2, [[1, 2]]),
-    _entry(2, 3, [[1, 2], [1, 3]]),
-    _entry(3, 3, [[1, 2, 3]]),
-    _entry(4, 4, [[1, 2], [1, 3], [1, 4]]),
-    _entry(5, 4, [[1, 2, 3], [1, 4]]),
-    _entry(6, 4, [[1, 2, 3], [1, 2, 4]]),
-    _entry(7, 4, [[1, 2, 3, 4]]),
-    _entry(8, 5, [[1, 2], [1, 3], [1, 4], [1, 5]]),
-    _entry(9, 5, [[1, 2], [1, 3], [1, 4, 5]]),
-    _entry(10, 5, [[1, 2], [1, 3, 4], [1, 3, 5]]),
-    _entry(11, 5, [[1, 2], [1, 3, 4, 5]]),
-    _entry(12, 5, [[1, 2, 3], [1, 2, 4], [1, 2, 5]]),
-    _entry(13, 5, [[1, 2, 3], [1, 4, 5]]),
-    _entry(14, 5, [[1, 2, 3], [1, 2, 4, 5]]),
-    _entry(15, 5, [[1, 2, 3, 4], [1, 2, 3, 5]]),
-    _entry(16, 5, [[1, 2, 3, 4, 5]]),
+    AccessStructure.from_sets(2, [[1, 2]]),
+    AccessStructure.from_sets(3, [[1, 2], [1, 3]]),
+    AccessStructure.from_sets(3, [[1, 2, 3]]),
+    AccessStructure.from_sets(4, [[1, 2], [1, 3], [1, 4]]),
+    AccessStructure.from_sets(4, [[1, 2, 3], [1, 4]]),
+    AccessStructure.from_sets(4, [[1, 2, 3], [1, 2, 4]]),
+    AccessStructure.from_sets(4, [[1, 2, 3, 4]]),
+    AccessStructure.from_sets(5, [[1, 2], [1, 3], [1, 4], [1, 5]]),
+    AccessStructure.from_sets(5, [[1, 2], [1, 3], [1, 4, 5]]),
+    AccessStructure.from_sets(5, [[1, 2], [1, 3, 4], [1, 3, 5]]),
+    AccessStructure.from_sets(5, [[1, 2], [1, 3, 4, 5]]),
+    AccessStructure.from_sets(5, [[1, 2, 3], [1, 2, 4], [1, 2, 5]]),
+    AccessStructure.from_sets(5, [[1, 2, 3], [1, 4, 5]]),
+    AccessStructure.from_sets(5, [[1, 2, 3], [1, 2, 4, 5]]),
+    AccessStructure.from_sets(5, [[1, 2, 3, 4], [1, 2, 3, 5]]),
+    AccessStructure.from_sets(5, [[1, 2, 3, 4, 5]]),
 )
 
 
 @functools.cache
 def _catalog_index():
     """(player count, canonical key) -> catalog number."""
-    return {(e.structure.n, canonical_key(e.structure)): e.number for e in HYPERSTAR_CATALOG}
+    return {(g.n, canonical_key(g)): no for no, g in enumerate(HYPERSTAR_CATALOG, 1)}
 
 
 def catalog_number(gamma):
     """Catalog number of the class isomorphic to gamma, or None if uncataloged."""
     # canonical keys cost n!-ish work, so they are only taken where the catalog has classes
-    if all(e.structure.n != gamma.n for e in HYPERSTAR_CATALOG):
+    if all(g.n != gamma.n for g in HYPERSTAR_CATALOG):
         return None
     return _catalog_index().get((gamma.n, canonical_key(gamma)))
 

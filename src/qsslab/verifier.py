@@ -208,25 +208,25 @@ def _search_bases(target_n):
             yield m, tuple(range(1, k + 1))
 
 
-def _routes(entry, prepared, tolerance):
-    """Each realization route of a catalog entry as (label, base, assignment, scheme name), in order.
+def _routes(no, gamma, prepared, tolerance):
+    """Each route of catalog No. no, gamma, as (label, base, assignment, scheme name), in order.
 
     The direct star with its own assignment, the documented recipe, then one search per
     _search_bases base, whose assignment is its hit or None; prepared(m, block) gives the bases.
     """
-    if entry.number in DIRECT_STARS:
-        n, center = DIRECT_STARS[entry.number]
+    if no in DIRECT_STARS:
+        n, center = DIRECT_STARS[no]
         base = prepared(n, (center,))
         name = f"star(n={n},center={center})"
         yield f"direct star {name}", base, base.scheme.assignment, name
-    if entry.number in DOCUMENTED_ASSIGNMENTS:
-        (m, block), assignment = DOCUMENTED_ASSIGNMENTS[entry.number]
+    if no in DOCUMENTED_ASSIGNMENTS:
+        (m, block), assignment = DOCUMENTED_ASSIGNMENTS[no]
         base = prepared(m, block)
         yield (f"documented recipe over {base.scheme.name}", base, assignment,
                f"{base.scheme.name} via documented assignment")
-    for m, block in _search_bases(entry.structure.n):
+    for m, block in _search_bases(gamma.n):
         base = prepared(m, block)
-        hit = search_assignment(base, entry.structure, allow_dealer=True, tolerance=tolerance)
+        hit = search_assignment(base, gamma, allow_dealer=True, tolerance=tolerance)
         yield f"search base (m={m}, k={len(block)})", base, hit, f"{base.scheme.name} via search"
 
 
@@ -266,11 +266,10 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
             bases[m, block] = PreparedBase(*build_block_scheme(m, block))
         return bases[m, block]
 
-    for entry in HYPERSTAR_CATALOG:
-        gamma = entry.structure
+    for no, gamma in enumerate(HYPERSTAR_CATALOG, 1):
         witness = perfect_feasibility(gamma)
         row = {
-            "no": entry.number,
+            "no": no,
             "players": gamma.n,
             "structure": structure_to_dict(gamma)["minimal_authorized"],
             "pqss": "feasible" if witness is None else "infeasible",
@@ -283,7 +282,7 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
         }
 
         result, tried = None, []
-        for label, base, assignment, name in _routes(entry, prepared, tolerance):
+        for label, base, assignment, name in _routes(no, gamma, prepared, tolerance):
             tried.append(label)
             searches += label.startswith("search")
             if assignment is None:
@@ -293,12 +292,12 @@ def feasibility_matrix(tolerance=DEFAULT_TOLERANCE):
                 break
             if label.startswith("documented"):
                 row["notes"].append(
-                    f"row {entry.number}: documented assignment {assignment} over "
+                    f"row {no}: documented assignment {assignment} over "
                     f"{base.scheme.name} rejected ({failure}); corrected by search"
                 )
 
         route = tried[-1] if result else f"none of {len(tried)} routes: {'; '.join(tried)}"
-        _log.debug("row %d %s: %s", entry.number, gamma, route)
+        _log.debug("row %d %s: %s", no, gamma, route)
         if result is not None:
             scheme, report = result
             row.update(

@@ -4,7 +4,6 @@ import pytest
 from qsslab.schemes import (
     SchemeSpec,
     build_block_scheme,
-    build_star_scheme,
     build_threshold34,
     identity_assignment,
 )
@@ -37,7 +36,6 @@ def constructed_schemes():
     for n in range(3, 8):
         for k in range(1, n):
             cases.append(build_block_scheme(n, list(range(1, k + 1))))
-        cases.append(build_star_scheme(n, 1))
     return cases
 
 

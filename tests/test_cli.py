@@ -582,7 +582,7 @@ class TestPerfectMixedSchemes:
         (3, {"P1": [1], "P2": [2], "P3": [3], "DEALER": [4, 5]}),
     ])
     def test_catalog_rows_without_a_pure_perfect_scheme(self, tmp_path, capsys, number, assignment):
-        gamma = next(entry.structure for entry in HYPERSTAR_CATALOG if entry.number == number)
+        gamma = HYPERSTAR_CATALOG[number - 1]
         assert perfect_feasibility(gamma) is not None  # A2 is nonempty
         scheme = write_doc(tmp_path, "five.json", save_scheme(five_qubit_scheme(assignment)))
         code, doc = verify_doc(capsys, scheme, write_doc(tmp_path, "g.json", structure_to_dict(gamma)),
@@ -610,12 +610,24 @@ class TestBuild:
         ]
 
     def test_star(self, tmp_path, capsys):
-        assert main(["build", "star", "--n", "4", "--center", "1"]) == 0
+        assert main(["build", "block", "--n", "4", "--b", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["realizes"]["minimal_authorized"] == [[1, 2], [1, 3], [1, 4]]
 
     def test_bad_parameters(self, capsys):
         assert main(["build", "block", "--n", "14", "--b", "1"]) == 2
+
+    def test_build_star_is_refused(self, capsys):
+        # a star is build block with a one-player block; there is no second family for it
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "star", "--n", "4", "--center", "1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            "qsslab build: error: argument family: invalid choice: 'star' "
+            "(choose from 'threshold34', 'block')"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +742,8 @@ class TestReconstruct:
         assert min(json.loads(co_block)["fidelities"]) >= 1.0 - 1e-9
 
     def test_measure_protocol_keeps_its_size_limit(self, tmp_path, capsys):
-        # 14 particles loads, but the measure simulation stops at the 13 of build_block_scheme
+        # 14 particles loads, but the measure simulation stops at the 13 of build_block_scheme,
+        # refused in build block's words
         path = write_over_budget_scheme(tmp_path)
         assert main(
             ["reconstruct", path, "--set", "1,2", "--protocol", "measure", "--block", "1"]
@@ -738,8 +751,7 @@ class TestReconstruct:
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "3 <= n <= 13 particles, got 14" in lines[0]
+        assert lines == ["error: block schemes are built for 3 <= n <= 13, got 14"]
 
     def test_measure_protocol_at_thirteen_particles(self, tmp_path, capsys):
         path = tmp_path / "block13.json"
@@ -908,7 +920,7 @@ _OUT_CALLS = [
       for fmt in ("text", "json", "csv")),
     ["build", "threshold34"],
     ["build", "block", "--n", "6", "--b", "2,5"],
-    ["build", "star", "--n", "5", "--center", "3"],
+    ["build", "block", "--n", "5", "--b", "3"],
     ["assign", "induce", "--scheme", "BLOCK", "--base", "BLOCK_GAMMA"],
     ["assign", "search", "--target", "TARGET", "--base-n", "6", "--base-b", "1,2,3", "--allow-dealer"],
     ["assign", "search", "--target", "STAR", "--base-n", "4", "--base-b", "3,4", "--allow-dealer"],
@@ -947,8 +959,6 @@ def test_out_dir_files_hold_what_stdout_shows(tmp_path):
     "argv",
     [
         ["build", "block", "--n", "5"],
-        ["build", "star"],
-        ["build", "star", "--n", "4"],
         ["reconstruct", "SCHEME", "--set", "1,3,4", "--trials", "0"],
         ["reconstruct", "SCHEME", "--set", "1,3,4", "--trials", "-2"],
         ["reconstruct", "SCHEME", "--set", "1,9", "--protocol", "decoder"],
@@ -1135,7 +1145,7 @@ _NUMBER = st.one_of(st.booleans(), st.floats(), st.sampled_from([float("inf"), f
 _VALID_PAIRS = [(build_threshold34(), threshold_structure(3, 4))] + [
     build_block_scheme(m, [1, 2][: m - 2]) for m in (3, 4, 5, 6)
 ]
-_VALID_STRUCTURES = [structure_to_dict(entry.structure) for entry in HYPERSTAR_CATALOG]
+_VALID_STRUCTURES = [structure_to_dict(gamma) for gamma in HYPERSTAR_CATALOG]
 
 
 def test_parser_is_built_once_and_stays_reusable(threshold34_files, capsys):

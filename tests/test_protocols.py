@@ -8,7 +8,6 @@ import reference_protocols as ref
 
 from qsslab import protocols, qstate
 from qsslab.protocols import (
-    MAX_MEASURE_PARTICLES,
     MAX_TRIALS,
     DecouplingError,
     ProtocolError,
@@ -26,6 +25,7 @@ from qsslab.protocols import (
 )
 from qsslab.qstate import PureState, RegisterLayout, mutual_information, partial_trace
 from qsslab.schemes import (
+    SchemeError,
     SchemeSpec,
     apply_to_secret,
     build_block_scheme,
@@ -542,12 +542,12 @@ class TestBatchedAgainstReference:
                 expected = [ref.block_measure_protocol(scheme, block, acting, secret[0])]
                 assert_matches_reference(out, expected)
 
-    def test_measure_size_limit_is_the_block_scheme_bound(self):
-        assert MAX_MEASURE_PARTICLES == 13
-        images = np.zeros((2, 1 << 14))
+    @pytest.mark.parametrize("n", [2, 14])
+    def test_measure_size_limit_is_the_block_scheme_bound(self, n):
+        images = np.zeros((2, 1 << n))
         images[0, 0] = images[1, 1] = 1.0
-        scheme = SchemeSpec(14, images, identity_assignment(14))
-        with pytest.raises(ProtocolError, match=r"3 <= n <= 13 particles, got 14"):
+        scheme = SchemeSpec(n, images, identity_assignment(n))
+        with pytest.raises(SchemeError, match=rf"^block schemes are built for 3 <= n <= 13, got {n}$"):
             run_block_measure_protocol(scheme, [1], [1, 2], (1.0, 0.0))
 
 

@@ -231,13 +231,13 @@ class TestPerfectFeasibility:
         assert perfect_feasibility(threshold_structure(2, 3)) is None
 
     def test_catalog_all_infeasible(self):
-        for entry in HYPERSTAR_CATALOG:
-            assert perfect_feasibility(entry.structure) is not None, entry.number
+        for number, g in enumerate(HYPERSTAR_CATALOG, 1):
+            assert perfect_feasibility(g) is not None, number
 
     def test_matches_a2_emptiness(self):
-        for entry in HYPERSTAR_CATALOG:
-            a2 = adversary_masks(entry.structure)[1]
-            assert (perfect_feasibility(entry.structure) is None) == (not a2)
+        for g in HYPERSTAR_CATALOG:
+            a2 = adversary_masks(g)[1]
+            assert (perfect_feasibility(g) is None) == (not a2)
 
 
 class TestThresholdStructure:
@@ -323,8 +323,8 @@ class TestIsomorphism:
         assert canonical_key(gamma(3, [[1, 2], [1, 3]])) == canonical_key(gamma(3, [[1, 2], [2, 3]]))
 
     def test_distinct_catalog_classes(self):
-        g4 = HYPERSTAR_CATALOG[3].structure
-        g5 = HYPERSTAR_CATALOG[4].structure
+        g4 = HYPERSTAR_CATALOG[4 - 1]
+        g5 = HYPERSTAR_CATALOG[5 - 1]
         assert canonical_key(g4) != canonical_key(g5)
 
     def test_empty_structures(self):
@@ -364,7 +364,7 @@ class TestIsomorphism:
     )
     @settings(max_examples=40, deadline=None)
     def test_equivalence_properties(self, perm5, other5, idx):
-        g = HYPERSTAR_CATALOG[idx].structure
+        g = HYPERSTAR_CATALOG[idx]
         perm = tuple(perm5[: g.n])
         second = tuple(other5[: g.n])
         if sorted(perm) != list(range(1, g.n + 1)) or sorted(second) != sorted(perm):
@@ -398,8 +398,8 @@ class TestEnumeration:
     def test_four_players_contains_catalog(self):
         classes = [g for n, g in enumerate_hyperstars(4) if g.n == 4]
         keys = {brute_canonical(g) for g in classes}
-        for entry in HYPERSTAR_CATALOG[3:7]:
-            assert brute_canonical(entry.structure) in keys, entry.number
+        for number, g in enumerate(HYPERSTAR_CATALOG[3:7], 4):
+            assert brute_canonical(g) in keys, number
         # the three-triangle family is a class of its own
         assert brute_canonical(gamma(4, [[1, 2, 3], [1, 2, 4], [1, 3, 4]])) in keys
         assert len(classes) == 5
@@ -433,16 +433,16 @@ class TestEnumeration:
         assert per_n == {2: 1, 3: 2, 4: 5, 5: 20, 6: 180}
 
     def test_catalog_number_roundtrip(self):
-        for entry in HYPERSTAR_CATALOG:
-            assert catalog_number(entry.structure) == entry.number
+        for number, g in enumerate(HYPERSTAR_CATALOG, 1):
+            assert catalog_number(g) == number
 
     @given(st.integers(0, len(HYPERSTAR_CATALOG) - 1), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_catalog_number_under_relabeling(self, idx, rnd):
-        entry = HYPERSTAR_CATALOG[idx]
-        perm = list(range(1, entry.structure.n + 1))
+        g = HYPERSTAR_CATALOG[idx]
+        perm = list(range(1, g.n + 1))
         rnd.shuffle(perm)
-        assert catalog_number(apply_permutation(entry.structure, tuple(perm))) == entry.number
+        assert catalog_number(apply_permutation(g, tuple(perm))) == idx + 1
 
     def test_catalog_number_beyond_catalog_sizes(self):
         # twelve players: a canonical key would scan 10! relabelings, the lookup none
@@ -470,15 +470,15 @@ class TestCanonicalKey:
     @given(st.integers(0, len(HYPERSTAR_CATALOG) - 1), st.permutations(list(range(1, 6))))
     @settings(max_examples=40, deadline=None)
     def test_invariant_under_relabeling(self, idx, perm5):
-        g = HYPERSTAR_CATALOG[idx].structure
+        g = HYPERSTAR_CATALOG[idx]
         perm = tuple(perm5[: g.n])
         if sorted(perm) != list(range(1, g.n + 1)):
             return
         assert canonical_key(apply_permutation(g, perm)) == canonical_key(g)
 
     def test_matches_full_permutation_minimum_on_catalog(self):
-        for entry in HYPERSTAR_CATALOG:
-            assert canonical_key(entry.structure) == brute_canonical(entry.structure)
+        for g in HYPERSTAR_CATALOG:
+            assert canonical_key(g) == brute_canonical(g)
 
     @given(admissible_structures())
     @settings(max_examples=80, deadline=None)

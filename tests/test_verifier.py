@@ -542,25 +542,25 @@ def test_routes_of_every_catalog_row():
             bases[m, block] = PreparedBase(*build_block_scheme(m, block))
         return bases[m, block]
 
-    for entry in HYPERSTAR_CATALOG:
-        routes = list(_routes(entry, prepared, 1e-9))
+    for number, gamma in enumerate(HYPERSTAR_CATALOG, 1):
+        routes = list(_routes(number, gamma, prepared, 1e-9))
         fixed = []
-        if entry.number in (2, 4, 8):
-            n, center = DIRECT_STARS[entry.number]
+        if number in (2, 4, 8):
+            n, center = DIRECT_STARS[number]
             name = f"star(n={n},center={center})"
             fixed.append((f"direct star {name}", bases[n, (center,)], identity_assignment(n), name))
-        if entry.number in (5, 7, 13, 14):
-            (m, block), recipe = DOCUMENTED_ASSIGNMENTS[entry.number]
+        if number in (5, 7, 13, 14):
+            (m, block), recipe = DOCUMENTED_ASSIGNMENTS[number]
             name = bases[m, block].scheme.name
             fixed.append((f"documented recipe over {name}", bases[m, block], recipe,
                           f"{name} via documented assignment"))
         searches = [
             (f"search base (m={m}, k={len(block)})", bases[m, block],
-             search_assignment(bases[m, block], entry.structure, allow_dealer=True),
+             search_assignment(bases[m, block], gamma, allow_dealer=True),
              f"{bases[m, block].scheme.name} via search")
-            for m, block in _search_bases(entry.structure.n)
+            for m, block in _search_bases(gamma.n)
         ]
-        assert routes == fixed + searches, entry.number
+        assert routes == fixed + searches, number
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +584,13 @@ def test_prepared_base_searches_equal_fresh_searches():
     hits = 0
     for m, block in _search_bases(3):
         prepared = PreparedBase(*build_block_scheme(m, block))
-        for entry in HYPERSTAR_CATALOG:
-            target = entry.structure
+        for number, target in enumerate(HYPERSTAR_CATALOG, 1):
             if target.n > m:
                 continue
             shared = search_assignment(prepared, target, allow_dealer=True)
             fresh_base = PreparedBase(*build_block_scheme(m, block))
             fresh = search_assignment(fresh_base, target, allow_dealer=True)
-            assert shared == fresh, (m, block, entry.number)
+            assert shared == fresh, (m, block, number)
             if shared is None:
                 continue
             hits += 1
@@ -599,7 +598,7 @@ def test_prepared_base_searches_equal_fresh_searches():
             from_table = _outcome(
                 _report, prepared.table, candidate, target, "generalized", 1e-9
             )
-            assert from_table == _outcome(verify, candidate, target), (m, block, entry.number)
+            assert from_table == _outcome(verify, candidate, target), (m, block, number)
     assert hits
 
 
